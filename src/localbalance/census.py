@@ -15,8 +15,16 @@ Two counting paths are provided and must agree exactly:
   the 16 redundant equations are verified on every call, so a disagreement
   anywhere surfaces as an error rather than a wrong count.
 
-Counts are Python ints (checked exact); numpy is used only for the O(n^3)
-codegree matrices.
+Kernel cost: the codegree products red@red, blue@blue and red@blue (blocks
+of rows against the upper triangle, O(n^omega) BLAS work in all) and, for
+the two monochromatic-K4 counts, one triangle count per vertex u inside its
+forward neighbourhood N+(u) = {v > u : uv of that colour}, which is
+sum_u |N+(u)|^3 BLAS flops.  All of it runs on 0/1 float64 matrices and is
+exact: every codegree entry is an integer at most n, and every per-vertex
+triangle sum at most n^3, so each partial sum is an integer below 2^53
+while n <= 3000 (the size guard of the codegree path).  Products are cast
+back to int64 under an exactness check, and the statistics and class counts
+are Python ints.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -218,6 +226,9 @@ def _pivot_rows_and_inverse() -> tuple[tuple[int, ...], tuple[tuple[Fraction, ..
 
 
 _PIVOT_ROWS, _PIVOT_INV = _pivot_rows_and_inverse()
+# the inverse scaled to integers: counts = _PIVOT_NUM @ pivot statistics / _PIVOT_DEN
+_PIVOT_DEN = lcm(*(x.denominator for row in _PIVOT_INV for x in row))
+_PIVOT_NUM = tuple(tuple(int(x * _PIVOT_DEN) for x in row) for row in _PIVOT_INV)
 
 
 @dataclass(frozen=True)
@@ -278,71 +289,86 @@ def census_k4_reference(G: ColouredCompleteGraph) -> PatternCensus:
     return PatternCensus(n, dict(zip(CLASS_KEYS, counts)))
 
 
-def _mono_k4_count(bits: Sequence[int], n: int) -> int:
-    """Number of 4-cliques of a bitset adjacency (u < v smallest clique pair)."""
+def _exact_int64(x: np.ndarray) -> np.ndarray:
+    """Cast a float64 array of integer sums to int64, checking exactness."""
+    out = x.astype(np.int64)
+    if not np.array_equal(out, x):
+        raise AssertionError("float64 codegree product is not an exact integer")
+    return out
+
+
+def _mono_k4_count(adj: np.ndarray) -> int:
+    """Number of 4-cliques of a 0/1 float64 adjacency with zero diagonal.
+
+    Each K4 is counted once, at its smallest vertex u, as a triangle of the
+    forward neighbourhood N+(u) = {v > u : uv an edge}; with B the adjacency
+    of N+(u), vdot(B @ B, B) = sum((B @ B) * B) counts each such triangle
+    6 times, and is an exact float64 sum while it stays below 2^53.
+    """
     total = 0
-    for u in range(n):
-        bu = bits[u]
-        for v in range(u + 1, n):
-            if not (bu >> v) & 1:
-                continue
-            common = bu & bits[v] & ~((1 << (v + 1)) - 1)
-            cc = common
-            while cc:
-                w = (cc & -cc).bit_length() - 1
-                cc &= cc - 1
-                total += (bits[w] & common & ~((1 << (w + 1)) - 1)).bit_count()
-    return total
+    for u in range(adj.shape[0] - 3):
+        fwd = adj[u, u + 1:].nonzero()[0] + (u + 1)
+        if len(fwd) >= 3:
+            B = adj[fwd[:, None], fwd]
+            total += int(np.vdot(B @ B, B))
+    if total % 6:
+        raise AssertionError("forward-neighbourhood triangle tally is not a multiple of 6")
+    return total // 6
+
+
+# rows per block of codegree products: bounds every temporary to 128 x n
+_ROW_BLOCK = 128
 
 
 def _host_statistics(G: ColouredCompleteGraph) -> list[int]:
     """The 27 aggregate statistics of the host, exact ints."""
     n = G.n
     if n > 3000:
-        # keeps every aggregate below 2^63 in the int64 accumulations
+        # keeps the float64 BLAS sums below 2^53 and the int64 aggregates below 2^63
         raise ValueError(f"census statistics support n <= 3000, got {n}")
-    red = np.frombuffer(b"".join(G.row(u) for u in range(n)), dtype=np.uint8)
-    red = (red.reshape(n, n) == RED).astype(np.int64)
-    np.fill_diagonal(red, 0)
-    blue = 1 - red - np.eye(n, dtype=np.int64)
-
-    rr = red @ red
-    bb = blue @ blue
-    rb = red @ blue  # rb[u, v] = #{w : uw red, wv blue}
-
-    iu, iv = np.triu_indices(n, 1)
-    a = rr[iu, iv]
-    b = bb[iu, iv]
-    m1 = rb[iu, iv]
-    m2 = rb[iv, iu]
-    pair_red = red[iu, iv] == 1
-
-    stats: dict = {}
+    table = np.frombuffer(b"".join(G.row(u) for u in range(n)), dtype=np.uint8)
+    red = (table.reshape(n, n) == RED).astype(np.float64)
+    np.fill_diagonal(red, 0.0)
+    blue = 1.0 - red
+    np.fill_diagonal(blue, 0.0)
 
     def c2(x: np.ndarray) -> np.ndarray:
         return x * (x - 1) // 2
 
-    for pc, sel in ((RED, pair_red), (BLUE, ~pair_red)):
-        aa, bbv, mm1, mm2 = a[sel], b[sel], m1[sel], m2[sel]
-        stats[("p", pc, 0)] = int(c2(aa).sum())
-        stats[("p", pc, 1)] = int(c2(bbv).sum())
-        stats[("p", pc, 2)] = int((aa * bbv).sum())
-        stats[("p", pc, 3)] = int((aa * (mm1 + mm2)).sum())
-        stats[("p", pc, 4)] = int((bbv * (mm1 + mm2)).sum())
-        stats[("p", pc, 5)] = int((mm1 * mm2).sum())
-        stats[("p", pc, 6)] = int((c2(mm1) + c2(mm2)).sum())
+    # Codegrees of the pairs u < v, for one block of rows u at a time.  Each
+    # product entry sums at most n 0/1 terms, so every float64 partial sum is
+    # an exact integer.
+    stats: dict = dict.fromkeys(STAT_IDS, 0)
+    n3 = n2 = n1 = n0 = e_red = 0
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        upper = np.arange(lo, n) > np.arange(lo, hi)[:, None]  # v > u, v >= lo
+        r_rows, b_rows, r_cols, b_cols = red[lo:hi], blue[lo:hi], red[:, lo:], blue[:, lo:]
+        a = _exact_int64((r_rows @ r_cols)[upper])    # #{w : uw, wv red}
+        b = _exact_int64((b_rows @ b_cols)[upper])    # #{w : uw, wv blue}
+        m1 = _exact_int64((r_rows @ b_cols)[upper])   # #{w : uw red, wv blue}
+        m2 = _exact_int64((b_rows @ r_cols)[upper])   # #{w : uw blue, wv red}
+        pair_red = r_rows[:, lo:][upper] == 1.0
+        for pc, sel in ((RED, pair_red), (BLUE, ~pair_red)):
+            aa, bbv, mm1, mm2 = a[sel], b[sel], m1[sel], m2[sel]
+            stats[("p", pc, 0)] += int(c2(aa).sum())
+            stats[("p", pc, 1)] += int(c2(bbv).sum())
+            stats[("p", pc, 2)] += int((aa * bbv).sum())
+            stats[("p", pc, 3)] += int((aa * (mm1 + mm2)).sum())
+            stats[("p", pc, 4)] += int((bbv * (mm1 + mm2)).sum())
+            stats[("p", pc, 5)] += int((mm1 * mm2).sum())
+            stats[("p", pc, 6)] += int((c2(mm1) + c2(mm2)).sum())
+        # triangles by red-edge multiplicity, from codegrees along edges
+        n3 += int(a[pair_red].sum())
+        n2 += int((m1 + m2)[pair_red].sum())
+        n1 += int(b[pair_red].sum())
+        n0 += int(b[~pair_red].sum())
+        e_red += int(pair_red.sum())
 
-    rdeg = red.sum(axis=1)
+    rdeg = _exact_int64(red.sum(axis=1)).tolist()
     for k in range(4):
-        stats[("v", k)] = sum(
-            comb(int(rd), 3 - k) * comb(int(n - 1 - rd), k) for rd in rdeg
-        )
+        stats[("v", k)] = sum(comb(rd, 3 - k) * comb(n - 1 - rd, k) for rd in rdeg)
 
-    # triangle counts by red-edge multiplicity, from codegrees along edges
-    n3 = int(a[pair_red].sum())
-    n2 = int((m1 + m2)[pair_red].sum())
-    n1 = int(b[pair_red].sum())
-    n0 = int(b[~pair_red].sum())
     if n3 % 3 or n2 % 2 or n0 % 3:
         raise AssertionError("triangle tallies are inconsistent")
     stats[("t", 3)] = (n - 3) * (n3 // 3)
@@ -350,12 +376,11 @@ def _host_statistics(G: ColouredCompleteGraph) -> list[int]:
     stats[("t", 1)] = (n - 3) * n1
     stats[("t", 0)] = (n - 3) * (n0 // 3)
 
-    e_red = int(pair_red.sum())
     stats[("e", RED)] = comb(n - 2, 2) * e_red
     stats[("e", BLUE)] = comb(n - 2, 2) * (comb(n, 2) - e_red)
 
-    stats[("k4", RED)] = _mono_k4_count(G.colour_bits(RED), n)
-    stats[("k4", BLUE)] = _mono_k4_count(G.colour_bits(BLUE), n)
+    stats[("k4", RED)] = _mono_k4_count(red)
+    stats[("k4", BLUE)] = _mono_k4_count(blue)
     stats["total"] = comb(n, 4)
     return [stats[sid] for sid in STAT_IDS]
 
@@ -363,8 +388,9 @@ def _host_statistics(G: ColouredCompleteGraph) -> list[int]:
 def census_k4(G: ColouredCompleteGraph, method: str = "codegree") -> PatternCensus:
     """Exact K4 census of a 2-coloured host.
 
-    method="codegree" uses the statistic system (O(n^3) work), verifying
-    all redundant equations; method="reference" enumerates quadruples.
+    method="codegree" uses the statistic system (BLAS kernels, see the
+    module docstring), verifying all redundant equations; method="reference"
+    enumerates quadruples.
     """
     if method == "reference":
         return census_k4_reference(G)
@@ -375,15 +401,13 @@ def census_k4(G: ColouredCompleteGraph, method: str = "codegree") -> PatternCens
     if n < 4:
         return PatternCensus(n, dict.fromkeys(CLASS_KEYS, 0))
     svec = _host_statistics(G)
-    x = [
-        sum(_PIVOT_INV[i][j] * svec[_PIVOT_ROWS[j]] for j in range(NUM_CLASSES))
-        for i in range(NUM_CLASSES)
-    ]
+    pivots = [svec[i] for i in _PIVOT_ROWS]
     counts = []
-    for xi in x:
-        if xi.denominator != 1 or xi < 0:
-            raise AssertionError(f"census solve produced a non-count {xi}")
-        counts.append(int(xi))
+    for row in _PIVOT_NUM:
+        num = sum(c * s for c, s in zip(row, pivots))
+        if num % _PIVOT_DEN or num < 0:
+            raise AssertionError(f"census solve produced a non-count {Fraction(num, _PIVOT_DEN)}")
+        counts.append(num // _PIVOT_DEN)
     # every statistic, including the 16 not used for the solve, must agree
     for i, sid in enumerate(STAT_IDS):
         lhs = sum(_COEFF[i][j] * counts[j] for j in range(NUM_CLASSES))

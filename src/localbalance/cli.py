@@ -78,7 +78,7 @@ def _hash_file(path: str) -> str:
 def _manifest(args: argparse.Namespace, seeds: list[int], inputs: list[str], t0: float) -> dict:
     return {
         "command": args.command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "seeds": seeds,
         "inputHashes": {p: _hash_file(p) for p in inputs},
         "version": __version__,
@@ -292,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="localbalance",
         description="Locally balanced edge-colourings: generators, censuses, blow-up mining.",
     )
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for interface stability; counting kernels are numpy-backed")
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a named colouring as JSON")
@@ -317,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("census", help="K4 class census of a 2-coloured host")
     c.add_argument("graph")
     c.add_argument("--method", choices=["codegree", "reference"], default="codegree")
-    c.add_argument("--max-n", type=int, default=512)
+    c.add_argument("--max-n", type=int, default=1024)
     c.add_argument("--json", default=None)
     c.set_defaults(func=_cmd_census)
 
@@ -364,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--target-t", type=int, default=None)
     e.add_argument("--retries", type=int, default=32)
     e.add_argument("--budget", type=int, default=200_000)
-    e.add_argument("--census-limit", type=int, default=512)
+    e.add_argument("--census-limit", type=int, default=1024)
     e.add_argument("--csv", default=None)
     e.add_argument("--json", default=None)
     e.set_defaults(func=_cmd_experiment)
@@ -372,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(argv)
+    args.argv = argv  # recorded in every output manifest
     try:
         return args.func(args)
     except (GraphFormatError, OSError, json.JSONDecodeError) as exc:

@@ -31,6 +31,24 @@ def _as_fraction(x: Rational) -> Fraction:
     return Fraction(x)
 
 
+def _edge_triple(e: object, n: int, r: int) -> tuple[int, int, int]:
+    """One [u, v, c] edge entry as ints, rejecting malformed entries,
+    self-loops and out-of-range vertices or colours."""
+    if not isinstance(e, (list, tuple)) or len(e) != 3:
+        raise GraphFormatError(f"edge entry {e!r} is not a [u, v, c] triple")
+    try:
+        u, v, c = int(e[0]), int(e[1]), int(e[2])
+    except (TypeError, ValueError):
+        raise GraphFormatError(f"edge entry {e!r} has a non-integer field") from None
+    if u == v:
+        raise GraphFormatError(f"self-loop at vertex {u}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise GraphFormatError(f"vertex out of range in edge ({u},{v})")
+    if not 0 <= c < r:
+        raise GraphFormatError(f"colour {c} out of range in edge ({u},{v})")
+    return u, v, c
+
+
 class ColouredCompleteGraph:
     """An n-vertex complete graph with an r-colouring of its edges.
 
@@ -91,28 +109,20 @@ class ColouredCompleteGraph:
 
         Rejects self-loops, duplicate pairs, missing pairs and colours >= r.
         """
-        rows = [bytearray(n) for _ in range(n)]
-        seen = [0] * n
+        unset = 0xFF  # never a colour, since r <= 255
+        rows = [bytearray([unset]) * n for _ in range(n)]
         count = 0
         for e in edges:
-            if len(e) != 3:
-                raise GraphFormatError(f"edge entry {e!r} is not a [u, v, c] triple")
-            u, v, c = (int(x) for x in e)
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"vertex out of range in edge ({u},{v})")
-            if not 0 <= c < r:
-                raise GraphFormatError(f"colour {c} out of range in edge ({u},{v})")
-            if (seen[u] >> v) & 1:
+            u, v, c = _edge_triple(e, n, r)
+            if rows[u][v] != unset:
                 raise GraphFormatError(f"duplicate edge ({u},{v})")
-            seen[u] |= 1 << v
-            seen[v] |= 1 << u
             rows[u][v] = c
             rows[v][u] = c
             count += 1
         if count != comb(n, 2):
             raise GraphFormatError(f"expected {comb(n, 2)} edges, got {count}")
+        for u in range(n):
+            rows[u][u] = 0
         return cls(n, r, rows, _validate=False)
 
     def colour(self, u: int, v: int) -> int:
@@ -249,8 +259,12 @@ def graph_from_json(data: dict) -> ColouredCompleteGraph:
         r = int(data["r"])
     except (KeyError, TypeError, ValueError) as exc:
         raise GraphFormatError(f"missing or bad n/r field: {exc}") from exc
+    if n < 1:
+        raise GraphFormatError(f"need n >= 1, got {n}")
     if "rows" in data:
         rows = data["rows"]
+        if not isinstance(rows, list) or not all(isinstance(row, str) for row in rows):
+            raise GraphFormatError("'rows' must be a list of digit strings")
         if len(rows) != n:
             raise GraphFormatError(f"expected {n} rows, got {len(rows)}")
         edges = []
@@ -263,5 +277,14 @@ def graph_from_json(data: dict) -> ColouredCompleteGraph:
                 edges.append([u, u + 1 + k, int(ch)])
         return ColouredCompleteGraph.from_edges(n, r, edges)
     if "edges" in data:
-        return ColouredCompleteGraph.from_edges(n, r, data["edges"])
+        edges = data["edges"]
+        if not isinstance(edges, list):
+            raise GraphFormatError("'edges' must be a list of [u, v, c] triples")
+        if len(edges) != comb(n, 2):
+            # rejected before from_edges allocates the n x n colour table;
+            # a malformed entry is still the error reported first
+            for e in edges:
+                _edge_triple(e, n, r)
+            raise GraphFormatError(f"expected {comb(n, 2)} edges, got {len(edges)}")
+        return ColouredCompleteGraph.from_edges(n, r, edges)
     raise GraphFormatError("graph JSON needs an 'edges' or 'rows' field")

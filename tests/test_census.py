@@ -25,6 +25,7 @@ from localbalance import (
     make_random,
     make_split,
 )
+import localbalance.census as census_module
 from localbalance.census import CLASS_SWAP
 
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
@@ -153,6 +154,46 @@ class TestCensus:
         for n in (1, 2, 3):
             c = census_k4(make_random(n, 2, 0))
             assert sum(c.counts.values()) == 0
+
+
+class TestCensusKernels:
+    """Edge cases of the float64 codegree products and the forward-neighbourhood
+    K4 count, each checked against the O(n^4) enumeration."""
+
+    def test_one_colour_hosts(self):
+        # the absent colour has no forward neighbourhood of size >= 3
+        for n in range(4, 9):
+            for colour, key in ((0, "000000"), (1, "111111")):
+                G = ColouredCompleteGraph.from_function(n, 2, lambda u, v: colour)
+                c = census_k4(G)
+                assert c.counts == census_k4_reference(G).counts
+                assert c.counts[key] == comb(n, 4)
+
+    def test_noiseless_split_hosts(self):
+        for a, b in ((4, 4), (5, 9), (1, 10), (10, 0)):
+            G = make_split(a, b, seed=0, flips=0)
+            assert census_k4(G).counts == census_k4_reference(G).counts
+
+    def test_random_host_at_n64(self):
+        G = make_random(64, 2, 11)
+        assert census_k4(G).counts == census_k4_reference(G).counts
+
+    def test_row_blocks_match_reference(self, monkeypatch):
+        # several codegree row blocks, including a short last one
+        monkeypatch.setattr(census_module, "_ROW_BLOCK", 5)
+        for seed in range(3):
+            G = make_random(23, 2, seed)
+            assert census_k4(G).counts == census_k4_reference(G).counts
+
+    def test_size_guard_runs_before_any_allocation(self):
+        class Huge:
+            n, r = 3001, 2
+
+            def row(self, u):
+                raise AssertionError("the size guard must fire before reading the host")
+
+        with pytest.raises(ValueError, match="n <= 3000"):
+            census_k4(Huge())
 
 
 class TestCountM1:

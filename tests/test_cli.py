@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from localbalance.cli import main
 
 
@@ -42,6 +44,12 @@ class TestGenerate:
         assert data["kind"] == "bipartite"
         assert len(data["rows"]) == 6
 
+    def test_manifest_records_the_given_argv(self, capsys):
+        argv = ["generate", "--family", "pk", "--k", "1"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert json.loads(out)["manifest"]["argv"] == list(argv)
+
     def test_deterministic_modulo_timing(self, capsys):
         args = ("generate", "--family", "split", "--a", "5", "--b", "5",
                 "--flips", "2", "--seed", "42")
@@ -70,6 +78,29 @@ class TestCensusCommand:
     def test_missing_file_is_io_error(self, capsys):
         code, _, err = run_cli(capsys, "census", "/nonexistent/graph.json")
         assert code == 2
+
+    def test_default_limit_admits_n600(self, tmp_path, capsys):
+        path = tmp_path / "pk150.json"
+        run_cli(capsys, "generate", "--family", "pk", "--k", "150", "--compact",
+                "--out", str(path))
+        code, out, _ = run_cli(capsys, "census", str(path))
+        assert code == 0
+        data = json.loads(out)
+        assert data["n"] == 600
+        assert data["C4"] == 0
+
+    @pytest.mark.parametrize("graph", [
+        '{"n": 3, "r": 2, "edges": 5}',
+        '{"n": 3, "r": 2, "edges": [[0, 1, 0], 7, [1, 2, 0]]}',
+        '{"n": 3, "r": 2, "rows": [1, 2, 3]}',
+        '{"n": 5000, "r": 2, "edges": []}',
+    ])
+    def test_malformed_structure_is_usage_error(self, tmp_path, capsys, graph):
+        path = tmp_path / "bad.json"
+        path.write_text(graph)
+        code, _, err = run_cli(capsys, "census", str(path))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_malformed_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

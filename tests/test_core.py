@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -234,6 +235,32 @@ class TestJson:
     def test_rejects_wrong_row_length(self):
         with pytest.raises(GraphFormatError, match="length"):
             graph_from_json({"n": 3, "r": 2, "rows": ["000", "0", ""]})
+
+    @pytest.mark.parametrize("data", [
+        {"n": 3, "r": 2, "edges": 5},
+        {"n": 3, "r": 2, "edges": {"0": [0, 1, 0]}},
+        {"n": 3, "r": 2, "edges": [[0, 1, 0], 7, [1, 2, 0]]},
+        {"n": 3, "r": 2, "edges": [[0, 1, 0], "012", [1, 2, 0]]},
+        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, None], [1, 2, 0]]},
+        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, "x", 0], [1, 2, 0]]},
+        {"n": 3, "r": 2, "rows": [1, 2, 3]},
+        {"n": 3, "r": 2, "rows": ["00", ["0"], ""]},
+        {"n": 3, "r": 2, "rows": "00"},
+        {"n": 0, "r": 2, "edges": []},
+    ])
+    def test_rejects_malformed_structure(self, data):
+        with pytest.raises(GraphFormatError):
+            graph_from_json(data)
+
+    def test_edge_count_checked_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="expected 12497500 edges"):
+                graph_from_json({"n": 5000, "r": 2, "edges": []})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_json_is_serialisable(self):
         G = make_random(6, 2, 0)

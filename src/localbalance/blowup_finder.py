@@ -29,14 +29,7 @@ from math import comb, log
 from typing import Callable, Iterator, Sequence
 
 from .core import ColouredCompleteGraph, Rational, _as_fraction
-from .patterns import BlowupWitness, TotallyColouredPattern, verify_witness
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .patterns import BlowupWitness, TotallyColouredPattern, _bits, verify_witness
 
 
 class CanonicalHypergraph:

@@ -183,11 +183,7 @@ class SplitCloseness:
         return len(self.flipped_edges)
 
 
-def _popcounts(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr)
-    table = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
-    return table[arr & 0xFFFF] + table[(arr >> 16) & 0xFFFF]
+EXACT_MAX_N = 24  # exact mode's int32 cost table takes 4 * 2^n bytes
 
 
 def _flipped_edges_for(G: ColouredCompleteGraph, red_mask: int) -> tuple[tuple[int, int], ...]:
@@ -222,23 +218,38 @@ def closeness_to_split(
 ) -> SplitCloseness:
     """Fewest edge flips taking G to a split colouring of its labelled
     vertex set (exact for n <= exact_limit, steepest-descent otherwise).
+
+    Exact mode builds the cost of every bipartition in one int32 table of
+    length 2^n, indexed by the red-side mask, one vertex at a time.  Once
+    vertices 0..v-1 are placed, cost[:2^v] holds the cost of each of their
+    placements.  With blue_low and red_low the masks of v's blue and red
+    neighbours among them, vertex v then sets
+
+        cost[2^v + m] = cost[m] + |m & blue_low|       (v red)
+        cost[m]      += |red_low| - |m & red_low|      (v blue)
+
+    for every m < 2^v.  That is O(2^n) time in total and a 4 * 2^n-byte
+    table (plus about as much again in temporaries), so exact mode refuses
+    n > EXACT_MAX_N before allocating.  Ties go to the lowest mask.
     """
     if G.r != 2:
         raise ValueError(f"closeness_to_split needs r=2, got r={G.r}")
     n = G.n
     if n <= exact_limit:
-        size = 1 << n
-        xs = np.arange(size, dtype=np.int64 if n > 30 else np.int32)
-        f_blue = np.zeros(size, dtype=np.int32)
-        f_red = np.zeros(size, dtype=np.int32)
+        if n > EXACT_MAX_N:
+            raise ValueError(
+                f"exact closeness needs n <= {EXACT_MAX_N} (a 4 * 2^n-byte table), "
+                f"got n={n}; lower exact_limit to use local search"
+            )
+        cost = np.zeros(1 << n, dtype=np.int32)
         for v in range(n):
-            low = (1 << v) - 1
-            in_mask = ((xs >> v) & 1).astype(np.int32)
-            blue_low = G.neighbours(BLUE, v) & low
-            red_low = G.neighbours(RED, v) & low
-            f_blue += in_mask * _popcounts(xs & blue_low).astype(np.int32)
-            f_red += in_mask * _popcounts(xs & red_low).astype(np.int32)
-        cost = f_blue + f_red[::-1]
+            half = 1 << v
+            masks = np.arange(half, dtype=np.int32)
+            blue_low = G.neighbours(BLUE, v) & (half - 1)
+            red_low = G.neighbours(RED, v) & (half - 1)
+            np.add(cost[:half], np.bitwise_count(masks & blue_low), out=cost[half:2 * half])
+            cost[:half] -= np.bitwise_count(masks & red_low)
+            cost[:half] += red_low.bit_count()
         best_mask = int(np.argmin(cost))  # first occurrence: lowest mask wins ties
         mode = "exact"
     else:

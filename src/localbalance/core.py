@@ -26,20 +26,18 @@ class GraphFormatError(ValueError):
 
 def _as_fraction(x: Rational) -> Fraction:
     """Exact conversion; strings like "1/4" and "0.25" are parsed exactly."""
-    if isinstance(x, float):
-        return Fraction(x)  # binary floats convert exactly
-    return Fraction(x)
+    return Fraction(x)  # binary floats convert exactly
 
 
 def _edge_triple(e: object, n: int, r: int) -> tuple[int, int, int]:
-    """One [u, v, c] edge entry as ints, rejecting malformed entries,
-    self-loops and out-of-range vertices or colours."""
+    """One [u, v, c] edge entry, rejecting malformed entries, fields that
+    are not ints (floats, strings and bools included), self-loops and
+    out-of-range vertices or colours."""
     if not isinstance(e, (list, tuple)) or len(e) != 3:
         raise GraphFormatError(f"edge entry {e!r} is not a [u, v, c] triple")
-    try:
-        u, v, c = int(e[0]), int(e[1]), int(e[2])
-    except (TypeError, ValueError):
-        raise GraphFormatError(f"edge entry {e!r} has a non-integer field") from None
+    u, v, c = e
+    if type(u) is not int or type(v) is not int or type(c) is not int:
+        raise GraphFormatError(f"edge entry {e!r} has a non-integer field")
     if u == v:
         raise GraphFormatError(f"self-loop at vertex {u}")
     if not (0 <= u < n and 0 <= v < n):
@@ -255,10 +253,11 @@ def graph_to_json(G: ColouredCompleteGraph, compact: bool = False) -> dict:
 
 def graph_from_json(data: dict) -> ColouredCompleteGraph:
     try:
-        n = int(data["n"])
-        r = int(data["r"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise GraphFormatError(f"missing or bad n/r field: {exc}") from exc
+        n, r = data["n"], data["r"]
+    except (KeyError, TypeError) as exc:
+        raise GraphFormatError(f"missing n/r field: {exc}") from exc
+    if type(n) is not int or type(r) is not int:
+        raise GraphFormatError(f"n and r must be integers, got n={n!r}, r={r!r}")
     if n < 1:
         raise GraphFormatError(f"need n >= 1, got {n}")
     if "rows" in data:

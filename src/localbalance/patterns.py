@@ -24,12 +24,20 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .census import BipartiteColouring
 from .core import ColouredCompleteGraph
 
 RED, BLUE = 0, 1
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class InvalidWitnessError(ValueError):
@@ -363,15 +371,6 @@ def find_pattern_blowup_exhaustive(
     match_part_colours = not (homogeneous or H.vertex_colours_ignored)
     bits = [G.colour_bits(c) for c in range(G.r)]
 
-    def part_candidates(mask: int) -> list[int]:
-        out = []
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            m &= m - 1
-            out.append(v)
-        return out
-
     parts: list[tuple[int, ...]] = []
 
     def clique_colour(verts: tuple[int, ...]) -> int | None:
@@ -388,7 +387,7 @@ def find_pattern_blowup_exhaustive(
         if i == l:
             return BlowupWitness(H, tuple(parts), t, homogeneous)
         cand_mask = allowed[i] & ~used
-        cands = part_candidates(cand_mask)
+        cands = list(_bits(cand_mask))
         if len(cands) < t:
             return None
         for verts in itertools.combinations(cands, t):

@@ -20,6 +20,7 @@ from math import comb
 
 from .census import BipartiteColouring, census_k4, count_m1
 from .constructions import (
+    EXACT_MAX_N,
     closeness_to_split,
     make_bipartite_mindeg,
     make_multicolour_cycle,
@@ -179,8 +180,8 @@ def verify_prop_optimize(
         for k in range(1, max_n // 4 + 1):
             instances.append(make_Pk(k))
     for G in instances:
-        if G.n > 24:
-            raise ValueError("verify_prop_optimize needs exact closeness (n <= 24)")
+        if G.n > EXACT_MAX_N:
+            raise ValueError(f"verify_prop_optimize needs exact closeness (n <= {EXACT_MAX_N})")
         closeness = closeness_to_split(G)
         prof = balance_profile(G)
         bound = (Fraction(1, 4) + 3 * closeness.delta) * G.n

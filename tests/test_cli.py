@@ -94,6 +94,8 @@ class TestCensusCommand:
         '{"n": 3, "r": 2, "edges": [[0, 1, 0], 7, [1, 2, 0]]}',
         '{"n": 3, "r": 2, "rows": [1, 2, 3]}',
         '{"n": 5000, "r": 2, "edges": []}',
+        '{"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2.0, true], [1, 2, 0]]}',
+        '{"n": "3", "r": 2.9, "rows": ["00", "0", ""]}',
     ])
     def test_malformed_structure_is_usage_error(self, tmp_path, capsys, graph):
         path = tmp_path / "bad.json"

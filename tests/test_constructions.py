@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -23,8 +24,10 @@ RED, BLUE, GREEN = 0, 1, 2
 
 
 def naive_closeness_flips(G):
-    """Brute force over all bipartitions, cost recomputed from scratch."""
-    best = None
+    """Brute force over all bipartitions, cost recomputed from scratch.
+
+    Returns (fewest flips, lowest red-side mask attaining it)."""
+    best = best_mask = None
     for mask in range(1 << G.n):
         flips = 0
         for u in range(G.n):
@@ -35,8 +38,8 @@ def naive_closeness_flips(G):
                 if (both_red and c == BLUE) or (both_blue and c == RED):
                     flips += 1
         if best is None or flips < best:
-            best = flips
-    return best
+            best, best_mask = flips, mask
+    return best, best_mask
 
 
 class TestMakePk:
@@ -171,10 +174,41 @@ class TestMakeBipartiteMindeg:
 class TestCloseness:
     def test_exact_matches_naive_oracle(self):
         rng = random.Random(0)
+        hosts = []
         for _ in range(12):
             n = rng.randrange(2, 10)
-            G = make_random(n, 2, rng.randrange(10**6))
-            assert closeness_to_split(G).flips == naive_closeness_flips(G)
+            hosts.append(make_random(n, 2, rng.randrange(10**6)))
+        for a, b, flips in ((5, 5, 0), (6, 4, 3), (0, 7, 2), (3, 0, 1), (2, 8, 5), (1, 1, 1)):
+            hosts.append(make_split(a, b, seed=a * 10 + b, flips=flips))
+        hosts += [make_Pk(1), make_Pk(2)]
+        for G in hosts:
+            flips, mask = naive_closeness_flips(G)
+            c = closeness_to_split(G)
+            assert c.flips == flips
+            assert c.red_side == tuple(v for v in range(G.n) if (mask >> v) & 1)
+
+    def test_exact_memory_is_one_table(self):
+        # the n = 20 cost table is 4 MB and its temporaries about as much again
+        G = make_random(20, 2, 3)
+        tracemalloc.start()
+        try:
+            c = closeness_to_split(G)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert c.mode == "exact"
+        assert peak < 12 << 20
+
+    def test_exact_size_guard_before_allocation(self):
+        G = make_random(25, 2, 0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="n <= 24"):
+                closeness_to_split(G, exact_limit=25)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_p1_blowup_fixture(self):
         # frozen from the exhaustive bipartition oracle: one flip suffices

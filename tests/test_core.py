@@ -247,6 +247,16 @@ class TestJson:
         {"n": 3, "r": 2, "rows": ["00", ["0"], ""]},
         {"n": 3, "r": 2, "rows": "00"},
         {"n": 0, "r": 2, "edges": []},
+        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 1.7, True], [1, 2, 0]]},
+        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, True], [1, 2, 0]]},
+        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2.0, 1], [1, 2, 0]]},
+        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, 1], [1, 2, 0.0]]},
+        {"n": "3", "r": 2, "rows": ["00", "0", ""]},
+        {"n": 3, "r": 2.9, "rows": ["00", "0", ""]},
+        {"n": 3.0, "r": 2, "rows": ["00", "0", ""]},
+        {"n": 3, "r": True, "rows": ["00", "0", ""]},
+        {"n": 3, "r": None, "rows": ["00", "0", ""]},
+        {"r": 2, "rows": ["00", "0", ""]},
     ])
     def test_rejects_malformed_structure(self, data):
         with pytest.raises(GraphFormatError):

@@ -187,6 +187,8 @@ def _canonical_copies(
     """All embeddings of H's edge colouring with vertex i inside parts[i],
     in lexicographic order."""
     l = H.num_vertices
+    if any(H.edge_colour(i, j) >= G.r for i in range(l) for j in range(i + 1, l)):
+        return []
     part_masks = [sum(1 << v for v in p) for p in parts]
     bits = [G.colour_bits(c) for c in range(G.r)]
     out: list[tuple[int, ...]] = []
@@ -210,9 +212,8 @@ def _canonical_copies(
             chosen[i] = v
             rec(i + 1, masks[: i + 1] + tuple(nxt))
 
-    if any(H.edge_colour(i, j) >= G.r for i in range(l) for j in range(i + 1, l)):
-        return []
     rec(0, tuple(part_masks))
+    del rec  # break the rec <-> closure-cell cycle so `out` is freed by refcount
     return out
 
 

@@ -326,8 +326,7 @@ def _host_statistics(G: ColouredCompleteGraph) -> list[int]:
     if n > 3000:
         # keeps the float64 BLAS sums below 2^53 and the int64 aggregates below 2^63
         raise ValueError(f"census statistics support n <= 3000, got {n}")
-    table = np.frombuffer(b"".join(G.row(u) for u in range(n)), dtype=np.uint8)
-    red = (table.reshape(n, n) == RED).astype(np.float64)
+    red = (G.table() == RED).astype(np.float64)
     np.fill_diagonal(red, 0.0)
     blue = 1.0 - red
     np.fill_diagonal(blue, 0.0)

@@ -149,7 +149,9 @@ def _cmd_find_blowup(args) -> int:
     if args.pattern_file:
         with open(args.pattern_file) as fh:
             data = json.load(fh)
-        pattern = TotallyColouredPattern.from_dict(data.get("pattern", data))
+        if isinstance(data, dict):
+            data = data.get("pattern", data)
+        pattern = TotallyColouredPattern.from_dict(data)
     else:
         pattern = get_pattern(args.pattern)
     config = FinderConfig(

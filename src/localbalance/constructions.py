@@ -16,6 +16,7 @@ import numpy as np
 
 from .census import BipartiteColouring
 from .core import ColouredCompleteGraph, Rational, _as_fraction
+from .patterns import TotallyColouredPattern, blow_up, get_pattern
 
 RED, BLUE, GREEN = 0, 1, 2
 
@@ -29,22 +30,11 @@ def make_Pk(k: int) -> ColouredCompleteGraph:
 
     The vertex set splits into four blocks V1..V4 of size k; edges inside
     V1 u V4 are red, edges inside V2 u V3 are blue, V1-V3 and V2-V4 are
-    red, V1-V2 and V3-V4 are blue.  Equals blow_up(P3, k) vertex for
-    vertex.
+    red, V1-V2 and V3-V4 are blue: the blow-up P3[k], vertex for vertex.
     """
     if k < 1:
         raise ValueError(f"need k >= 1, got {k}")
-
-    red_blocks = {
-        (0, 0), (3, 3), (0, 3), (3, 0),  # inside V1 u V4
-        (0, 2), (2, 0), (1, 3), (3, 1),  # V1-V3 and V2-V4
-    }
-
-    def colour(u: int, v: int) -> int:
-        bu, bv = u // k, v // k
-        return RED if (bu, bv) in red_blocks else BLUE
-
-    return ColouredCompleteGraph.from_function(4 * k, 2, colour)
+    return blow_up(get_pattern("P3"), k)
 
 
 def make_split(a: int, b: int, seed: int = 0, flips: int = 0) -> ColouredCompleteGraph:
@@ -73,7 +63,7 @@ def make_split(a: int, b: int, seed: int = 0, flips: int = 0) -> ColouredComplet
         u, v = pairs[idx]
         c = 1 - rows[u][v]
         rows[u][v] = rows[v][u] = c
-    return ColouredCompleteGraph(n, 2, rows, _validate=False)
+    return ColouredCompleteGraph(n, 2, rows)
 
 
 def make_multicolour_cycle(l: int, part_size: int) -> ColouredCompleteGraph:
@@ -88,20 +78,9 @@ def make_multicolour_cycle(l: int, part_size: int) -> ColouredCompleteGraph:
         raise ValueError(f"need an even l >= 4, got {l}")
     if part_size < 1:
         raise ValueError(f"need part_size >= 1, got {part_size}")
-    n = l * part_size
-
-    def colour(u: int, v: int) -> int:
-        pu, pv = u // part_size, v // part_size
-        if pu == pv:
-            return GREEN
-        lo, hi = min(pu, pv), max(pu, pv)
-        if hi - lo == 1:
-            return RED if lo % 2 == 0 else BLUE
-        if lo == 0 and hi == l - 1:
-            return RED if hi % 2 == 0 else BLUE
-        return GREEN
-
-    return ColouredCompleteGraph.from_function(n, 3, colour)
+    cycle = {(i, (i + 1) % l): RED if i % 2 == 0 else BLUE for i in range(l)}
+    quotient = TotallyColouredPattern.from_parts(3, (GREEN,) * l, cycle, default_edge_colour=GREEN)
+    return blow_up(quotient, part_size)
 
 
 def make_random(n: int, r: int, seed: int) -> ColouredCompleteGraph:

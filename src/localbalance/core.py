@@ -17,11 +17,13 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 Rational = Fraction | int | str | float
 
 
 class GraphFormatError(ValueError):
-    """A serialized graph failed validation."""
+    """A serialized graph or pattern failed validation."""
 
 
 def _as_fraction(x: Rational) -> Fraction:
@@ -56,37 +58,39 @@ class ColouredCompleteGraph:
 
     __slots__ = ("n", "r", "_rows", "_bits")
 
-    def __init__(self, n: int, r: int, rows: Sequence[bytes], _validate: bool = True):
+    def __init__(self, n: int, r: int, rows: Sequence[bytes]):
+        """Build from n rows of n colour bytes each (bytes-like, e.g. the
+        rows of an n x n uint8 array).  The table must be symmetric with
+        colours below r off the diagonal; the diagonal is stored as 0."""
         if n < 1:
             raise ValueError(f"need n >= 1, got {n}")
         if not 2 <= r <= 255:
             raise ValueError(f"need 2 <= r <= 255, got {r}")
-        rows = tuple(bytes(row) for row in rows)
-        if _validate:
-            if len(rows) != n or any(len(row) != n for row in rows):
-                raise ValueError("colour table must be n x n")
-            for u in range(n):
-                for v in range(u + 1, n):
-                    c = rows[u][v]
-                    if c >= r:
-                        raise ValueError(f"colour {c} out of range at edge ({u},{v})")
-                    if rows[v][u] != c:
-                        raise ValueError(f"colour table not symmetric at ({u},{v})")
+        rows = [bytes(row) for row in rows]
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValueError("colour table must be n x n")
+        table = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(n, n).copy()
+        np.fill_diagonal(table, 0)
+        # symmetric, so its first entry in row-major order is the first bad pair u < v
+        bad = (table >= r) | (table != table.T)
+        if bad.any():
+            u, v = divmod(int(bad.argmax()), n)
+            c = table[u, v]
+            if c >= r:
+                raise ValueError(f"colour {c} out of range at edge ({u},{v})")
+            raise ValueError(f"colour table not symmetric at ({u},{v})")
         self.n = n
         self.r = r
-        self._rows = rows
-        bits = []
-        for c in range(r):
-            per_vertex = []
-            for u in range(n):
-                row = rows[u]
-                mask = 0
-                for v in range(n):
-                    if v != u and row[v] == c:
-                        mask |= 1 << v
-                per_vertex.append(mask)
-            bits.append(tuple(per_vertex))
-        self._bits = tuple(bits)
+        data = table.tobytes()
+        self._rows = tuple(data[u * n:(u + 1) * n] for u in range(n))
+        # bit v of the colour-c mask of u is set iff colour(u, v) == c, v != u
+        onehot = table == np.arange(r, dtype=np.uint8)[:, None, None]
+        onehot[:, range(n), range(n)] = False
+        packed = np.packbits(onehot, axis=2, bitorder="little")
+        w = packed.shape[2]
+        data = packed.tobytes()
+        masks = [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(r * n)]
+        self._bits = tuple(tuple(masks[c * n:(c + 1) * n]) for c in range(r))
 
     @classmethod
     def from_function(cls, n: int, r: int, colour: Callable[[int, int], int]) -> "ColouredCompleteGraph":
@@ -99,7 +103,7 @@ class ColouredCompleteGraph:
                     raise ValueError(f"colour {c} out of range at edge ({u},{v})")
                 rows[u][v] = c
                 rows[v][u] = c
-        return cls(n, r, rows, _validate=False)
+        return cls(n, r, rows)
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Sequence[int]]) -> "ColouredCompleteGraph":
@@ -119,9 +123,7 @@ class ColouredCompleteGraph:
             count += 1
         if count != comb(n, 2):
             raise GraphFormatError(f"expected {comb(n, 2)} edges, got {count}")
-        for u in range(n):
-            rows[u][u] = 0
-        return cls(n, r, rows, _validate=False)
+        return cls(n, r, rows)
 
     def colour(self, u: int, v: int) -> int:
         if u == v:
@@ -129,8 +131,12 @@ class ColouredCompleteGraph:
         return self._rows[u][v]
 
     def row(self, u: int) -> bytes:
-        """Dense colour row of vertex u (entry u itself is meaningless)."""
+        """Dense colour row of vertex u (entry u is 0)."""
         return self._rows[u]
+
+    def table(self) -> np.ndarray:
+        """The n x n colour table as a read-only uint8 array, diagonal 0."""
+        return np.frombuffer(b"".join(self._rows), dtype=np.uint8).reshape(self.n, self.n)
 
     def colour_bits(self, c: int) -> tuple[int, ...]:
         """Per-vertex neighbourhood bitmasks of colour class c."""
@@ -150,14 +156,8 @@ class ColouredCompleteGraph:
         """New graph with vertex i renamed perm[i]."""
         if sorted(perm) != list(range(self.n)):
             raise ValueError("perm must be a permutation of range(n)")
-        rows = [bytearray(self.n) for _ in range(self.n)]
-        for u in range(self.n):
-            for v in range(u + 1, self.n):
-                c = self._rows[u][v]
-                pu, pv = perm[u], perm[v]
-                rows[pu][pv] = c
-                rows[pv][pu] = c
-        return ColouredCompleteGraph(self.n, self.r, rows, _validate=False)
+        inv = np.argsort(perm)  # new vertex perm[i] is old vertex i
+        return ColouredCompleteGraph(self.n, self.r, self.table()[np.ix_(inv, inv)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColouredCompleteGraph):
@@ -218,11 +218,7 @@ def colour_swap(G: ColouredCompleteGraph) -> ColouredCompleteGraph:
     """The same graph with the two colours interchanged (r = 2 only)."""
     if G.r != 2:
         raise ValueError(f"colour_swap needs a 2-colouring, got r={G.r}")
-    flip = bytes(1 if x == 0 else 0 for x in range(256))
-    rows = [row.translate(flip) for row in G._rows]
-    # translate flips the meaningless diagonal too; zero it for canonical equality
-    rows = [bytes(0 if v == u else row[v] for v in range(G.n)) for u, row in enumerate(rows)]
-    return ColouredCompleteGraph(G.n, 2, rows, _validate=False)
+    return ColouredCompleteGraph(G.n, 2, 1 - G.table())
 
 
 # ---------------------------------------------------------------------------
@@ -266,15 +262,20 @@ def graph_from_json(data: dict) -> ColouredCompleteGraph:
             raise GraphFormatError("'rows' must be a list of digit strings")
         if len(rows) != n:
             raise GraphFormatError(f"expected {n} rows, got {len(rows)}")
-        edges = []
         for u, row in enumerate(rows):
             if len(row) != n - u - 1:
                 raise GraphFormatError(f"row {u} has length {len(row)}, expected {n - u - 1}")
-            for k, ch in enumerate(row):
-                if ch not in "0123456789":
-                    raise GraphFormatError(f"bad colour digit {ch!r} in row {u}")
-                edges.append([u, u + 1 + k, int(ch)])
-        return ColouredCompleteGraph.from_edges(n, r, edges)
+            if row and not (row.isascii() and row.isdigit()):
+                ch = next(ch for ch in row if ch not in "0123456789")
+                raise GraphFormatError(f"bad colour digit {ch!r} in row {u}")
+        table = np.zeros((n, n), dtype=np.uint8)
+        for u, row in enumerate(rows):
+            table[u, u + 1:] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) - ord("0")
+        too_big = np.triu(table >= r, 1)
+        if too_big.any():
+            u, v = divmod(int(too_big.argmax()), n)
+            raise GraphFormatError(f"colour {table[u, v]} out of range in edge ({u},{v})")
+        return ColouredCompleteGraph(n, r, table | table.T)
     if "edges" in data:
         edges = data["edges"]
         if not isinstance(edges, list):

@@ -26,8 +26,10 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .census import BipartiteColouring
-from .core import ColouredCompleteGraph
+from .core import ColouredCompleteGraph, GraphFormatError, _edge_triple
 
 RED, BLUE = 0, 1
 
@@ -62,8 +64,8 @@ class TotallyColouredPattern:
         l = len(self.vertex_colours)
         if l < 1:
             raise ValueError("pattern needs at least one vertex")
-        if self.r < 2:
-            raise ValueError("pattern needs r >= 2")
+        if not 2 <= self.r <= 255:  # the colour range of host graphs
+            raise ValueError(f"pattern needs 2 <= r <= 255, got {self.r}")
         if len(self.edge_rows) != l or any(len(row) != l for row in self.edge_rows):
             raise ValueError("edge colour matrix must be l x l")
         for i in range(l):
@@ -142,17 +144,28 @@ class TotallyColouredPattern:
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "TotallyColouredPattern":
-        l = int(data["l"])
-        rows = [[0] * l for _ in range(l)]
-        for u, v, c in data["edges"]:
-            rows[u][v] = rows[v][u] = c
-        return cls(
-            int(data["r"]),
-            tuple(int(c) for c in data["vertexColours"]),
-            tuple(tuple(row) for row in rows),
-            bool(data.get("vertexColoursIgnored", False)),
-        )
+    def from_dict(cls, data: object) -> "TotallyColouredPattern":
+        """Inverse of to_dict.  Raises GraphFormatError unless l, r and
+        every colour are JSON integers and the [i, j, c] edge entries colour
+        each of the C(l, 2) pairs exactly once."""
+        if not isinstance(data, dict) or not {"l", "r", "vertexColours", "edges"} <= data.keys():
+            raise GraphFormatError("pattern JSON needs the fields l, r, vertexColours and edges")
+        l, r, vertex_colours, edges = data["l"], data["r"], data["vertexColours"], data["edges"]
+        ignored = data.get("vertexColoursIgnored", False)
+        if type(l) is not int or type(r) is not int or l < 1 or type(ignored) is not bool:
+            raise GraphFormatError(
+                f"need integers l >= 1 and r and a boolean vertexColoursIgnored, got "
+                f"l={l!r}, r={r!r}, vertexColoursIgnored={ignored!r}"
+            )
+        if not (isinstance(vertex_colours, list) and len(vertex_colours) == l
+                and all(type(c) is int for c in vertex_colours) and isinstance(edges, list)):
+            raise GraphFormatError(f"need a list of {l} integer vertex colours and a list of edges")
+        triples = [_edge_triple(e, l, r) for e in edges]
+        pairs = {(min(i, j), max(i, j)) for i, j, _ in triples}
+        if len(triples) != comb(l, 2) or len(pairs) != len(triples):
+            # checked before from_parts allocates the l x l table
+            raise GraphFormatError(f"pattern edges must colour each of the {comb(l, 2)} pairs once")
+        return cls.from_parts(r, vertex_colours, triples, vertex_colours_ignored=ignored)
 
 
 @dataclass(frozen=True)
@@ -262,14 +275,10 @@ def blow_up(H: TotallyColouredPattern, t: int) -> ColouredCompleteGraph:
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     l = H.num_vertices
-
-    def colour(u: int, v: int) -> int:
-        pu, pv = u // t, v // t
-        if pu == pv:
-            return H.vertex_colour(pu)
-        return H.edge_colour(pu, pv)
-
-    return ColouredCompleteGraph.from_function(l * t, H.r, colour)
+    quotient = np.array(H.edge_rows, dtype=np.uint8)
+    np.fill_diagonal(quotient, H.vertex_colours)
+    part = np.arange(l * t) // t
+    return ColouredCompleteGraph(l * t, H.r, quotient[np.ix_(part, part)])
 
 
 def is_unibalanced(H: TotallyColouredPattern) -> bool:

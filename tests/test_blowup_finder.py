@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 from fractions import Fraction
@@ -133,6 +134,16 @@ class TestCanonicalPartition:
             parts = [tuple(range(i * t, (i + 1) * t)) for i in range(4)]
             copies = _canonical_copies(G, pat, parts)
             assert len(copies) == t**4
+
+    def test_copies_freed_without_cycle_collector(self):
+        # a reference cycle would keep each attempt's copy list alive until
+        # the next collection, stacking attempts in peak memory
+        pat = get_pattern("C4")
+        G = blow_up(pat, 3)
+        parts = [tuple(range(i * 3, (i + 1) * 3)) for i in range(4)]
+        gc.collect()
+        assert len(_canonical_copies(G, pat, parts)) == 81
+        assert gc.collect() == 0
 
     def test_planted_p3o_has_edges_after_retries(self):
         pat = get_pattern("P3o")

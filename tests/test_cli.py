@@ -133,6 +133,32 @@ class TestFindBlowup:
         assert code == 1
         assert json.loads(out)["t"] < 2
 
+    GOOD_PATTERN = {"l": 3, "r": 2, "vertexColours": [0, 0, 0],
+                    "edges": [[0, 1, 1], [0, 2, 0], [1, 2, 1]], "vertexColoursIgnored": True}
+
+    @pytest.mark.parametrize("pattern, extra, want", [
+        (GOOD_PATTERN, [], 0),
+        ({"pattern": GOOD_PATTERN, "minSize": 3}, [], 0),
+        (GOOD_PATTERN, ["--target-t", "99"], 1),
+        ({**GOOD_PATTERN, "edges": [[0, 1, 1], [0, 5, 0], [1, 2, 1]]}, [], 2),
+        ({k: v for k, v in GOOD_PATTERN.items() if k != "edges"}, [], 2),
+        ({**GOOD_PATTERN, "edges": [[0, 1, 1], [0, -1, 0], [1, 2, 1]]}, [], 2),
+        ({**GOOD_PATTERN, "edges": [[0, 1, 1], [1, 2, 1]]}, [], 2),
+        ({**GOOD_PATTERN, "l": 2.7}, [], 2),
+        ([1, 2], [], 2),
+        ({"pattern": "C4"}, [], 2),
+        ({**GOOD_PATTERN, "vertexColours": [0, 0, 5]}, [], 2),
+    ])
+    def test_pattern_file_exit_codes(self, tmp_path, capsys, pattern, extra, want):
+        host, pat = tmp_path / "pk3.json", tmp_path / "pattern.json"
+        run_cli(capsys, "generate", "--family", "pk", "--k", "3", "--out", str(host))
+        pat.write_text(json.dumps(pattern))
+        code, _, err = run_cli(capsys, "find-blowup", "--pattern-file", str(pat),
+                               "--retries", "2", *extra, str(host))
+        assert code == want
+        if want == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestUnibalancedCommands:
     def test_sample_and_min(self, tmp_path, capsys):

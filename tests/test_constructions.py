@@ -44,17 +44,17 @@ def naive_closeness_flips(G):
 
 class TestMakePk:
     def test_block_rule(self):
-        k = 3
-        G = make_Pk(k)
-        blocks = [range(i * k, (i + 1) * k) for i in range(4)]
-        red_block_pairs = {(0, 0), (3, 3), (0, 3), (0, 2), (1, 3)}
-        for bi in range(4):
-            for bj in range(bi, 4):
-                want = RED if (bi, bj) in red_block_pairs else BLUE
-                for u in blocks[bi]:
-                    for v in blocks[bj]:
-                        if u < v:
-                            assert G.colour(u, v) == want, (bi, bj)
+        for k in range(1, 20):
+            G = make_Pk(k)
+            blocks = [range(i * k, (i + 1) * k) for i in range(4)]
+            red_block_pairs = {(0, 0), (3, 3), (0, 3), (0, 2), (1, 3)}
+            for bi in range(4):
+                for bj in range(bi, 4):
+                    want = RED if (bi, bj) in red_block_pairs else BLUE
+                    for u in blocks[bi]:
+                        for v in blocks[bj]:
+                            if u < v:
+                                assert G.colour(u, v) == want, (k, bi, bj)
 
     def test_equals_p3_blowup(self):
         for k in (1, 2, 3, 4):
@@ -117,6 +117,18 @@ class TestMakeMulticolourCycle:
         assert G.colour(0, 10) == BLUE     # parts 0-5 wrap, odd high index
         assert G.colour(0, 1) == GREEN     # inside a part
         assert G.colour(0, 4) == GREEN     # non-consecutive parts
+        for l, m in ((4, 1), (6, 2), (8, 3)):
+            G = make_multicolour_cycle(l, m)
+            for u in range(l * m):
+                for v in range(u + 1, l * m):
+                    lo, hi = u // m, v // m
+                    if hi - lo == 1:
+                        want = RED if lo % 2 == 0 else BLUE
+                    elif (lo, hi) == (0, l - 1):
+                        want = BLUE
+                    else:
+                        want = GREEN
+                    assert G.colour(u, v) == want, (l, m, u, v)
 
     def test_rejects_odd_or_small(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -22,6 +23,30 @@ from localbalance import (
 
 def mono(n, colour=0, r=2):
     return ColouredCompleteGraph.from_function(n, r, lambda u, v: colour)
+
+
+def naive_bits(rows, n, r):
+    """Per-colour neighbourhood bitmasks by the per-pair loop (reference)."""
+    bits = []
+    for c in range(r):
+        per_vertex = []
+        for u in range(n):
+            mask = 0
+            for v in range(n):
+                if v != u and rows[u][v] == c:
+                    mask |= 1 << v
+            per_vertex.append(mask)
+        bits.append(tuple(per_vertex))
+    return tuple(bits)
+
+
+def random_rows(rng, n, r):
+    """A random symmetric colour table with zero diagonal, as bytearrays."""
+    rows = [bytearray(n) for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            rows[u][v] = rows[v][u] = rng.randrange(r)
+    return rows
 
 
 def naive_min_colour_degree(G):
@@ -59,6 +84,67 @@ class TestConstruction:
                 assert union & mask == 0
                 union |= mask
             assert union == ((1 << G.n) - 1) & ~(1 << v)
+
+    @pytest.mark.parametrize("r", [2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 63, 64, 65])
+    def test_matches_per_pair_reference(self, n, r):
+        # n around the byte boundaries of the packed bitmask rows
+        rng = random.Random(1000 * n + r)
+        rows = random_rows(rng, n, r)
+        G = ColouredCompleteGraph(n, r, rows)
+        assert G._rows == tuple(bytes(row) for row in rows)
+        assert G._bits == naive_bits(rows, n, r)
+        assert G.table().tolist() == [list(row) for row in rows]
+        perm = list(range(n))
+        rng.shuffle(perm)
+        H = G.relabelled(perm)
+        want = [bytearray(n) for _ in range(n)]
+        for u in range(n):
+            for v in range(u + 1, n):
+                want[perm[u]][perm[v]] = want[perm[v]][perm[u]] = rows[u][v]
+        assert H._rows == tuple(bytes(row) for row in want)
+        assert H._bits == naive_bits(want, n, r)
+        if r == 2:
+            S = colour_swap(G)
+            want = [bytes(0 if v == u else 1 - row[v] for v in range(n))
+                    for u, row in enumerate(rows)]
+            assert S._rows == tuple(want)
+            assert S._bits == naive_bits(want, n, 2)
+
+    def test_diagonal_is_stored_as_zero(self):
+        rows = random_rows(random.Random(2), 6, 3)
+        other = [bytearray(row) for row in rows]
+        for u in range(6):
+            other[u][u] = 200 if u % 2 else 2
+        G, H = ColouredCompleteGraph(6, 3, rows), ColouredCompleteGraph(6, 3, other)
+        assert G == H and hash(G) == hash(H)
+        assert H.row(3)[3] == 0 and H._bits == naive_bits(rows, 6, 3)
+
+    def test_table_is_read_only(self):
+        T = make_random(5, 3, seed=1).table()
+        assert T.shape == (5, 5) and T.dtype == "uint8"
+        with pytest.raises(ValueError):
+            T[0, 1] = 2
+
+    @pytest.mark.parametrize("bad, message", [
+        # the first bad pair u < v in row-major order is the one reported
+        ({(1, 4): 7, (2, 3): 1}, "colour 7 out of range at edge (1,4)"),
+        ({(2, 3): 1, (4, 1): 7}, "not symmetric at (1,4)"),
+        ({(3, 2): 9}, "not symmetric at (2,3)"),
+        ({(0, 5): 3, (5, 0): 3}, "colour 3 out of range at edge (0,5)"),
+    ])
+    def test_names_first_bad_pair(self, bad, message):
+        rows = [bytearray(6) for _ in range(6)]
+        for (u, v), c in bad.items():
+            rows[u][v] = c
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ColouredCompleteGraph(6, 3, rows)
+
+    def test_rejects_ragged_table(self):
+        with pytest.raises(ValueError, match="n x n"):
+            ColouredCompleteGraph(3, 2, [bytes(3), bytes(2), bytes(3)])
+        with pytest.raises(ValueError, match="n x n"):
+            ColouredCompleteGraph(3, 2, [bytes(3), bytes(3)])
 
     def test_colour_degrees_sum_to_n_minus_1(self):
         for G in (make_Pk(3), make_random(11, 3, 0), make_split(4, 5, seed=2)):
@@ -246,6 +332,9 @@ class TestJson:
         {"n": 3, "r": 2, "rows": [1, 2, 3]},
         {"n": 3, "r": 2, "rows": ["00", ["0"], ""]},
         {"n": 3, "r": 2, "rows": "00"},
+        {"n": 3, "r": 2, "rows": ["02", "0", ""]},
+        {"n": 4, "r": 3, "rows": ["012", "01", "9", ""]},
+        {"n": 2, "r": 2, "rows": ["\u0661", ""]},
         {"n": 0, "r": 2, "edges": []},
         {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 1.7, True], [1, 2, 0]]},
         {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, True], [1, 2, 0]]},

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -6,6 +7,7 @@ from localbalance import (
     BipartiteColouring,
     BlowupWitness,
     ColouredCompleteGraph,
+    GraphFormatError,
     InvalidWitnessError,
     SearchBudgetExceeded,
     TotallyColouredPattern,
@@ -116,6 +118,19 @@ class TestBlowUp:
             for i in range(5):
                 for j in range(i + 1, 5):
                     assert G.colour(i, j) == H.edge_colour(i, j)
+
+    def test_matches_per_pair_definition(self):
+        rng = random.Random(5)
+        for l, r in ((1, 2), (3, 2), (5, 3), (4, 5)):
+            H = random_pattern(rng, l, r)
+            for t in (2, 3):
+                G = blow_up(H, t)
+                assert (G.n, G.r) == (l * t, r)
+                for u in range(G.n):
+                    for v in range(u + 1, G.n):
+                        pu, pv = u // t, v // t
+                        want = H.vertex_colour(pu) if pu == pv else H.edge_colour(pu, pv)
+                        assert G.colour(u, v) == want
 
     def test_swap_commutes_with_blowup(self):
         rng = random.Random(4)
@@ -275,6 +290,51 @@ class TestPatternJson:
             if isinstance(H, TotallyColouredPattern):
                 again = TotallyColouredPattern.from_dict(H.to_dict())
                 assert again == H, name
+
+    @pytest.mark.parametrize("data", [
+        [1, 2],
+        "P3",
+        None,
+        {"r": 2, "vertexColours": [0, 0], "edges": [[0, 1, 1]]},
+        {"l": 2, "r": 2, "vertexColours": [0, 0]},
+        {"l": 2.7, "r": 2, "vertexColours": [0, 0], "edges": [[0, 1, 1]]},
+        {"l": 2, "r": "2", "vertexColours": [0, 0], "edges": [[0, 1, 1]]},
+        {"l": 0, "r": 2, "vertexColours": [], "edges": []},
+        {"l": 2, "r": 2, "vertexColours": [0], "edges": [[0, 1, 1]]},
+        {"l": 2, "r": 2, "vertexColours": [0, 1.0], "edges": [[0, 1, 1]]},
+        {"l": 2, "r": 2, "vertexColours": [0, True], "edges": [[0, 1, 1]]},
+        {"l": 2, "r": 2, "vertexColours": [0, 0], "edges": [[0, 1, 1]],
+         "vertexColoursIgnored": 1},
+        {"l": 2, "r": 2, "vertexColours": [0, 0], "edges": {"0": [0, 1, 1]}},
+        {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [0, 5, 0], [1, 2, 1]]},
+        {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [0, -1, 0], [1, 2, 1]]},
+        {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [1, 2, 1]]},
+        {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [1, 0, 0], [1, 2, 1]]},
+        {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [0, 2, 2], [1, 2, 1]]},
+        {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [0, 2], [1, 2, 1]]},
+        {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [0, 2, 0.0], [1, 2, 1]]},
+        {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [1, 1, 0], [1, 2, 1]]},
+    ])
+    def test_from_dict_rejects_malformed(self, data):
+        with pytest.raises(GraphFormatError):
+            TotallyColouredPattern.from_dict(data)
+
+    @pytest.mark.parametrize("r, colour", [(1, 0), (256, 0), (300, 299)])
+    def test_from_dict_rejects_colour_count_hosts_cannot_have(self, r, colour):
+        data = {"l": 2, "r": r, "vertexColours": [0, 0], "edges": [[0, 1, colour]]}
+        with pytest.raises(ValueError, match="2 <= r <= 255"):
+            TotallyColouredPattern.from_dict(data)
+
+    def test_from_dict_checks_pair_count_before_allocation(self):
+        data = {"l": 5000, "r": 2, "vertexColours": [0] * 5000, "edges": []}
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="12497500 pairs"):
+                TotallyColouredPattern.from_dict(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_bipartite_round_trip(self):
         m1 = pattern_library()["M1"]

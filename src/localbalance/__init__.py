@@ -30,6 +30,7 @@ from .blowup_finder import (
     CanonicalPartitionResult,
     CoverResult,
     FinderConfig,
+    canonical_hypergraph,
     canonical_partition,
     find_homogeneous_blowup,
     hypergraph_cover,

@@ -2,9 +2,11 @@
 
 The pipeline mirrors the inductive extraction argument it implements:
 
-1. draw a uniformly random equitable partition V1..Vl of the host and
-   collect the canonical pattern copies (vertex i of the pattern embedded
-   in Vi); they form an l-partite l-uniform hypergraph;
+1. draw a uniformly random equitable partition V1..Vl of the host; the
+   canonical pattern copies (vertex i of the pattern embedded in Vi) form
+   an l-partite l-uniform hypergraph, which a DFS over the first l-1
+   parts emits directly as (l-1)-prefixes with bitmasks of their last
+   coordinates;
 2. clean the hypergraph so that every (l-1)-prefix has degree 0 or at
    least threshold * |Vl|;
 3. recurse on the shadow (the prefixes), obtaining sets U1..U_{l-1} on
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, log
 from typing import Callable, Iterator, Sequence
@@ -60,7 +62,6 @@ class CanonicalHypergraph:
         l = len(parts)
         part_sets = [set(p) for p in parts]
         by_prefix: dict[tuple[int, ...], int] = {}
-        count = 0
         for e in edges:
             if len(e) != l:
                 raise ValueError(f"edge {e} does not have one vertex per part")
@@ -72,7 +73,6 @@ class CanonicalHypergraph:
             if (mask >> last) & 1:
                 raise ValueError(f"duplicate edge {e}")
             by_prefix[prefix] = mask | (1 << last)
-            count += 1
         return cls(parts, by_prefix)
 
     @property
@@ -99,7 +99,11 @@ class CanonicalHypergraph:
         """The hypergraph of (l-1)-prefixes of the edges, on parts[:-1]."""
         if self.ell < 2:
             raise ValueError("shadow needs l >= 2")
-        return CanonicalHypergraph.from_edges(self.parts[:-1], sorted(self.by_prefix))
+        by: dict[tuple[int, ...], int] = {}
+        for p in sorted(self.by_prefix):
+            by[p[:-1]] = by.get(p[:-1], 0) | 1 << p[-1]
+        return CanonicalHypergraph(self.parts[:-1], by)
+
 
 def min_degree_cleanup(
     Hg: CanonicalHypergraph, threshold: Rational
@@ -114,7 +118,8 @@ def min_degree_cleanup(
     thr = _as_fraction(threshold)
     if thr < 0:
         raise ValueError(f"threshold must be >= 0, got {thr}")
-    cut = thr * len(Hg.parts[-1])
+    # a degree k satisfies k >= thr * |V_l| exactly when k >= its ceiling
+    cut = -(-thr.numerator * len(Hg.parts[-1]) // thr.denominator)
     kept = {
         prefix: mask
         for prefix, mask in Hg.by_prefix.items()
@@ -179,42 +184,55 @@ def _random_equitable_partition(
     return tuple(parts)
 
 
-def _canonical_copies(
+def canonical_hypergraph(
     G: ColouredCompleteGraph,
     H: TotallyColouredPattern,
     parts: Sequence[Sequence[int]],
-) -> list[tuple[int, ...]]:
-    """All embeddings of H's edge colouring with vertex i inside parts[i],
-    in lexicographic order."""
+) -> CanonicalHypergraph:
+    """All embeddings of H's edge colouring with vertex i inside parts[i].
+
+    The DFS fixes vertices in parts[0..l-2] and stores each surviving
+    prefix with the candidate mask of the last part, which pruning keeps
+    nonzero; prefixes are inserted in lexicographic order.
+    """
     l = H.num_vertices
+    by_prefix: dict[tuple[int, ...], int] = {}
     if any(H.edge_colour(i, j) >= G.r for i in range(l) for j in range(i + 1, l)):
-        return []
-    part_masks = [sum(1 << v for v in p) for p in parts]
+        return CanonicalHypergraph(parts, by_prefix)
     bits = [G.colour_bits(c) for c in range(G.r)]
-    out: list[tuple[int, ...]] = []
-    chosen = [0] * l
+    chosen = [0] * (l - 1)
 
     def rec(i: int, masks: tuple[int, ...]) -> None:
-        if i == l:
-            out.append(tuple(chosen))
+        if i == l - 1:
+            by_prefix[tuple(chosen)] = masks[i]
             return
         for v in _bits(masks[i]):
             nxt = []
-            ok = True
             for j in range(i + 1, l):
                 m = masks[j] & bits[H.edge_colour(i, j)][v]
                 if not m:
-                    ok = False
                     break
                 nxt.append(m)
-            if not ok:
-                continue
-            chosen[i] = v
-            rec(i + 1, masks[: i + 1] + tuple(nxt))
+            else:
+                chosen[i] = v
+                rec(i + 1, masks[: i + 1] + tuple(nxt))
 
-    rec(0, tuple(part_masks))
-    del rec  # break the rec <-> closure-cell cycle so `out` is freed by refcount
-    return out
+    rec(0, tuple(sum(1 << v for v in p) for p in parts))
+    del rec  # break the rec <-> closure-cell cycle so the DFS state is freed by refcount
+    return CanonicalHypergraph(parts, by_prefix)
+
+
+def _canonical_draws(
+    G: ColouredCompleteGraph, H: TotallyColouredPattern, config: FinderConfig
+) -> Iterator[CanonicalHypergraph]:
+    """The canonical hypergraphs of up to max_partition_retries fresh
+    equitable partitions, drawn from the config seed."""
+    l = H.num_vertices
+    if G.n < l:
+        raise ValueError(f"host has {G.n} < l = {l} vertices")
+    rng = random.Random(config.seed)
+    for _ in range(config.max_partition_retries):
+        yield canonical_hypergraph(G, H, _random_equitable_partition(rng, G.n, l))
 
 
 def canonical_partition(
@@ -228,32 +246,17 @@ def canonical_partition(
     c * (n/l)^l, otherwise returns the best draw found (by copy count,
     earliest draw winning ties).
     """
-    l = H.num_vertices
-    if G.n < l:
-        raise ValueError(f"host has {G.n} < l = {l} vertices")
-    rng = random.Random(config.seed)
-    target = config.c * Fraction(G.n, l) ** l
+    target = config.c * Fraction(G.n, H.num_vertices) ** H.num_vertices
     best: CanonicalPartitionResult | None = None
-    for draw in range(1, config.max_partition_retries + 1):
-        parts = _random_equitable_partition(rng, G.n, l)
-        copies = _canonical_copies(G, H, parts)
-        Hg = CanonicalHypergraph.from_edges(parts, copies)
-        res = CanonicalPartitionResult(
-            parts, Hg, len(copies), target, Fraction(len(copies)) >= target, draw
-        )
+    for draw, Hg in enumerate(_canonical_draws(G, H, config), 1):
+        copies = Hg.edge_count
+        res = CanonicalPartitionResult(Hg.parts, Hg, copies, target, copies >= target, draw)
         if res.met_target:
             return res
         if best is None or res.achieved_copies > best.achieved_copies:
             best = res
     assert best is not None
-    return CanonicalPartitionResult(
-        best.parts,
-        best.hypergraph,
-        best.achieved_copies,
-        target,
-        False,
-        config.max_partition_retries,
-    )
+    return replace(best, draws=config.max_partition_retries)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +274,6 @@ class BipartiteIncidence:
     a_items: tuple
     nbrs: tuple[int, ...]
     b_mask: int
-
-    @property
-    def edge_count(self) -> int:
-        return sum((m & self.b_mask).bit_count() for m in self.nbrs)
 
 
 @dataclass(frozen=True)
@@ -601,22 +600,15 @@ def find_homogeneous_blowup(
     l = pattern.num_vertices
     if l > 8:
         raise ValueError("blow-up extraction supports patterns with l <= 8")
-    if G.n < l:
-        raise ValueError(f"host has {G.n} < l = {l} vertices")
-    rng = random.Random(config.seed)
+    asymptotic_t = asymptotic_target_size(G.n, l, G.r, config.c)
     best: BlowupFinderResult | None = None
-    attempts = 0
-    for attempt in range(1, config.max_partition_retries + 1):
-        attempts = attempt
-        parts = _random_equitable_partition(rng, G.n, l)
-        copies = _canonical_copies(G, pattern, parts)
-        if not copies:
+    for attempt, Hg in enumerate(_canonical_draws(G, pattern, config), 1):
+        if Hg.is_empty:
             candidate = BlowupFinderResult(
-                None, 0, asymptotic_target_size(G.n, l, G.r, config.c), attempt, 0,
-                None if target_t is None else False, parts, None, "no-copies",
+                None, 0, asymptotic_t, attempt, 0,
+                None if target_t is None else False, Hg.parts, None, "no-copies",
             )
         else:
-            Hg = CanonicalHypergraph.from_edges(parts, copies)
             cover = hypergraph_cover(Hg, G.colour, G.r, config)
             t = cover.min_size
             w = BlowupWitness(
@@ -628,17 +620,13 @@ def find_homogeneous_blowup(
             if not verify_witness(G, w):
                 raise AssertionError("extraction produced an invalid witness")
             candidate = BlowupFinderResult(
-                w, t, asymptotic_target_size(G.n, l, G.r, config.c), attempt,
-                len(copies), None if target_t is None else t >= target_t,
-                parts, cover.colours, "+".join(cover.notes),
+                w, t, asymptotic_t, attempt,
+                Hg.edge_count, None if target_t is None else t >= target_t,
+                Hg.parts, cover.colours, "+".join(cover.notes),
             )
         if best is None or candidate.achieved_t > best.achieved_t:
             best = candidate
         if target_t is not None and best.achieved_t >= target_t:
             break
     assert best is not None
-    return BlowupFinderResult(
-        best.witness, best.achieved_t, best.asymptotic_target_t, attempts,
-        best.canonical_copies, best.met_target, best.partition,
-        best.part_colours, best.mode,
-    )
+    return replace(best, attempts=attempt)

@@ -41,7 +41,7 @@ from .multicolour import (
     min_unibalanced_subgraph,
     sample_unibalanced_subset,
 )
-from .patterns import TotallyColouredPattern, get_pattern, induced_edge_pattern
+from .patterns import TotallyColouredPattern, get_pattern, induced_edge_pattern, pattern_library
 from .verify import (
     sample_locally_balanced,
     verify_lemma_m1_bound,
@@ -295,6 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Locally balanced edge-colourings: generators, censuses, blow-up mining.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    pattern_names = sorted(
+        name for name, pat in pattern_library().items()
+        if isinstance(pat, TotallyColouredPattern)
+    )
 
     g = sub.add_parser("generate", help="write a named colouring as JSON")
     g.add_argument("--family", required=True,
@@ -323,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("find-blowup", help="extract a homogeneous blow-up")
     f.add_argument("graph")
-    f.add_argument("--pattern", default="P3o")
+    f.add_argument("--pattern", default="P3o", choices=pattern_names)
     f.add_argument("--pattern-file", default=None,
                    help="JSON pattern (or a sample-unibalanced output) instead of a library name")
     f.add_argument("--target-t", type=int, default=None)
@@ -359,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("experiment", help="sweep (eps, n, seed) cells")
     e.add_argument("--eps-list", type=_fraction_list, required=True)
     e.add_argument("--n-list", type=_int_list, required=True)
-    e.add_argument("--pattern", default="C4")
+    e.add_argument("--pattern", default="C4", choices=pattern_names)
     e.add_argument("--seeds", type=_int_list, default=[0])
     e.add_argument("--target-t", type=int, default=None)
     e.add_argument("--retries", type=int, default=32)

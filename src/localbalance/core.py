@@ -27,8 +27,14 @@ class GraphFormatError(ValueError):
 
 
 def _as_fraction(x: Rational) -> Fraction:
-    """Exact conversion; strings like "1/4" and "0.25" are parsed exactly."""
-    return Fraction(x)  # binary floats convert exactly
+    """Exact conversion; strings like "1/4" and "0.25" are parsed exactly.
+
+    A float is read as the decimal it prints as, so 0.3 becomes 3/10, not
+    the binary fraction just below it; NaN and infinities raise ValueError.
+    """
+    if isinstance(x, float):
+        return Fraction(repr(float(x)))
+    return Fraction(x)
 
 
 def _edge_triple(e: object, n: int, r: int) -> tuple[int, int, int]:

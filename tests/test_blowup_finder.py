@@ -10,11 +10,14 @@ from localbalance import (
     CanonicalHypergraph,
     ColouredCompleteGraph,
     FinderConfig,
+    TotallyColouredPattern,
     blow_up,
+    canonical_hypergraph,
     canonical_partition,
     find_homogeneous_blowup,
     get_pattern,
     hypergraph_cover,
+    induced_edge_pattern,
     kst_star,
     make_Pk,
     make_random,
@@ -23,7 +26,7 @@ from localbalance import (
     ramsey_clique,
     verify_witness,
 )
-from localbalance.blowup_finder import _canonical_copies, _random_equitable_partition
+from localbalance.blowup_finder import _random_equitable_partition
 
 RED, BLUE = 0, 1
 
@@ -38,6 +41,18 @@ def random_hypergraph(rng, l, part_size, density):
         if rng.random() < density
     ]
     return CanonicalHypergraph.from_edges(parts, edges)
+
+
+def canonical_copies_oracle(G, H, parts):
+    """Every l-tuple of parts[0] x ... x parts[l-1] carrying H's edge
+    colouring, in lexicographic order."""
+    l = H.num_vertices
+    pairs = list(itertools.combinations(range(l), 2))
+    return [
+        e
+        for e in itertools.product(*(sorted(p) for p in parts))
+        if all(G.colour(e[i], e[j]) == H.edge_colour(i, j) for i, j in pairs)
+    ]
 
 
 def naive_cleanup_fixpoint(Hg, threshold):
@@ -100,10 +115,14 @@ class TestMinDegreeCleanup:
         rng = random.Random(5)
         for _ in range(100):
             l = rng.randrange(2, 5)
-            Hg = random_hypergraph(rng, l, rng.randrange(2, 7), rng.random())
-            thr = Fraction(rng.randrange(0, 8), 8)
-            got = set(min_degree_cleanup(Hg, thr).edges())
-            assert got == naive_cleanup_fixpoint(Hg, thr)
+            size = rng.randrange(2, 7)
+            Hg = random_hypergraph(rng, l, size, rng.random())
+            # thresholds whose cut k lands exactly on an integer, and just beside one
+            exact = [Fraction(k, size) for k in range(size + 1)]
+            beside = [Fraction(2 * k + 1, 2 * size) for k in range(size + 1)]
+            for thr in [Fraction(rng.randrange(0, 8), 8)] + exact + beside:
+                got = set(min_degree_cleanup(Hg, thr).edges())
+                assert got == naive_cleanup_fixpoint(Hg, thr)
 
     def test_idempotent(self):
         rng = random.Random(6)
@@ -126,23 +145,68 @@ class TestMinDegreeCleanup:
                 assert cleaned.prefix_degree(prefix) >= cut
 
 
+class TestCanonicalHypergraphBuilder:
+    PATTERNS = ("C4", "P3o", "P3")
+
+    @staticmethod
+    def cases():
+        rng = random.Random(21)
+        for r in (2, 3):
+            for _ in range(20):
+                n = rng.randrange(5, 17)
+                G = make_random(n, r, rng.randrange(10**6))
+                for name in TestCanonicalHypergraphBuilder.PATTERNS:
+                    H = get_pattern(name)
+                    yield G, H, _random_equitable_partition(rng, n, H.num_vertices)
+                # a 5-vertex induced pattern, with parts ordered so that its
+                # i-th vertex lies in part i: at least one copy
+                parts = _random_equitable_partition(rng, n, 5)
+                picks = [rng.choice(p) for p in parts]
+                order = sorted(range(5), key=picks.__getitem__)
+                yield G, induced_edge_pattern(G, picks), [parts[i] for i in order]
+
+    def test_matches_product_oracle(self):
+        for G, H, parts in self.cases():
+            got = canonical_hypergraph(G, H, parts)
+            want = CanonicalHypergraph.from_edges(parts, canonical_copies_oracle(G, H, parts))
+            # same prefixes, masks and lexicographic insertion order
+            assert list(got.by_prefix.items()) == list(want.by_prefix.items())
+            assert got.parts == want.parts
+
+    def test_shadow_matches_from_edges_shadow(self):
+        for G, H, parts in self.cases():
+            Hg = canonical_hypergraph(G, H, parts)
+            want = CanonicalHypergraph.from_edges(Hg.parts[:-1], sorted(Hg.by_prefix))
+            got = Hg.shadow()
+            assert list(got.by_prefix.items()) == list(want.by_prefix.items())
+            assert got.parts == want.parts
+
+    def test_pattern_colour_beyond_host_gives_empty(self):
+        G = make_random(12, 2, 3)
+        H = TotallyColouredPattern.from_parts(3, (0, 0, 0), {(0, 1): 2, (0, 2): 1})
+        parts = _random_equitable_partition(random.Random(0), 12, 3)
+        Hg = canonical_hypergraph(G, H, parts)
+        assert Hg.is_empty and Hg.edge_count == 0
+        assert Hg.parts == tuple(parts)
+
+
 class TestCanonicalPartition:
     def test_planted_c4_count_under_planted_partition(self):
         for t in (2, 3):
             pat = get_pattern("C4")
             G = blow_up(pat, t)
             parts = [tuple(range(i * t, (i + 1) * t)) for i in range(4)]
-            copies = _canonical_copies(G, pat, parts)
-            assert len(copies) == t**4
+            assert len(canonical_copies_oracle(G, pat, parts)) == t**4
+            assert canonical_hypergraph(G, pat, parts).edge_count == t**4
 
     def test_copies_freed_without_cycle_collector(self):
-        # a reference cycle would keep each attempt's copy list alive until
+        # a reference cycle would keep each attempt's DFS state alive until
         # the next collection, stacking attempts in peak memory
         pat = get_pattern("C4")
         G = blow_up(pat, 3)
         parts = [tuple(range(i * 3, (i + 1) * 3)) for i in range(4)]
         gc.collect()
-        assert len(_canonical_copies(G, pat, parts)) == 81
+        assert canonical_hypergraph(G, pat, parts).edge_count == 81
         assert gc.collect() == 0
 
     def test_planted_p3o_has_edges_after_retries(self):
@@ -173,6 +237,12 @@ class TestCanonicalPartition:
         G = blow_up(pat, 6)
         res = canonical_partition(G, pat, FinderConfig(c=Fraction(1, 10**6), seed=1))
         assert res.met_target
+
+
+class TestFinderConfig:
+    def test_float_c_parses_as_decimal(self):
+        assert FinderConfig(c=0.3).c == Fraction(3, 10)
+        assert FinderConfig(c=0.1) == FinderConfig(c=Fraction(1, 10))
 
 
 class TestKstStar:
@@ -348,7 +418,7 @@ class TestHypergraphCover:
         pat = get_pattern("C4")
         G = blow_up(pat, t)
         parts = [tuple(range(i * t, (i + 1) * t)) for i in range(4)]
-        Hg = CanonicalHypergraph.from_edges(parts, _canonical_copies(G, pat, parts))
+        Hg = CanonicalHypergraph.from_edges(parts, canonical_copies_oracle(G, pat, parts))
         cover = hypergraph_cover(Hg, G.colour, 2, FinderConfig())
         assert cover.sets == tuple(parts)
         assert cover_contract_holds(Hg, cover, G.colour)

@@ -160,6 +160,23 @@ class TestFindBlowup:
             assert err.startswith("error: ") and err.count("\n") == 1
 
 
+class TestPatternOption:
+    @pytest.mark.parametrize("argv", [
+        ("find-blowup", "host.json", "--pattern", "NOPE"),
+        ("find-blowup", "host.json", "--pattern", "M1"),  # bipartite, not complete
+        ("experiment", "--eps-list", "1/4", "--n-list", "8", "--pattern", "NOPE"),
+    ])
+    def test_unknown_pattern_is_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: localbalance ")
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and "invalid choice" in errors[0]
+        assert "Traceback" not in err
+
+
 class TestUnibalancedCommands:
     def test_sample_and_min(self, tmp_path, capsys):
         path = tmp_path / "mc.json"

@@ -228,6 +228,18 @@ class TestIsLocallyBalanced:
         with pytest.raises(ValueError):
             is_locally_balanced(mono(4), Fraction(3, 2))
 
+    def test_float_eps_reads_as_its_decimal(self):
+        assert is_locally_balanced(make_Pk(3), 0.25)
+        assert not is_locally_balanced(make_Pk(3), 0.2501)
+        # every vertex has blue degree 1 of n = 10: exactly 1/10-balanced,
+        # while the binary float nearest 0.1 lies just above 1/10
+        matching = ColouredCompleteGraph.from_function(10, 2, lambda u, v: int(u // 2 == v // 2))
+        assert balance_profile(matching).epsilon_local == Fraction(1, 10)
+        assert is_locally_balanced(matching, 0.1)
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                is_locally_balanced(matching, bad)
+
 
 class TestColourSwap:
     def test_mono_red_becomes_mono_blue(self):

@@ -43,6 +43,7 @@ from .constructions import (
     ResamplingBudgetExceeded,
     SplitCloseness,
     closeness_to_split,
+    draw_below,
     make_bipartite_mindeg,
     make_multicolour_cycle,
     make_Pk,
@@ -58,6 +59,7 @@ from .core import (
     graph_from_json,
     graph_to_json,
     is_locally_balanced,
+    least_balanced_degree,
 )
 from .multicolour import (
     SamplerConfig,

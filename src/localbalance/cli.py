@@ -4,7 +4,8 @@ sample-unibalanced / min-unibalanced / verify / experiment.
 Every output JSON embeds a run manifest (command, argv, seeds, input file
 hashes, version, wall time).  Outputs are deterministic given the same
 command, seeds and inputs, except for the manifest's wallTimeMs field.
-Exit codes: 0 pass, 1 assertion/suite failure, 2 usage or I/O error.
+Exit codes: 0 pass, 1 assertion/suite failure or exhausted sampling, 2 usage
+or I/O error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from . import __version__
 from .blowup_finder import FinderConfig, find_homogeneous_blowup
 from .census import census_k4
 from .constructions import (
+    ResamplingBudgetExceeded,
     make_bipartite_mindeg,
     make_multicolour_cycle,
     make_Pk,
@@ -387,6 +389,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ResamplingBudgetExceeded as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -83,10 +83,56 @@ def make_multicolour_cycle(l: int, part_size: int) -> ColouredCompleteGraph:
     return blow_up(quotient, part_size)
 
 
+def draw_below(rng: random.Random, r: int, count: int) -> np.ndarray:
+    """The next ``count`` values of ``rng.randrange(r)``, drawn in bulk.
+
+    CPython's randrange(r) keeps the top k = r.bit_length() bits of one
+    32-bit Mersenne Twister word and redraws while the value is >= r, and
+    getrandbits(32 * m) returns the next m words little-endian.  Each
+    round therefore asks for one word per value still missing and keeps
+    the accepted ones in order; a value never takes fewer than one word,
+    so no word is drawn that the per-call loop would not have drawn.  The
+    result and the state left in ``rng`` equal those of
+    ``[rng.randrange(r) for _ in range(count)]``, in about log2(count)
+    rounds.  ``rng`` must draw through getrandbits (random.Random does).
+    """
+    if not 1 <= r <= 256:
+        raise ValueError(f"need 1 <= r <= 256 for a uint8 draw, got {r}")
+    out = np.empty(count, dtype=np.uint8)
+    shift = 32 - r.bit_length()
+    filled = 0
+    while filled < count:
+        need = count - filled
+        words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
+        values = np.frombuffer(words, dtype="<u4") >> shift
+        kept = values[values < r]
+        out[filled:filled + len(kept)] = kept
+        filled += len(kept)
+    return out
+
+
+def _check_random_args(n: int, r: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not 2 <= r <= 255:
+        raise ValueError(f"need 2 <= r <= 255, got r={r}")
+
+
+def _graph_from_pair_colours(n: int, r: int, colours: np.ndarray) -> ColouredCompleteGraph:
+    """The graph whose pairs u < v, in row-major order, take ``colours``."""
+    table = np.zeros((n, n), dtype=np.uint8)
+    table[~np.tri(n, dtype=bool)] = colours  # boolean masks fill in row-major order
+    return ColouredCompleteGraph(n, r, table | table.T)
+
+
 def make_random(n: int, r: int, seed: int) -> ColouredCompleteGraph:
-    """I.i.d. uniform edge colours; deterministic per seed."""
-    rng = random.Random(seed)
-    return ColouredCompleteGraph.from_function(n, r, lambda u, v: rng.randrange(r))
+    """I.i.d. uniform edge colours; deterministic per seed.
+
+    The colour of pair u < v is the next ``random.Random(seed).randrange(r)``
+    in row-major order, drawn in bulk by draw_below.
+    """
+    _check_random_args(n, r)
+    return _graph_from_pair_colours(n, r, draw_below(random.Random(seed), r, comb(n, 2)))
 
 
 def make_bipartite_mindeg(
@@ -98,39 +144,42 @@ def make_bipartite_mindeg(
     Each X-vertex receives a forced-red partner set and each Y-vertex a
     forced-blue partner set; draws that would force a pair both ways are
     resolved by resampling the whole attempt from the same seeded stream.
+    The base colours are drawn first, row by row, one randrange(2) per
+    pair (RED = 0), then the forced sets with rng.sample.
     """
     eps = _as_fraction(eps)
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError(f"need 0 < eps <= 1/2, got {eps}")
+    if n_side < 1:
+        raise ValueError(f"need n_side >= 1, got {n_side}")
     need = ceil(eps * n_side)
-    if need > n_side:
-        raise ValueError("forced sets cannot exceed the side size")
     rng = random.Random(seed)
+    side = range(n_side)
+    col = np.arange(n_side)[:, None]
     for _ in range(max_retries):
-        base = [[rng.randrange(2) for _ in range(n_side)] for _ in range(n_side)]
-        forced_blue = [set(rng.sample(range(n_side), need)) for _ in range(n_side)]
-        forced_red: list[set[int]] = []
-        ok = True
-        for x in range(n_side):
-            avail = [y for y in range(n_side) if x not in forced_blue[y]]
+        red = draw_below(rng, 2, n_side * n_side).reshape(n_side, n_side) == RED
+        free = np.ones((n_side, n_side), dtype=bool)  # free[x, y]: x is not forced blue at y
+        free[np.array([rng.sample(side, need) for _ in side]), col] = False
+        red_of_x = []
+        for x in side:
+            avail = free[x].nonzero()[0].tolist()
             if len(avail) < need:
-                ok = False
                 break
-            forced_red.append(set(rng.sample(avail, need)))
-        if not ok:
-            continue
-
-        def colour(x: int, y: int) -> int:
-            if y in forced_red[x]:
-                return RED
-            if x in forced_blue[y]:
-                return BLUE
-            return base[x][y]
-
-        B = BipartiteColouring.from_function(n_side, n_side, colour)
-        assert all(B.red_degree_x(x) >= eps * n_side for x in range(n_side))
-        assert all(B.blue_degree_y(y) >= eps * n_side for y in range(n_side))
-        return B
+            red_of_x.append(rng.sample(avail, need))
+        else:
+            red &= free
+            red[col, np.array(red_of_x)] = True
+            red_x = int(red.sum(axis=1).min())
+            blue_y = n_side - int(red.sum(axis=0).max())
+            if min(red_x, blue_y) < need:
+                raise AssertionError(
+                    f"min-degree draw below {need}: least red degree on X {red_x}, "
+                    f"least blue degree on Y {blue_y}"
+                )
+            data = np.packbits(red, axis=1, bitorder="little").tobytes()
+            w = len(data) // n_side
+            rows = tuple(int.from_bytes(data[x * w:(x + 1) * w], "little") for x in side)
+            return BipartiteColouring(n_side, n_side, rows)
     raise ResamplingBudgetExceeded(
         f"no conflict-free draw in {max_retries} attempts (n={n_side}, eps={eps})"
     )

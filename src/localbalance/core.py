@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Callable, Iterable, Sequence
+from math import ceil, comb
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -97,19 +97,6 @@ class ColouredCompleteGraph:
         data = packed.tobytes()
         masks = [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(r * n)]
         self._bits = tuple(tuple(masks[c * n:(c + 1) * n]) for c in range(r))
-
-    @classmethod
-    def from_function(cls, n: int, r: int, colour: Callable[[int, int], int]) -> "ColouredCompleteGraph":
-        """Build from colour(u, v), queried once per pair u < v."""
-        rows = [bytearray(n) for _ in range(n)]
-        for u in range(n):
-            for v in range(u + 1, n):
-                c = int(colour(u, v))
-                if not 0 <= c < r:
-                    raise ValueError(f"colour {c} out of range at edge ({u},{v})")
-                rows[u][v] = c
-                rows[v][u] = c
-        return cls(n, r, rows)
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Sequence[int]]) -> "ColouredCompleteGraph":
@@ -207,17 +194,19 @@ def balance_profile(G: ColouredCompleteGraph) -> BalanceProfile:
     return BalanceProfile(degrees, min_deg, eps_local, eps_global)
 
 
-def is_locally_balanced(G: ColouredCompleteGraph, eps: Rational) -> bool:
-    """True iff every (vertex, colour) degree is >= eps * n, exactly."""
+def least_balanced_degree(eps: Rational, n: int) -> int:
+    """ceil(eps * n): the least per-colour degree a locally eps-balanced
+    n-vertex colouring allows, since degrees are integers."""
     eps = _as_fraction(eps)
     if not 0 <= eps <= 1:
         raise ValueError(f"eps must lie in [0, 1], got {eps}")
-    threshold = eps * G.n  # Fraction
-    for c in range(G.r):
-        for mask in G.colour_bits(c):
-            if mask.bit_count() < threshold:
-                return False
-    return True
+    return ceil(eps * n)
+
+
+def is_locally_balanced(G: ColouredCompleteGraph, eps: Rational) -> bool:
+    """True iff every (vertex, colour) degree is >= eps * n, exactly."""
+    need = least_balanced_degree(eps, G.n)
+    return all(mask.bit_count() >= need for c in range(G.r) for mask in G.colour_bits(c))
 
 
 def colour_swap(G: ColouredCompleteGraph) -> ColouredCompleteGraph:

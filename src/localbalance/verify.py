@@ -18,14 +18,18 @@ from fractions import Fraction
 from itertools import product
 from math import comb
 
+import numpy as np
+
 from .census import BipartiteColouring, census_k4, count_m1
 from .constructions import (
     EXACT_MAX_N,
+    _check_random_args,
+    _graph_from_pair_colours,
     closeness_to_split,
+    draw_below,
     make_bipartite_mindeg,
     make_multicolour_cycle,
     make_Pk,
-    make_random,
     make_split,
 )
 from .core import (
@@ -34,7 +38,7 @@ from .core import (
     _as_fraction,
     balance_profile,
     graph_to_json,
-    is_locally_balanced,
+    least_balanced_degree,
 )
 from .multicolour import min_unibalanced_subgraph_size
 from .patterns import find_pattern_blowup_exhaustive, get_pattern
@@ -70,12 +74,21 @@ class VerificationReport:
 def sample_locally_balanced(
     n: int, r: int, eps: Rational, rng: random.Random, max_attempts: int = 10_000
 ) -> ColouredCompleteGraph | None:
-    """Rejection-sample a locally eps-balanced uniform colouring."""
-    eps = _as_fraction(eps)
+    """Rejection-sample a locally eps-balanced uniform colouring.
+
+    Attempt i draws make_random(n, r, rng.randrange(2**31)); the per-colour
+    degrees are counted on the drawn pair colours and only the accepted
+    draw is built into a graph.
+    """
+    need = least_balanced_degree(eps, n)
+    _check_random_args(n, r)
+    us, vs = np.triu_indices(n, 1)
+    us, vs = us * r, vs * r  # (vertex, colour) cell = vertex * r + colour
     for _ in range(max_attempts):
-        G = make_random(n, r, rng.randrange(2**31))
-        if is_locally_balanced(G, eps):
-            return G
+        colours = draw_below(random.Random(rng.randrange(2**31)), r, len(us))
+        degrees = np.bincount(us + colours, minlength=n * r) + np.bincount(vs + colours, minlength=n * r)
+        if int(degrees.min()) >= need:
+            return _graph_from_pair_colours(n, r, colours)
     return None
 
 

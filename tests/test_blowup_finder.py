@@ -8,7 +8,6 @@ import pytest
 from localbalance import (
     BipartiteIncidence,
     CanonicalHypergraph,
-    ColouredCompleteGraph,
     FinderConfig,
     TotallyColouredPattern,
     blow_up,
@@ -26,6 +25,7 @@ from localbalance import (
     ramsey_clique,
     verify_witness,
 )
+from hosts import graph_from
 from localbalance.blowup_finder import _random_equitable_partition
 
 RED, BLUE = 0, 1
@@ -217,7 +217,7 @@ class TestCanonicalPartition:
             assert res.hypergraph.edge_count >= 1
 
     def test_zero_copy_host_best_effort(self):
-        mono = ColouredCompleteGraph.from_function(8, 2, lambda u, v: RED)
+        mono = graph_from(8, 2, lambda u, v: RED)
         res = canonical_partition(mono, get_pattern("P3o"), FinderConfig(seed=0, max_partition_retries=3))
         assert res.hypergraph.edge_count == 0
         assert not res.met_target
@@ -462,7 +462,7 @@ class TestFindHomogeneousBlowup:
             assert verify_witness(G, res.witness)
 
     def test_mono_host_no_copies(self):
-        mono = ColouredCompleteGraph.from_function(10, 2, lambda u, v: RED)
+        mono = graph_from(10, 2, lambda u, v: RED)
         res = find_homogeneous_blowup(
             mono, get_pattern("P3o"), FinderConfig(seed=0, max_partition_retries=4)
         )

@@ -10,7 +10,6 @@ from localbalance import (
     C4_KEY,
     C4BAR_KEY,
     CLASS_KEYS,
-    ColouredCompleteGraph,
     P3O_KEY,
     blow_up,
     census_k4,
@@ -25,6 +24,7 @@ from localbalance import (
     make_random,
     make_split,
 )
+from hosts import graph_from
 import localbalance.census as census_module
 from localbalance.census import CLASS_SWAP
 
@@ -97,7 +97,7 @@ class TestClassTable:
 
 class TestCensus:
     def test_mono_k6(self):
-        G = ColouredCompleteGraph.from_function(6, 2, lambda u, v: 0)
+        G = graph_from(6, 2, lambda u, v: 0)
         c = census_k4(G)
         assert c.count_c4 == c.count_c4bar == c.count_p3o == 0
         assert c.counts["000000"] == 15
@@ -164,7 +164,7 @@ class TestCensusKernels:
         # the absent colour has no forward neighbourhood of size >= 3
         for n in range(4, 9):
             for colour, key in ((0, "000000"), (1, "111111")):
-                G = ColouredCompleteGraph.from_function(n, 2, lambda u, v: colour)
+                G = graph_from(n, 2, lambda u, v: colour)
                 c = census_k4(G)
                 assert c.counts == census_k4_reference(G).counts
                 assert c.counts[key] == comb(n, 4)
@@ -239,7 +239,7 @@ class TestAlternatingC4:
                 return 1
             return 0
 
-        G = ColouredCompleteGraph.from_function(6, 2, colour)
+        G = graph_from(6, 2, colour)
         # X = {0,1,2}, Y = {3,4,5}: only {0,1} x {4,5} alternates
         assert count_alternating_c4(G, (0, 1, 2), (3, 4, 5)) == 1
 
@@ -287,7 +287,7 @@ class TestCompletionIdentity:
     def test_zero_classes_imply_zero_m1(self):
         # hosts with no C4, C4bar or P3o quadruples have no alternating splits
         hosts = [
-            ColouredCompleteGraph.from_function(7, 2, lambda u, v: 0),
+            graph_from(7, 2, lambda u, v: 0),
             blow_up(get_pattern("P1"), 3),
             blow_up(get_pattern("P2"), 3),
             make_split(5, 4, seed=0),

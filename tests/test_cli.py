@@ -44,6 +44,27 @@ class TestGenerate:
         assert data["kind"] == "bipartite"
         assert len(data["rows"]) == 6
 
+    @pytest.mark.parametrize("argv, names", [
+        (("--family", "random", "--r", "300"), "r=300"),
+        (("--family", "random", "--r", "1"), "r=1"),
+        (("--family", "random", "--n", "0"), "n >= 1"),
+        (("--family", "balanced", "--eps", "3/2"), "eps"),
+        (("--family", "balanced", "--eps=-1/5"), "eps"),
+        (("--family", "balanced", "--r", "300"), "r=300"),
+        (("--family", "bipartite", "--n-side", "0"), "n_side"),
+    ])
+    def test_bad_family_arguments_exit_2_before_drawing(self, capsys, argv, names):
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and names in err
+
+    def test_bipartite_retry_budget_is_one_line(self, capsys):
+        # one vertex per side cannot be both forced red and forced blue
+        code, out, err = run_cli(capsys, "generate", "--family", "bipartite",
+                                 "--n-side", "1", "--eps", "1/2")
+        assert code == 1 and out == ""
+        assert err.count("\n") == 1 and "1000 attempts" in err
+
     def test_manifest_records_the_given_argv(self, capsys):
         argv = ["generate", "--family", "pk", "--k", "1"]
         code, out, _ = run_cli(capsys, *argv)

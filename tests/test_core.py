@@ -15,14 +15,16 @@ from localbalance import (
     graph_from_json,
     graph_to_json,
     is_locally_balanced,
+    least_balanced_degree,
     make_Pk,
     make_random,
     make_split,
 )
+from hosts import graph_from
 
 
 def mono(n, colour=0, r=2):
-    return ColouredCompleteGraph.from_function(n, r, lambda u, v: colour)
+    return graph_from(n, r, lambda u, v: colour)
 
 
 def naive_bits(rows, n, r):
@@ -67,13 +69,13 @@ class TestConstruction:
 
     def test_rejects_colour_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
-            ColouredCompleteGraph.from_function(3, 2, lambda u, v: 2)
+            graph_from(3, 2, lambda u, v: 2)
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            ColouredCompleteGraph.from_function(0, 2, lambda u, v: 0)
+            graph_from(0, 2, lambda u, v: 0)
         with pytest.raises(ValueError):
-            ColouredCompleteGraph.from_function(3, 1, lambda u, v: 0)
+            graph_from(3, 1, lambda u, v: 0)
 
     def test_bitrows_partition_each_row(self):
         G = make_random(17, 3, seed=4)
@@ -228,12 +230,26 @@ class TestIsLocallyBalanced:
         with pytest.raises(ValueError):
             is_locally_balanced(mono(4), Fraction(3, 2))
 
+    @pytest.mark.parametrize("eps, n, need", [
+        (0, 7, 0), (Fraction(1, 4), 12, 3), (Fraction(3, 11), 11, 3),
+        (Fraction(1, 3), 10, 4), ("0.3", 16, 5), (0.25, 9, 3), (1, 5, 5),
+    ])
+    def test_least_degree_is_the_integer_ceiling(self, eps, n, need):
+        assert least_balanced_degree(eps, n) == need
+        # the least degree d with d >= eps * n, found by exact comparison
+        assert need == min(d for d in range(n + 1) if d >= Fraction(str(eps)) * n)
+
+    @pytest.mark.parametrize("eps", [Fraction(-1, 9), Fraction(10, 9), float("nan")])
+    def test_least_degree_rejects_out_of_range_eps(self, eps):
+        with pytest.raises(ValueError):
+            least_balanced_degree(eps, 8)
+
     def test_float_eps_reads_as_its_decimal(self):
         assert is_locally_balanced(make_Pk(3), 0.25)
         assert not is_locally_balanced(make_Pk(3), 0.2501)
         # every vertex has blue degree 1 of n = 10: exactly 1/10-balanced,
         # while the binary float nearest 0.1 lies just above 1/10
-        matching = ColouredCompleteGraph.from_function(10, 2, lambda u, v: int(u // 2 == v // 2))
+        matching = graph_from(10, 2, lambda u, v: int(u // 2 == v // 2))
         assert balance_profile(matching).epsilon_local == Fraction(1, 10)
         assert is_locally_balanced(matching, 0.1)
         for bad in (float("nan"), float("inf"), float("-inf")):
@@ -275,7 +291,7 @@ class TestColourSwap:
                 return 1
             return 0 if (u, v) in ((0, 3), (1, 2)) else 1
 
-        G = ColouredCompleteGraph.from_function(4, 2, colour)
+        G = graph_from(4, 2, colour)
         assert coloured_graphs_isomorphic(G, colour_swap(G))
 
     def test_epsilon_invariant_under_swap(self):

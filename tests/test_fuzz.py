@@ -1,6 +1,13 @@
 """Property tests for the JSON loaders: any JSON-shaped value either loads
 or is rejected with a ValueError (GraphFormatError included), never with
-another exception."""
+another exception.  The generate command's family arguments get the CLI
+version of the rule: a JSON document, or a one-line error, never a
+traceback."""
+
+import contextlib
+import io
+import json
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +18,7 @@ from localbalance import (
     graph_from_json,
     graph_to_json,
 )
+from localbalance.cli import main
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -118,3 +126,52 @@ def test_pattern_loader_reads_every_pair(data):
     if H is not None:
         for i, j, c in data["edges"]:
             assert H.edge_colour(i, j) == H.edge_colour(j, i) == c
+
+
+rationals = st.fractions(Fraction(-1, 2), Fraction(3, 2), max_denominator=12)
+low_rationals = st.fractions(0, Fraction(1, 3), max_denominator=12) | rationals
+half_rationals = st.fractions(0, Fraction(1, 2), max_denominator=12) | rationals
+colours = st.integers(-1, 6) | st.integers(250, 300)
+
+
+def run_generate(*argv):
+    """Exit code and output of one generate call; an exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["generate", *argv])
+    out, err = out.getvalue(), err.getvalue()
+    if code == 0:
+        assert err == "" and "manifest" in json.loads(out)
+    else:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+    return code
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.integers(-3, 24), colours, st.integers(0, 2**40))
+def test_generate_random_arguments(n, r, seed):
+    code = run_generate("--family=random", f"--n={n}", f"--r={r}", f"--seed={seed}")
+    assert code == (0 if n >= 1 and 2 <= r <= 255 else 2)
+
+
+# an exhausted retry budget costs 1000 attempts, up to about 0.1 s at these sizes
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.integers(-3, 10), half_rationals, st.integers(0, 2**40))
+def test_generate_bipartite_arguments(n_side, eps, seed):
+    code = run_generate("--family=bipartite", f"--n-side={n_side}", f"--eps={eps}", f"--seed={seed}")
+    if not (0 < eps <= Fraction(1, 2) and n_side >= 1):
+        assert code == 2
+    else:
+        assert code in (0, 1)  # 1: the retry budget ran out
+
+
+# an unreachable eps costs the full 10 000 rejected draws, about 0.3 s each
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.integers(-2, 10), colours, low_rationals, st.integers(0, 2**40))
+def test_generate_balanced_arguments(n, r, eps, seed):
+    code = run_generate("--family=balanced", f"--n={n}", f"--r={r}", f"--eps={eps}",
+                        f"--seed={seed}")
+    if not (0 <= eps <= 1 and n >= 1 and 2 <= r <= 255):
+        assert code == 2
+    else:
+        assert code in (0, 1)  # 1: rejection sampling ran out

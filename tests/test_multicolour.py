@@ -6,7 +6,6 @@ from math import comb
 import pytest
 
 from localbalance import (
-    ColouredCompleteGraph,
     SamplerConfig,
     balance_profile,
     blow_up,
@@ -19,6 +18,7 @@ from localbalance import (
     min_unibalanced_subgraph_size,
     sample_unibalanced_subset,
 )
+from hosts import graph_from
 
 
 def naive_min_unibalanced(G, cap):
@@ -93,7 +93,7 @@ class TestSampler:
             assert draws <= 64
 
     def test_mono_host_none(self):
-        mono = ColouredCompleteGraph.from_function(12, 2, lambda u, v: 0)
+        mono = graph_from(12, 2, lambda u, v: 0)
         cfg = SamplerConfig(eps=Fraction(1, 4), r=2, max_draws=8, seed=0)
         with pytest.warns(UserWarning):
             assert sample_unibalanced_subset(mono, cfg) is None
@@ -135,7 +135,7 @@ class TestMinUnibalanced:
         assert naive_min_unibalanced(G, 4) == 4
 
     def test_exceeds_cap(self):
-        mono = ColouredCompleteGraph.from_function(8, 2, lambda u, v: 0)
+        mono = graph_from(8, 2, lambda u, v: 0)
         assert min_unibalanced_subgraph_size(mono, cap=6) is None
         assert min_unibalanced_subgraph_size(make_multicolour_cycle(6, 2), cap=5) is None
 

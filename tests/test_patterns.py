@@ -22,6 +22,7 @@ from localbalance import (
     patterns_isomorphic,
     verify_witness,
 )
+from hosts import graph_from
 
 RED, BLUE = 0, 1
 
@@ -209,7 +210,7 @@ class TestVerifyWitness:
         H = get_pattern("P1")
         # both parts blue cliques, cross blue: a blow-up of P1bar's edge
         # pattern but with the wrong clique colours for P1
-        G = ColouredCompleteGraph.from_function(4, 2, lambda u, v: BLUE)
+        G = graph_from(4, 2, lambda u, v: BLUE)
         parts = ((0, 1), (2, 3))
         assert not verify_witness(G, BlowupWitness(H, parts, 2, homogeneous=False))
         assert verify_witness(G, BlowupWitness(H, parts, 2, homogeneous=True))
@@ -260,7 +261,7 @@ class TestExhaustiveFinder:
         assert verify_witness(G, w)
 
     def test_homogeneous_mode_ignores_part_colours(self):
-        G = ColouredCompleteGraph.from_function(4, 2, lambda u, v: BLUE)
+        G = graph_from(4, 2, lambda u, v: BLUE)
         assert find_pattern_blowup_exhaustive(G, get_pattern("P1"), 2) is None
         w = find_pattern_blowup_exhaustive(G, get_pattern("P1"), 2, homogeneous=True)
         assert w is not None and verify_witness(G, w)
@@ -274,7 +275,7 @@ class TestExhaustiveFinder:
         rng = random.Random(6)
         lib = pattern_library()
         for _ in range(20):
-            G = ColouredCompleteGraph.from_function(
+            G = graph_from(
                 8, 2, lambda u, v: rng.randrange(2)
             )
             for name in ("P1", "P1bar", "P3o"):

@@ -17,6 +17,7 @@ from localbalance import (
     verify_prop_optimize,
     verify_theorem_anybalanced_small,
 )
+from hosts import graph_from
 
 
 class TestCute:
@@ -55,9 +56,7 @@ class TestP3c4:
     def test_violation_detected_on_doctored_instance(self):
         # a split host has eps = 0 only when some colour misses a vertex;
         # build a fake entry by checking the bound machinery on mono host
-        from localbalance import ColouredCompleteGraph
-
-        mono = ColouredCompleteGraph.from_function(8, 2, lambda u, v: 0)
+        mono = graph_from(8, 2, lambda u, v: 0)
         report = verify_prop_many_p3c4(instances=[mono])
         # eps = 0 makes the bound vacuous: passes, observed 0 >= 0
         assert report.passed

@@ -27,11 +27,9 @@ from .blowup_finder import (
     BipartiteIncidence,
     BlowupFinderResult,
     CanonicalHypergraph,
-    CanonicalPartitionResult,
     CoverResult,
     FinderConfig,
     canonical_hypergraph,
-    canonical_partition,
     find_homogeneous_blowup,
     hypergraph_cover,
     kst_star,

@@ -27,38 +27,45 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import comb, log
+from math import comb, log, prod
 from typing import Callable, Iterator, Sequence
 
 from .core import ColouredCompleteGraph, Rational, _as_fraction
 from .patterns import BlowupWitness, TotallyColouredPattern, _bits, verify_witness
 
 
+def _checked_parts(parts: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """parts as sorted tuples, checked nonempty and disjoint (no vertex twice)."""
+    out = tuple(tuple(sorted(p)) for p in parts)
+    if not all(out):
+        raise ValueError("empty part")
+    if len(set().union(*out)) != sum(map(len, out)):
+        raise ValueError("parts must be disjoint")
+    return out
+
+
+@dataclass(frozen=True, slots=True)
 class CanonicalHypergraph:
     """An l-partite l-uniform hypergraph of pattern copies.
 
-    Edges are l-tuples with the i-th coordinate inside part i; internally
-    they are grouped by their (l-1)-prefix, with the last coordinates of
-    each group held as a bitmask.  Immutable.
+    A plain record: by_prefix maps the (l-1)-prefix of each edge (i-th
+    coordinate in part i) to the bitmask of its last coordinates.  The
+    constructor checks nothing.  The invariants: parts are sorted, disjoint
+    and nonempty; masks are nonzero; keys are in lexicographic order;
+    edge_count is the sum of the masks' popcounts.  The entry points that
+    take outside data, from_edges and canonical_hypergraph, check them;
+    min_degree_cleanup and shadow keep them by construction.
     """
 
-    __slots__ = ("parts", "by_prefix")
-
-    def __init__(self, parts: Sequence[Sequence[int]], by_prefix: dict[tuple[int, ...], int]):
-        self.parts = tuple(tuple(sorted(p)) for p in parts)
-        seen: set[int] = set()
-        for p in self.parts:
-            if not p:
-                raise ValueError("empty part")
-            if seen & set(p):
-                raise ValueError("parts must be disjoint")
-            seen.update(p)
-        self.by_prefix = {k: v for k, v in by_prefix.items() if v}
+    parts: tuple[tuple[int, ...], ...]
+    by_prefix: dict[tuple[int, ...], int]
+    edge_count: int
 
     @classmethod
     def from_edges(
         cls, parts: Sequence[Sequence[int]], edges: Sequence[tuple[int, ...]]
     ) -> "CanonicalHypergraph":
+        parts = _checked_parts(parts)
         l = len(parts)
         part_sets = [set(p) for p in parts]
         by_prefix: dict[tuple[int, ...], int] = {}
@@ -73,36 +80,31 @@ class CanonicalHypergraph:
             if (mask >> last) & 1:
                 raise ValueError(f"duplicate edge {e}")
             by_prefix[prefix] = mask | (1 << last)
-        return cls(parts, by_prefix)
+        return cls(parts, {k: by_prefix[k] for k in sorted(by_prefix)}, len(edges))
 
     @property
     def ell(self) -> int:
         return len(self.parts)
 
     @property
-    def edge_count(self) -> int:
-        return sum(m.bit_count() for m in self.by_prefix.values())
-
-    @property
     def is_empty(self) -> bool:
         return not self.by_prefix
 
     def edges(self) -> Iterator[tuple[int, ...]]:
-        for prefix in sorted(self.by_prefix):
-            for v in _bits(self.by_prefix[prefix]):
+        for prefix, mask in self.by_prefix.items():
+            for v in _bits(mask):
                 yield prefix + (v,)
 
-    def prefix_degree(self, prefix: tuple[int, ...]) -> int:
-        return self.by_prefix.get(prefix, 0).bit_count()
-
     def shadow(self) -> "CanonicalHypergraph":
-        """The hypergraph of (l-1)-prefixes of the edges, on parts[:-1]."""
+        """The hypergraph of (l-1)-prefixes of the edges, on parts[:-1];
+        sorted prefixes give sorted keys, and each prefix is one edge."""
         if self.ell < 2:
             raise ValueError("shadow needs l >= 2")
         by: dict[tuple[int, ...], int] = {}
-        for p in sorted(self.by_prefix):
-            by[p[:-1]] = by.get(p[:-1], 0) | 1 << p[-1]
-        return CanonicalHypergraph(self.parts[:-1], by)
+        for p in self.by_prefix:
+            head = p[:-1]
+            by[head] = by.get(head, 0) | 1 << p[-1]
+        return CanonicalHypergraph(self.parts[:-1], by, len(self.by_prefix))
 
 
 def min_degree_cleanup(
@@ -120,12 +122,14 @@ def min_degree_cleanup(
         raise ValueError(f"threshold must be >= 0, got {thr}")
     # a degree k satisfies k >= thr * |V_l| exactly when k >= its ceiling
     cut = -(-thr.numerator * len(Hg.parts[-1]) // thr.denominator)
-    kept = {
-        prefix: mask
-        for prefix, mask in Hg.by_prefix.items()
-        if mask.bit_count() >= cut
-    }
-    return CanonicalHypergraph(Hg.parts, kept)
+    kept: dict[tuple[int, ...], int] = {}
+    count = 0
+    for prefix, mask in Hg.by_prefix.items():
+        degree = mask.bit_count()
+        if degree >= cut:
+            kept[prefix] = mask
+            count += degree
+    return CanonicalHypergraph(Hg.parts, kept, count)
 
 
 # ---------------------------------------------------------------------------
@@ -136,10 +140,9 @@ def min_degree_cleanup(
 class FinderConfig:
     """Knobs of the extraction pipeline.
 
-    c is both the copy-density target of the partition step and the cap on
-    the cleanup threshold; the effective per-level threshold never exceeds
-    edges/(l * prod |V_i|), which guarantees cleanup keeps a positive
-    fraction of the edges.
+    c caps the per-level cleanup threshold, which never exceeds
+    edges/(l * prod |V_i|) either, so cleanup keeps a positive fraction of
+    the edges; c also sets the reported paperTargetT.
     """
 
     c: Fraction = Fraction(1, 8)
@@ -158,16 +161,6 @@ class FinderConfig:
 # ---------------------------------------------------------------------------
 # Canonical partitions
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CanonicalPartitionResult:
-    parts: tuple[tuple[int, ...], ...]
-    hypergraph: CanonicalHypergraph
-    achieved_copies: int
-    target_copies: Fraction
-    met_target: bool
-    draws: int
-
 
 def _random_equitable_partition(
     rng: random.Random, n: int, l: int
@@ -191,14 +184,20 @@ def canonical_hypergraph(
 ) -> CanonicalHypergraph:
     """All embeddings of H's edge colouring with vertex i inside parts[i].
 
-    The DFS fixes vertices in parts[0..l-2] and stores each surviving
-    prefix with the candidate mask of the last part, which pruning keeps
-    nonzero; prefixes are inserted in lexicographic order.
+    parts must be l nonempty, disjoint sets of host vertices (ValueError
+    otherwise).  The DFS fixes vertices in parts[0..l-2] and stores each
+    surviving prefix with the candidate mask of the last part, which
+    pruning keeps nonzero; prefixes are inserted in lexicographic order.
     """
     l = H.num_vertices
+    parts = _checked_parts(parts)
+    if len(parts) != l:
+        raise ValueError(f"need one part per pattern vertex ({l}), got {len(parts)}")
+    if any(p[0] < 0 or p[-1] >= G.n for p in parts):
+        raise ValueError(f"parts must hold host vertices in range({G.n})")
     by_prefix: dict[tuple[int, ...], int] = {}
     if any(H.edge_colour(i, j) >= G.r for i in range(l) for j in range(i + 1, l)):
-        return CanonicalHypergraph(parts, by_prefix)
+        return CanonicalHypergraph(parts, by_prefix, 0)
     bits = [G.colour_bits(c) for c in range(G.r)]
     chosen = [0] * (l - 1)
 
@@ -219,44 +218,7 @@ def canonical_hypergraph(
 
     rec(0, tuple(sum(1 << v for v in p) for p in parts))
     del rec  # break the rec <-> closure-cell cycle so the DFS state is freed by refcount
-    return CanonicalHypergraph(parts, by_prefix)
-
-
-def _canonical_draws(
-    G: ColouredCompleteGraph, H: TotallyColouredPattern, config: FinderConfig
-) -> Iterator[CanonicalHypergraph]:
-    """The canonical hypergraphs of up to max_partition_retries fresh
-    equitable partitions, drawn from the config seed."""
-    l = H.num_vertices
-    if G.n < l:
-        raise ValueError(f"host has {G.n} < l = {l} vertices")
-    rng = random.Random(config.seed)
-    for _ in range(config.max_partition_retries):
-        yield canonical_hypergraph(G, H, _random_equitable_partition(rng, G.n, l))
-
-
-def canonical_partition(
-    G: ColouredCompleteGraph,
-    H: TotallyColouredPattern,
-    config: FinderConfig,
-) -> CanonicalPartitionResult:
-    """Random equitable partition plus its canonical-copy hypergraph.
-
-    Redraws up to max_partition_retries times until the copy count reaches
-    c * (n/l)^l, otherwise returns the best draw found (by copy count,
-    earliest draw winning ties).
-    """
-    target = config.c * Fraction(G.n, H.num_vertices) ** H.num_vertices
-    best: CanonicalPartitionResult | None = None
-    for draw, Hg in enumerate(_canonical_draws(G, H, config), 1):
-        copies = Hg.edge_count
-        res = CanonicalPartitionResult(Hg.parts, Hg, copies, target, copies >= target, draw)
-        if res.met_target:
-            return res
-        if best is None or res.achieved_copies > best.achieved_copies:
-            best = res
-    assert best is not None
-    return replace(best, draws=config.max_partition_retries)
+    return CanonicalHypergraph(parts, by_prefix, sum(m.bit_count() for m in by_prefix.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -477,10 +439,7 @@ def hypergraph_cover(
             (tuple(s1),), (colour,), tuple((v,) for v in s1), ("base",)
         )
 
-    sizes_prod = 1
-    for p in Hg.parts:
-        sizes_prod *= len(p)
-    adaptive = Fraction(Hg.edge_count, l * sizes_prod)
+    adaptive = Fraction(Hg.edge_count, l * prod(map(len, Hg.parts)))
     threshold = min(config.c, adaptive)
     L = min_degree_cleanup(Hg, threshold)
     assert not L.is_empty, "cleanup below the adaptive threshold cannot empty"
@@ -512,7 +471,7 @@ def hypergraph_cover(
     # exact refinement of the star at the chosen size, if affordable
     if comb(len(A), best_s) <= config.subset_search_budget:
         star = kst_star(F, best_s, config)
-        if star is not None and star.mode == "exact":
+        if star is not None:
             clique, colour = ramsey_clique(sorted(_bits(star.common)), phi, r)
             if min(best_s, len(clique)) >= best_score:
                 best_state = (star.members, clique, colour, "exact")
@@ -556,7 +515,6 @@ class BlowupFinderResult:
     attempts: int
     canonical_copies: int
     met_target: bool | None
-    partition: tuple[tuple[int, ...], ...] | None
     part_colours: tuple[int, ...] | None
     mode: str
 
@@ -600,13 +558,17 @@ def find_homogeneous_blowup(
     l = pattern.num_vertices
     if l > 8:
         raise ValueError("blow-up extraction supports patterns with l <= 8")
+    if G.n < l:
+        raise ValueError(f"host has {G.n} < l = {l} vertices")
     asymptotic_t = asymptotic_target_size(G.n, l, G.r, config.c)
+    rng = random.Random(config.seed)
     best: BlowupFinderResult | None = None
-    for attempt, Hg in enumerate(_canonical_draws(G, pattern, config), 1):
+    for attempt in range(1, config.max_partition_retries + 1):
+        Hg = canonical_hypergraph(G, pattern, _random_equitable_partition(rng, G.n, l))
         if Hg.is_empty:
             candidate = BlowupFinderResult(
                 None, 0, asymptotic_t, attempt, 0,
-                None if target_t is None else False, Hg.parts, None, "no-copies",
+                None if target_t is None else False, None, "no-copies",
             )
         else:
             cover = hypergraph_cover(Hg, G.colour, G.r, config)
@@ -622,7 +584,7 @@ def find_homogeneous_blowup(
             candidate = BlowupFinderResult(
                 w, t, asymptotic_t, attempt,
                 Hg.edge_count, None if target_t is None else t >= target_t,
-                Hg.parts, cover.colours, "+".join(cover.notes),
+                cover.colours, "+".join(cover.notes),
             )
         if best is None or candidate.achieved_t > best.achieved_t:
             best = candidate

@@ -33,7 +33,6 @@ from .constructions import (
 )
 from .core import (
     ColouredCompleteGraph,
-    GraphFormatError,
     balance_profile,
     graph_from_json,
     graph_to_json,
@@ -332,11 +331,15 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--pattern", default="P3o", choices=pattern_names)
     f.add_argument("--pattern-file", default=None,
                    help="JSON pattern (or a sample-unibalanced output) instead of a library name")
-    f.add_argument("--target-t", type=int, default=None)
+    f.add_argument("--target-t", type=int, default=None,
+                   help="stop retrying partitions once t reaches this; exit 1 below it")
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--c", type=_fraction, default=Fraction(1, 8))
-    f.add_argument("--retries", type=int, default=64)
-    f.add_argument("--budget", type=int, default=200_000)
+    f.add_argument("--c", type=_fraction, default=Fraction(1, 8),
+                   help="cap on the per-level cleanup threshold (also sets paperTargetT)")
+    f.add_argument("--retries", type=int, default=64,
+                   help="at most this many random equitable partitions")
+    f.add_argument("--budget", type=int, default=200_000,
+                   help="largest C(|A|, s) the star step searches exactly; greedy above")
     f.add_argument("--json", default=None)
     f.set_defaults(func=_cmd_find_blowup)
 
@@ -367,9 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--n-list", type=_int_list, required=True)
     e.add_argument("--pattern", default="C4", choices=pattern_names)
     e.add_argument("--seeds", type=_int_list, default=[0])
-    e.add_argument("--target-t", type=int, default=None)
-    e.add_argument("--retries", type=int, default=32)
-    e.add_argument("--budget", type=int, default=200_000)
+    e.add_argument("--target-t", type=int, default=None,
+                   help="stop retrying partitions once t reaches this")
+    e.add_argument("--retries", type=int, default=32,
+                   help="at most this many random equitable partitions")
+    e.add_argument("--budget", type=int, default=200_000,
+                   help="largest C(|A|, s) the star step searches exactly; greedy above")
     e.add_argument("--census-limit", type=int, default=1024)
     e.add_argument("--csv", default=None)
     e.add_argument("--json", default=None)
@@ -383,10 +389,7 @@ def main(argv: list[str] | None = None) -> int:
     args.argv = argv  # recorded in every output manifest
     try:
         return args.func(args)
-    except (GraphFormatError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # GraphFormatError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ResamplingBudgetExceeded as exc:

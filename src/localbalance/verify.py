@@ -78,10 +78,15 @@ def sample_locally_balanced(
 
     Attempt i draws make_random(n, r, rng.randrange(2**31)); the per-colour
     degrees are counted on the drawn pair colours and only the accepted
-    draw is built into a graph.
+    draw is built into a graph.  An eps no colouring can meet, with
+    r * ceil(eps * n) > n - 1 (a vertex has n - 1 edges to share among r
+    colours), returns None without drawing; every other eps draws the same
+    stream, and leaves rng in the same state, as the per-attempt loop.
     """
     need = least_balanced_degree(eps, n)
     _check_random_args(n, r)
+    if r * need > n - 1:
+        return None
     us, vs = np.triu_indices(n, 1)
     us, vs = us * r, vs * r  # (vertex, colour) cell = vertex * r + colour
     for _ in range(max_attempts):

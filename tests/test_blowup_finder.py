@@ -12,7 +12,6 @@ from localbalance import (
     TotallyColouredPattern,
     blow_up,
     canonical_hypergraph,
-    canonical_partition,
     find_homogeneous_blowup,
     get_pattern,
     hypergraph_cover,
@@ -70,6 +69,17 @@ def naive_cleanup_fixpoint(Hg, threshold):
     return edges
 
 
+def assert_record_invariants(Hg):
+    """The invariants CanonicalHypergraph's constructor takes on trust."""
+    assert all(p and list(p) == sorted(p) for p in Hg.parts)
+    assert len(set().union(*Hg.parts)) == sum(map(len, Hg.parts))
+    keys = list(Hg.by_prefix)
+    assert keys == sorted(keys)
+    last = sum(1 << v for v in Hg.parts[-1])
+    assert all(m and not m & ~last for m in Hg.by_prefix.values())
+    assert Hg.edge_count == sum(m.bit_count() for m in Hg.by_prefix.values())
+
+
 class TestCanonicalHypergraph:
     def test_edge_accounting(self):
         parts = [(0, 1), (2, 3), (4, 5)]
@@ -77,8 +87,7 @@ class TestCanonicalHypergraph:
         Hg = CanonicalHypergraph.from_edges(parts, edges)
         assert Hg.edge_count == 3
         assert list(Hg.edges()) == sorted(edges)
-        assert Hg.prefix_degree((0, 2)) == 2
-        assert Hg.prefix_degree((1, 2)) == 0
+        assert Hg.by_prefix == {(0, 2): 0b110000, (1, 3): 0b10000}
 
     def test_rejects_duplicates_and_strays(self):
         parts = [(0, 1), (2, 3)]
@@ -88,6 +97,23 @@ class TestCanonicalHypergraph:
             CanonicalHypergraph.from_edges(parts, [(0, 4)])
         with pytest.raises(ValueError, match="one vertex per part"):
             CanonicalHypergraph.from_edges(parts, [(0, 2, 3)])
+
+    @pytest.mark.parametrize("parts, message", [
+        ([(0, 1), ()], "empty part"),
+        ([(0, 1), (1, 2)], "disjoint"),
+        ([(0, 0), (2, 3)], "disjoint"),
+    ])
+    def test_rejects_malformed_parts(self, parts, message):
+        with pytest.raises(ValueError, match=message):
+            CanonicalHypergraph.from_edges(parts, [])
+
+    def test_unsorted_input_gives_sorted_record(self):
+        parts = [(1, 0), (3, 2)]
+        edges = [(1, 3), (0, 3), (1, 2), (0, 2)]
+        Hg = CanonicalHypergraph.from_edges(parts, edges)
+        assert Hg.parts == ((0, 1), (2, 3))
+        assert list(Hg.by_prefix) == [(0,), (1,)]
+        assert_record_invariants(Hg)
 
     def test_shadow(self):
         parts = [(0, 1), (2, 3), (4, 5)]
@@ -142,7 +168,7 @@ class TestMinDegreeCleanup:
                 continue
             cut = thr * len(cleaned.parts[-1])
             for prefix in cleaned.shadow().edges():
-                assert cleaned.prefix_degree(prefix) >= cut
+                assert cleaned.by_prefix[prefix].bit_count() >= cut
 
 
 class TestCanonicalHypergraphBuilder:
@@ -181,6 +207,40 @@ class TestCanonicalHypergraphBuilder:
             assert list(got.by_prefix.items()) == list(want.by_prefix.items())
             assert got.parts == want.parts
 
+    def test_records_keep_invariants(self):
+        # every entry point and every derived record, down to l = 1; from_edges
+        # gets its edges shuffled
+        rng = random.Random(22)
+        records = [canonical_hypergraph(G, H, parts) for G, H, parts in self.cases()]
+        for _ in range(30):
+            Hg = random_hypergraph(rng, rng.randrange(1, 5), rng.randrange(2, 6), rng.random())
+            edges = list(Hg.edges())
+            rng.shuffle(edges)
+            shuffled = CanonicalHypergraph.from_edges(Hg.parts, edges)
+            assert list(shuffled.by_prefix.items()) == list(Hg.by_prefix.items())
+            records += [Hg, shuffled]
+        for Hg in records:
+            while True:
+                assert_record_invariants(Hg)
+                cleaned = min_degree_cleanup(Hg, Fraction(1, 3))
+                assert_record_invariants(cleaned)
+                if Hg.ell < 2:
+                    break
+                assert_record_invariants(Hg.shadow())
+                Hg = cleaned.shadow()
+
+    @pytest.mark.parametrize("parts, message", [
+        ([(0, 1, 2), (3, 4, 5), (6, 7, 8)], "one part per pattern vertex"),
+        ([(0, 1), (2, 3), (4, 5), (6, 20)], r"range\(12\)"),
+        ([(-1, 1), (2, 3), (4, 5), (6, 7)], r"range\(12\)"),
+        ([(0, 1), (2, 3), (), (6, 7)], "empty part"),
+        ([(0, 1), (1, 3), (4, 5), (6, 7)], "disjoint"),
+    ])
+    def test_rejects_malformed_parts(self, parts, message):
+        G = make_random(12, 2, 3)
+        with pytest.raises(ValueError, match=message):
+            canonical_hypergraph(G, get_pattern("C4"), parts)
+
     def test_pattern_colour_beyond_host_gives_empty(self):
         G = make_random(12, 2, 3)
         H = TotallyColouredPattern.from_parts(3, (0, 0, 0), {(0, 1): 2, (0, 2): 1})
@@ -209,20 +269,6 @@ class TestCanonicalPartition:
         assert canonical_hypergraph(G, pat, parts).edge_count == 81
         assert gc.collect() == 0
 
-    def test_planted_p3o_has_edges_after_retries(self):
-        pat = get_pattern("P3o")
-        G = blow_up(pat, 5)
-        for seed in range(5):
-            res = canonical_partition(G, pat, FinderConfig(seed=seed))
-            assert res.hypergraph.edge_count >= 1
-
-    def test_zero_copy_host_best_effort(self):
-        mono = graph_from(8, 2, lambda u, v: RED)
-        res = canonical_partition(mono, get_pattern("P3o"), FinderConfig(seed=0, max_partition_retries=3))
-        assert res.hypergraph.edge_count == 0
-        assert not res.met_target
-        assert res.achieved_copies == 0
-
     def test_partition_equitable(self):
         rng = random.Random(3)
         for n, l in ((10, 4), (12, 3), (9, 2)):
@@ -231,12 +277,6 @@ class TestCanonicalPartition:
             assert min(sizes) >= n // l
             assert sum(sizes) == n
             assert sorted(v for p in parts for v in p) == list(range(n))
-
-    def test_met_target_on_dense_planted(self):
-        pat = get_pattern("C4")
-        G = blow_up(pat, 6)
-        res = canonical_partition(G, pat, FinderConfig(c=Fraction(1, 10**6), seed=1))
-        assert res.met_target
 
 
 class TestFinderConfig:
@@ -446,12 +486,59 @@ class TestHypergraphCover:
             assert cover_contract_holds(Hg, cover, phi)
 
     def test_empty_rejected(self):
-        Hg = CanonicalHypergraph([(0, 1)], {})
+        Hg = CanonicalHypergraph.from_edges([(0, 1)], [])
         with pytest.raises(ValueError):
             hypergraph_cover(Hg, lambda u, v: RED, 2, FinderConfig())
 
 
+# find_homogeneous_blowup(...).to_dict() pinned per case, apart from the float
+# paperTargetT: (pattern, host, seed, retries, target_t) -> result.  Any change
+# to the partition draw, the copy DFS, cleanup, the shadow recursion, the star
+# or the Ramsey step moves them.
+FINDER_GOLDEN = {
+    ("C4", "random64", 0, 4, 2): {
+        "attempts": 4, "canonicalCopies": 1200, "metTarget": False, "mode": "base+exact+exact+exact",
+        "partColours": [0, 0, 0, 0], "parts": [[7], [1], [21], [32]], "t": 1},
+    ("C4", "random64", 1, 4, 2): {
+        "attempts": 4, "canonicalCopies": 1055, "metTarget": False, "mode": "base+exact+exact+exact",
+        "partColours": [0, 0, 0, 0], "parts": [[3], [49], [34], [24]], "t": 1},
+    ("C4", "random64", 2, 4, 2): {
+        "attempts": 4, "canonicalCopies": 1073, "metTarget": True, "mode": "base+exact+exact+exact",
+        "partColours": [0, 0, 0, 0], "parts": [[9, 19], [26, 38], [47, 55], [16, 40]], "t": 2},
+    ("P3o", "random64", 0, 4, 2): {
+        "attempts": 4, "canonicalCopies": 914, "metTarget": False, "mode": "base+exact+exact+exact",
+        "partColours": [0, 0, 0, 1], "parts": [[5], [44], [34], [26]], "t": 1},
+    ("P3o", "random64", 1, 4, 2): {
+        "attempts": 4, "canonicalCopies": 928, "metTarget": False, "mode": "base+exact+exact+exact",
+        "partColours": [0, 0, 0, 1], "parts": [[2], [15], [14], [7]], "t": 1},
+    ("P3o", "random64", 2, 4, 2): {
+        "attempts": 4, "canonicalCopies": 931, "metTarget": False, "mode": "base+exact+exact+exact",
+        "partColours": [0, 0, 0, 0], "parts": [[22], [44], [28], [13]], "t": 1},
+    ("P3o", "pk8", 2, 128, 2): {
+        "attempts": 13, "canonicalCopies": 112, "metTarget": True, "mode": "base+exact+exact+exact",
+        "partColours": [0, 1, 1, 0], "parts": [[0, 1], [9, 11], [16, 19], [24, 30]], "t": 2},
+}
+
+
 class TestFindHomogeneousBlowup:
+    @pytest.mark.parametrize("case", sorted(FINDER_GOLDEN))
+    def test_golden_results(self, case):
+        name, host, seed, retries, target_t = case
+        G = make_random(64, 2, seed) if host == "random64" else make_Pk(8)
+        res = find_homogeneous_blowup(
+            G, get_pattern(name), FinderConfig(seed=seed, max_partition_retries=retries), target_t
+        ).to_dict()
+        paper_t = 2.478887488460345e-07 if host == "random64" else 2.0657395737169543e-07
+        assert res.pop("paperTargetT") == pytest.approx(paper_t, rel=1e-12)
+        assert res == FINDER_GOLDEN[case]
+
+    def test_planted_p3o_has_copies_every_seed(self):
+        pat = get_pattern("P3o")
+        G = blow_up(pat, 5)
+        for seed in range(5):
+            res = find_homogeneous_blowup(G, pat, FinderConfig(seed=seed), target_t=1)
+            assert res.canonical_copies >= 1 and res.met_target
+
     def test_planted_hosts_reach_two(self):
         for name in ("C4", "P3o"):
             pat = get_pattern(name)

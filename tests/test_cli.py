@@ -65,6 +65,17 @@ class TestGenerate:
         assert code == 1 and out == ""
         assert err.count("\n") == 1 and "1000 attempts" in err
 
+    def test_unreachable_balance_exits_1_without_drawing(self, capsys, monkeypatch):
+        # 2 * ceil(8 / 2) = 8 same-colour degrees exceed the 7 edges of a vertex
+        def no_draw(*args):
+            raise AssertionError("drew a colouring for an unreachable eps")
+
+        monkeypatch.setattr("localbalance.verify.draw_below", no_draw)
+        code, out, err = run_cli(capsys, "generate", "--family", "balanced",
+                                 "--n", "8", "--eps", "1/2")
+        assert code == 1 and out == ""
+        assert err == "could not sample a locally 1/2-balanced colouring\n"
+
     def test_manifest_records_the_given_argv(self, capsys):
         argv = ["generate", "--family", "pk", "--k", "1"]
         code, out, _ = run_cli(capsys, *argv)

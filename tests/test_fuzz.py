@@ -165,7 +165,9 @@ def test_generate_bipartite_arguments(n_side, eps, seed):
         assert code in (0, 1)  # 1: the retry budget ran out
 
 
-# an unreachable eps costs the full 10 000 rejected draws, about 0.3 s each
+# an eps past the degree bound r * ceil(eps * n) <= n - 1 returns at once; one
+# within it that no draw meets (n = 7, eps = 3/7) costs the full 10 000 rejected
+# draws, about 0.4 s each
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(st.integers(-2, 10), colours, low_rationals, st.integers(0, 2**40))
 def test_generate_balanced_arguments(n, r, eps, seed):

@@ -118,10 +118,22 @@ class TestSamplerStream:
             assert a.getstate() == b.getstate()
 
     def test_exhausted_leaves_same_state(self):
+        # 2 * 3 <= 6 edges per vertex, but balance needs a 3-regular red graph
+        # on 7 vertices, which does not exist: every draw is spent
         a, b = random.Random(3), random.Random(3)
-        assert sample_locally_balanced(6, 2, Fraction(1, 2), a, max_attempts=40) is None
-        assert sample_reference(6, 2, Fraction(1, 2), b, max_attempts=40) is None
+        assert sample_locally_balanced(7, 2, Fraction(3, 7), a, max_attempts=40) is None
+        assert sample_reference(7, 2, Fraction(3, 7), b, max_attempts=40) is None
         assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("n, r, eps", [
+        (6, 2, Fraction(1, 2)), (8, 2, Fraction(1, 2)), (10, 3, Fraction(1, 3)), (2, 2, Fraction(1, 2)),
+    ])
+    def test_unreachable_eps_returns_none_without_drawing(self, n, r, eps):
+        # r * ceil(eps * n) > n - 1: no colouring gives every vertex enough edges
+        rng = random.Random(0)
+        state = rng.getstate()
+        assert sample_locally_balanced(n, r, eps, rng) is None
+        assert rng.getstate() == state
 
     def test_boundary_degree_is_accepted(self):
         # n = 11, eps = 3/11: a vertex of colour degree exactly 3 is balanced

@@ -18,6 +18,7 @@ import json
 import random
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction
 
 from . import __version__
@@ -96,6 +97,27 @@ def _emit(payload: dict, out_path: str | None) -> None:
         print(text)
 
 
+# generate and experiment refuse a host past either bound before any draw or
+# allocation; the second is the constructor's (r, n, n) one-hot array in bytes
+MAX_HOST_N = 4096
+MAX_ONEHOT_BYTES = 2**30
+
+_FAMILY_SIZE = {  # (n, r) of the host each generate family builds
+    "pk": lambda a: (4 * a.k, 2),
+    "split": lambda a: (a.a + a.b, 2),
+    "mcycle": lambda a: (a.parts * a.part_size, 3),
+    "random": lambda a: (a.n, a.r),
+    "balanced": lambda a: (a.n, a.r),
+    "bipartite": lambda a: (2 * a.n_side, 2),
+}
+
+
+def _check_host_size(n: int, r: int) -> None:
+    if n > MAX_HOST_N or n > 0 and r * n * n > MAX_ONEHOT_BYTES:
+        raise ValueError(f"host too large: n={n}, r={r} "
+                         f"(limits: n <= {MAX_HOST_N}, r*n^2 <= {MAX_ONEHOT_BYTES})")
+
+
 def _load_graph(path: str) -> ColouredCompleteGraph:
     with open(path) as fh:
         return graph_from_json(json.load(fh))
@@ -106,6 +128,7 @@ def _load_graph(path: str) -> ColouredCompleteGraph:
 def _cmd_generate(args) -> int:
     t0 = time.perf_counter()
     seed = args.seed
+    _check_host_size(*_FAMILY_SIZE[args.family](args))
     if args.family == "pk":
         obj = graph_to_json(make_Pk(args.k), compact=args.compact)
     elif args.family == "split":
@@ -241,6 +264,14 @@ def _cmd_verify(args) -> int:
 def _cmd_experiment(args) -> int:
     t0 = time.perf_counter()
     pattern = get_pattern(args.pattern)
+    config = FinderConfig(max_partition_retries=args.retries, subset_search_budget=args.budget)
+    for n in args.n_list:
+        if n < 1:
+            raise ValueError(f"need every n >= 1, got {n}")
+        _check_host_size(n, 2)
+    for eps in args.eps_list:
+        if not 0 <= eps <= 1:
+            raise ValueError(f"need every 0 <= eps <= 1, got {eps}")
     rows = []
     hard_failure = False
     for eps in args.eps_list:
@@ -261,9 +292,8 @@ def _cmd_experiment(args) -> int:
                         row["C4"] = c.count_c4
                         row["C4bar"] = c.count_c4bar
                         row["P3o"] = c.count_p3o
-                    config = FinderConfig(seed=seed, max_partition_retries=args.retries,
-                                          subset_search_budget=args.budget)
-                    res = find_homogeneous_blowup(G, pattern, config, target_t=args.target_t)
+                    res = find_homogeneous_blowup(G, pattern, replace(config, seed=seed),
+                                                  target_t=args.target_t)
                     row["achievedT"] = res.achieved_t
                     row["paperTargetT"] = round(res.asymptotic_target_t, 6)
                     row["status"] = "ok"

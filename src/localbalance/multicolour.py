@@ -107,52 +107,52 @@ def min_unibalanced_subgraph(
     """Lexicographically least smallest subset inducing a unibalanced
     subgraph, or None past the cap.
 
-    Increasing-size DFS over sorted vertex choices.  Partial sets are
-    pruned when some chosen vertex can no longer see a missing colour
-    among the remaining candidate pool, or when its colour deficiency
-    exceeds the slots left; both prunes keep the search exact.
+    Increasing-size DFS over sorted vertex choices, from k = r + 1 (a
+    vertex needs r others to see r colours).  The state is the chosen
+    list and the bitmask S of chosen vertices; chosen u misses colour c
+    exactly when G.neighbours(c, u) & S == 0.  With the next choice drawn
+    from the pool {start, ..., n-1}, a node is pruned, exactly, when the
+    pool holds fewer vertices than slots left (the loop bound), when a
+    chosen vertex misses more colours than slots left (a new vertex adds
+    one colour at it), or when a missing colour has no neighbour in the
+    pool.  With one slot left the candidates are the pool vertices in
+    every missing colour class, one accepted when it sees all r colours
+    in S.  Children go in increasing order: the first hit is the least.
     """
     if not 1 <= cap <= 12:
         raise ValueError(f"cap must lie in 1..12, got {cap}")
     n, r = G.n, G.r
-    if n < 2:
-        return None
+    nbrs = [tuple(G.neighbours(c, v) for c in range(r)) for v in range(n)]
+    full = (1 << n) - 1
+    chosen: list[int] = []
 
-    for k in range(2, min(cap, n) + 1):
-        chosen: list[int] = []
-        missing: list[set[int]] = []
-
-        def feasible(start: int) -> bool:
-            slots = k - len(chosen)
-            pool = ((1 << n) - 1) & ~((1 << start) - 1)
-            for v, miss in zip(chosen, missing):
-                if len(miss) > slots:
-                    return False
-                for c in miss:
-                    if not G.neighbours(c, v) & pool:
+    def dfs(start: int, S: int, slots: int) -> bool:
+        pool = cand = full >> start << start
+        for u in chosen:
+            left = slots
+            for m in nbrs[u]:
+                if not m & S:
+                    if not left or not m & pool:
                         return False
-            return True
-
-        def dfs(start: int) -> bool:
-            if len(chosen) == k:
-                return all(not m for m in missing)
-            if n - start < k - len(chosen):
-                return False
-            if not feasible(start):
-                return False
-            for v in range(start, n):
-                new_missing = [miss - {G.colour(u, v)} for u, miss in zip(chosen, missing)]
-                own = set(range(r)) - {G.colour(u, v) for u in chosen}
-                saved = missing[:]
-                chosen.append(v)
-                missing[:] = new_missing + [own]
-                if dfs(v + 1):
+                    left -= 1
+                    cand &= m
+        if slots == 1:
+            while cand:
+                v = (cand & -cand).bit_length() - 1
+                if all(m & S for m in nbrs[v]):
+                    chosen.append(v)
                     return True
-                chosen.pop()
-                missing[:] = saved
+                cand &= cand - 1
             return False
+        for v in range(start, n - slots + 1):
+            chosen.append(v)
+            if dfs(v + 1, S | 1 << v, slots - 1):
+                return True
+            chosen.pop()
+        return False
 
-        if dfs(0):
+    for k in range(r + 1, min(cap, n) + 1):
+        if dfs(0, 0, k):
             return tuple(chosen)
     return None
 

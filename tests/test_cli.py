@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from localbalance.cli import main
+from localbalance.cli import _check_host_size, main
 
 
 def run_cli(capsys, *argv):
@@ -75,6 +75,31 @@ class TestGenerate:
                                  "--n", "8", "--eps", "1/2")
         assert code == 1 and out == ""
         assert err == "could not sample a locally 1/2-balanced colouring\n"
+
+    @pytest.mark.parametrize("argv, builder", [
+        (("--family", "pk", "--k", "1025"), "make_Pk"),
+        (("--family", "split", "--a", "4000", "--b", "97"), "make_split"),
+        (("--family", "mcycle", "--parts", "6", "--part-size", "683"), "make_multicolour_cycle"),
+        (("--family", "random", "--n", "200000"), "make_random"),
+        (("--family", "balanced", "--n", "3000", "--r", "200"), "sample_locally_balanced"),
+        (("--family", "bipartite", "--n-side", "2049"), "make_bipartite_mindeg"),
+    ])
+    def test_oversized_host_exits_2_before_building(self, capsys, monkeypatch, argv, builder):
+        # n > 4096 for every family but balanced, which passes n and fails r * n^2 <= 2^30
+        def no_build(*args, **kwargs):
+            raise AssertionError(f"{builder} called for an oversized host")
+
+        monkeypatch.setattr(f"localbalance.cli.{builder}", no_build)
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: host too large")
+
+    def test_size_limits_are_inclusive(self):
+        _check_host_size(4096, 64)  # 64 * 4096^2 == 2^30
+        with pytest.raises(ValueError, match="n=4096, r=65"):
+            _check_host_size(4096, 65)
+        with pytest.raises(ValueError, match="n=4097"):
+            _check_host_size(4097, 2)
 
     def test_manifest_records_the_given_argv(self, capsys):
         argv = ["generate", "--family", "pk", "--k", "1"]
@@ -319,6 +344,33 @@ class TestExperiment:
         _, out1, _ = run_cli(capsys, *args)
         _, out2, _ = run_cli(capsys, *args)
         assert parse_without_timing(out1) == parse_without_timing(out2)
+
+    @pytest.mark.parametrize("argv, names", [
+        (("--retries", "0"), "budgets"),
+        (("--budget", "0"), "budgets"),
+        (("--n-list", "8,0"), "n >= 1, got 0"),
+        (("--n-list", "8,5000"), "n=5000"),
+        (("--eps-list", "1/4,3/2"), "eps <= 1, got 3/2"),
+    ])
+    def test_bad_arguments_exit_2_before_any_cell(self, capsys, monkeypatch, argv, names):
+        def no_cell(*args):
+            raise AssertionError("sampled a host before checking the arguments")
+
+        monkeypatch.setattr("localbalance.cli.sample_locally_balanced", no_cell)
+        base = {"--eps-list": "1/4", "--n-list": "8"}
+        base.update(zip(argv[::2], argv[1::2]))
+        code, out, err = run_cli(capsys, "experiment", *(f"{k}={v}" for k, v in base.items()))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and names in err
+
+    def test_cell_errors_stay_recorded(self, capsys):
+        # n = 3 < l = 4 fails inside its cell, after the n = 8 cell ran
+        code, out, _ = run_cli(capsys, "experiment", "--eps-list", "0",
+                               "--n-list", "8,3", "--pattern", "C4")
+        assert code == 1
+        rows = json.loads(out)["rows"]
+        assert rows[0]["status"] == "ok"
+        assert rows[1]["status"] == "error: host has 3 < l = 4 vertices"
 
     def test_single_cell_at_n64(self, capsys):
         code, out, _ = run_cli(capsys, "experiment", "--eps-list", "0.25",

@@ -1,14 +1,16 @@
 """Property tests for the JSON loaders: any JSON-shaped value either loads
 or is rejected with a ValueError (GraphFormatError included), never with
-another exception.  The generate command's family arguments get the CLI
-version of the rule: a JSON document, or a one-line error, never a
-traceback."""
+another exception.  The numeric arguments of generate, min-unibalanced,
+find-blowup and experiment get the CLI version of the rule: exit 0, 1 or 2
+with at most one stderr line, never a traceback.  The smallest-unibalanced
+search is checked against plain enumeration on small hosts."""
 
 import contextlib
 import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,8 +19,10 @@ from localbalance import (
     TotallyColouredPattern,
     graph_from_json,
     graph_to_json,
+    min_unibalanced_subgraph,
 )
 from localbalance.cli import main
+from hosts import graph_from, naive_min_unibalanced
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -134,16 +138,25 @@ half_rationals = st.fractions(0, Fraction(1, 2), max_denominator=12) | rationals
 colours = st.integers(-1, 6) | st.integers(250, 300)
 
 
-def run_generate(*argv):
-    """Exit code and output of one generate call; an exception fails the test."""
+def run_cli(*argv):
+    """Exit code and output of one CLI call: 0, 1 or 2 and at most one
+    stderr line; an exception fails the test."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["generate", *argv])
+        code = main(list(argv))
     out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert err.count("\n") <= 1 and err[-1:] in ("", "\n")
+    return code, out, err
+
+
+def run_generate(*argv):
+    """Exit code of one generate call: a JSON document, or one error line."""
+    code, out, err = run_cli("generate", *argv)
     if code == 0:
         assert err == "" and "manifest" in json.loads(out)
     else:
-        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        assert out == "" and err.count("\n") == 1
     return code
 
 
@@ -177,3 +190,85 @@ def test_generate_balanced_arguments(n, r, eps, seed):
         assert code == 2
     else:
         assert code in (0, 1)  # 1: rejection sampling ran out
+
+
+@st.composite
+def small_hosts(draw):
+    """Any r-colouring of K_n, n <= 9, r = 2..4, pair colours drawn freely."""
+    n = draw(st.integers(1, 9))
+    r = draw(st.integers(2, 4))
+    colours = iter(draw(st.lists(st.integers(0, r - 1), min_size=n * (n - 1) // 2,
+                                 max_size=n * (n - 1) // 2)))
+    return graph_from(n, r, lambda u, v: next(colours))
+
+
+@FUZZ
+@given(small_hosts(), st.integers(1, 12))
+def test_min_unibalanced_matches_enumeration(G, cap):
+    assert min_unibalanced_subgraph(G, cap) == naive_min_unibalanced(G, cap)
+
+
+@pytest.fixture(scope="module")
+def cli_hosts(tmp_path_factory):
+    """A 2-coloured random host for find-blowup and a 3-coloured cycle host
+    with a size-4 unibalanced subgraph for min-unibalanced."""
+    root = tmp_path_factory.mktemp("cli-hosts")
+    random_host, cycle_host = str(root / "random.json"), str(root / "mcycle.json")
+    assert main(["generate", "--family=random", "--n=12", "--seed=1", f"--out={random_host}"]) == 0
+    assert main(["generate", "--family=mcycle", "--parts=4", "--part-size=2",
+                 f"--out={cycle_host}"]) == 0
+    return random_host, cycle_host
+
+
+def int_list(values):
+    return ",".join(map(str, values))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.integers(-3, 14) | st.integers())
+def test_min_unibalanced_cap_argument(cli_hosts, cap):
+    code, out, _ = run_cli("min-unibalanced", cli_hosts[1], f"--cap={cap}")
+    if 1 <= cap <= 12:
+        assert code == 0 and json.loads(out)["minSize"] == (4 if cap >= 4 else None)
+    else:
+        assert code == 2 and out == ""
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.integers(-3, 6) | st.integers())
+def test_find_blowup_target_t_argument(cli_hosts, target_t):
+    code, out, _ = run_cli("find-blowup", cli_hosts[0], "--pattern=P3o", "--retries=2",
+                           f"--target-t={target_t}")
+    assert code == (1 if json.loads(out)["t"] < target_t else 0)
+
+
+def run_experiment(n_list, eps_list, retries):
+    code, out, err = run_cli("experiment", f"--n-list={int_list(n_list)}",
+                             f"--eps-list={int_list(eps_list)}", f"--retries={retries}")
+    valid = retries >= 1 and all(1 <= n <= 4096 for n in n_list) and all(
+        0 <= eps <= 1 for eps in eps_list)
+    if not valid:
+        assert code == 2 and out == "" and err.startswith("error: ")
+    else:
+        rows = json.loads(out)["rows"]
+        assert len(rows) == len(n_list) * len(eps_list)
+        assert code == (1 if any(row["status"].startswith("error") for row in rows) else 0)
+
+
+# mostly valid: every valid cell samples a host of n <= 9 (at most 10 000
+# rejected draws, well under a second) and runs at most 4 partitions on it
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(-1, 9), min_size=1, max_size=3),
+       st.lists(st.fractions(Fraction(-1, 4), Fraction(5, 4), max_denominator=8),
+                min_size=1, max_size=2),
+       st.integers(-1, 4))
+def test_experiment_list_arguments(n_list, eps_list, retries):
+    run_experiment(n_list, eps_list, retries)
+
+
+# any integer but the slow valid ones: n in 10..4096 or more than 4 retries
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.integers(max_value=9) | st.integers(min_value=4097), min_size=1, max_size=3),
+       st.lists(rationals, min_size=1, max_size=3), st.integers(max_value=4))
+def test_experiment_any_integers(n_list, eps_list, retries):
+    run_experiment(n_list, eps_list, retries)

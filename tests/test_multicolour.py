@@ -1,12 +1,15 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 
 from localbalance import (
     SamplerConfig,
+    TotallyColouredPattern,
     balance_profile,
     blow_up,
     get_pattern,
@@ -15,18 +18,13 @@ from localbalance import (
     make_multicolour_cycle,
     make_random,
     min_unibalanced_subgraph,
+    pattern_library,
     min_unibalanced_subgraph_size,
     sample_unibalanced_subset,
 )
-from hosts import graph_from
+from hosts import graph_from, min_unibalanced_reference, naive_min_unibalanced
 
-
-def naive_min_unibalanced(G, cap):
-    for k in range(2, min(cap, G.n) + 1):
-        for S in itertools.combinations(range(G.n), k):
-            if induced_unibalanced(G, S):
-                return k
-    return None
+EXPECTED_SEED0 = Path(__file__).resolve().parent.parent / "perfbench" / "expected_seed0.json"
 
 
 class TestInducedUnibalanced:
@@ -132,7 +130,7 @@ class TestMinUnibalanced:
     def test_p1_blowup_needs_all_four(self):
         G = blow_up(get_pattern("P1"), 2)
         assert min_unibalanced_subgraph_size(G, cap=4) == 4
-        assert naive_min_unibalanced(G, 4) == 4
+        assert len(naive_min_unibalanced(G, 4)) == 4
 
     def test_exceeds_cap(self):
         mono = graph_from(8, 2, lambda u, v: 0)
@@ -143,7 +141,7 @@ class TestMinUnibalanced:
         rng = random.Random(4)
         for _ in range(15):
             G = make_random(9, 3, rng.randrange(10**6))
-            assert min_unibalanced_subgraph_size(G, cap=6) == naive_min_unibalanced(G, 6)
+            assert min_unibalanced_subgraph(G, cap=6) == naive_min_unibalanced(G, 6)
 
     def test_two_colour_minimum_is_three_or_four(self):
         # a single edge cannot be unibalanced; r=2 needs at least 3 vertices
@@ -181,6 +179,61 @@ class TestMinUnibalanced:
                 if induced_unibalanced(G, T)
             )
             assert S == least
+
+
+class TestBitmaskSearchMatchesReference:
+    """Identical witnesses, not only sizes, against the set-based DFS."""
+
+    @pytest.mark.parametrize("l, m", [
+        *itertools.product((4, 6, 8), (1, 2, 3)), (6, 6),
+    ])
+    def test_multicolour_cycles(self, l, m):
+        G = make_multicolour_cycle(l, m)
+        assert min_unibalanced_subgraph(G, cap=8) == min_unibalanced_reference(G, cap=8)
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, pat in pattern_library().items()
+        if isinstance(pat, TotallyColouredPattern)
+    ))
+    def test_library_blowups(self, name):
+        for t in (1, 2, 3):
+            G = blow_up(get_pattern(name), t)
+            assert min_unibalanced_subgraph(G, cap=8) == min_unibalanced_reference(G, cap=8)
+
+    @pytest.mark.parametrize("r", [2, 3, 4, 5])
+    def test_random_hosts(self, r):
+        rng = random.Random(r)
+        for n in range(1, 13):
+            G = make_random(n, r, rng.randrange(10**6))
+            for cap in (1, 4, 12):
+                assert min_unibalanced_subgraph(G, cap) == min_unibalanced_reference(G, cap)
+
+    def test_eight_by_four_cycle_pinned(self):
+        G = make_multicolour_cycle(8, 4)
+        assert min_unibalanced_subgraph(G, cap=8) == tuple(range(0, 32, 4))
+
+
+class TestBenchmarkFingerprints:
+    """The benchmark's recorded min-unibalanced outputs, reproduced in
+    process from perfbench/expected_seed0.json (read, never written)."""
+
+    def entries(self):
+        expected = json.loads(EXPECTED_SEED0.read_text())
+        for scale in ("full", "small"):
+            for label, record in expected[scale]["blowup"].items():
+                if label.startswith("min-unibalanced:"):
+                    yield label, record
+
+    def test_every_scale_has_both_cycles(self):
+        labels = sorted(label for label, _ in self.entries())
+        assert labels == [f"min-unibalanced:mcycle{c}.json" for c in ("4x3", "6x2", "6x6", "8x3")]
+
+    def test_witnesses_reproduce(self):
+        for label, record in self.entries():
+            l, m = map(int, label.removeprefix("min-unibalanced:mcycle").removesuffix(".json")
+                       .split("x"))
+            S = min_unibalanced_subgraph(make_multicolour_cycle(l, m), cap=8)
+            assert list(S) == record["S"] and len(S) == record["minSize"], label
 
 
 class TestQuarterDensitySpotCheck:

@@ -566,10 +566,7 @@ def find_homogeneous_blowup(
     for attempt in range(1, config.max_partition_retries + 1):
         Hg = canonical_hypergraph(G, pattern, _random_equitable_partition(rng, G.n, l))
         if Hg.is_empty:
-            candidate = BlowupFinderResult(
-                None, 0, asymptotic_t, attempt, 0,
-                None if target_t is None else False, None, "no-copies",
-            )
+            w, t, colours, mode = None, 0, None, "no-copies"
         else:
             cover = hypergraph_cover(Hg, G.colour, G.r, config)
             t = cover.min_size
@@ -581,11 +578,11 @@ def find_homogeneous_blowup(
             )
             if not verify_witness(G, w):
                 raise AssertionError("extraction produced an invalid witness")
-            candidate = BlowupFinderResult(
-                w, t, asymptotic_t, attempt,
-                Hg.edge_count, None if target_t is None else t >= target_t,
-                cover.colours, "+".join(cover.notes),
-            )
+            colours, mode = cover.colours, "+".join(cover.notes)
+        candidate = BlowupFinderResult(
+            w, t, asymptotic_t, attempt, Hg.edge_count,
+            None if target_t is None else t >= target_t, colours, mode,
+        )
         if best is None or candidate.achieved_t > best.achieved_t:
             best = candidate
         if target_t is not None and best.achieved_t >= target_t:

@@ -33,11 +33,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .core import ColouredCompleteGraph
+from .core import ColouredCompleteGraph, GraphFormatError
 
 RED, BLUE = 0, 1
 
@@ -427,97 +427,90 @@ def m1_copies_in_quadruples(census: PatternCensus) -> int:
 # Bipartite colourings and alternating 4-cycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteColouring:
-    """A red/blue colouring of a complete bipartite graph X x Y.
+    """A red/blue colouring of the complete bipartite graph X x Y.
 
-    Stored as per-X-vertex bitmasks over Y (bit set = red edge).
+    Stored as one read-only nx x ny bool table: red[x, y] is True when the
+    edge x y is red.  The constructor copies its input, so later writes to
+    the caller's array do not reach the record; equality and hash compare
+    the table.
     """
 
-    nx: int
-    ny: int
-    red_by_x: tuple[int, ...]
+    red: np.ndarray
 
     def __post_init__(self):
-        if self.nx < 1 or self.ny < 1:
-            raise ValueError("both sides must be nonempty")
-        if len(self.red_by_x) != self.nx:
-            raise ValueError("need one row per X vertex")
+        red = np.array(self.red)
+        if red.dtype != bool or red.ndim != 2 or red.size == 0:
+            raise ValueError(
+                f"need a nonempty 2-D bool table, got {red.dtype} of shape {red.shape}"
+            )
+        red.flags.writeable = False
+        object.__setattr__(self, "red", red)
 
-    @classmethod
-    def from_function(cls, nx: int, ny: int, colour: Callable[[int, int], int]) -> "BipartiteColouring":
-        rows = []
-        for x in range(nx):
-            mask = 0
-            for y in range(ny):
-                c = colour(x, y)
-                if c not in (RED, BLUE):
-                    raise ValueError(f"bipartite colour must be 0 or 1, got {c}")
-                if c == RED:
-                    mask |= 1 << y
-            rows.append(mask)
-        return cls(nx, ny, tuple(rows))
+    @property
+    def nx(self) -> int:
+        return self.red.shape[0]
+
+    @property
+    def ny(self) -> int:
+        return self.red.shape[1]
 
     def colour(self, x: int, y: int) -> int:
-        return RED if (self.red_by_x[x] >> y) & 1 else BLUE
+        return RED if self.red[x, y] else BLUE
 
-    def red_by_y(self) -> tuple[int, ...]:
-        cols = [0] * self.ny
-        for x, row in enumerate(self.red_by_x):
-            while row:
-                y = (row & -row).bit_length() - 1
-                row &= row - 1
-                cols[y] |= 1 << x
-        return tuple(cols)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BipartiteColouring):
+            return NotImplemented
+        return np.array_equal(self.red, other.red)
 
-    def red_degree_x(self, x: int) -> int:
-        return self.red_by_x[x].bit_count()
-
-    def blue_degree_y(self, y: int) -> int:
-        return self.nx - sum((row >> y) & 1 for row in self.red_by_x)
+    def __hash__(self) -> int:
+        return hash((self.red.shape, self.red.tobytes()))
 
     def to_dict(self) -> dict:
+        digits = np.where(self.red, b"0", b"1")  # the colour digit of each edge
         return {
             "kind": "bipartite",
             "x": self.nx,
             "y": self.ny,
-            "rows": [
-                "".join(str(self.colour(x, y)) for y in range(self.ny))
-                for x in range(self.nx)
-            ],
+            "rows": [row.tobytes().decode("ascii") for row in digits],
         }
 
     @classmethod
-    def from_dict(cls, data: dict) -> "BipartiteColouring":
-        nx, ny = int(data["x"]), int(data["y"])
-        rows = data["rows"]
-        if len(rows) != nx or any(len(row) != ny for row in rows):
-            raise ValueError("bipartite rows have wrong shape")
-        return cls.from_function(nx, ny, lambda x, y: int(rows[x][y]))
+    def from_dict(cls, data: object) -> "BipartiteColouring":
+        """Inverse of to_dict.  Raises GraphFormatError unless x and y are
+        JSON integers >= 1 and rows is a list of x strings of y colour
+        digits 0 or 1; all of it is checked before the table is allocated."""
+        if not isinstance(data, dict) or not {"x", "y", "rows"} <= data.keys():
+            raise GraphFormatError("bipartite JSON needs the fields x, y and rows")
+        nx, ny, rows = data["x"], data["y"], data["rows"]
+        if type(nx) is not int or type(ny) is not int or nx < 1 or ny < 1:
+            raise GraphFormatError(f"x and y must be integers >= 1, got x={nx!r}, y={ny!r}")
+        if not isinstance(rows, list) or len(rows) != nx or not all(
+            isinstance(row, str) and len(row) == ny for row in rows
+        ):
+            raise GraphFormatError(f"rows must be a list of {nx} strings of length {ny}")
+        if any(row.strip("01") for row in rows):
+            raise GraphFormatError("bipartite colour digits must be 0 or 1")
+        digits = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8)
+        return cls(digits.reshape(nx, ny) == ord("0"))
 
 
-def count_m1(B: BipartiteColouring, method: str = "codegree") -> int:
+def count_m1(B: BipartiteColouring) -> int:
     """Number of 4-subsets {x,x'} x {y,y'} inducing a properly coloured K22.
 
-    The codegree route sums a*b over Y-pairs, where a and b count X-vertices
-    red/blue and blue/red to the pair; the pair-enumeration route checks all
-    C(nx,2)*C(ny,2) quadruples directly.
+    Let a = red.T @ (1 - red), so a[j, k] counts the X vertices red to y_j
+    and blue to y_k.  An alternating K22 on {y_j, y_k} pairs one such x with
+    one x' blue to y_j and red to y_k, so the pair {y_j, y_k} carries
+    a[j, k] * a[k, j] of them, and the sum of a * a.T over all j != k counts
+    each pair twice.  The diagonal of a is 0 (no x is red and blue to the
+    same y), so the count is (a * a.T).sum() // 2.  The product runs in
+    float64 BLAS; every entry of a is an integer at most nx, so it is exact
+    and is read back as int64 before the sum.
     """
-    if method == "pairs":
-        return count_m1_reference(B)
-    if method != "codegree":
-        raise ValueError(f"unknown count_m1 method {method!r}")
-    full = (1 << B.nx) - 1
-    cols = B.red_by_y()
-    total = 0
-    for j in range(B.ny):
-        cj = cols[j]
-        for k in range(j + 1, B.ny):
-            ck = cols[k]
-            a = (cj & ~ck & full).bit_count()
-            b = (~cj & ck & full).bit_count()
-            total += a * b
-    return total
+    red = B.red.astype(np.float64)
+    a = (red.T @ (1.0 - red)).astype(np.int64)
+    return int((a * a.T).sum()) // 2
 
 
 def count_m1_reference(B: BipartiteColouring) -> int:
@@ -542,7 +535,10 @@ def count_alternating_c4(
         raise ValueError("X and Y must be disjoint")
     if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
         raise ValueError("X and Y must not repeat vertices")
-    B = BipartiteColouring.from_function(
-        len(xs), len(ys), lambda i, j: G.colour(xs[i], ys[j])
-    )
-    return count_m1(B)
+    # checked here: np.ix_ would read vertex -1 as vertex n - 1, and the
+    # intp arrays would truncate 1.5 to 1; they keep bools as vertex numbers,
+    # where np.ix_ would read a tuple of bools as a mask
+    if not all(isinstance(v, (int, np.integer)) and 0 <= v < G.n for v in xs + ys):
+        raise ValueError(f"X and Y must be vertices in range({G.n})")
+    rows, cols = np.array(xs, dtype=np.intp), np.array(ys, dtype=np.intp)
+    return count_m1(BipartiteColouring(G.table()[np.ix_(rows, cols)] == RED))

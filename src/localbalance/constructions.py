@@ -176,10 +176,7 @@ def make_bipartite_mindeg(
                     f"min-degree draw below {need}: least red degree on X {red_x}, "
                     f"least blue degree on Y {blue_y}"
                 )
-            data = np.packbits(red, axis=1, bitorder="little").tobytes()
-            w = len(data) // n_side
-            rows = tuple(int.from_bytes(data[x * w:(x + 1) * w], "little") for x in side)
-            return BipartiteColouring(n_side, n_side, rows)
+            return BipartiteColouring(red)
     raise ResamplingBudgetExceeded(
         f"no conflict-free draw in {max_retries} attempts (n={n_side}, eps={eps})"
     )

@@ -217,7 +217,7 @@ def pattern_library() -> dict[str, TotallyColouredPattern | BipartiteColouring]:
         vertex_colours_ignored=True,
         name="C4",
     )
-    m1 = BipartiteColouring.from_function(2, 2, lambda x, y: RED if x == y else BLUE)
+    m1 = BipartiteColouring(np.eye(2, dtype=bool))  # red exactly on x == y
     lib: dict[str, TotallyColouredPattern | BipartiteColouring] = {
         "P1": p1,
         "P2": p2,

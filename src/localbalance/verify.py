@@ -106,18 +106,15 @@ def verify_prop_cute(sizes: tuple[tuple[int, int], ...] = ((3, 3), (3, 4))) -> V
     for na, nb in sizes:
         if na <= 2 or nb <= 2:
             raise ValueError("the hypothesis needs both sides > 2")
-        edges = na * nb
+        shifts = np.arange(na * nb).reshape(na, nb)  # red[x, y] is bit x * nb + y of the code
         in_hypothesis = 0
-        for bits in range(1 << edges):
-            rows = tuple((bits >> (x * nb)) & ((1 << nb) - 1) for x in range(na))
-            B = BipartiteColouring(na, nb, rows)  # bit set = red
-            if any(row.bit_count() == nb for row in rows):  # some x all red
-                continue
-            cols = B.red_by_y()
-            if any(col == 0 for col in cols):  # some y with no red
-                continue
+        for bits in range(1 << (na * nb)):
+            red = (bits >> shifts) & 1 == 1
+            if red.all(axis=1).any() or not red.any(axis=0).all():
+                continue  # some x all red, or some y with no red
             in_hypothesis += 1
-            if count_m1(B) < 1:
+            if count_m1(BipartiteColouring(red)) < 1:
+                rows = [(bits >> (x * nb)) & ((1 << nb) - 1) for x in range(na)]
                 report.failures.append(
                     {"sides": [na, nb], "colouring": [f"{row:0{nb}b}" for row in rows]}
                 )

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 
-from localbalance import ColouredCompleteGraph, induced_unibalanced
+from localbalance import BipartiteColouring, ColouredCompleteGraph, induced_unibalanced
 
 
 def graph_from(n: int, r: int, colour) -> ColouredCompleteGraph:
@@ -17,6 +17,19 @@ def graph_from(n: int, r: int, colour) -> ColouredCompleteGraph:
         for v in range(u + 1, n):
             table[u, v] = table[v, u] = colour(u, v)
     return ColouredCompleteGraph(n, r, table)
+
+
+def bipartite_from(nx: int, ny: int, colour) -> BipartiteColouring:
+    """The bipartite colouring with colour(x, y) on each edge (0 red, 1 blue),
+    asked in row-major order."""
+    red = np.zeros((nx, ny), dtype=bool)
+    for x in range(nx):
+        for y in range(ny):
+            c = colour(x, y)
+            if c not in (0, 1):
+                raise ValueError(f"bipartite colour must be 0 or 1, got {c}")
+            red[x, y] = c == 0
+    return BipartiteColouring(red)
 
 
 def make_random_reference(n: int, r: int, seed: int) -> ColouredCompleteGraph:

@@ -14,7 +14,6 @@ from math import comb
 import pytest
 
 from localbalance import (
-    BipartiteColouring,
     CanonicalHypergraph,
     FinderConfig,
     balance_profile,
@@ -38,6 +37,7 @@ from localbalance import (
     verify_theorem_anybalanced_small,
     verify_witness,
 )
+from hosts import bipartite_from
 
 
 def report(num, ok, detail):
@@ -176,7 +176,7 @@ def test_criterion_7_census_oracle_equivalence():
     m1_checked = 0
     for _ in range(200):
         nx, ny = rng.randrange(1, 13), rng.randrange(1, 13)
-        B = BipartiteColouring.from_function(nx, ny, lambda x, y: rng.randrange(2))
+        B = bipartite_from(nx, ny, lambda x, y: rng.randrange(2))
         assert count_m1(B) == count_m1_reference(B)
         m1_checked += 1
     report(7, True, f"{checked} census hosts and {m1_checked} bipartite instances agree exactly")

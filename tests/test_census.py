@@ -2,7 +2,10 @@ import itertools
 import random
 from math import comb
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localbalance import (
     ALTERNATING_SPLITS_PER_CLASS,
@@ -24,7 +27,7 @@ from localbalance import (
     make_random,
     make_split,
 )
-from hosts import graph_from
+from hosts import bipartite_from, graph_from
 import localbalance.census as census_module
 from localbalance.census import CLASS_SWAP
 
@@ -198,16 +201,16 @@ class TestCensusKernels:
 
 class TestCountM1:
     def test_mono_red_k22(self):
-        B = BipartiteColouring.from_function(2, 2, lambda x, y: 0)
+        B = bipartite_from(2, 2, lambda x, y: 0)
         assert count_m1(B) == 0
 
     def test_proper_k22_is_one(self):
-        B = BipartiteColouring.from_function(2, 2, lambda x, y: int(x == y))
+        B = bipartite_from(2, 2, lambda x, y: int(x == y))
         assert count_m1(B) == 1
         assert count_m1_reference(B) == 1
 
     def test_seeded_k55_fixture(self):
-        B = BipartiteColouring.from_function(
+        B = bipartite_from(
             5, 5, lambda x, y: random.Random(42 + 11 * x + y).randrange(2)
         )
         assert count_m1_reference(B) == 12  # frozen brute-force value
@@ -217,10 +220,46 @@ class TestCountM1:
         rng = random.Random(7)
         for _ in range(40):
             nx, ny = rng.randrange(1, 9), rng.randrange(1, 9)
-            B = BipartiteColouring.from_function(
+            B = bipartite_from(
                 nx, ny, lambda x, y: rng.randrange(2)
             )
             assert count_m1(B) == count_m1_reference(B)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 10).flatmap(lambda nx: st.lists(
+        st.lists(st.booleans(), min_size=nx, max_size=nx), min_size=1, max_size=10)))
+    def test_product_equals_reference_on_any_table(self, columns):
+        B = BipartiteColouring(np.array(columns, dtype=bool).T)
+        assert count_m1(B) == count_m1_reference(B)
+
+
+class TestBipartiteColouring:
+    @pytest.mark.parametrize("red", [
+        np.ones(3, dtype=bool),
+        np.ones((2, 2, 2), dtype=bool),
+        np.zeros((0, 3), dtype=bool),
+        np.zeros((3, 0), dtype=bool),
+        np.ones((2, 2), dtype=np.uint8),
+    ])
+    def test_rejects_tables_that_are_not_nonempty_2d_bool(self, red):
+        with pytest.raises(ValueError, match="nonempty 2-D bool table"):
+            BipartiteColouring(red)
+
+    def test_equal_tables_give_equal_records(self):
+        a = BipartiteColouring(np.eye(3, dtype=bool))
+        b = bipartite_from(3, 3, lambda x, y: int(x != y))
+        assert a == b and hash(a) == hash(b)
+        assert (a.nx, a.ny) == (3, 3)
+        assert a != BipartiteColouring(np.eye(3, dtype=bool)[:, :2])
+        assert a != BipartiteColouring(~np.eye(3, dtype=bool))
+
+    def test_copies_the_callers_table(self):
+        red = np.eye(2, dtype=bool)
+        B = BipartiteColouring(red)
+        red[0, 1] = True
+        assert B.colour(0, 1) == 1 and not B.red[0, 1]
+        with pytest.raises(ValueError):
+            B.red[0, 1] = True
 
 
 class TestAlternatingC4:
@@ -246,6 +285,17 @@ class TestAlternatingC4:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
             count_alternating_c4(make_Pk(1), (0, 1), (1, 2))
+
+    @pytest.mark.parametrize("X, Y", [((-1, 0), (1, 2)), ((0, 1), (2, 8)), ((1.5, 0), (2, 3))])
+    def test_vertex_outside_host_rejected(self, X, Y):
+        # -1 must not be read as vertex n - 1, 8 raise a bare IndexError or 1.5 become 1
+        with pytest.raises(ValueError, match=r"range\(8\)"):
+            count_alternating_c4(make_Pk(2), X, Y)
+
+    def test_bool_vertices_are_vertex_numbers(self):
+        G = make_random(6, 2, 2)
+        assert count_alternating_c4(G, (True, False), (2, 3, 4)) == 2
+        assert count_alternating_c4(G, (1, 0), (2, 3, 4)) == 2
 
     def test_matches_direct_enumeration(self):
         rng = random.Random(12)

@@ -155,8 +155,8 @@ class TestMakeRandom:
 class TestMakeBipartiteMindeg:
     def test_min_degrees(self):
         B = make_bipartite_mindeg(10, Fraction(1, 5), seed=3)
-        assert min(B.red_degree_x(x) for x in range(10)) >= 2
-        assert min(B.blue_degree_y(y) for y in range(10)) >= 2
+        assert B.red.sum(axis=1).min() >= 2  # least red degree on X
+        assert (~B.red).sum(axis=0).min() >= 2  # least blue degree on Y
 
     def test_k22_forced_proper(self):
         B = make_bipartite_mindeg(2, Fraction(1, 2), seed=0)

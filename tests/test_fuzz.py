@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localbalance import (
+    BipartiteColouring,
     ColouredCompleteGraph,
     TotallyColouredPattern,
     graph_from_json,
@@ -50,6 +51,10 @@ graph_like = st.fixed_dictionaries(
     {"n": field, "r": field},
     optional={"edges": st.lists(entry, max_size=16) | field, "rows": digit_rows | field},
 )
+bipartite_like = st.fixed_dictionaries(
+    {"x": field, "y": field},
+    optional={"rows": st.lists(st.text(alphabet="012 ", max_size=4), max_size=5) | field},
+)
 pattern_like = st.fixed_dictionaries(
     {"l": field, "r": field},
     optional={
@@ -67,6 +72,14 @@ def compact_graphs(draw):
     rows = [draw(st.text(alphabet="0123456789", min_size=n - u - 1, max_size=n - u - 1))
             for u in range(n)]
     return {"n": n, "r": draw(st.integers(0, 12)), "rows": rows}
+
+
+@st.composite
+def bipartite_rows(draw):
+    """Bipartite JSON with x rows of y characters, mostly colour digits."""
+    x, y = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    row = st.text("01", min_size=y, max_size=y) | st.text("01x", min_size=y, max_size=y)
+    return {"x": x, "y": y, "rows": draw(st.lists(row, min_size=x, max_size=x))}
 
 
 @st.composite
@@ -112,6 +125,32 @@ def test_compact_loader_checks_every_digit(data):
     assert (G is not None) == (data["r"] >= 2 and all(int(d) < data["r"] for d in digits))
     if G is not None and G.r <= 10:
         assert graph_to_json(G, compact=True) == data
+
+
+def load_bipartite(data):
+    try:
+        B = BipartiteColouring.from_dict(data)
+    except ValueError:
+        return None
+    assert BipartiteColouring.from_dict(B.to_dict()) == B
+    return B
+
+
+@FUZZ
+@given(json_values | bipartite_like)
+def test_bipartite_loader_never_crashes(data):
+    load_bipartite(data)
+
+
+@FUZZ
+@given(bipartite_rows())
+def test_bipartite_loader_checks_every_digit(data):
+    B = load_bipartite(data)
+    assert (B is not None) == all(set(row) <= {"0", "1"} for row in data["rows"])
+    if B is not None:
+        assert B.to_dict() == {"kind": "bipartite", **data}
+        assert all(B.colour(x, y) == int(data["rows"][x][y])
+                   for x in range(B.nx) for y in range(B.ny))
 
 
 @FUZZ
@@ -239,7 +278,9 @@ def test_min_unibalanced_cap_argument(cli_hosts, cap):
 def test_find_blowup_target_t_argument(cli_hosts, target_t):
     code, out, _ = run_cli("find-blowup", cli_hosts[0], "--pattern=P3o", "--retries=2",
                            f"--target-t={target_t}")
-    assert code == (1 if json.loads(out)["t"] < target_t else 0)
+    payload = json.loads(out)
+    assert payload["metTarget"] == (payload["t"] >= target_t)
+    assert code == (1 if payload["t"] < target_t else 0)
 
 
 def run_experiment(n_list, eps_list, retries):

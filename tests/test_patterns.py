@@ -339,7 +339,42 @@ class TestPatternJson:
 
     def test_bipartite_round_trip(self):
         m1 = pattern_library()["M1"]
+        assert m1.to_dict() == {"kind": "bipartite", "x": 2, "y": 2, "rows": ["01", "10"]}
         assert BipartiteColouring.from_dict(m1.to_dict()) == m1
+
+    @pytest.mark.parametrize("data", [
+        ["x", "y", "rows"],
+        None,
+        {"y": 1, "rows": ["0"]},
+        {"x": 1, "rows": ["0"]},
+        {"x": 1, "y": 1},
+        {"x": 2.9, "y": True, "rows": ["0", "1"]},
+        {"x": 2, "y": True, "rows": ["0", "1"]},
+        {"x": 2.0, "y": 1, "rows": ["0", "1"]},
+        {"x": "2", "y": 1, "rows": ["0", "1"]},
+        {"x": 0, "y": 1, "rows": []},
+        {"x": 1, "y": 0, "rows": [""]},
+        {"x": 2, "y": 2, "rows": [[0, 1], [1, 0]]},
+        {"x": 2, "y": 2, "rows": "0110"},
+        {"x": 2, "y": 2, "rows": ["01"]},
+        {"x": 2, "y": 2, "rows": ["01", "1"]},
+        {"x": 2, "y": 2, "rows": ["01", "12"]},
+        {"x": 2, "y": 2, "rows": ["01", " 1"]},
+        {"x": 1, "y": 1, "rows": ["\u0660"]},
+    ])
+    def test_bipartite_from_dict_rejects_malformed(self, data):
+        with pytest.raises(GraphFormatError):
+            BipartiteColouring.from_dict(data)
+
+    def test_bipartite_from_dict_checks_shape_before_allocation(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match="5000 strings"):
+                BipartiteColouring.from_dict({"x": 5000, "y": 5000, "rows": []})
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestInducedEdgePattern:

@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localbalance import (
-    BipartiteColouring,
     ResamplingBudgetExceeded,
     balance_profile,
     draw_below,
@@ -19,7 +18,7 @@ from localbalance import (
     make_random,
     sample_locally_balanced,
 )
-from hosts import make_random_reference
+from hosts import bipartite_from, make_random_reference
 
 RED, BLUE = 0, 1
 
@@ -54,7 +53,7 @@ def bipartite_reference(n_side, eps, seed, max_retries=1000):
                     return BLUE
                 return base[x][y]
 
-            return BipartiteColouring.from_function(n_side, n_side, colour)
+            return bipartite_from(n_side, n_side, colour)
     return None
 
 

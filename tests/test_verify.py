@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -37,6 +39,15 @@ class TestCute:
     def test_rejects_small_sides(self):
         with pytest.raises(ValueError):
             verify_prop_cute(sizes=((2, 3),))
+
+    def test_failure_record_names_rows_msb_first(self, monkeypatch):
+        # code bits x * nb + y are red[x, y]; each row is printed as an nb-bit
+        # binary number, so y = nb - 1 comes first.  The first code in the
+        # hypothesis at K_{3,3} is 6 + 8 * 1: rows 6, 1, 0.
+        monkeypatch.setattr("localbalance.verify.count_m1", lambda B: 0)
+        report = verify_prop_cute(sizes=((3, 3),))
+        assert len(report.failures) == report.instances
+        assert report.failures[0] == {"sides": [3, 3], "colouring": ["110", "001", "000"]}
 
 
 class TestP3c4:
@@ -89,6 +100,15 @@ class TestM1Bound:
         assert report.passed
         assert report.instances == 5
         assert all(e["ok"] for e in report.bounds)
+
+    def test_default_counts_pinned(self):
+        # the 300 per-instance counts of the default run, as the per-pair
+        # codegree loop that count_m1 replaced computed them
+        observed = [e["observed"] for e in verify_lemma_m1_bound().bounds]
+        assert (len(observed), sum(observed), min(observed), max(observed)) == (
+            300, 10_637_549, 4361, 79_867)
+        digest = hashlib.sha256(json.dumps(observed).encode()).hexdigest()
+        assert digest[:16] == "84d6f554450cab40"
 
 
 class Test3ColourFail:

@@ -9,7 +9,6 @@ oracles.
 __version__ = "0.1.0"
 
 from .census import (
-    ALTERNATING_SPLITS_PER_CLASS,
     BipartiteColouring,
     C4_KEY,
     C4BAR_KEY,
@@ -17,11 +16,8 @@ from .census import (
     P3O_KEY,
     PatternCensus,
     census_k4,
-    census_k4_reference,
     count_alternating_c4,
     count_m1,
-    count_m1_reference,
-    m1_copies_in_quadruples,
 )
 from .blowup_finder import (
     BipartiteIncidence,
@@ -72,13 +68,10 @@ from .patterns import (
     SearchBudgetExceeded,
     TotallyColouredPattern,
     blow_up,
-    coloured_graphs_isomorphic,
     find_pattern_blowup_exhaustive,
     get_pattern,
     induced_edge_pattern,
-    is_unibalanced,
     pattern_library,
-    patterns_isomorphic,
     verify_witness,
 )
 from .verify import (

@@ -6,14 +6,12 @@ host induces one of the 11 isomorphism classes of 2-edge-colourings of K4
 class list is enumerated at import time by brute force over the 2^6
 colourings modulo S4, so no hand-maintained table exists anywhere.
 
-Two counting paths are provided and must agree exactly:
-
-* a reference path that enumerates all C(n,4) quadruples, and
-* an optimized path that computes 27 aggregate statistics (pair/codegree,
-  vertex, triangle, edge and monochromatic-K4 counts) and solves an exact
-  integer linear system for the 11 class counts.  The system has rank 11;
-  the 16 redundant equations are verified on every call, so a disagreement
-  anywhere surfaces as an error rather than a wrong count.
+census_k4 computes 27 aggregate statistics (pair/codegree, vertex,
+triangle, edge and monochromatic-K4 counts) and solves an exact integer
+linear system for the 11 class counts.  The system has rank 11; the 16
+redundant equations are verified on every call, so a disagreement anywhere
+surfaces as an error rather than a wrong count.  The tests check it against
+an enumeration of all C(n,4) quadruples.
 
 Kernel cost: the codegree products red@red, blue@blue and red@blue (blocks
 of rows against the upper triangle, O(n^omega) BLAS work in all) and, for
@@ -22,7 +20,7 @@ forward neighbourhood N+(u) = {v > u : uv of that colour}, which is
 sum_u |N+(u)|^3 BLAS flops.  All of it runs on 0/1 float64 matrices and is
 exact: every codegree entry is an integer at most n, and every per-vertex
 triangle sum at most n^3, so each partial sum is an integer below 2^53
-while n <= 3000 (the size guard of the codegree path).  Products are cast
+while n <= CENSUS_MAX_N = 3000 (the size guard).  Products are cast
 back to int64 under an exactness check, and the statistics and class counts
 are Python ints.
 """
@@ -62,23 +60,6 @@ def _canonical(code: Sequence[int]) -> tuple[int, ...]:
     return best
 
 
-def _swap_code(code: Sequence[int]) -> tuple[int, ...]:
-    return tuple(1 - c for c in code)
-
-
-def _alternating_splits(code: Sequence[int]) -> int:
-    """Number of 2+2 bipartitions of the K4 whose 4 cross edges alternate."""
-    count = 0
-    for (u, v), (w, x) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        uw = code[_PAIR_INDEX[tuple(sorted((u, w)))]]
-        ux = code[_PAIR_INDEX[tuple(sorted((u, x)))]]
-        vw = code[_PAIR_INDEX[tuple(sorted((v, w)))]]
-        vx = code[_PAIR_INDEX[tuple(sorted((v, x)))]]
-        if uw != ux and vw != vx and uw != vw:
-            count += 1
-    return count
-
-
 # --- class table, built once at import ------------------------------------
 
 CLASS_REPS: tuple[tuple[int, ...], ...] = tuple(
@@ -88,28 +69,14 @@ NUM_CLASSES = len(CLASS_REPS)
 assert NUM_CLASSES == 11, f"expected 11 classes of 2-coloured K4, found {NUM_CLASSES}"
 
 CLASS_KEYS: tuple[str, ...] = tuple("".join(map(str, rep)) for rep in CLASS_REPS)
-_CLASS_INDEX = {rep: i for i, rep in enumerate(CLASS_REPS)}
-
-# packed 6-bit code -> class index, for the enumeration path
-CODE_TO_CLASS: tuple[int, ...] = tuple(
-    _CLASS_INDEX[_canonical(_code_tuple(p))] for p in range(64)
-)
-
-# class index -> class index under colour swap
-CLASS_SWAP: tuple[int, ...] = tuple(
-    _CLASS_INDEX[_canonical(_swap_code(rep))] for rep in CLASS_REPS
-)
-
-ALTERNATING_SPLITS_PER_CLASS: tuple[int, ...] = tuple(
-    _alternating_splits(rep) for rep in CLASS_REPS
-)
 
 # named projections
 C4_KEY = "".join(map(str, _canonical((0, 1, 0, 0, 1, 0))))      # red edges form a 4-cycle
 C4BAR_KEY = "".join(map(str, _canonical((1, 0, 1, 1, 0, 1))))   # blue edges form a 4-cycle
 P3O_KEY = "".join(map(str, _canonical((1, 0, 0, 1, 0, 1))))     # each colour a 3-edge path
-MONO_RED_KEY = "000000"
-MONO_BLUE_KEY = "111111"
+
+# keeps the float64 BLAS sums below 2^53 and the int64 aggregates below 2^63
+CENSUS_MAX_N = 3000
 
 
 # --- the 27-statistic linear system ----------------------------------------
@@ -269,26 +236,6 @@ def _require_two_colours(G: ColouredCompleteGraph) -> None:
         raise ValueError(f"the K4 census is defined for r=2, got r={G.r}")
 
 
-def census_k4_reference(G: ColouredCompleteGraph) -> PatternCensus:
-    """Classify every 4-subset directly.  O(n^4); the oracle path."""
-    _require_two_colours(G)
-    n = G.n
-    counts = [0] * NUM_CLASSES
-    lookup = CODE_TO_CLASS
-    rows = [G.row(u) for u in range(n)]
-    for a in range(n - 3):
-        ra = rows[a]
-        for b in range(a + 1, n - 2):
-            rb = rows[b]
-            cab = ra[b]
-            for c in range(b + 1, n - 1):
-                rc = rows[c]
-                base = cab | ra[c] << 1 | rb[c] << 3
-                for d in range(c + 1, n):
-                    counts[lookup[base | ra[d] << 2 | rb[d] << 4 | rc[d] << 5]] += 1
-    return PatternCensus(n, dict(zip(CLASS_KEYS, counts)))
-
-
 def _exact_int64(x: np.ndarray) -> np.ndarray:
     """Cast a float64 array of integer sums to int64, checking exactness."""
     out = x.astype(np.int64)
@@ -323,9 +270,8 @@ _ROW_BLOCK = 128
 def _host_statistics(G: ColouredCompleteGraph) -> list[int]:
     """The 27 aggregate statistics of the host, exact ints."""
     n = G.n
-    if n > 3000:
-        # keeps the float64 BLAS sums below 2^53 and the int64 aggregates below 2^63
-        raise ValueError(f"census statistics support n <= 3000, got {n}")
+    if n > CENSUS_MAX_N:
+        raise ValueError(f"census statistics support n <= {CENSUS_MAX_N}, got {n}")
     red = (G.table() == RED).astype(np.float64)
     np.fill_diagonal(red, 0.0)
     blue = 1.0 - red
@@ -384,17 +330,11 @@ def _host_statistics(G: ColouredCompleteGraph) -> list[int]:
     return [stats[sid] for sid in STAT_IDS]
 
 
-def census_k4(G: ColouredCompleteGraph, method: str = "codegree") -> PatternCensus:
-    """Exact K4 census of a 2-coloured host.
-
-    method="codegree" uses the statistic system (BLAS kernels, see the
-    module docstring), verifying all redundant equations; method="reference"
-    enumerates quadruples.
+def census_k4(G: ColouredCompleteGraph) -> PatternCensus:
+    """Exact K4 census of a 2-coloured host with n <= CENSUS_MAX_N, from
+    the statistic system (BLAS kernels, see the module docstring), with all
+    16 redundant equations verified.
     """
-    if method == "reference":
-        return census_k4_reference(G)
-    if method != "codegree":
-        raise ValueError(f"unknown census method {method!r}")
     _require_two_colours(G)
     n = G.n
     if n < 4:
@@ -413,14 +353,6 @@ def census_k4(G: ColouredCompleteGraph, method: str = "codegree") -> PatternCens
         if lhs != svec[i]:
             raise AssertionError(f"census statistic {sid} inconsistent: {lhs} != {svec[i]}")
     return PatternCensus(n, dict(zip(CLASS_KEYS, counts)))
-
-
-def m1_copies_in_quadruples(census: PatternCensus) -> int:
-    """Total alternating-C4 bipartitions over all 4-subsets of the host."""
-    return sum(
-        census.counts[key] * alt
-        for key, alt in zip(CLASS_KEYS, ALTERNATING_SPLITS_PER_CLASS)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +387,6 @@ class BipartiteColouring:
     @property
     def ny(self) -> int:
         return self.red.shape[1]
-
-    def colour(self, x: int, y: int) -> int:
-        return RED if self.red[x, y] else BLUE
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BipartiteColouring):
@@ -511,18 +440,6 @@ def count_m1(B: BipartiteColouring) -> int:
     red = B.red.astype(np.float64)
     a = (red.T @ (1.0 - red)).astype(np.int64)
     return int((a * a.T).sum()) // 2
-
-
-def count_m1_reference(B: BipartiteColouring) -> int:
-    """Brute-force M1 count by enumerating every {x,x'} x {y,y'} quadruple."""
-    total = 0
-    for x1, x2 in itertools.combinations(range(B.nx), 2):
-        for y1, y2 in itertools.combinations(range(B.ny), 2):
-            a, b = B.colour(x1, y1), B.colour(x1, y2)
-            c, d = B.colour(x2, y1), B.colour(x2, y2)
-            if a != b and c != d and a != c:
-                total += 1
-    return total
 
 
 def count_alternating_c4(

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 from . import __version__
 from .blowup_finder import FinderConfig, find_homogeneous_blowup
-from .census import census_k4
+from .census import CENSUS_MAX_N, BipartiteColouring, census_k4
 from .constructions import (
     ResamplingBudgetExceeded,
     make_bipartite_mindeg,
@@ -102,13 +103,30 @@ def _emit(payload: dict, out_path: str | None) -> None:
 MAX_HOST_N = 4096
 MAX_ONEHOT_BYTES = 2**30
 
-_FAMILY_SIZE = {  # (n, r) of the host each generate family builds
-    "pk": lambda a: (4 * a.k, 2),
-    "split": lambda a: (a.a + a.b, 2),
-    "mcycle": lambda a: (a.parts * a.part_size, 3),
-    "random": lambda a: (a.n, a.r),
-    "balanced": lambda a: (a.n, a.r),
-    "bipartite": lambda a: (2 * a.n_side, 2),
+# generate family -> ((n, r) of the host it builds, builder).  The builders
+# here and the runners below look their functions up when called, so a test
+# or tracer that rebinds a module global reaches them.
+_FAMILIES = {
+    "pk": (lambda a: (4 * a.k, 2), lambda a: make_Pk(a.k)),
+    "split": (lambda a: (a.a + a.b, 2),
+              lambda a: make_split(a.a, a.b, seed=a.seed, flips=a.flips)),
+    "mcycle": (lambda a: (a.parts * a.part_size, 3),
+               lambda a: make_multicolour_cycle(a.parts, a.part_size)),
+    "random": (lambda a: (a.n, a.r), lambda a: make_random(a.n, a.r, a.seed)),
+    "balanced": (lambda a: (a.n, a.r),
+                 lambda a: sample_locally_balanced(a.n, a.r, a.eps, random.Random(a.seed))),
+    "bipartite": (lambda a: (2 * a.n_side, 2),
+                  lambda a: make_bipartite_mindeg(a.n_side, a.eps, a.seed)),
+}
+
+# verify suite -> runner
+_SUITES = {
+    "cute": lambda a: verify_prop_cute(),
+    "p3c4": lambda a: verify_prop_many_p3c4(seed=a.seed),
+    "optimize": lambda a: verify_prop_optimize(seed=a.seed),
+    "anybalanced": lambda a: verify_theorem_anybalanced_small(seed=a.seed, strict=a.strict),
+    "m1bound": lambda a: verify_lemma_m1_bound(seed=a.seed),
+    "3colourfail": lambda a: verify_prop_3colourfail(),
 }
 
 
@@ -127,28 +145,17 @@ def _load_graph(path: str) -> ColouredCompleteGraph:
 
 def _cmd_generate(args) -> int:
     t0 = time.perf_counter()
-    seed = args.seed
-    _check_host_size(*_FAMILY_SIZE[args.family](args))
-    if args.family == "pk":
-        obj = graph_to_json(make_Pk(args.k), compact=args.compact)
-    elif args.family == "split":
-        obj = graph_to_json(make_split(args.a, args.b, seed=seed, flips=args.flips),
-                            compact=args.compact)
-    elif args.family == "mcycle":
-        obj = graph_to_json(make_multicolour_cycle(args.parts, args.part_size),
-                            compact=args.compact)
-    elif args.family == "random":
-        obj = graph_to_json(make_random(args.n, args.r, seed), compact=args.compact)
-    elif args.family == "balanced":
-        rng = random.Random(seed)
-        G = sample_locally_balanced(args.n, args.r, args.eps, rng)
-        if G is None:
-            print(f"could not sample a locally {args.eps}-balanced colouring", file=sys.stderr)
-            return 1
-        obj = graph_to_json(G, compact=args.compact)
-    else:  # bipartite
-        obj = make_bipartite_mindeg(args.n_side, args.eps, seed).to_dict()
-    obj["manifest"] = _manifest(args, [seed], [], t0)
+    host_size, build = _FAMILIES[args.family]
+    _check_host_size(*host_size(args))
+    host = build(args)
+    if host is None:  # balanced rejection sampling ran out of draws
+        print(f"could not sample a locally {args.eps}-balanced colouring", file=sys.stderr)
+        return 1
+    if isinstance(host, BipartiteColouring):
+        obj = host.to_dict()
+    else:
+        obj = graph_to_json(host, compact=args.compact)
+    obj["manifest"] = _manifest(args, [args.seed], [], t0)
     _emit(obj, args.out)
     return 0
 
@@ -159,7 +166,7 @@ def _cmd_census(args) -> int:
     if G.n > args.max_n:
         print(f"census limited to n <= {args.max_n} (got n={G.n})", file=sys.stderr)
         return 2
-    result = census_k4(G, method=args.method).to_dict()
+    result = census_k4(G).to_dict()
     prof = balance_profile(G)
     result["epsilonLocal"] = str(prof.epsilon_local)
     result["manifest"] = _manifest(args, [], [args.graph], t0)
@@ -238,18 +245,7 @@ def _cmd_min_unibalanced(args) -> int:
 
 def _cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    if args.suite == "cute":
-        report = verify_prop_cute()
-    elif args.suite == "p3c4":
-        report = verify_prop_many_p3c4(seed=args.seed)
-    elif args.suite == "optimize":
-        report = verify_prop_optimize(seed=args.seed)
-    elif args.suite == "anybalanced":
-        report = verify_theorem_anybalanced_small(seed=args.seed, strict=args.strict)
-    elif args.suite == "m1bound":
-        report = verify_lemma_m1_bound(seed=args.seed)
-    else:  # 3colourfail
-        report = verify_prop_3colourfail()
+    report = _SUITES[args.suite](args)
     payload = report.to_dict()
     payload["manifest"] = _manifest(args, [args.seed], [], t0)
     _emit(payload, args.json)
@@ -269,6 +265,9 @@ def _cmd_experiment(args) -> int:
         if n < 1:
             raise ValueError(f"need every n >= 1, got {n}")
         _check_host_size(n, 2)
+        if CENSUS_MAX_N < n <= args.census_limit:
+            raise ValueError(f"census statistics support n <= {CENSUS_MAX_N}, got n={n} "
+                             f"under --census-limit {args.census_limit}")
     for eps in args.eps_list:
         if not 0 <= eps <= 1:
             raise ValueError(f"need every 0 <= eps <= 1, got {eps}")
@@ -320,7 +319,10 @@ def _cmd_experiment(args) -> int:
     return 1 if hard_failure else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls, and every default is immutable."""
     p = argparse.ArgumentParser(
         prog="localbalance",
         description="Locally balanced edge-colourings: generators, censuses, blow-up mining.",
@@ -332,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     g = sub.add_parser("generate", help="write a named colouring as JSON")
-    g.add_argument("--family", required=True,
-                   choices=["pk", "split", "mcycle", "random", "balanced", "bipartite"])
+    g.add_argument("--family", required=True, choices=list(_FAMILIES))
     g.add_argument("--k", type=int, default=2, help="pk: block size")
     g.add_argument("--a", type=int, default=4)
     g.add_argument("--b", type=int, default=4)
@@ -351,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("census", help="K4 class census of a 2-coloured host")
     c.add_argument("graph")
-    c.add_argument("--method", choices=["codegree", "reference"], default="codegree")
     c.add_argument("--max-n", type=int, default=1024)
     c.add_argument("--json", default=None)
     c.set_defaults(func=_cmd_census)
@@ -388,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=_cmd_min_unibalanced)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("--suite", required=True,
-                   choices=["cute", "p3c4", "optimize", "anybalanced", "m1bound", "3colourfail"])
+    v.add_argument("--suite", required=True, choices=list(_SUITES))
     v.add_argument("--strict", action="store_true")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--json", default=None)
@@ -399,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--eps-list", type=_fraction_list, required=True)
     e.add_argument("--n-list", type=_int_list, required=True)
     e.add_argument("--pattern", default="C4", choices=pattern_names)
-    e.add_argument("--seeds", type=_int_list, default=[0])
+    e.add_argument("--seeds", type=_int_list, default=(0,))
     e.add_argument("--target-t", type=int, default=None,
                    help="stop retrying partitions once t reaches this")
     e.add_argument("--retries", type=int, default=32,

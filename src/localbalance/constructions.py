@@ -237,12 +237,11 @@ def _split_cost(G: ColouredCompleteGraph, red_mask: int) -> int:
 
 def closeness_to_split(
     G: ColouredCompleteGraph,
-    exact_limit: int = 24,
     starts: int = 32,
     seed: int = 0,
 ) -> SplitCloseness:
     """Fewest edge flips taking G to a split colouring of its labelled
-    vertex set (exact for n <= exact_limit, steepest-descent otherwise).
+    vertex set (exact for n <= EXACT_MAX_N, steepest-descent otherwise).
 
     Exact mode builds the cost of every bipartition in one int32 table of
     length 2^n, indexed by the red-side mask, one vertex at a time.  Once
@@ -254,18 +253,13 @@ def closeness_to_split(
         cost[m]      += |red_low| - |m & red_low|      (v blue)
 
     for every m < 2^v.  That is O(2^n) time in total and a 4 * 2^n-byte
-    table (plus about as much again in temporaries), so exact mode refuses
-    n > EXACT_MAX_N before allocating.  Ties go to the lowest mask.
+    table (plus about as much again in temporaries), which bounds exact mode
+    to n <= EXACT_MAX_N.  Ties go to the lowest mask.
     """
     if G.r != 2:
         raise ValueError(f"closeness_to_split needs r=2, got r={G.r}")
     n = G.n
-    if n <= exact_limit:
-        if n > EXACT_MAX_N:
-            raise ValueError(
-                f"exact closeness needs n <= {EXACT_MAX_N} (a 4 * 2^n-byte table), "
-                f"got n={n}; lower exact_limit to use local search"
-            )
+    if n <= EXACT_MAX_N:
         cost = np.zeros(1 << n, dtype=np.int32)
         for v in range(n):
             half = 1 << v

@@ -123,10 +123,6 @@ class ColouredCompleteGraph:
             raise ValueError("no self-loops in a complete graph")
         return self._rows[u][v]
 
-    def row(self, u: int) -> bytes:
-        """Dense colour row of vertex u (entry u is 0)."""
-        return self._rows[u]
-
     def table(self) -> np.ndarray:
         """The n x n colour table as a read-only uint8 array, diagonal 0."""
         return np.frombuffer(b"".join(self._rows), dtype=np.uint8).reshape(self.n, self.n)
@@ -144,13 +140,6 @@ class ColouredCompleteGraph:
 
     def colour_class_size(self, c: int) -> int:
         return sum(m.bit_count() for m in self._bits[c]) // 2
-
-    def relabelled(self, perm: Sequence[int]) -> "ColouredCompleteGraph":
-        """New graph with vertex i renamed perm[i]."""
-        if sorted(perm) != list(range(self.n)):
-            raise ValueError("perm must be a permutation of range(n)")
-        inv = np.argsort(perm)  # new vertex perm[i] is old vertex i
-        return ColouredCompleteGraph(self.n, self.r, self.table()[np.ix_(inv, inv)])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColouredCompleteGraph):

@@ -281,23 +281,6 @@ def blow_up(H: TotallyColouredPattern, t: int) -> ColouredCompleteGraph:
     return ColouredCompleteGraph(l * t, H.r, quotient[np.ix_(part, part)])
 
 
-def is_unibalanced(H: TotallyColouredPattern) -> bool:
-    """True iff every vertex of the 2-blow-up H[2] touches all r colours.
-
-    Equivalently: for each vertex i, its own colour together with its
-    incident edge colours covers 0..r-1.
-    """
-    l, r = H.num_vertices, H.r
-    for i in range(l):
-        seen = {H.vertex_colour(i)}
-        for j in range(l):
-            if j != i:
-                seen.add(H.edge_colour(i, j))
-        if len(seen) < r:
-            return False
-    return True
-
-
 def verify_witness(G: ColouredCompleteGraph, w: BlowupWitness) -> bool:
     """Check a blow-up witness against the host.
 
@@ -428,51 +411,3 @@ def find_pattern_blowup_exhaustive(
         return None
 
     return search(0, tuple(full for _ in range(l)), 0)
-
-
-# ---------------------------------------------------------------------------
-# Isomorphism of small coloured objects (exhaustive, l <= 8)
-# ---------------------------------------------------------------------------
-
-def coloured_graphs_isomorphic(
-    G1: ColouredCompleteGraph, G2: ColouredCompleteGraph
-) -> bool:
-    """Colour-preserving isomorphism of small edge-coloured complete graphs."""
-    if G1.n != G2.n or G1.r != G2.r:
-        return False
-    if G1.n > 8:
-        raise ValueError("exhaustive isomorphism supports n <= 8")
-    n = G1.n
-    for perm in itertools.permutations(range(n)):
-        if all(
-            G2.colour(perm[u], perm[v]) == G1.colour(u, v)
-            for u in range(n)
-            for v in range(u + 1, n)
-        ):
-            return True
-    return False
-
-
-def patterns_isomorphic(H1: TotallyColouredPattern, H2: TotallyColouredPattern) -> bool:
-    """Isomorphism of totally coloured patterns.
-
-    Vertex colours are compared unless both patterns flag them ignored.
-    """
-    if H1.num_vertices != H2.num_vertices or H1.r != H2.r:
-        return False
-    if H1.num_vertices > 8:
-        raise ValueError("exhaustive isomorphism supports l <= 8")
-    l = H1.num_vertices
-    check_vertices = not (H1.vertex_colours_ignored and H2.vertex_colours_ignored)
-    for perm in itertools.permutations(range(l)):
-        if check_vertices and any(
-            H2.vertex_colour(perm[i]) != H1.vertex_colour(i) for i in range(l)
-        ):
-            continue
-        if all(
-            H2.edge_colour(perm[i], perm[j]) == H1.edge_colour(i, j)
-            for i in range(l)
-            for j in range(i + 1, l)
-        ):
-            return True
-    return False

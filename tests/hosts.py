@@ -1,13 +1,30 @@
 """Small host builders shared by the tests, plus the reference paths the
-fast code must reproduce: the per-pair random stream and the set-based
-smallest-unibalanced search."""
+fast code must reproduce: the per-pair random stream, the set-based
+smallest-unibalanced search, the O(n^4) K4 census and the brute-force M1
+count, with the class tables and exhaustive isomorphism checks they use."""
 
 import itertools
 import random
+from typing import Sequence
 
 import numpy as np
 
-from localbalance import BipartiteColouring, ColouredCompleteGraph, induced_unibalanced
+from localbalance import (
+    BipartiteColouring,
+    ColouredCompleteGraph,
+    PatternCensus,
+    TotallyColouredPattern,
+    induced_unibalanced,
+)
+from localbalance.census import (
+    CLASS_KEYS,
+    CLASS_REPS,
+    NUM_CLASSES,
+    _PAIR_INDEX,
+    _canonical,
+    _code_tuple,
+    _require_two_colours,
+)
 
 
 def graph_from(n: int, r: int, colour) -> ColouredCompleteGraph:
@@ -92,3 +109,148 @@ def naive_min_unibalanced(G: ColouredCompleteGraph, cap: int):
             if induced_unibalanced(G, S):
                 return S
     return None
+
+
+def relabelled(G: ColouredCompleteGraph, perm: Sequence[int]) -> ColouredCompleteGraph:
+    """New graph with vertex i of G renamed perm[i]."""
+    if sorted(perm) != list(range(G.n)):
+        raise ValueError("perm must be a permutation of range(n)")
+    inv = np.argsort(perm)  # new vertex perm[i] is old vertex i
+    return ColouredCompleteGraph(G.n, G.r, G.table()[np.ix_(inv, inv)])
+
+
+# --- the K4 class tables and the enumeration census -------------------------
+
+_CLASS_INDEX = {rep: i for i, rep in enumerate(CLASS_REPS)}
+
+
+def _alternating_splits(code: Sequence[int]) -> int:
+    """Number of 2+2 bipartitions of the K4 whose 4 cross edges alternate."""
+    count = 0
+    for (u, v), (w, x) in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        uw = code[_PAIR_INDEX[tuple(sorted((u, w)))]]
+        ux = code[_PAIR_INDEX[tuple(sorted((u, x)))]]
+        vw = code[_PAIR_INDEX[tuple(sorted((v, w)))]]
+        vx = code[_PAIR_INDEX[tuple(sorted((v, x)))]]
+        if uw != ux and vw != vx and uw != vw:
+            count += 1
+    return count
+
+
+# packed 6-bit code -> class index, for the enumeration census
+CODE_TO_CLASS: tuple[int, ...] = tuple(
+    _CLASS_INDEX[_canonical(_code_tuple(p))] for p in range(64)
+)
+
+# class index -> class index under colour swap
+CLASS_SWAP: tuple[int, ...] = tuple(
+    _CLASS_INDEX[_canonical(tuple(1 - c for c in rep))] for rep in CLASS_REPS
+)
+
+ALTERNATING_SPLITS_PER_CLASS: tuple[int, ...] = tuple(
+    _alternating_splits(rep) for rep in CLASS_REPS
+)
+
+
+def census_k4_reference(G: ColouredCompleteGraph) -> PatternCensus:
+    """Classify every 4-subset directly.  O(n^4); the oracle census_k4 must match."""
+    _require_two_colours(G)
+    n = G.n
+    counts = [0] * NUM_CLASSES
+    lookup = CODE_TO_CLASS
+    rows = G.table().tolist()
+    for a in range(n - 3):
+        ra = rows[a]
+        for b in range(a + 1, n - 2):
+            rb = rows[b]
+            cab = ra[b]
+            for c in range(b + 1, n - 1):
+                rc = rows[c]
+                base = cab | ra[c] << 1 | rb[c] << 3
+                for d in range(c + 1, n):
+                    counts[lookup[base | ra[d] << 2 | rb[d] << 4 | rc[d] << 5]] += 1
+    return PatternCensus(n, dict(zip(CLASS_KEYS, counts)))
+
+
+def m1_copies_in_quadruples(census: PatternCensus) -> int:
+    """Total alternating-C4 bipartitions over all 4-subsets of the host."""
+    return sum(
+        census.counts[key] * alt
+        for key, alt in zip(CLASS_KEYS, ALTERNATING_SPLITS_PER_CLASS)
+    )
+
+
+def count_m1_reference(B: BipartiteColouring) -> int:
+    """Brute-force M1 count by enumerating every {x,x'} x {y,y'} quadruple."""
+    red = B.red.tolist()
+    total = 0
+    for x1, x2 in itertools.combinations(range(B.nx), 2):
+        for y1, y2 in itertools.combinations(range(B.ny), 2):
+            a, b = red[x1][y1], red[x1][y2]
+            c, d = red[x2][y1], red[x2][y2]
+            if a != b and c != d and a != c:
+                total += 1
+    return total
+
+
+# --- exhaustive checks on small coloured objects (at most 8 vertices) --------
+
+def is_unibalanced(H: TotallyColouredPattern) -> bool:
+    """True iff every vertex of the 2-blow-up H[2] touches all r colours.
+
+    Equivalently: for each vertex i, its own colour together with its
+    incident edge colours covers 0..r-1.
+    """
+    l, r = H.num_vertices, H.r
+    for i in range(l):
+        seen = {H.vertex_colour(i)}
+        for j in range(l):
+            if j != i:
+                seen.add(H.edge_colour(i, j))
+        if len(seen) < r:
+            return False
+    return True
+
+
+def coloured_graphs_isomorphic(
+    G1: ColouredCompleteGraph, G2: ColouredCompleteGraph
+) -> bool:
+    """Colour-preserving isomorphism of small edge-coloured complete graphs."""
+    if G1.n != G2.n or G1.r != G2.r:
+        return False
+    if G1.n > 8:
+        raise ValueError("exhaustive isomorphism supports n <= 8")
+    n = G1.n
+    for perm in itertools.permutations(range(n)):
+        if all(
+            G2.colour(perm[u], perm[v]) == G1.colour(u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+        ):
+            return True
+    return False
+
+
+def patterns_isomorphic(H1: TotallyColouredPattern, H2: TotallyColouredPattern) -> bool:
+    """Isomorphism of totally coloured patterns.
+
+    Vertex colours are compared unless both patterns flag them ignored.
+    """
+    if H1.num_vertices != H2.num_vertices or H1.r != H2.r:
+        return False
+    if H1.num_vertices > 8:
+        raise ValueError("exhaustive isomorphism supports l <= 8")
+    l = H1.num_vertices
+    check_vertices = not (H1.vertex_colours_ignored and H2.vertex_colours_ignored)
+    for perm in itertools.permutations(range(l)):
+        if check_vertices and any(
+            H2.vertex_colour(perm[i]) != H1.vertex_colour(i) for i in range(l)
+        ):
+            continue
+        if all(
+            H2.edge_colour(perm[i], perm[j]) == H1.edge_colour(i, j)
+            for i in range(l)
+            for j in range(i + 1, l)
+        ):
+            return True
+    return False

@@ -19,10 +19,8 @@ from localbalance import (
     balance_profile,
     blow_up,
     census_k4,
-    census_k4_reference,
     closeness_to_split,
     count_m1,
-    count_m1_reference,
     find_homogeneous_blowup,
     find_pattern_blowup_exhaustive,
     get_pattern,
@@ -37,7 +35,7 @@ from localbalance import (
     verify_theorem_anybalanced_small,
     verify_witness,
 )
-from hosts import bipartite_from
+from hosts import bipartite_from, census_k4_reference, count_m1_reference
 
 
 def report(num, ok, detail):

@@ -2,6 +2,8 @@ import json
 
 import pytest
 
+from hosts import census_k4_reference
+from localbalance import graph_from_json
 from localbalance.cli import _check_host_size, main
 
 
@@ -117,12 +119,20 @@ class TestGenerate:
 
 class TestCensusCommand:
     def test_methods_agree(self, tmp_path, capsys):
+        # the census command's codegree path against the enumeration oracle
         path = tmp_path / "g.json"
         run_cli(capsys, "generate", "--family", "random", "--n", "14",
                 "--seed", "5", "--out", str(path))
-        _, out1, _ = run_cli(capsys, "census", str(path), "--method", "codegree")
-        _, out2, _ = run_cli(capsys, "census", str(path), "--method", "reference")
-        assert json.loads(out1)["classes"] == json.loads(out2)["classes"]
+        code, out, _ = run_cli(capsys, "census", str(path))
+        assert code == 0
+        G = graph_from_json(json.loads(path.read_text()))
+        assert json.loads(out)["classes"] == census_k4_reference(G).counts
+
+    def test_method_option_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", str(tmp_path / "g.json"), "--method", "reference"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --method reference" in capsys.readouterr().err
 
     def test_size_guard(self, tmp_path, capsys):
         path = tmp_path / "g.json"
@@ -351,6 +361,7 @@ class TestExperiment:
         (("--n-list", "8,0"), "n >= 1, got 0"),
         (("--n-list", "8,5000"), "n=5000"),
         (("--eps-list", "1/4,3/2"), "eps <= 1, got 3/2"),
+        (("--n-list", "8,3100", "--census-limit", "4096"), "n <= 3000, got n=3100"),
     ])
     def test_bad_arguments_exit_2_before_any_cell(self, capsys, monkeypatch, argv, names):
         def no_cell(*args):
@@ -381,3 +392,19 @@ class TestExperiment:
         assert row["status"] == "ok"
         assert row["achievedT"] >= 1
         assert "C4" in row and "P3o" in row
+
+
+class TestParserReuse:
+    def test_defaults_survive_an_earlier_override(self, tmp_path, capsys):
+        # one parser serves every main() call in a process, so a value one
+        # call sets must not become the next call's default
+        path = tmp_path / "pk1.json"
+        run_cli(capsys, "generate", "--family", "pk", "--k", "1", "--out", str(path))
+        for argv, seeds in ((("find-blowup", str(path), "--seed", "5"), [5]),
+                            (("find-blowup", str(path)), [0]),
+                            (("experiment", "--eps-list", "0", "--n-list", "8",
+                              "--seeds", "3,4"), [3, 4]),
+                            (("experiment", "--eps-list", "0", "--n-list", "8"), [0])):
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert json.loads(out)["manifest"]["seeds"] == seeds

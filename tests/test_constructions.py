@@ -18,6 +18,7 @@ from localbalance import (
     make_Pk,
     make_random,
     make_split,
+    verify_prop_optimize,
 )
 
 RED, BLUE, GREEN = 0, 1, 2
@@ -212,11 +213,14 @@ class TestCloseness:
         assert peak < 12 << 20
 
     def test_exact_size_guard_before_allocation(self):
+        # past n = 24 closeness falls back to local search; the optimize
+        # suite needs exact mode and refuses such a host before allocating
         G = make_random(25, 2, 0)
+        assert closeness_to_split(G).mode == "local-search"
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="n <= 24"):
-                closeness_to_split(G, exact_limit=25)
+                verify_prop_optimize([G])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -253,14 +257,14 @@ class TestCloseness:
 
     def test_local_search_mode(self):
         G = make_split(14, 12, seed=2, flips=3)
-        c = closeness_to_split(G, exact_limit=20)
+        c = closeness_to_split(G)
         assert c.mode == "local-search"
         assert c.delta <= Fraction(3, 26 * 26)  # found at least the planted split
 
     def test_local_search_deterministic(self):
         G = make_random(26, 2, 5)
-        a = closeness_to_split(G, exact_limit=20, seed=9)
-        b = closeness_to_split(G, exact_limit=20, seed=9)
+        a = closeness_to_split(G, seed=9)
+        b = closeness_to_split(G, seed=9)
         assert a == b
 
     def test_rejects_three_colours(self):

@@ -149,7 +149,7 @@ def test_bipartite_loader_checks_every_digit(data):
     assert (B is not None) == all(set(row) <= {"0", "1"} for row in data["rows"])
     if B is not None:
         assert B.to_dict() == {"kind": "bipartite", **data}
-        assert all(B.colour(x, y) == int(data["rows"][x][y])
+        assert all(B.red[x, y] == (data["rows"][x][y] == "0")
                    for x in range(B.nx) for y in range(B.ny))
 
 

@@ -16,13 +16,11 @@ from localbalance import (
     colour_swap,
     find_pattern_blowup_exhaustive,
     get_pattern,
-    is_unibalanced,
     make_Pk,
     pattern_library,
-    patterns_isomorphic,
     verify_witness,
 )
-from hosts import graph_from
+from hosts import graph_from, is_unibalanced, patterns_isomorphic
 
 RED, BLUE = 0, 1
 
@@ -76,9 +74,9 @@ class TestLibrary:
         assert isinstance(m1, BipartiteColouring)
         assert (m1.nx, m1.ny) == (2, 2)
         for x in range(2):
-            assert {m1.colour(x, 0), m1.colour(x, 1)} == {RED, BLUE}
+            assert m1.red[x, 0] != m1.red[x, 1]
         for y in range(2):
-            assert {m1.colour(0, y), m1.colour(1, y)} == {RED, BLUE}
+            assert m1.red[0, y] != m1.red[1, y]
 
     def test_p3_self_complementary(self):
         p3 = get_pattern("P3")
@@ -198,9 +196,9 @@ class TestVerifyWitness:
         H = get_pattern("P3")
         G = blow_up(H, 2)
         parts = tuple(tuple(range(i * 2, (i + 1) * 2)) for i in range(4))
-        rows = [bytearray(G.row(u)) for u in range(G.n)]
+        rows = G.table().copy()
         # break one cross edge between parts 0 and 1 (pattern colour blue)
-        rows[0][2] = rows[2][0] = RED
+        rows[0, 2] = rows[2, 0] = RED
         broken = ColouredCompleteGraph(G.n, 2, rows)
         w = BlowupWitness(H, parts, 2, homogeneous=False)
         assert verify_witness(G, w)

@@ -1,0 +1,70 @@
+"""The package exports library API only.  Every public name in
+localbalance/__init__.py is used elsewhere in src/ or shown in README's
+Library tour; the brute-force references the tests compare against live in
+tests/hosts.py and must not drift back into the package."""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+import re
+import types
+from pathlib import Path
+
+import localbalance
+
+ROOT = Path(__file__).resolve().parent.parent
+SOURCES = ROOT / "src" / "localbalance"
+
+# test references (now in tests/hosts.py) and constants nothing read
+MOVED = (
+    "census_k4_reference", "CODE_TO_CLASS", "count_m1_reference",
+    "m1_copies_in_quadruples", "ALTERNATING_SPLITS_PER_CLASS", "_alternating_splits",
+    "CLASS_SWAP", "_swap_code", "coloured_graphs_isomorphic", "patterns_isomorphic",
+    "is_unibalanced", "relabelled", "MONO_RED_KEY", "MONO_BLUE_KEY",
+)
+
+
+def exported_names():
+    return sorted(name for name, value in vars(localbalance).items()
+                  if not name.startswith("_") and not isinstance(value, types.ModuleType))
+
+
+def names_read_in_src():
+    """Every name read or attribute taken in src/, outside __init__."""
+    read = set()
+    for path in SOURCES.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def library_tour_words():
+    section = (ROOT / "README.md").read_text().split("\n## Library tour\n", 1)[1]
+    return set(re.findall(r"\w+", section.split("\n## ", 1)[0]))
+
+
+def test_every_export_is_used_in_src_or_shown_in_the_library_tour():
+    read, tour = names_read_in_src(), library_tour_words()
+    assert [name for name in exported_names() if name not in read | tour] == []
+
+
+def test_reference_paths_are_not_in_the_package():
+    modules = [localbalance] + [
+        importlib.import_module(f"localbalance.{info.name}")
+        for info in pkgutil.iter_modules(localbalance.__path__)
+    ]
+    assert [(m.__name__, name) for m in modules for name in MOVED if name in vars(m)] == []
+    assert not hasattr(localbalance.ColouredCompleteGraph, "relabelled")
+    assert not hasattr(localbalance.ColouredCompleteGraph, "row")
+    assert not hasattr(localbalance.BipartiteColouring, "colour")
+
+
+def test_deleted_parameters_stay_deleted():
+    assert list(inspect.signature(localbalance.census_k4).parameters) == ["G"]
+    assert "exact_limit" not in inspect.signature(localbalance.closeness_to_split).parameters

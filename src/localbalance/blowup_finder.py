@@ -28,10 +28,17 @@ import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, log, prod
-from typing import Callable, Iterator, Sequence
+from operator import index
+from typing import Iterator, Sequence
 
 from .core import ColouredCompleteGraph, Rational, _as_fraction
-from .patterns import BlowupWitness, TotallyColouredPattern, _bits, verify_witness
+from .patterns import BlowupWitness, TotallyColouredPattern, _bits, clique_colour, verify_witness
+
+
+def _check_in_host(parts: Sequence[Sequence[int]], G: ColouredCompleteGraph) -> None:
+    """Sorted nonempty parts must hold host vertices only."""
+    if any(p[0] < 0 or p[-1] >= G.n for p in parts):
+        raise ValueError(f"parts must hold host vertices in range({G.n})")
 
 
 def _checked_parts(parts: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
@@ -142,19 +149,19 @@ class FinderConfig:
 
     c caps the per-level cleanup threshold, which never exceeds
     edges/(l * prod |V_i|) either, so cleanup keeps a positive fraction of
-    the edges; c also sets the reported paperTargetT.
+    the edges; c also sets the reported paperTargetT.  The star step's
+    exact-or-greedy limit is the module constant STAR_SEARCH_BUDGET.
     """
 
     c: Fraction = Fraction(1, 8)
     seed: int = 0
     max_partition_retries: int = 64
-    subset_search_budget: int = 200_000
 
     def __post_init__(self):
         object.__setattr__(self, "c", _as_fraction(self.c))
         if not 0 < self.c <= 1:
             raise ValueError(f"need 0 < c <= 1, got {self.c}")
-        if self.max_partition_retries < 1 or self.subset_search_budget < 1:
+        if self.max_partition_retries < 1:
             raise ValueError("budgets must be >= 1")
 
 
@@ -193,8 +200,7 @@ def canonical_hypergraph(
     parts = _checked_parts(parts)
     if len(parts) != l:
         raise ValueError(f"need one part per pattern vertex ({l}), got {len(parts)}")
-    if any(p[0] < 0 or p[-1] >= G.n for p in parts):
-        raise ValueError(f"parts must hold host vertices in range({G.n})")
+    _check_in_host(parts, G)
     by_prefix: dict[tuple[int, ...], int] = {}
     if any(H.edge_colour(i, j) >= G.r for i in range(l) for j in range(i + 1, l)):
         return CanonicalHypergraph(parts, by_prefix, 0)
@@ -264,19 +270,24 @@ def _greedy_star_trajectory(F: BipartiteIncidence) -> list[tuple[int, int]]:
     return out
 
 
-def kst_star(F: BipartiteIncidence, s: int, config: FinderConfig) -> StarResult | None:
+# the largest C(|A|, s) the star step searches exactly; greedy above
+STAR_SEARCH_BUDGET = 200_000
+
+
+def kst_star(F: BipartiteIncidence, s: int) -> StarResult | None:
     """A complete bipartite subgraph with |S| = s on the A side.
 
-    Exact maximisation of |T| over s-subsets when C(|A|, s) fits in the
-    subset search budget, greedy otherwise; None when every examined
-    choice has an empty common neighbourhood.
+    Exact maximisation of |T| over s-subsets when C(|A|, s) is at most
+    STAR_SEARCH_BUDGET, otherwise the first s items of the greedy
+    trajectory; None when every examined choice has an empty common
+    neighbourhood.
     """
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     m = len(F.a_items)
     if s > m:
         return None
-    if comb(m, s) <= config.subset_search_budget:
+    if comb(m, s) <= STAR_SEARCH_BUDGET:
         best: tuple[int, tuple[int, ...], int] | None = None
         for combo in itertools.combinations(range(m), s):
             common = F.b_mask
@@ -314,87 +325,76 @@ def ramsey_bound(n: int, r: int) -> int:
 
 
 def _exact_mono_clique(
-    verts: Sequence[int], phi: Callable[[int, int], int], r: int, k: int
+    verts: int, G: ColouredCompleteGraph, k: int
 ) -> tuple[tuple[int, ...], int] | None:
-    """Smallest-colour, lexicographically least monochromatic k-clique, or
-    None.  Exhaustive with bitset pruning; intended for small k."""
-    n = len(verts)
-    if k > n:
-        return None
-    for colour in range(r):
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if phi(verts[i], verts[j]) == colour:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+    """Smallest-colour, lexicographically least monochromatic k-clique
+    inside the vertex mask verts, or None.  Exhaustive over G's colour
+    bitmasks, candidates in increasing vertex order; intended for small k."""
 
-        def grow(chosen: list[int], cand: int) -> tuple[int, ...] | None:
-            if len(chosen) == k:
-                return tuple(chosen)
-            if len(chosen) + cand.bit_count() < k:
-                return None
-            for i in _bits(cand):
-                got = grow(chosen + [i], cand & adj[i] & ~((1 << (i + 1)) - 1))
-                if got is not None:
-                    return got
+    def grow(chosen: tuple[int, ...], cand: int) -> tuple[int, ...] | None:
+        if len(chosen) == k:
+            return chosen
+        if len(chosen) + cand.bit_count() < k:
             return None
+        for v in _bits(cand):
+            got = grow(chosen + (v,), cand & adj[v] & ~((1 << (v + 1)) - 1))
+            if got is not None:
+                return got
+        return None
 
-        found = grow([], (1 << n) - 1)
+    for colour in range(G.r):
+        adj = G.colour_bits(colour)
+        found = grow((), verts)
         if found is not None:
-            return tuple(verts[i] for i in found), colour
+            return found, colour
     return None
 
 
 def ramsey_clique(
-    vertices: Sequence[int], phi: Callable[[int, int], int], r: int
+    vertices: Sequence[int], G: ColouredCompleteGraph
 ) -> tuple[tuple[int, ...], int]:
-    """Greedy monochromatic clique under the pair colouring phi.
+    """Greedy monochromatic clique among the given vertices of G.
 
     Repeatedly takes the least live vertex and restricts to its majority
     colour neighbourhood (ties to the smallest colour), then keeps the
     most frequent out-colour class.  If the greedy result falls short of
     floor(log_{2r} n) - it provably cannot for r = 2 - an exact search for
     a clique of that size is attempted.  Returns (sorted clique, colour);
-    a single-vertex clique reports colour 0.
+    a single-vertex clique reports colour 0.  Raises ValueError for an
+    empty input, a vertex outside range(G.n) or a repeated vertex, and
+    TypeError for a vertex that is not an integer.
     """
     verts = sorted(vertices)
     if not verts:
         raise ValueError("ramsey_clique needs at least one vertex")
-    seq: list[tuple[int, int | None]] = []
-    live = verts
-    while live:
-        v = live[0]
-        rest = live[1:]
-        if not rest:
-            seq.append((v, None))
+    if verts[0] < 0 or verts[-1] >= G.n:
+        raise ValueError(f"vertices must lie in range({G.n})")
+    everything = sum(1 << index(v) for v in verts)  # no int64 shift overflow
+    if everything.bit_count() != len(verts):
+        raise ValueError("vertices must not repeat")
+    # the chain takes increasing vertices, so each class is sorted and the
+    # last live vertex (which closes every class) is the largest
+    classes: list[list[int]] = [[] for _ in range(G.r)]
+    live = everything
+    while True:
+        v = (live & -live).bit_length() - 1
+        live ^= 1 << v
+        if not live:
             break
-        buckets: dict[int, list[int]] = {}
-        for u in rest:
-            buckets.setdefault(phi(v, u), []).append(u)
-        best_c = min(buckets, key=lambda c: (-len(buckets[c]), c))
-        seq.append((v, best_c))
+        buckets = [G.neighbours(c, v) & live for c in range(G.r)]
+        best_c = max(range(G.r), key=lambda c: buckets[c].bit_count())
+        classes[best_c].append(v)
         live = buckets[best_c]
+    # with every class empty the clique is the single last vertex, colour 0
+    colour = max(range(G.r), key=lambda c: len(classes[c]))
+    clique = tuple(classes[colour]) + (v,)
 
-    classes: dict[int, list[int]] = {c: [] for c in range(r)}
-    tail: int | None = None
-    for v, oc in seq:
-        if oc is None:
-            tail = v
-        else:
-            classes.setdefault(oc, []).append(v)
-    best_c = min(classes, key=lambda c: (-len(classes[c]), c))
-    clique = list(classes[best_c])
-    if tail is not None:
-        clique.append(tail)
-    colour = best_c if len(clique) > 1 else 0
-
-    bound = ramsey_bound(len(verts), r)
+    bound = ramsey_bound(len(verts), G.r)
     if len(clique) < bound:
-        exact = _exact_mono_clique(verts, phi, r, bound)
+        exact = _exact_mono_clique(everything, G, bound)
         if exact is not None:
             return exact
-    return tuple(sorted(clique)), colour
+    return clique, colour
 
 
 # ---------------------------------------------------------------------------
@@ -418,33 +418,30 @@ class CoverResult:
 
 
 def hypergraph_cover(
-    Hg: CanonicalHypergraph,
-    phi: Callable[[int, int], int],
-    r: int,
-    config: FinderConfig,
+    Hg: CanonicalHypergraph, G: ColouredCompleteGraph, config: FinderConfig
 ) -> CoverResult:
-    """Run the inductive covering extraction on a nonempty hypergraph.
+    """Run the inductive covering extraction on a nonempty hypergraph
+    whose parts hold vertices of the host G.
 
     The split size s is chosen by sweeping the greedy star trajectory and
-    maximising min(s, clique found in the common neighbourhood); an exact
-    star search refines the chosen s when the subset budget allows.
+    maximising min(s, clique found in the common neighbourhood); kst_star
+    then refines the star at that s, exactly when C(|A|, s) is at most
+    STAR_SEARCH_BUDGET.  The Ramsey steps run on G's colour bitmasks.
     """
     if Hg.is_empty:
         raise ValueError("hypergraph_cover needs a nonempty hypergraph")
+    _check_in_host(Hg.parts, G)
     l = Hg.ell
     if l == 1:
-        live = sorted(_bits(Hg.by_prefix[()]))
-        s1, colour = ramsey_clique(live, phi, r)
-        return CoverResult(
-            (tuple(s1),), (colour,), tuple((v,) for v in s1), ("base",)
-        )
+        s1, colour = ramsey_clique(list(_bits(Hg.by_prefix[()])), G)
+        return CoverResult((s1,), (colour,), tuple((v,) for v in s1), ("base",))
 
     adaptive = Fraction(Hg.edge_count, l * prod(map(len, Hg.parts)))
     threshold = min(config.c, adaptive)
     L = min_degree_cleanup(Hg, threshold)
     assert not L.is_empty, "cleanup below the adaptive threshold cannot empty"
 
-    sub = hypergraph_cover(L.shadow(), phi, r, config)
+    sub = hypergraph_cover(L.shadow(), G, config)
     A = sub.matching
     F = BipartiteIncidence(
         a_items=A,
@@ -461,46 +458,36 @@ def hypergraph_cover(
             break
         if s <= best_score:
             continue
-        clique, colour = ramsey_clique(sorted(_bits(common)), phi, r)
+        clique, colour = ramsey_clique(list(_bits(common)), G)
         score = min(s, len(clique))
         if score > best_score:
             best_s, best_score = s, score
             best_state = (tuple(F.a_items[i] for i, _ in traj[:s]), clique, colour, "greedy")
     assert best_state is not None, "a nonempty cleaned hypergraph yields s = 1"
 
-    # exact refinement of the star at the chosen size, if affordable
-    if comb(len(A), best_s) <= config.subset_search_budget:
-        star = kst_star(F, best_s, config)
-        if star is not None:
-            clique, colour = ramsey_clique(sorted(_bits(star.common)), phi, r)
-            if min(best_s, len(clique)) >= best_score:
-                best_state = (star.members, clique, colour, "exact")
+    # the star at the chosen size; over the limit kst_star's greedy branch
+    # returns the sweep's own state at best_s, which best_state already holds
+    star = kst_star(F, best_s)
+    assert star is not None, "the sweep found a nonempty common neighbourhood at best_s"
+    if star.mode == "exact":
+        clique, colour = ramsey_clique(list(_bits(star.common)), G)
+        if min(best_s, len(clique)) >= best_score:
+            best_state = (star.members, clique, colour, "exact")
 
     chosen_prefixes, s_last, colour_last, mode = best_state
     s_final = min(len(chosen_prefixes), len(s_last))
     chosen_prefixes = chosen_prefixes[:s_final]
-    s_last_sorted = tuple(sorted(s_last))
 
     sets = tuple(
         tuple(sorted(R[i] for R in chosen_prefixes)) for i in range(l - 1)
-    ) + (s_last_sorted,)
-    colours = tuple(
-        _constant_phi_colour(sets[i], phi) for i in range(l - 1)
-    ) + (colour_last,)
+    ) + (s_last,)
+    colours = tuple(clique_colour(G, S) for S in sets[:-1]) + (colour_last,)
+    if None in colours:
+        raise AssertionError("cover set is not a monochromatic clique of the host")
     matching = tuple(
-        R + (v,) for R, v in zip(chosen_prefixes, s_last_sorted[:s_final])
+        R + (v,) for R, v in zip(chosen_prefixes, s_last[:s_final])
     )
     return CoverResult(sets, colours, matching, sub.notes + (mode,))
-
-
-def _constant_phi_colour(vs: Sequence[int], phi: Callable[[int, int], int]) -> int:
-    if len(vs) < 2:
-        return 0
-    c = phi(vs[0], vs[1])
-    for u, v in itertools.combinations(vs, 2):
-        if phi(u, v) != c:
-            raise AssertionError("cover set is not monochromatic under phi")
-    return c
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +536,7 @@ def find_homogeneous_blowup(
     """Extract a homogeneous blow-up of the pattern's edge colouring.
 
     Each attempt draws one fresh equitable partition, builds the canonical
-    hypergraph and runs the covering recursion with phi = G's colouring;
+    hypergraph and runs the covering recursion on G;
     attempts stop early once target_t is reached (retrying partitions is
     the pipeline's observable success criterion).  Every returned witness
     passes verify_witness(..., homogeneous=True); parts are truncated to
@@ -568,7 +555,7 @@ def find_homogeneous_blowup(
         if Hg.is_empty:
             w, t, colours, mode = None, 0, None, "no-copies"
         else:
-            cover = hypergraph_cover(Hg, G.colour, G.r, config)
+            cover = hypergraph_cover(Hg, G, config)
             t = cover.min_size
             w = BlowupWitness(
                 pattern,

@@ -103,21 +103,28 @@ def _emit(payload: dict, out_path: str | None) -> None:
 MAX_HOST_N = 4096
 MAX_ONEHOT_BYTES = 2**30
 
-# generate family -> ((n, r) of the host it builds, builder).  The builders
-# here and the runners below look their functions up when called, so a test
-# or tracer that rebinds a module global reaches them.
+# generate family -> (the options its builder reads, (n, r) of the host it
+# builds, builder).  --seed and --out are shared; any other option given for
+# a family that does not read it is refused.  The builders here and the
+# runners below look their functions up when called, so a test or tracer
+# that rebinds a module global reaches them.
 _FAMILIES = {
-    "pk": (lambda a: (4 * a.k, 2), lambda a: make_Pk(a.k)),
-    "split": (lambda a: (a.a + a.b, 2),
+    "pk": (("k", "compact"), lambda a: (4 * a.k, 2), lambda a: make_Pk(a.k)),
+    "split": (("a", "b", "flips", "compact"), lambda a: (a.a + a.b, 2),
               lambda a: make_split(a.a, a.b, seed=a.seed, flips=a.flips)),
-    "mcycle": (lambda a: (a.parts * a.part_size, 3),
+    "mcycle": (("parts", "part_size", "compact"), lambda a: (a.parts * a.part_size, 3),
                lambda a: make_multicolour_cycle(a.parts, a.part_size)),
-    "random": (lambda a: (a.n, a.r), lambda a: make_random(a.n, a.r, a.seed)),
-    "balanced": (lambda a: (a.n, a.r),
+    "random": (("n", "r", "compact"), lambda a: (a.n, a.r),
+               lambda a: make_random(a.n, a.r, a.seed)),
+    "balanced": (("n", "r", "eps", "compact"), lambda a: (a.n, a.r),
                  lambda a: sample_locally_balanced(a.n, a.r, a.eps, random.Random(a.seed))),
-    "bipartite": (lambda a: (2 * a.n_side, 2),
+    "bipartite": (("n_side", "eps"), lambda a: (2 * a.n_side, 2),
                   lambda a: make_bipartite_mindeg(a.n_side, a.eps, a.seed)),
 }
+
+# the family options' defaults; the parser leaves out the options not given
+_GENERATE_DEFAULTS = {"k": 2, "a": 4, "b": 4, "flips": 0, "parts": 6, "part_size": 2,
+                      "n": 16, "r": 2, "n_side": 10, "eps": Fraction(1, 5), "compact": False}
 
 # verify suite -> runner
 _SUITES = {
@@ -145,7 +152,13 @@ def _load_graph(path: str) -> ColouredCompleteGraph:
 
 def _cmd_generate(args) -> int:
     t0 = time.perf_counter()
-    host_size, build = _FAMILIES[args.family]
+    reads, host_size, build = _FAMILIES[args.family]
+    stray = [f"--{k.replace('_', '-')}" for k in _GENERATE_DEFAULTS
+             if k in vars(args) and k not in reads]
+    if stray:
+        raise ValueError(f"--family {args.family} does not read {', '.join(stray)}")
+    for k in reads:
+        vars(args).setdefault(k, _GENERATE_DEFAULTS[k])
     _check_host_size(*host_size(args))
     host = build(args)
     if host is None:  # balanced rejection sampling ran out of draws
@@ -185,12 +198,7 @@ def _cmd_find_blowup(args) -> int:
         pattern = TotallyColouredPattern.from_dict(data)
     else:
         pattern = get_pattern(args.pattern)
-    config = FinderConfig(
-        c=args.c,
-        seed=args.seed,
-        max_partition_retries=args.retries,
-        subset_search_budget=args.budget,
-    )
+    config = FinderConfig(c=args.c, seed=args.seed, max_partition_retries=args.retries)
     res = find_homogeneous_blowup(G, pattern, config, target_t=args.target_t)
     payload = res.to_dict()
     payload["pattern"] = pattern.name or pattern.to_dict()
@@ -260,7 +268,7 @@ def _cmd_verify(args) -> int:
 def _cmd_experiment(args) -> int:
     t0 = time.perf_counter()
     pattern = get_pattern(args.pattern)
-    config = FinderConfig(max_partition_retries=args.retries, subset_search_budget=args.budget)
+    config = FinderConfig(max_partition_retries=args.retries)
     for n in args.n_list:
         if n < 1:
             raise ValueError(f"need every n >= 1, got {n}")
@@ -333,18 +341,19 @@ def build_parser() -> argparse.ArgumentParser:
         if isinstance(pat, TotallyColouredPattern)
     )
 
-    g = sub.add_parser("generate", help="write a named colouring as JSON")
+    g = sub.add_parser("generate", help="write a named colouring as JSON",
+                       argument_default=argparse.SUPPRESS)
     g.add_argument("--family", required=True, choices=list(_FAMILIES))
-    g.add_argument("--k", type=int, default=2, help="pk: block size")
-    g.add_argument("--a", type=int, default=4)
-    g.add_argument("--b", type=int, default=4)
-    g.add_argument("--flips", type=int, default=0)
-    g.add_argument("--parts", type=int, default=6, help="mcycle: number of parts (even)")
-    g.add_argument("--part-size", type=int, default=2)
-    g.add_argument("--n", type=int, default=16)
-    g.add_argument("--r", type=int, default=2)
-    g.add_argument("--n-side", type=int, default=10)
-    g.add_argument("--eps", type=_fraction, default=Fraction(1, 5))
+    g.add_argument("--k", type=int, help="pk: block size")
+    g.add_argument("--a", type=int)
+    g.add_argument("--b", type=int)
+    g.add_argument("--flips", type=int)
+    g.add_argument("--parts", type=int, help="mcycle: number of parts (even)")
+    g.add_argument("--part-size", type=int)
+    g.add_argument("--n", type=int)
+    g.add_argument("--r", type=int)
+    g.add_argument("--n-side", type=int)
+    g.add_argument("--eps", type=_fraction)
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--compact", action="store_true")
     g.add_argument("--out", default=None)
@@ -368,8 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on the per-level cleanup threshold (also sets paperTargetT)")
     f.add_argument("--retries", type=int, default=64,
                    help="at most this many random equitable partitions")
-    f.add_argument("--budget", type=int, default=200_000,
-                   help="largest C(|A|, s) the star step searches exactly; greedy above")
     f.add_argument("--json", default=None)
     f.set_defaults(func=_cmd_find_blowup)
 
@@ -403,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="stop retrying partitions once t reaches this")
     e.add_argument("--retries", type=int, default=32,
                    help="at most this many random equitable partitions")
-    e.add_argument("--budget", type=int, default=200_000,
-                   help="largest C(|A|, s) the star step searches exactly; greedy above")
     e.add_argument("--census-limit", type=int, default=1024)
     e.add_argument("--csv", default=None)
     e.add_argument("--json", default=None)

@@ -281,6 +281,18 @@ def blow_up(H: TotallyColouredPattern, t: int) -> ColouredCompleteGraph:
     return ColouredCompleteGraph(l * t, H.r, quotient[np.ix_(part, part)])
 
 
+def clique_colour(G: ColouredCompleteGraph, verts: Sequence[int]) -> int | None:
+    """The colour every pair of the distinct vertices verts gets in G, or
+    None when two pairs differ.  Fewer than two vertices have no pair; they
+    report colour 0, and callers that match part colours skip them."""
+    if len(verts) < 2:
+        return 0
+    c = G.colour(verts[0], verts[1])
+    adj = G.colour_bits(c)
+    mask = sum(1 << v for v in verts)
+    return c if all((adj[v] | 1 << v) & mask == mask for v in verts) else None
+
+
 def verify_witness(G: ColouredCompleteGraph, w: BlowupWitness) -> bool:
     """Check a blow-up witness against the host.
 
@@ -308,15 +320,11 @@ def verify_witness(G: ColouredCompleteGraph, w: BlowupWitness) -> bool:
             seen.add(v)
 
     # t = 1 parts are vacuously monochromatic in any colour
-    fixed_part_colours = not (w.homogeneous or H.vertex_colours_ignored)
+    fixed_part_colours = not (w.homogeneous or H.vertex_colours_ignored) and w.t > 1
     for i, part in enumerate(w.parts):
-        if len(part) >= 2:
-            c0 = G.colour(part[0], part[1])
-            for u, v in itertools.combinations(part, 2):
-                if G.colour(u, v) != c0:
-                    return False
-            if fixed_part_colours and c0 != H.vertex_colour(i):
-                return False
+        c = clique_colour(G, part)
+        if c is None or fixed_part_colours and c != H.vertex_colour(i):
+            return False
     for i in range(len(w.parts)):
         for j in range(i + 1, len(w.parts)):
             want = H.edge_colour(i, j)
@@ -360,20 +368,11 @@ def find_pattern_blowup_exhaustive(
         return None
     n = G.n
     full = (1 << n) - 1
-    match_part_colours = not (homogeneous or H.vertex_colours_ignored)
+    # t = 1 parts are vacuously monochromatic in any colour
+    match_part_colours = not (homogeneous or H.vertex_colours_ignored) and t > 1
     bits = [G.colour_bits(c) for c in range(G.r)]
 
     parts: list[tuple[int, ...]] = []
-
-    def clique_colour(verts: tuple[int, ...]) -> int | None:
-        """Colour of the monochromatic clique on verts, else None."""
-        if len(verts) == 1:
-            return -1  # any colour, no constraint
-        c0 = G.colour(verts[0], verts[1])
-        for u, v in itertools.combinations(verts, 2):
-            if G.colour(u, v) != c0:
-                return None
-        return c0
 
     def search(i: int, allowed: tuple[int, ...], used: int) -> BlowupWitness | None:
         if i == l:
@@ -383,10 +382,8 @@ def find_pattern_blowup_exhaustive(
         if len(cands) < t:
             return None
         for verts in itertools.combinations(cands, t):
-            cc = clique_colour(verts)
-            if cc is None:
-                continue
-            if match_part_colours and cc != -1 and cc != H.vertex_colour(i):
+            cc = clique_colour(G, verts)
+            if cc is None or match_part_colours and cc != H.vertex_colour(i):
                 continue
             new_allowed = list(allowed)
             ok = True

@@ -1,11 +1,12 @@
 """Small host builders shared by the tests, plus the reference paths the
 fast code must reproduce: the per-pair random stream, the set-based
 smallest-unibalanced search, the O(n^4) K4 census and the brute-force M1
-count, with the class tables and exhaustive isomorphism checks they use."""
+count, with the class tables and exhaustive isomorphism checks they use, and
+the pair-colouring Ramsey step."""
 
 import itertools
 import random
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -15,7 +16,9 @@ from localbalance import (
     PatternCensus,
     TotallyColouredPattern,
     induced_unibalanced,
+    ramsey_bound,
 )
+from localbalance.patterns import _bits
 from localbalance.census import (
     CLASS_KEYS,
     CLASS_REPS,
@@ -254,3 +257,89 @@ def patterns_isomorphic(H1: TotallyColouredPattern, H2: TotallyColouredPattern) 
         ):
             return True
     return False
+
+
+# --- the Ramsey step on a pair colouring phi ----------------------------------
+
+def exact_mono_clique_reference(
+    verts: Sequence[int], phi: Callable[[int, int], int], r: int, k: int
+) -> tuple[tuple[int, ...], int] | None:
+    """Smallest-colour, lexicographically least monochromatic k-clique, or
+    None.  Exhaustive with bitset pruning; intended for small k."""
+    n = len(verts)
+    if k > n:
+        return None
+    for colour in range(r):
+        adj = [0] * n
+        for i in range(n):
+            for j in range(i + 1, n):
+                if phi(verts[i], verts[j]) == colour:
+                    adj[i] |= 1 << j
+                    adj[j] |= 1 << i
+
+        def grow(chosen: list[int], cand: int) -> tuple[int, ...] | None:
+            if len(chosen) == k:
+                return tuple(chosen)
+            if len(chosen) + cand.bit_count() < k:
+                return None
+            for i in _bits(cand):
+                got = grow(chosen + [i], cand & adj[i] & ~((1 << (i + 1)) - 1))
+                if got is not None:
+                    return got
+            return None
+
+        found = grow([], (1 << n) - 1)
+        if found is not None:
+            return tuple(verts[i] for i in found), colour
+    return None
+
+
+def ramsey_clique_reference(
+    vertices: Sequence[int], phi: Callable[[int, int], int], r: int
+) -> tuple[tuple[int, ...], int]:
+    """Greedy monochromatic clique under the pair colouring phi.
+
+    Repeatedly takes the least live vertex and restricts to its majority
+    colour neighbourhood (ties to the smallest colour), then keeps the
+    most frequent out-colour class.  If the greedy result falls short of
+    floor(log_{2r} n) - it provably cannot for r = 2 - an exact search for
+    a clique of that size is attempted.  Returns (sorted clique, colour);
+    a single-vertex clique reports colour 0.
+    """
+    verts = sorted(vertices)
+    if not verts:
+        raise ValueError("ramsey_clique needs at least one vertex")
+    seq: list[tuple[int, int | None]] = []
+    live = verts
+    while live:
+        v = live[0]
+        rest = live[1:]
+        if not rest:
+            seq.append((v, None))
+            break
+        buckets: dict[int, list[int]] = {}
+        for u in rest:
+            buckets.setdefault(phi(v, u), []).append(u)
+        best_c = min(buckets, key=lambda c: (-len(buckets[c]), c))
+        seq.append((v, best_c))
+        live = buckets[best_c]
+
+    classes: dict[int, list[int]] = {c: [] for c in range(r)}
+    tail: int | None = None
+    for v, oc in seq:
+        if oc is None:
+            tail = v
+        else:
+            classes.setdefault(oc, []).append(v)
+    best_c = min(classes, key=lambda c: (-len(classes[c]), c))
+    clique = list(classes[best_c])
+    if tail is not None:
+        clique.append(tail)
+    colour = best_c if len(clique) > 1 else 0
+
+    bound = ramsey_bound(len(verts), r)
+    if len(clique) < bound:
+        exact = exact_mono_clique_reference(verts, phi, r, bound)
+        if exact is not None:
+            return exact
+    return tuple(sorted(clique)), colour

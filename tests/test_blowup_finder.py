@@ -2,12 +2,15 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 
 from localbalance import (
     BipartiteIncidence,
     CanonicalHypergraph,
+    ColouredCompleteGraph,
     FinderConfig,
     TotallyColouredPattern,
     blow_up,
@@ -24,8 +27,12 @@ from localbalance import (
     ramsey_clique,
     verify_witness,
 )
-from hosts import graph_from
-from localbalance.blowup_finder import _random_equitable_partition
+from hosts import exact_mono_clique_reference, graph_from, ramsey_clique_reference
+from localbalance.blowup_finder import (
+    STAR_SEARCH_BUDGET,
+    _exact_mono_clique,
+    _random_equitable_partition,
+)
 
 RED, BLUE = 0, 1
 
@@ -289,7 +296,7 @@ class TestKstStar:
     def test_complete_bipartite_gives_whole_b(self):
         F = BipartiteIncidence(("a", "b", "c"), (0b111,) * 3, 0b111)
         for s in (1, 2, 3):
-            star = kst_star(F, s, FinderConfig())
+            star = kst_star(F, s)
             assert star is not None
             assert star.common == 0b111
             assert len(star.members) == s
@@ -299,21 +306,22 @@ class TestKstStar:
         planted = 0b11111
         nbrs = (planted, planted, planted, 0b1, 0b10, 0b100)
         F = BipartiteIncidence(tuple(range(6)), nbrs, (1 << 5) - 1)
-        star = kst_star(F, 3, FinderConfig())
+        star = kst_star(F, 3)
         assert star.mode == "exact"
         assert set(star.members) == {0, 1, 2}
         assert star.common == planted
 
     def test_empty_graph_none(self):
         F = BipartiteIncidence((0, 1), (0, 0), 0b11)
-        assert kst_star(F, 1, FinderConfig()) is None
+        assert kst_star(F, 1) is None
 
     def test_greedy_mode_on_large_a(self):
         rng = random.Random(2)
         n_a, n_b = 30, 20
         nbrs = tuple(rng.getrandbits(n_b) | 1 for _ in range(n_a))
         F = BipartiteIncidence(tuple(range(n_a)), nbrs, (1 << n_b) - 1)
-        star = kst_star(F, 15, FinderConfig(subset_search_budget=100))
+        assert comb(n_a, 15) > STAR_SEARCH_BUDGET
+        star = kst_star(F, 15)
         assert star is None or star.mode == "greedy"
 
     def test_result_is_complete_bipartite(self):
@@ -322,7 +330,7 @@ class TestKstStar:
             n_a, n_b = 8, 10
             nbrs = tuple(rng.getrandbits(n_b) for _ in range(n_a))
             F = BipartiteIncidence(tuple(range(n_a)), nbrs, (1 << n_b) - 1)
-            star = kst_star(F, 3, FinderConfig())
+            star = kst_star(F, 3)
             if star is None:
                 continue
             for item in star.members:
@@ -341,7 +349,7 @@ class TestKstStar:
                     break
             s = int((c / 2) * m) + 1
             F = BipartiteIncidence(tuple(range(m)), nbrs, (1 << n_b) - 1)
-            star = kst_star(F, s, FinderConfig())
+            star = kst_star(F, s)
             assert star is not None
             assert star.common != 0
 
@@ -349,21 +357,18 @@ class TestKstStar:
 class TestRamseyClique:
     def test_monochromatic_input_returns_everything(self):
         verts = list(range(10))
-        clique, colour = ramsey_clique(verts, lambda u, v: RED, 2)
+        G = graph_from(10, 2, lambda u, v: RED)
+        clique, colour = ramsey_clique(verts, G)
         assert clique == tuple(verts)
         assert colour == RED
 
     def test_seeded_k16(self):
         rng = random.Random(4)
-        table = {}
-        for u in range(16):
-            for v in range(u + 1, 16):
-                table[(u, v)] = rng.randrange(2)
-        phi = lambda u, v: table[(min(u, v), max(u, v))]
-        clique, colour = ramsey_clique(range(16), phi, 2)
+        G = graph_from(16, 2, lambda u, v: rng.randrange(2))
+        clique, colour = ramsey_clique(range(16), G)
         assert len(clique) >= 2
         for u, v in itertools.combinations(clique, 2):
-            assert phi(u, v) == colour
+            assert G.colour(u, v) == colour
 
     def test_split_with_red_cross(self):
         def phi(u, v):
@@ -372,34 +377,27 @@ class TestRamseyClique:
                 return RED
             return RED if u < 8 else BLUE
 
-        clique, colour = ramsey_clique(range(16), phi, 2)
+        G = graph_from(16, 2, phi)
+        clique, colour = ramsey_clique(range(16), G)
         assert len(clique) >= 4
         for u, v in itertools.combinations(clique, 2):
-            assert phi(u, v) == colour
+            assert G.colour(u, v) == colour
 
     def test_greedy_bound_two_colours(self):
         rng = random.Random(8)
         for n in (4, 16, 64, 100):
-            table = {}
-            for u in range(n):
-                for v in range(u + 1, n):
-                    table[(u, v)] = rng.randrange(2)
-            phi = lambda u, v: table[(min(u, v), max(u, v))]
-            clique, colour = ramsey_clique(range(n), phi, 2)
+            G = graph_from(n, 2, lambda u, v: rng.randrange(2))
+            clique, colour = ramsey_clique(range(n), G)
             assert len(clique) >= ramsey_bound(n, 2)
 
     def test_greedy_bound_three_colours(self):
         rng = random.Random(3)
         for n in (36, 100, 216):
-            table = {}
-            for u in range(n):
-                for v in range(u + 1, n):
-                    table[(u, v)] = rng.randrange(3)
-            phi = lambda u, v: table[(min(u, v), max(u, v))]
-            clique, colour = ramsey_clique(range(n), phi, 3)
+            G = graph_from(n, 3, lambda u, v: rng.randrange(3))
+            clique, colour = ramsey_clique(range(n), G)
             assert len(clique) >= ramsey_bound(n, 3)
             for u, v in itertools.combinations(clique, 2):
-                assert phi(u, v) == colour
+                assert G.colour(u, v) == colour
 
     def test_bound_values(self):
         assert ramsey_bound(16, 2) == 2
@@ -409,17 +407,89 @@ class TestRamseyClique:
         assert ramsey_bound(216, 3) == 3
 
     def test_single_vertex(self):
-        clique, colour = ramsey_clique([7], lambda u, v: RED, 2)
+        clique, colour = ramsey_clique([7], graph_from(8, 2, lambda u, v: RED))
         assert clique == (7,)
         assert colour == 0
 
+    @pytest.mark.parametrize("vertices", [[-1, 0, 1, 2], [0, 1, 9]])
+    def test_vertex_outside_the_host_rejected(self, vertices):
+        # -1 would otherwise be read as vertex 5, and 9 as an IndexError
+        with pytest.raises(ValueError, match=r"range\(6\)"):
+            ramsey_clique(vertices, make_random(6, 2, 0))
 
-def cover_contract_holds(Hg, cover, phi):
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            ramsey_clique([0, 1, 1, 2], make_random(6, 2, 0))
+
+    def test_numpy_vertices_past_63_read_as_integers(self):
+        # int64 shifts past bit 63 would overflow; a float is no vertex
+        G = make_random(100, 2, 0)
+        assert ramsey_clique(np.arange(100), G) == ramsey_clique(range(100), G)
+        with pytest.raises(TypeError):
+            ramsey_clique([0.5, 1], G)
+
+    def test_matches_pair_colouring_reference(self):
+        # the bitmask step against the phi-based step it replaced, on whole
+        # hosts and on random vertex subsets of every size down to 1
+        rng = random.Random(21)
+        for r in (2, 3, 4):
+            for seed in range(4):
+                n = rng.randrange(2, 91)
+                G = make_random(n, r, seed)
+                sizes = {1, 2, n} | {rng.randrange(1, n + 1) for _ in range(7)}
+                for size in sorted(sizes):
+                    verts = rng.sample(range(n), size)
+                    assert ramsey_clique(verts, G) == ramsey_clique_reference(verts, G.colour, r)
+
+    def test_exact_search_matches_reference(self):
+        rng = random.Random(5)
+        for r in (2, 3, 4):
+            for seed in range(6):
+                n = rng.randrange(1, 13)
+                G = make_random(n, r, seed)
+                verts = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
+                mask = sum(1 << v for v in verts)
+                for k in range(1, 5):
+                    assert _exact_mono_clique(mask, G, k) == \
+                        exact_mono_clique_reference(verts, G.colour, r, k)
+
+    def test_exact_fallback_fires_on_a_forced_chain(self, monkeypatch):
+        # r = 5, n = 1000, so the bound is floor(log_10 1000) = 3.  Each chain
+        # vertex is the least live vertex; it gets chain colours 1, 2, 3, 4, 0
+        # towards strict-majority buckets of 201, 41, 9, 3 and 1 vertices, its
+        # other colours spread evenly, so the greedy ends at the 2-clique
+        # (4, 5) and the exact search runs
+        n, r = 1000, 5
+        rng = np.random.default_rng(0)
+        table = np.triu(rng.integers(0, r, size=(n, n), dtype=np.uint8), 1)
+        table = table | table.T
+        live = list(range(n))
+        for colour, size in zip((1, 2, 3, 4, 0), (201, 41, 9, 3, 1)):
+            v, rest = live[0], live[1:]
+            others = [c for c in range(r) if c != colour]
+            for i, u in enumerate(rest):
+                table[v, u] = table[u, v] = colour if i < size else others[(i - size) % (r - 1)]
+            live = rest[:size]
+        G = ColouredCompleteGraph(n, r, table)
+        calls = []
+
+        def spy(*args):
+            calls.append(args[2])
+            return _exact_mono_clique(*args)
+
+        monkeypatch.setattr("localbalance.blowup_finder._exact_mono_clique", spy)
+        got = ramsey_clique(range(n), G)
+        assert calls == [3]
+        assert got == ((0, 202, 214), 0)
+        assert got == ramsey_clique_reference(range(n), G.colour, r)
+
+
+def cover_contract_holds(Hg, cover, G):
     """The three covering conditions, checked directly."""
-    # (a) phi constant on each set
+    # (a) G's colouring constant on each set
     for S in cover.sets:
         for u, v in itertools.combinations(S, 2):
-            if phi(u, v) != phi(S[0], S[1]):
+            if G.colour(u, v) != G.colour(S[0], S[1]):
                 return False
     # (b) every cross pair lies in a hypergraph edge
     pair_sets = set()
@@ -448,7 +518,7 @@ def cover_contract_holds(Hg, cover, phi):
 class TestHypergraphCover:
     def test_base_case_all_singletons_mono(self):
         Hg = CanonicalHypergraph.from_edges([(0, 1, 2, 3)], [(v,) for v in range(4)])
-        cover = hypergraph_cover(Hg, lambda u, v: RED, 2, FinderConfig())
+        cover = hypergraph_cover(Hg, graph_from(4, 2, lambda u, v: RED), FinderConfig())
         assert cover.sets == ((0, 1, 2, 3),)
         assert cover.colours == (RED,)
         assert len(cover.matching) == 4
@@ -459,14 +529,14 @@ class TestHypergraphCover:
         G = blow_up(pat, t)
         parts = [tuple(range(i * t, (i + 1) * t)) for i in range(4)]
         Hg = CanonicalHypergraph.from_edges(parts, canonical_copies_oracle(G, pat, parts))
-        cover = hypergraph_cover(Hg, G.colour, 2, FinderConfig())
+        cover = hypergraph_cover(Hg, G, FinderConfig())
         assert cover.sets == tuple(parts)
-        assert cover_contract_holds(Hg, cover, G.colour)
+        assert cover_contract_holds(Hg, cover, G)
 
     def test_single_edge(self):
         parts = [(0, 1), (2, 3), (4, 5)]
         Hg = CanonicalHypergraph.from_edges(parts, [(1, 2, 5)])
-        cover = hypergraph_cover(Hg, lambda u, v: RED, 2, FinderConfig())
+        cover = hypergraph_cover(Hg, graph_from(6, 2, lambda u, v: RED), FinderConfig())
         assert cover.sets == ((1,), (2,), (5,))
         assert cover.matching == ((1, 2, 5),)
 
@@ -474,21 +544,25 @@ class TestHypergraphCover:
         rng = random.Random(10)
         for _ in range(25):
             l = rng.randrange(1, 5)
-            Hg = random_hypergraph(rng, l, rng.randrange(2, 6), 0.5)
+            part_size = rng.randrange(2, 6)
+            Hg = random_hypergraph(rng, l, part_size, 0.5)
             if Hg.is_empty:
                 continue
-            table = {}
-            phi = lambda u, v: table.setdefault(
-                (min(u, v), max(u, v)), rng.randrange(2)
-            )
-            cover = hypergraph_cover(Hg, phi, 2, FinderConfig())
+            G = graph_from(l * part_size, 2, lambda u, v: rng.randrange(2))
+            cover = hypergraph_cover(Hg, G, FinderConfig())
             assert cover.min_size >= 1
-            assert cover_contract_holds(Hg, cover, phi)
+            assert cover_contract_holds(Hg, cover, G)
 
     def test_empty_rejected(self):
         Hg = CanonicalHypergraph.from_edges([(0, 1)], [])
         with pytest.raises(ValueError):
-            hypergraph_cover(Hg, lambda u, v: RED, 2, FinderConfig())
+            hypergraph_cover(Hg, graph_from(2, 2, lambda u, v: RED), FinderConfig())
+
+    def test_parts_outside_the_host_rejected(self):
+        # from_edges cannot know the host's n
+        Hg = CanonicalHypergraph.from_edges([(0, 1), (2, 7)], [(0, 2), (1, 7)])
+        with pytest.raises(ValueError, match=r"range\(6\)"):
+            hypergraph_cover(Hg, make_random(6, 2, 0), FinderConfig())
 
 
 # find_homogeneous_blowup(...).to_dict() pinned per case, apart from the float

@@ -78,6 +78,22 @@ class TestGenerate:
         assert code == 1 and out == ""
         assert err == "could not sample a locally 1/2-balanced colouring\n"
 
+    @pytest.mark.parametrize("argv, builder, stray", [
+        (("--family", "bipartite", "--n-side", "4", "--seed", "1", "--compact"),
+         "make_bipartite_mindeg", "--compact"),
+        (("--family", "mcycle", "--parts", "6", "--part-size", "2", "--r", "5", "--n", "3",
+          "--k", "9"), "make_multicolour_cycle", "--k, --n, --r"),
+    ])
+    def test_option_the_family_does_not_read_exits_2_before_building(
+            self, capsys, monkeypatch, argv, builder, stray):
+        def no_build(*args, **kwargs):
+            raise AssertionError(f"{builder} called despite an option it does not read")
+
+        monkeypatch.setattr(f"localbalance.cli.{builder}", no_build)
+        code, out, err = run_cli(capsys, "generate", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: --family {argv[1]} does not read {stray}\n"
+
     @pytest.mark.parametrize("argv, builder", [
         (("--family", "pk", "--k", "1025"), "make_Pk"),
         (("--family", "split", "--a", "4000", "--b", "97"), "make_split"),
@@ -180,6 +196,17 @@ class TestCensusCommand:
 
 
 class TestFindBlowup:
+    @pytest.mark.parametrize("argv", [
+        ("find-blowup", "g.json", "--budget", "100"),
+        ("experiment", "--eps-list", "0", "--n-list", "8", "--budget", "100"),
+    ])
+    def test_budget_option_is_gone(self, capsys, argv):
+        # the star step's exact-or-greedy limit is STAR_SEARCH_BUDGET
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --budget 100" in capsys.readouterr().err
+
     def test_planted_host(self, tmp_path, capsys):
         path = tmp_path / "pk8.json"
         run_cli(capsys, "generate", "--family", "pk", "--k", "8", "--out", str(path))
@@ -357,7 +384,7 @@ class TestExperiment:
 
     @pytest.mark.parametrize("argv, names", [
         (("--retries", "0"), "budgets"),
-        (("--budget", "0"), "budgets"),
+        (("--retries", "-1"), "budgets"),
         (("--n-list", "8,0"), "n >= 1, got 0"),
         (("--n-list", "8,5000"), "n=5000"),
         (("--eps-list", "1/4,3/2"), "eps <= 1, got 3/2"),

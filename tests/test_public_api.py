@@ -4,6 +4,7 @@ Library tour; the brute-force references the tests compare against live in
 tests/hosts.py and must not drift back into the package."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -68,3 +69,8 @@ def test_reference_paths_are_not_in_the_package():
 def test_deleted_parameters_stay_deleted():
     assert list(inspect.signature(localbalance.census_k4).parameters) == ["G"]
     assert "exact_limit" not in inspect.signature(localbalance.closeness_to_split).parameters
+    assert list(inspect.signature(localbalance.ramsey_clique).parameters) == ["vertices", "G"]
+    assert list(inspect.signature(localbalance.hypergraph_cover).parameters) == ["Hg", "G", "config"]
+    assert list(inspect.signature(localbalance.kst_star).parameters) == ["F", "s"]
+    assert [f.name for f in dataclasses.fields(localbalance.FinderConfig)] == [
+        "c", "seed", "max_partition_retries"]

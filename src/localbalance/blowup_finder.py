@@ -4,8 +4,8 @@ The pipeline mirrors the inductive extraction argument it implements:
 
 1. draw a uniformly random equitable partition V1..Vl of the host; the
    canonical pattern copies (vertex i of the pattern embedded in Vi) form
-   an l-partite l-uniform hypergraph, which a DFS over the first l-1
-   parts emits directly as (l-1)-prefixes with bitmasks of their last
+   an l-partite l-uniform hypergraph, built level by level as numpy arrays:
+   the sorted (l-1)-prefixes and the packed uint64 masks of their last
    coordinates;
 2. clean the hypergraph so that every (l-1)-prefix has degree 0 or at
    least threshold * |Vl|;
@@ -27,12 +27,26 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import comb, log, prod
 from operator import index
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .core import ColouredCompleteGraph, Rational, _as_fraction
 from .patterns import BlowupWitness, TotallyColouredPattern, _bits, clique_colour, verify_witness
+
+# prefixes are stored as int32 host vertices
+_VERTEX_LIMIT = 2**31
+
+
+def _vertex(v: object, limit: int = _VERTEX_LIMIT) -> int:
+    """v as a vertex id: a Python or numpy integer in range(limit), no bool."""
+    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) \
+            or not 0 <= v < limit:
+        raise ValueError(f"vertex {v!r} is not an integer in range({limit})")
+    return int(v)
 
 
 def _check_in_host(parts: Sequence[Sequence[int]], G: ColouredCompleteGraph) -> None:
@@ -41,9 +55,15 @@ def _check_in_host(parts: Sequence[Sequence[int]], G: ColouredCompleteGraph) -> 
         raise ValueError(f"parts must hold host vertices in range({G.n})")
 
 
-def _checked_parts(parts: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
-    """parts as sorted tuples, checked nonempty and disjoint (no vertex twice)."""
-    out = tuple(tuple(sorted(p)) for p in parts)
+def _checked_parts(
+    parts: Sequence[Sequence[int]], limit: int = _VERTEX_LIMIT
+) -> tuple[tuple[int, ...], ...]:
+    """parts as sorted tuples of vertex ids below limit, checked nonempty
+    and disjoint."""
+    try:
+        out = tuple(tuple(sorted(_vertex(v, limit) for v in p)) for p in parts)
+    except TypeError:
+        raise ValueError("parts must be sequences of vertices") from None
     if not all(out):
         raise ValueError("empty part")
     if len(set().union(*out)) != sum(map(len, out)):
@@ -51,21 +71,55 @@ def _checked_parts(parts: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...
     return out
 
 
-@dataclass(frozen=True, slots=True)
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows as uint64 words: bit k of a row's words is its column k."""
+    rows, width = bits.shape
+    padded = np.zeros((rows, -(-width // 64) * 64), dtype=bool)
+    padded[:, :width] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
+
+
+def _unpack(masks: np.ndarray, width: int) -> np.ndarray:
+    """The first width bits of each row of uint64 words, as 0/1 uint8."""
+    return np.unpackbits(masks.view(np.uint8), axis=-1, count=width, bitorder="little")
+
+
+def _grouped(heads: np.ndarray, last: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows sorted by (head, last), none twice, as one row per head: the
+    distinct heads and the packed masks of their last entries (< width)."""
+    words = -(-width // 64)
+    if not len(heads):
+        return heads, np.zeros((0, words), dtype=np.uint64)
+    new = np.ones(len(heads), dtype=bool)
+    new[1:] = (heads[1:] != heads[:-1]).any(axis=1)
+    # (group, word) keys never decrease, and no bit repeats within one
+    key = (np.cumsum(new) - 1) * words + (last >> 6)
+    starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    masks = np.zeros((int(new.sum()), words), dtype=np.uint64)
+    bit = np.left_shift(np.uint64(1), (last & 63).astype(np.uint64))
+    masks.ravel()[key[starts]] = np.bitwise_or.reduceat(bit, starts)
+    return heads[new], masks
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class CanonicalHypergraph:
     """An l-partite l-uniform hypergraph of pattern copies.
 
-    A plain record: by_prefix maps the (l-1)-prefix of each edge (i-th
-    coordinate in part i) to the bitmask of its last coordinates.  The
-    constructor checks nothing.  The invariants: parts are sorted, disjoint
-    and nonempty; masks are nonzero; keys are in lexicographic order;
-    edge_count is the sum of the masks' popcounts.  The entry points that
-    take outside data, from_edges and canonical_hypergraph, check them;
-    min_degree_cleanup and shadow keep them by construction.
+    A plain record of arrays: row e of prefixes (E x (l-1), int32) holds
+    the first l-1 coordinates of some edges, as host vertices, and row e of
+    masks (E x ceil(|V_l|/64), uint64) their last coordinates, bit k
+    standing for the k-th smallest vertex of parts[-1].  The constructor
+    checks nothing.  The invariants: parts are sorted, disjoint and
+    nonempty; prefixes are sorted lexicographically with none twice; mask
+    rows are nonzero with no bit past |V_l|; edge_count is the masks'
+    popcount.  The entry points that take outside data, from_edges and
+    canonical_hypergraph, check them; min_degree_cleanup and shadow keep
+    them by construction.
     """
 
     parts: tuple[tuple[int, ...], ...]
-    by_prefix: dict[tuple[int, ...], int]
+    prefixes: np.ndarray
+    masks: np.ndarray
     edge_count: int
 
     @classmethod
@@ -75,19 +129,26 @@ class CanonicalHypergraph:
         parts = _checked_parts(parts)
         l = len(parts)
         part_sets = [set(p) for p in parts]
-        by_prefix: dict[tuple[int, ...], int] = {}
+        rows = []
         for e in edges:
+            try:
+                e = tuple(map(_vertex, e))
+            except TypeError:
+                raise ValueError(f"edge {e!r} is not a sequence of vertices") from None
             if len(e) != l:
                 raise ValueError(f"edge {e} does not have one vertex per part")
             for i, v in enumerate(e):
                 if v not in part_sets[i]:
                     raise ValueError(f"vertex {v} of edge {e} is not in part {i}")
-            prefix, last = tuple(e[:-1]), e[-1]
-            mask = by_prefix.get(prefix, 0)
-            if (mask >> last) & 1:
-                raise ValueError(f"duplicate edge {e}")
-            by_prefix[prefix] = mask | (1 << last)
-        return cls(parts, {k: by_prefix[k] for k in sorted(by_prefix)}, len(edges))
+            rows.append(e)
+        table = np.array(rows, dtype=np.int32).reshape(len(rows), l)
+        table = table[np.lexsort(table.T[::-1])]
+        repeated = np.flatnonzero((table[1:] == table[:-1]).all(axis=1))
+        if len(repeated):
+            raise ValueError(f"duplicate edge {tuple(table[repeated[0]].tolist())}")
+        last = np.searchsorted(np.array(parts[-1]), table[:, -1])
+        prefixes, masks = _grouped(table[:, :-1], last, len(parts[-1]))
+        return cls(parts, prefixes, masks, len(rows))
 
     @property
     def ell(self) -> int:
@@ -95,23 +156,44 @@ class CanonicalHypergraph:
 
     @property
     def is_empty(self) -> bool:
-        return not self.by_prefix
+        return not len(self.prefixes)
 
     def edges(self) -> Iterator[tuple[int, ...]]:
-        for prefix, mask in self.by_prefix.items():
-            for v in _bits(mask):
-                yield prefix + (v,)
+        last = self.parts[-1]
+        for prefix, row in zip(self.prefixes.tolist(), self.masks):
+            for k in np.flatnonzero(_unpack(row, len(last))).tolist():
+                yield (*prefix, last[k])
 
     def shadow(self) -> "CanonicalHypergraph":
         """The hypergraph of (l-1)-prefixes of the edges, on parts[:-1];
-        sorted prefixes give sorted keys, and each prefix is one edge."""
+        sorted prefixes give sorted heads, and each prefix is one edge."""
         if self.ell < 2:
             raise ValueError("shadow needs l >= 2")
-        by: dict[tuple[int, ...], int] = {}
-        for p in self.by_prefix:
-            head = p[:-1]
-            by[head] = by.get(head, 0) | 1 << p[-1]
-        return CanonicalHypergraph(self.parts[:-1], by, len(self.by_prefix))
+        prev = self.parts[-2]
+        last = np.searchsorted(np.array(prev), self.prefixes[:, -1])
+        heads, masks = _grouped(self.prefixes[:, :-1], last, len(prev))
+        return CanonicalHypergraph(self.parts[:-1], heads, masks, len(self.prefixes))
+
+
+def _host_masks(Hg: CanonicalHypergraph, rows: Sequence[int]) -> list[int]:
+    """The last coordinates of the given rows as int masks over host vertices."""
+    last = Hg.parts[-1]
+    bits = np.zeros((len(rows), last[-1] + 1), dtype=bool)
+    bits[:, last] = _unpack(Hg.masks[np.asarray(rows, dtype=np.intp)], len(last))
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
+def _row_of(prefixes: np.ndarray, prefix: Sequence[int]) -> int:
+    """The row of prefix in the sorted prefix array, found by binary search
+    one column at a time: a column is sorted where the earlier ones agree."""
+    lo, hi = 0, len(prefixes)
+    for c, v in enumerate(prefix):
+        col = prefixes[lo:hi, c]
+        lo, hi = lo + int(np.searchsorted(col, v)), lo + int(np.searchsorted(col, v, "right"))
+    if lo == hi:
+        raise KeyError(tuple(prefix))
+    return lo
 
 
 def min_degree_cleanup(
@@ -129,14 +211,11 @@ def min_degree_cleanup(
         raise ValueError(f"threshold must be >= 0, got {thr}")
     # a degree k satisfies k >= thr * |V_l| exactly when k >= its ceiling
     cut = -(-thr.numerator * len(Hg.parts[-1]) // thr.denominator)
-    kept: dict[tuple[int, ...], int] = {}
-    count = 0
-    for prefix, mask in Hg.by_prefix.items():
-        degree = mask.bit_count()
-        if degree >= cut:
-            kept[prefix] = mask
-            count += degree
-    return CanonicalHypergraph(Hg.parts, kept, count)
+    degrees = np.bitwise_count(Hg.masks).sum(axis=1, dtype=np.int64)
+    keep = degrees >= cut
+    return CanonicalHypergraph(
+        Hg.parts, Hg.prefixes[keep], Hg.masks[keep], int(degrees[keep].sum())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +240,10 @@ class FinderConfig:
         object.__setattr__(self, "c", _as_fraction(self.c))
         if not 0 < self.c <= 1:
             raise ValueError(f"need 0 < c <= 1, got {self.c}")
-        if self.max_partition_retries < 1:
+        retries = self.max_partition_retries
+        if isinstance(retries, bool) or not isinstance(retries, int):
+            raise ValueError(f"max_partition_retries must be an int, got {retries!r}")
+        if retries < 1:
             raise ValueError("budgets must be >= 1")
 
 
@@ -184,6 +266,34 @@ def _random_equitable_partition(
     return tuple(parts)
 
 
+# the largest level, in bytes of prefixes and candidate masks, that the
+# copy build allocates
+LEVEL_BYTES_LIMIT = 1 << 30
+# expanded rows per build step, which bounds one level's temporaries
+_BUILD_CHUNK = 1 << 16
+
+
+def _empty(parts: tuple[tuple[int, ...], ...]) -> CanonicalHypergraph:
+    words = -(-len(parts[-1]) // 64)
+    return CanonicalHypergraph(
+        parts, np.zeros((0, len(parts) - 1), dtype=np.int32),
+        np.zeros((0, words), dtype=np.uint64), 0,
+    )
+
+
+def _expand(
+    prefixes: np.ndarray, cands: list[np.ndarray], part: np.ndarray, tables: list[np.ndarray]
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Each prefix extended by each candidate in its first candidate set, in
+    row-major (so lexicographic) order, ANDing the later candidate sets with
+    the pattern's colour rows; extensions that empty a later part drop."""
+    src, ks = np.nonzero(_unpack(cands[0], len(part)))
+    nxt = [c[src] & t[ks] for c, t in zip(cands[1:], tables)]
+    keep = np.logical_and.reduce([m.any(axis=1) for m in nxt])
+    grown = np.column_stack((prefixes[src[keep]], part[ks[keep]]))
+    return grown, [m[keep] for m in nxt]
+
+
 def canonical_hypergraph(
     G: ColouredCompleteGraph,
     H: TotallyColouredPattern,
@@ -192,39 +302,50 @@ def canonical_hypergraph(
     """All embeddings of H's edge colouring with vertex i inside parts[i].
 
     parts must be l nonempty, disjoint sets of host vertices (ValueError
-    otherwise).  The DFS fixes vertices in parts[0..l-2] and stores each
-    surviving prefix with the candidate mask of the last part, which
-    pruning keeps nonzero; prefixes are inserted in lexicographic order.
+    otherwise).  Level i extends every i-prefix by each vertex of part i
+    still joined to it in the pattern's colours, keeping one packed
+    candidate mask per later part and dropping the prefixes that empty one.
+    Before a level is allocated its rows are counted; a level past
+    LEVEL_BYTES_LIMIT raises ValueError.
     """
     l = H.num_vertices
-    parts = _checked_parts(parts)
+    parts = _checked_parts(parts, G.n)
     if len(parts) != l:
         raise ValueError(f"need one part per pattern vertex ({l}), got {len(parts)}")
-    _check_in_host(parts, G)
-    by_prefix: dict[tuple[int, ...], int] = {}
     if any(H.edge_colour(i, j) >= G.r for i in range(l) for j in range(i + 1, l)):
-        return CanonicalHypergraph(parts, by_prefix, 0)
-    bits = [G.colour_bits(c) for c in range(G.r)]
-    chosen = [0] * (l - 1)
-
-    def rec(i: int, masks: tuple[int, ...]) -> None:
-        if i == l - 1:
-            by_prefix[tuple(chosen)] = masks[i]
-            return
-        for v in _bits(masks[i]):
-            nxt = []
-            for j in range(i + 1, l):
-                m = masks[j] & bits[H.edge_colour(i, j)][v]
-                if not m:
-                    break
-                nxt.append(m)
-            else:
-                chosen[i] = v
-                rec(i + 1, masks[: i + 1] + tuple(nxt))
-
-    rec(0, tuple(sum(1 << v for v in p) for p in parts))
-    del rec  # break the rec <-> closure-cell cycle so the DFS state is freed by refcount
-    return CanonicalHypergraph(parts, by_prefix, sum(m.bit_count() for m in by_prefix.values()))
+        return _empty(parts)
+    verts = [np.array(p, dtype=np.int32) for p in parts]
+    table = G.table()
+    # bit k of row u of pair (i, j): the k-th vertex of part j has the
+    # pattern's colour to the u-th vertex of part i
+    pair = {
+        (i, j): _pack(table[np.ix_(verts[i], verts[j])] == H.edge_colour(i, j))
+        for i, j in itertools.combinations(range(l), 2)
+    }
+    prefixes = np.zeros((1, 0), dtype=np.int32)
+    # cands[j - i]: per prefix, the candidates of part j >= i
+    cands = [_pack(np.ones((1, len(p)), dtype=bool)) for p in parts]
+    for i in range(l - 1):
+        if not len(prefixes):
+            return _empty(parts)
+        rows = int(np.bitwise_count(cands[0]).sum())
+        need = rows * (4 * (i + 1) + 8 * sum(c.shape[1] for c in cands[1:]))
+        if need > LEVEL_BYTES_LIMIT:
+            raise ValueError(
+                f"level {i + 1} of the canonical hypergraph has {rows} candidate "
+                f"prefixes ({need} bytes), over LEVEL_BYTES_LIMIT = {LEVEL_BYTES_LIMIT}"
+            )
+        tables = [pair[i, j] for j in range(i + 1, l)]
+        step = max(1, _BUILD_CHUNK // len(parts[i]))
+        pieces = [
+            _expand(prefixes[a:a + step], [c[a:a + step] for c in cands], verts[i], tables)
+            for a in range(0, len(prefixes), step)
+        ]
+        prefixes = np.concatenate([grown for grown, _ in pieces])
+        cands = [np.concatenate(ms) for ms in zip(*(nxt for _, nxt in pieces))]
+        del pieces
+    masks = cands[0]
+    return CanonicalHypergraph(parts, prefixes, masks, int(np.bitwise_count(masks).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -243,31 +364,41 @@ class BipartiteIncidence:
     nbrs: tuple[int, ...]
     b_mask: int
 
+    def greedy_steps(self) -> Iterator[tuple[int, int]]:
+        """The greedy star order: repeatedly add the item keeping the common
+        neighbourhood largest (ties to the earliest item), as (item index,
+        common mask after adding it).  Each step is computed once per
+        incidence, when it is first read, so every reader shares one
+        trajectory and none pays for steps it never reads."""
+        done, fresh = self._greedy_memo
+        for k in itertools.count():
+            if k == len(done):
+                step = next(fresh, None)
+                if step is None:
+                    return
+                done.append(step)
+            yield done[k]
+
+    @cached_property
+    def _greedy_memo(self) -> tuple[list[tuple[int, int]], Iterator[tuple[int, int]]]:
+        return [], _greedy_star_order(self)
+
+
+def _greedy_star_order(F: BipartiteIncidence) -> Iterator[tuple[int, int]]:
+    remaining = list(range(len(F.a_items)))
+    common = F.b_mask
+    while remaining:
+        best = max(remaining, key=lambda i: (F.nbrs[i] & common).bit_count())
+        common &= F.nbrs[best]
+        remaining.remove(best)
+        yield best, common
+
 
 @dataclass(frozen=True)
 class StarResult:
     members: tuple          # chosen A-side items, in choice order
     common: int             # bitmask of their common neighbourhood
     mode: str               # "greedy" or "exact"
-
-
-def _greedy_star_trajectory(F: BipartiteIncidence) -> list[tuple[int, int]]:
-    """Greedy order of A-items: repeatedly add the item keeping the common
-    neighbourhood largest (ties to the earliest item).  Returns a list of
-    (item index, common mask after adding it)."""
-    remaining = list(range(len(F.a_items)))
-    common = F.b_mask
-    out: list[tuple[int, int]] = []
-    while remaining:
-        best_i, best_sz = None, -1
-        for i in remaining:
-            sz = (F.nbrs[i] & common).bit_count()
-            if sz > best_sz:
-                best_i, best_sz = i, sz
-        common &= F.nbrs[best_i]
-        out.append((best_i, common))
-        remaining.remove(best_i)
-    return out
 
 
 # the largest C(|A|, s) the star step searches exactly; greedy above
@@ -303,7 +434,7 @@ def kst_star(F: BipartiteIncidence, s: int) -> StarResult | None:
             return None
         _, combo, common = best
         return StarResult(tuple(F.a_items[i] for i in combo), common, "exact")
-    traj = _greedy_star_trajectory(F)[:s]
+    traj = list(itertools.islice(F.greedy_steps(), s))
     common = traj[-1][1]
     if not common:
         return None
@@ -433,7 +564,7 @@ def hypergraph_cover(
     _check_in_host(Hg.parts, G)
     l = Hg.ell
     if l == 1:
-        s1, colour = ramsey_clique(list(_bits(Hg.by_prefix[()])), G)
+        s1, colour = ramsey_clique(list(_bits(_host_masks(Hg, [0])[0])), G)
         return CoverResult((s1,), (colour,), tuple((v,) for v in s1), ("base",))
 
     adaptive = Fraction(Hg.edge_count, l * prod(map(len, Hg.parts)))
@@ -445,14 +576,12 @@ def hypergraph_cover(
     A = sub.matching
     F = BipartiteIncidence(
         a_items=A,
-        nbrs=tuple(L.by_prefix.get(R, 0) for R in A),
+        nbrs=tuple(_host_masks(L, [_row_of(L.prefixes, R) for R in A])),
         b_mask=sum(1 << v for v in L.parts[-1]),
     )
 
-    traj = _greedy_star_trajectory(F)
     best_s, best_score, best_state = 0, -1, None
-    for s in range(1, len(traj) + 1):
-        common = traj[s - 1][1]
+    for s, (_, common) in enumerate(F.greedy_steps(), 1):
         t_size = common.bit_count()
         if t_size == 0 or t_size <= best_score:
             break
@@ -462,11 +591,12 @@ def hypergraph_cover(
         score = min(s, len(clique))
         if score > best_score:
             best_s, best_score = s, score
-            best_state = (tuple(F.a_items[i] for i, _ in traj[:s]), clique, colour, "greedy")
+            members = tuple(F.a_items[i] for i, _ in itertools.islice(F.greedy_steps(), s))
+            best_state = (members, clique, colour, "greedy")
     assert best_state is not None, "a nonempty cleaned hypergraph yields s = 1"
 
     # the star at the chosen size; over the limit kst_star's greedy branch
-    # returns the sweep's own state at best_s, which best_state already holds
+    # reads the sweep's own steps back, which best_state already holds
     star = kst_star(F, best_s)
     assert star is not None, "the sweep found a nonempty common neighbourhood at best_s"
     if star.mode == "exact":

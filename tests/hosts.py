@@ -1,23 +1,28 @@
 """Small host builders shared by the tests, plus the reference paths the
 fast code must reproduce: the per-pair random stream, the set-based
 smallest-unibalanced search, the O(n^4) K4 census and the brute-force M1
-count, with the class tables and exhaustive isomorphism checks they use, and
-the pair-colouring Ramsey step."""
+count, with the class tables and exhaustive isomorphism checks they use,
+the pair-colouring Ramsey step, and the dict-of-masks canonical hypergraph
+(copy DFS, cleanup and shadow)."""
 
 import itertools
 import random
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from localbalance import (
     BipartiteColouring,
+    CanonicalHypergraph,
     ColouredCompleteGraph,
     PatternCensus,
     TotallyColouredPattern,
     induced_unibalanced,
     ramsey_bound,
 )
+from localbalance.blowup_finder import _checked_parts, _check_in_host
+from localbalance.core import Rational, _as_fraction
 from localbalance.patterns import _bits
 from localbalance.census import (
     CLASS_KEYS,
@@ -343,3 +348,112 @@ def ramsey_clique_reference(
         if exact is not None:
             return exact
     return tuple(sorted(clique)), colour
+
+
+# --- the canonical hypergraph as a prefix -> mask dict -----------------------
+
+def prefix_masks(Hg: CanonicalHypergraph) -> dict[tuple[int, ...], int]:
+    """Hg's rows as the dict the array record replaced: each (l-1)-prefix of
+    host vertices, in row order, to the int mask over host vertices of its
+    last coordinates."""
+    last = Hg.parts[-1]
+    bits = np.zeros((len(Hg.masks), last[-1] + 1), dtype=bool)
+    bits[:, last] = np.unpackbits(Hg.masks.view(np.uint8), axis=1, count=len(last),
+                                  bitorder="little")
+    rows = np.packbits(bits, axis=1, bitorder="little")
+    return {tuple(p): int.from_bytes(row.tobytes(), "little")
+            for p, row in zip(Hg.prefixes.tolist(), rows)}
+
+
+@dataclass(frozen=True, slots=True)
+class DictHypergraph:
+    """The dict-backed record the array record replaced: by_prefix maps each
+    (l-1)-prefix, in lexicographic order, to the int mask over host
+    vertices of its last coordinates."""
+
+    parts: tuple[tuple[int, ...], ...]
+    by_prefix: dict[tuple[int, ...], int]
+    edge_count: int
+
+    @property
+    def ell(self) -> int:
+        return len(self.parts)
+
+    def shadow(self) -> "DictHypergraph":
+        """The hypergraph of (l-1)-prefixes of the edges, on parts[:-1];
+        sorted prefixes give sorted keys, and each prefix is one edge."""
+        if self.ell < 2:
+            raise ValueError("shadow needs l >= 2")
+        by: dict[tuple[int, ...], int] = {}
+        for p in self.by_prefix:
+            head = p[:-1]
+            by[head] = by.get(head, 0) | 1 << p[-1]
+        return DictHypergraph(self.parts[:-1], by, len(self.by_prefix))
+
+
+def min_degree_cleanup_reference(
+    Hg: DictHypergraph, threshold: Rational
+) -> DictHypergraph:
+    """Drop every edge whose prefix R has 0 < d(R) < threshold * |V_l|.
+
+    Each edge has exactly one prefix, so prefix degrees are independent and
+    one pass reaches the (order-independent, idempotent) fixpoint: the
+    unique maximal subhypergraph in which every present prefix has degree
+    at least threshold * |V_l|.
+    """
+    thr = _as_fraction(threshold)
+    if thr < 0:
+        raise ValueError(f"threshold must be >= 0, got {thr}")
+    # a degree k satisfies k >= thr * |V_l| exactly when k >= its ceiling
+    cut = -(-thr.numerator * len(Hg.parts[-1]) // thr.denominator)
+    kept: dict[tuple[int, ...], int] = {}
+    count = 0
+    for prefix, mask in Hg.by_prefix.items():
+        degree = mask.bit_count()
+        if degree >= cut:
+            kept[prefix] = mask
+            count += degree
+    return DictHypergraph(Hg.parts, kept, count)
+
+
+def canonical_hypergraph_reference(
+    G: ColouredCompleteGraph,
+    H: TotallyColouredPattern,
+    parts: Sequence[Sequence[int]],
+) -> DictHypergraph:
+    """All embeddings of H's edge colouring with vertex i inside parts[i].
+
+    parts must be l nonempty, disjoint sets of host vertices (ValueError
+    otherwise).  The DFS fixes vertices in parts[0..l-2] and stores each
+    surviving prefix with the candidate mask of the last part, which
+    pruning keeps nonzero; prefixes are inserted in lexicographic order.
+    """
+    l = H.num_vertices
+    parts = _checked_parts(parts)
+    if len(parts) != l:
+        raise ValueError(f"need one part per pattern vertex ({l}), got {len(parts)}")
+    _check_in_host(parts, G)
+    by_prefix: dict[tuple[int, ...], int] = {}
+    if any(H.edge_colour(i, j) >= G.r for i in range(l) for j in range(i + 1, l)):
+        return DictHypergraph(parts, by_prefix, 0)
+    bits = [G.colour_bits(c) for c in range(G.r)]
+    chosen = [0] * (l - 1)
+
+    def rec(i: int, masks: tuple[int, ...]) -> None:
+        if i == l - 1:
+            by_prefix[tuple(chosen)] = masks[i]
+            return
+        for v in _bits(masks[i]):
+            nxt = []
+            for j in range(i + 1, l):
+                m = masks[j] & bits[H.edge_colour(i, j)][v]
+                if not m:
+                    break
+                nxt.append(m)
+            else:
+                chosen[i] = v
+                rec(i + 1, masks[: i + 1] + tuple(nxt))
+
+    rec(0, tuple(sum(1 << v for v in p) for p in parts))
+    del rec  # break the rec <-> closure-cell cycle so the DFS state is freed by refcount
+    return DictHypergraph(parts, by_prefix, sum(m.bit_count() for m in by_prefix.values()))

@@ -1,6 +1,8 @@
 import gc
 import itertools
+import math
 import random
+import time
 from fractions import Fraction
 from math import comb
 
@@ -27,7 +29,14 @@ from localbalance import (
     ramsey_clique,
     verify_witness,
 )
-from hosts import exact_mono_clique_reference, graph_from, ramsey_clique_reference
+from hosts import (
+    canonical_hypergraph_reference,
+    exact_mono_clique_reference,
+    graph_from,
+    min_degree_cleanup_reference,
+    prefix_masks,
+    ramsey_clique_reference,
+)
 from localbalance.blowup_finder import (
     STAR_SEARCH_BUDGET,
     _exact_mono_clique,
@@ -80,11 +89,19 @@ def assert_record_invariants(Hg):
     """The invariants CanonicalHypergraph's constructor takes on trust."""
     assert all(p and list(p) == sorted(p) for p in Hg.parts)
     assert len(set().union(*Hg.parts)) == sum(map(len, Hg.parts))
-    keys = list(Hg.by_prefix)
+    words = -(-len(Hg.parts[-1]) // 64)
+    assert Hg.prefixes.dtype == np.int32 and Hg.prefixes.shape == (len(Hg.prefixes), Hg.ell - 1)
+    assert Hg.masks.dtype == np.uint64 and Hg.masks.shape == (len(Hg.prefixes), words)
+    # no bit past |V_l|, which prefix_masks would not see
+    spare = np.unpackbits(Hg.masks.view(np.uint8), axis=1, bitorder="little")
+    assert not spare[:, len(Hg.parts[-1]):].any()
+    by_prefix = prefix_masks(Hg)
+    keys = list(by_prefix)
+    assert len(keys) == len(Hg.prefixes)  # no prefix twice
     assert keys == sorted(keys)
     last = sum(1 << v for v in Hg.parts[-1])
-    assert all(m and not m & ~last for m in Hg.by_prefix.values())
-    assert Hg.edge_count == sum(m.bit_count() for m in Hg.by_prefix.values())
+    assert all(m and not m & ~last for m in by_prefix.values())
+    assert Hg.edge_count == sum(m.bit_count() for m in by_prefix.values())
 
 
 class TestCanonicalHypergraph:
@@ -94,7 +111,7 @@ class TestCanonicalHypergraph:
         Hg = CanonicalHypergraph.from_edges(parts, edges)
         assert Hg.edge_count == 3
         assert list(Hg.edges()) == sorted(edges)
-        assert Hg.by_prefix == {(0, 2): 0b110000, (1, 3): 0b10000}
+        assert prefix_masks(Hg) == {(0, 2): 0b110000, (1, 3): 0b10000}
 
     def test_rejects_duplicates_and_strays(self):
         parts = [(0, 1), (2, 3)]
@@ -114,12 +131,34 @@ class TestCanonicalHypergraph:
         with pytest.raises(ValueError, match=message):
             CanonicalHypergraph.from_edges(parts, [])
 
+    @pytest.mark.parametrize("parts, edges", [
+        ([(-1, 1), (2, 3)], [(-1, 2)]),            # negative vertex
+        ([(0, 1), (2, 3)], [("0", 2)]),            # string vertex in an edge
+        ([("a", "b"), (2, 3)], []),                # string vertices in a part
+        ([(True,), (2,)], [(True, 2)]),            # a bool is no vertex
+        ([(0, 1.5), (2, 3)], []),                  # nor is a float
+        ([(0, 1), (2, 3)], [(0, 2.0)]),
+        ([(0, 1), (2, 3)], [0]),                   # an edge that is no sequence
+        ([(0, 2**31), (2, 3)], []),                # past the int32 prefix range
+    ])
+    def test_rejects_bad_vertices(self, parts, edges):
+        with pytest.raises(ValueError):
+            CanonicalHypergraph.from_edges(parts, edges)
+
+    def test_numpy_integers_are_vertices(self):
+        parts = [np.array([1, 0]), (np.int64(3), np.int32(2))]
+        edges = [(np.int64(1), 3), (0, np.uint8(2))]
+        Hg = CanonicalHypergraph.from_edges(parts, edges)
+        assert Hg.parts == ((0, 1), (2, 3))
+        assert all(type(v) is int for p in Hg.parts for v in p)
+        assert list(Hg.edges()) == [(0, 2), (1, 3)]
+
     def test_unsorted_input_gives_sorted_record(self):
         parts = [(1, 0), (3, 2)]
         edges = [(1, 3), (0, 3), (1, 2), (0, 2)]
         Hg = CanonicalHypergraph.from_edges(parts, edges)
         assert Hg.parts == ((0, 1), (2, 3))
-        assert list(Hg.by_prefix) == [(0,), (1,)]
+        assert list(prefix_masks(Hg)) == [(0,), (1,)]
         assert_record_invariants(Hg)
 
     def test_shadow(self):
@@ -175,7 +214,7 @@ class TestMinDegreeCleanup:
                 continue
             cut = thr * len(cleaned.parts[-1])
             for prefix in cleaned.shadow().edges():
-                assert cleaned.by_prefix[prefix].bit_count() >= cut
+                assert prefix_masks(cleaned)[prefix].bit_count() >= cut
 
 
 class TestCanonicalHypergraphBuilder:
@@ -203,15 +242,15 @@ class TestCanonicalHypergraphBuilder:
             got = canonical_hypergraph(G, H, parts)
             want = CanonicalHypergraph.from_edges(parts, canonical_copies_oracle(G, H, parts))
             # same prefixes, masks and lexicographic insertion order
-            assert list(got.by_prefix.items()) == list(want.by_prefix.items())
+            assert list(prefix_masks(got).items()) == list(prefix_masks(want).items())
             assert got.parts == want.parts
 
     def test_shadow_matches_from_edges_shadow(self):
         for G, H, parts in self.cases():
             Hg = canonical_hypergraph(G, H, parts)
-            want = CanonicalHypergraph.from_edges(Hg.parts[:-1], sorted(Hg.by_prefix))
+            want = CanonicalHypergraph.from_edges(Hg.parts[:-1], sorted(prefix_masks(Hg)))
             got = Hg.shadow()
-            assert list(got.by_prefix.items()) == list(want.by_prefix.items())
+            assert list(prefix_masks(got).items()) == list(prefix_masks(want).items())
             assert got.parts == want.parts
 
     def test_records_keep_invariants(self):
@@ -224,7 +263,7 @@ class TestCanonicalHypergraphBuilder:
             edges = list(Hg.edges())
             rng.shuffle(edges)
             shuffled = CanonicalHypergraph.from_edges(Hg.parts, edges)
-            assert list(shuffled.by_prefix.items()) == list(Hg.by_prefix.items())
+            assert list(prefix_masks(shuffled).items()) == list(prefix_masks(Hg).items())
             records += [Hg, shuffled]
         for Hg in records:
             while True:
@@ -247,6 +286,36 @@ class TestCanonicalHypergraphBuilder:
         G = make_random(12, 2, 3)
         with pytest.raises(ValueError, match=message):
             canonical_hypergraph(G, get_pattern("C4"), parts)
+
+    @pytest.mark.parametrize("bad", [(True,), (0, 1.5), ("x",)])
+    def test_rejects_parts_that_are_not_vertices(self, bad):
+        G = make_random(12, 2, 3)
+        with pytest.raises(ValueError, match="not an integer"):
+            canonical_hypergraph(G, get_pattern("C4"), [bad, (2, 3), (4, 5), (6, 7)])
+
+    def test_numpy_parts_give_the_tuple_record(self):
+        # numpy int64 vertices, many past 63, read as Python integers
+        G = make_random(200, 2, 3)
+        H = get_pattern("C4")
+        parts = _random_equitable_partition(random.Random(0), 200, 4)
+        want = canonical_hypergraph(G, H, parts)
+        got = canonical_hypergraph(G, H, [np.array(p) for p in parts])
+        assert got.parts == want.parts
+        assert np.array_equal(got.prefixes, want.prefixes)
+        assert np.array_equal(got.masks, want.masks)
+        assert got.edge_count == want.edge_count > 0
+
+    def test_level_past_the_byte_limit_refused_before_allocation(self):
+        # an all-red 8-vertex pattern in an all-red host: 75^7 prefixes
+        G = ColouredCompleteGraph(600, 2, np.zeros((600, 600), dtype=np.uint8))
+        H = TotallyColouredPattern.from_parts(2, (0,) * 8, {})
+        parts = [tuple(range(75 * i, 75 * (i + 1))) for i in range(8)]
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"{75**4} candidate prefixes"):
+            canonical_hypergraph(G, H, parts)
+        with pytest.raises(ValueError, match="LEVEL_BYTES_LIMIT"):
+            find_homogeneous_blowup(G, H, FinderConfig())
+        assert time.perf_counter() - start < 5
 
     def test_pattern_colour_beyond_host_gives_empty(self):
         G = make_random(12, 2, 3)
@@ -286,10 +355,63 @@ class TestCanonicalPartition:
             assert sorted(v for p in parts for v in p) == list(range(n))
 
 
+class TestDictReference:
+    """The array record against the dict-of-masks DFS, cleanup and shadow it
+    replaced, on seeded random hosts, down every level of the recursion."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(31)
+        for r, n in ((2, 64), (2, 128), (3, rng.randrange(65, 256)), (3, 256)):
+            G = make_random(n, r, rng.randrange(10**6))
+            for name in ("C4", "P3o", "P3"):
+                yield G, get_pattern(name), _random_equitable_partition(rng, n, 4)
+            parts = _random_equitable_partition(rng, n, 5)
+            picks = [rng.choice(p) for p in parts]
+            order = sorted(range(5), key=picks.__getitem__)
+            yield G, induced_edge_pattern(G, picks), [parts[i] for i in order]
+        # numpy parts, each in shuffled order, on the densest host, where
+        # the dict references are slowest
+        G = make_random(256, 2, rng.randrange(10**6))
+        parts = _random_equitable_partition(rng, 256, 4)
+        yield G, get_pattern("C4"), [np.array(rng.sample(p, len(p))) for p in parts]
+
+    @staticmethod
+    def assert_same(Hg, ref):
+        assert Hg.parts == ref.parts
+        # same prefixes in the same order, same masks, same count
+        assert list(prefix_masks(Hg).items()) == list(ref.by_prefix.items())
+        assert Hg.edge_count == ref.edge_count
+
+    def test_build_cleanup_and_shadow_match_at_every_level(self):
+        for G, H, parts in self.cases():
+            Hg = canonical_hypergraph(G, H, parts)
+            ref = canonical_hypergraph_reference(G, H, [tuple(map(int, p)) for p in parts])
+            assert not Hg.is_empty
+            while True:
+                self.assert_same(Hg, ref)
+                # the cover's threshold rule, and a fixed one
+                adaptive = Fraction(Hg.edge_count, Hg.ell * math.prod(map(len, Hg.parts)))
+                for thr in (min(Fraction(1, 8), adaptive), Fraction(1, 3)):
+                    self.assert_same(min_degree_cleanup(Hg, thr),
+                                     min_degree_cleanup_reference(ref, thr))
+                if Hg.ell < 2:
+                    break
+                self.assert_same(Hg.shadow(), ref.shadow())
+                thr = min(Fraction(1, 8), adaptive)
+                Hg = min_degree_cleanup(Hg, thr).shadow()
+                ref = min_degree_cleanup_reference(ref, thr).shadow()
+
+
 class TestFinderConfig:
     def test_float_c_parses_as_decimal(self):
         assert FinderConfig(c=0.3).c == Fraction(3, 10)
         assert FinderConfig(c=0.1) == FinderConfig(c=Fraction(1, 10))
+
+    @pytest.mark.parametrize("retries", [2.5, True, "4", None])
+    def test_retry_count_must_be_an_int(self, retries):
+        with pytest.raises(ValueError, match="max_partition_retries"):
+            FinderConfig(max_partition_retries=retries)
 
 
 class TestKstStar:
@@ -323,6 +445,41 @@ class TestKstStar:
         assert comb(n_a, 15) > STAR_SEARCH_BUDGET
         star = kst_star(F, 15)
         assert star is None or star.mode == "greedy"
+
+    def test_greedy_star_reads_the_sweeps_steps(self):
+        # the cover's sweep reads the greedy steps up to its break, then
+        # kst_star's greedy branch reads the first s again: each step is
+        # computed once, and only as far as it is read
+        reads = []
+
+        class CountedNbrs(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return tuple.__getitem__(self, i)
+
+        rng = random.Random(4)
+        n_a, n_b, s = 30, 24, 15
+        nbrs = tuple(sum(1 << b for b in range(n_b) if rng.random() < 0.9) for _ in range(n_a))
+        # the whole greedy order, computed eagerly
+        remaining, common, eager = list(range(n_a)), (1 << n_b) - 1, []
+        while remaining:
+            best_i, best_sz = None, -1
+            for i in remaining:
+                sz = (nbrs[i] & common).bit_count()
+                if sz > best_sz:
+                    best_i, best_sz = i, sz
+            common &= nbrs[best_i]
+            eager.append((best_i, common))
+            remaining.remove(best_i)
+        F = BipartiteIncidence(tuple(range(n_a)), CountedNbrs(nbrs), (1 << n_b) - 1)
+        assert list(itertools.islice(F.greedy_steps(), s + 1)) == eager[:s + 1]
+        swept = len(reads)
+        assert comb(n_a, s) > STAR_SEARCH_BUDGET
+        star = kst_star(F, s)
+        assert len(reads) == swept
+        assert star.mode == "greedy" and star.common == eager[s - 1][1] != 0
+        assert star.members == tuple(i for i, _ in eager[:s])
+        assert list(F.greedy_steps()) == eager
 
     def test_result_is_complete_bipartite(self):
         rng = random.Random(9)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -252,6 +253,21 @@ class TestFindBlowup:
         assert code == want
         if want == 2:
             assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_oversized_copy_build_exits_2_quickly(self, tmp_path, capsys):
+        # an all-red 8-vertex pattern in an all-red host: 75^7 prefixes, so the
+        # build's size guard refuses a level before allocating it
+        host, pat = tmp_path / "red600.json", tmp_path / "red8.json"
+        run_cli(capsys, "generate", "--family", "split", "--a", "600", "--b", "0",
+                "--compact", "--out", str(host))
+        pat.write_text(json.dumps({"l": 8, "r": 2, "vertexColours": [0] * 8, "edges": [
+            [i, j, 0] for i in range(8) for j in range(i + 1, 8)]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "find-blowup", "--pattern-file", str(pat), str(host))
+        assert time.perf_counter() - start < 5
+        assert code == 2 and out == ""
+        assert err.startswith("error: level 4 of the canonical hypergraph has 31640625 ")
+        assert err.count("\n") == 1
 
 
 class TestPatternOption:

@@ -17,12 +17,15 @@ Kernel cost: the codegree products red@red, blue@blue and red@blue (blocks
 of rows against the upper triangle, O(n^omega) BLAS work in all) and, for
 the two monochromatic-K4 counts, one triangle count per vertex u inside its
 forward neighbourhood N+(u) = {v > u : uv of that colour}, which is
-sum_u |N+(u)|^3 BLAS flops.  All of it runs on 0/1 float64 matrices and is
-exact: every codegree entry is an integer at most n, and every per-vertex
-triangle sum at most n^3, so each partial sum is an integer below 2^53
-while n <= CENSUS_MAX_N = 3000 (the size guard).  Products are cast
-back to int64 under an exactness check, and the statistics and class counts
-are Python ints.
+sum_u |N+(u)|^3 BLAS flops.  The adjacency is kept as one bool table per
+colour and every product runs on 0/1 float32 matrices, exactly: a codegree
+entry, and an entry of a forward block's square, is an integer at most
+n < 2^24, so every float32 partial sum is an exact integer.  A forward
+block's triangle tally is reduced row by row in float32 (each row sum is
+at most |N+(u)|^2 < 2^24) and the rows are summed in float64, where a
+per-vertex total stays below n^3 < 2^53 while n <= CENSUS_MAX_N = 3000
+(the size guard).  Products are cast back to int64 under an exactness
+check, and the statistics and class counts are Python ints.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -75,7 +79,8 @@ C4_KEY = "".join(map(str, _canonical((0, 1, 0, 0, 1, 0))))      # red edges form
 C4BAR_KEY = "".join(map(str, _canonical((1, 0, 1, 1, 0, 1))))   # blue edges form a 4-cycle
 P3O_KEY = "".join(map(str, _canonical((1, 0, 0, 1, 0, 1))))     # each colour a 3-edge path
 
-# keeps the float64 BLAS sums below 2^53 and the int64 aggregates below 2^63
+# keeps the float32 products below 2^24, the float64 sums below 2^53 and the
+# int64 aggregates below 2^63
 CENSUS_MAX_N = 3000
 
 
@@ -237,34 +242,43 @@ def _require_two_colours(G: ColouredCompleteGraph) -> None:
 
 
 def _exact_int64(x: np.ndarray) -> np.ndarray:
-    """Cast a float64 array of integer sums to int64, checking exactness."""
+    """Cast a float32 array of integer sums to int64, checking exactness."""
     out = x.astype(np.int64)
     if not np.array_equal(out, x):
-        raise AssertionError("float64 codegree product is not an exact integer")
+        raise AssertionError("float32 codegree product is not an exact integer")
     return out
 
 
 def _mono_k4_count(adj: np.ndarray) -> int:
-    """Number of 4-cliques of a 0/1 float64 adjacency with zero diagonal.
+    """Number of 4-cliques of a bool adjacency table with a False diagonal.
 
     Each K4 is counted once, at its smallest vertex u, as a triangle of the
-    forward neighbourhood N+(u) = {v > u : uv an edge}; with B the adjacency
-    of N+(u), vdot(B @ B, B) = sum((B @ B) * B) counts each such triangle
-    6 times, and is an exact float64 sum while it stays below 2^53.
+    forward neighbourhood N+(u) = {v > u : uv an edge}.  The m x m block B
+    of N+(u) is gathered from the table's tail adj[u+1:, u+1:] and cast to
+    float32; then sum((B @ B) * B) counts each such triangle 6 times.  The
+    entries of B @ B are integers at most m, and each row of (B @ B) * B
+    sums to at most m^2 < 2^24, so the float32 row sums (np.vecdot) are
+    exact.  They are added in float64, where every partial sum is an
+    integer below 6 C(n, 4) < 2^53 under CENSUS_MAX_N, so the total is exact.
     """
-    total = 0
+    total = 0.0
     for u in range(adj.shape[0] - 3):
-        fwd = adj[u, u + 1:].nonzero()[0] + (u + 1)
+        fwd = adj[u, u + 1:].nonzero()[0]
         if len(fwd) >= 3:
-            B = adj[fwd[:, None], fwd]
-            total += int(np.vdot(B @ B, B))
+            B = adj[u + 1:, u + 1:].take(fwd, 0).take(fwd, 1).astype(np.float32)
+            total += np.vecdot(B @ B, B).sum(dtype=np.float64)
+    total = int(total)
     if total % 6:
         raise AssertionError("forward-neighbourhood triangle tally is not a multiple of 6")
     return total // 6
 
 
-# rows per block of codegree products: bounds every temporary to 128 x n
-_ROW_BLOCK = 128
+# rows per block of codegree products: bounds every temporary to O(64 n) entries
+_ROW_BLOCK = 64
+
+
+def _c2(x: np.ndarray) -> np.ndarray:
+    return x * (x - 1) // 2
 
 
 def _host_statistics(G: ColouredCompleteGraph) -> list[int]:
@@ -272,48 +286,62 @@ def _host_statistics(G: ColouredCompleteGraph) -> list[int]:
     n = G.n
     if n > CENSUS_MAX_N:
         raise ValueError(f"census statistics support n <= {CENSUS_MAX_N}, got {n}")
-    red = (G.table() == RED).astype(np.float64)
-    np.fill_diagonal(red, 0.0)
-    blue = 1.0 - red
-    np.fill_diagonal(blue, 0.0)
-
-    def c2(x: np.ndarray) -> np.ndarray:
-        return x * (x - 1) // 2
+    red = G.table() == RED
+    np.fill_diagonal(red, False)
+    blue = ~red
+    np.fill_diagonal(blue, False)
+    red32, blue32 = red.astype(np.float32), blue.astype(np.float32)
 
     # Codegrees of the pairs u < v, for one block of rows u at a time.  Each
-    # product entry sums at most n 0/1 terms, so every float64 partial sum is
-    # an exact integer.
-    stats: dict = dict.fromkeys(STAT_IDS, 0)
-    n3 = n2 = n1 = n0 = e_red = 0
+    # product entry sums at most n 0/1 terms, so every float32 partial sum is
+    # an exact integer.  Per pair the columns of x are the codegrees
+    # (a, b, m1, m2); every statistic below is a sum over pairs of one of
+    # them or of a product of two, so it is read from the int64 sums s and
+    # Gram matrices g = sum x^T x, over all pairs and over the red pairs.
+    g_all = np.zeros((4, 4), dtype=np.int64)
+    g_red = np.zeros((4, 4), dtype=np.int64)
+    s_all = np.zeros(4, dtype=np.int64)
+    s_red = np.zeros(4, dtype=np.int64)
     for lo in range(0, n, _ROW_BLOCK):
         hi = min(lo + _ROW_BLOCK, n)
         upper = np.arange(lo, n) > np.arange(lo, hi)[:, None]  # v > u, v >= lo
-        r_rows, b_rows, r_cols, b_cols = red[lo:hi], blue[lo:hi], red[:, lo:], blue[:, lo:]
-        a = _exact_int64((r_rows @ r_cols)[upper])    # #{w : uw, wv red}
-        b = _exact_int64((b_rows @ b_cols)[upper])    # #{w : uw, wv blue}
-        m1 = _exact_int64((r_rows @ b_cols)[upper])   # #{w : uw red, wv blue}
-        m2 = _exact_int64((b_rows @ r_cols)[upper])   # #{w : uw blue, wv red}
-        pair_red = r_rows[:, lo:][upper] == 1.0
-        for pc, sel in ((RED, pair_red), (BLUE, ~pair_red)):
-            aa, bbv, mm1, mm2 = a[sel], b[sel], m1[sel], m2[sel]
-            stats[("p", pc, 0)] += int(c2(aa).sum())
-            stats[("p", pc, 1)] += int(c2(bbv).sum())
-            stats[("p", pc, 2)] += int((aa * bbv).sum())
-            stats[("p", pc, 3)] += int((aa * (mm1 + mm2)).sum())
-            stats[("p", pc, 4)] += int((bbv * (mm1 + mm2)).sum())
-            stats[("p", pc, 5)] += int((mm1 * mm2).sum())
-            stats[("p", pc, 6)] += int((c2(mm1) + c2(mm2)).sum())
-        # triangles by red-edge multiplicity, from codegrees along edges
-        n3 += int(a[pair_red].sum())
-        n2 += int((m1 + m2)[pair_red].sum())
-        n1 += int(b[pair_red].sum())
-        n0 += int(b[~pair_red].sum())
-        e_red += int(pair_red.sum())
+        r_rows, b_rows, r_cols, b_cols = red32[lo:hi], blue32[lo:hi], red32[:, lo:], blue32[:, lo:]
+        x = np.stack((
+            _exact_int64((r_rows @ r_cols)[upper]),   # a:  #{w : uw, wv red}
+            _exact_int64((b_rows @ b_cols)[upper]),   # b:  #{w : uw, wv blue}
+            _exact_int64((r_rows @ b_cols)[upper]),   # m1: #{w : uw red, wv blue}
+            _exact_int64((b_rows @ r_cols)[upper]),   # m2: #{w : uw blue, wv red}
+        ), axis=1)
+        x_red = x * red[lo:hi, lo:][upper][:, None]   # the rows of the red pairs, others 0
+        g_all += x.T @ x
+        g_red += x_red.T @ x
+        s_all += x.sum(axis=0)
+        s_red += x_red.sum(axis=0)
+    A, B, M1, M2 = range(4)
+    stats: dict = {}
+    for pc, g, s in ((RED, g_red, s_red), (BLUE, g_all - g_red, s_all - s_red)):
+        choose2 = (np.diag(g) - s) // 2   # sum of C(x, 2) for each codegree x
+        stats[("p", pc, 0)] = int(choose2[A])
+        stats[("p", pc, 1)] = int(choose2[B])
+        stats[("p", pc, 2)] = int(g[A, B])
+        stats[("p", pc, 3)] = int(g[A, M1] + g[A, M2])
+        stats[("p", pc, 4)] = int(g[B, M1] + g[B, M2])
+        stats[("p", pc, 5)] = int(g[M1, M2])
+        stats[("p", pc, 6)] = int(choose2[M1] + choose2[M2])
 
-    rdeg = _exact_int64(red.sum(axis=1)).tolist()
-    for k in range(4):
-        stats[("v", k)] = sum(comb(rd, 3 - k) * comb(n - 1 - rd, k) for rd in rdeg)
+    rdeg = red.sum(axis=1)
+    bdeg = n - 1 - rdeg
+    for k, per_vertex in enumerate((
+        _c2(rdeg) * (rdeg - 2) // 3,   # C(rdeg, 3)
+        _c2(rdeg) * bdeg,
+        rdeg * _c2(bdeg),
+        _c2(bdeg) * (bdeg - 2) // 3,   # C(bdeg, 3)
+    )):
+        stats[("v", k)] = int(per_vertex.sum())
 
+    # triangles by red-edge multiplicity, from codegrees along edges
+    n3, n2, n1 = int(s_red[A]), int(s_red[M1] + s_red[M2]), int(s_red[B])
+    n0 = int(s_all[B] - s_red[B])
     if n3 % 3 or n2 % 2 or n0 % 3:
         raise AssertionError("triangle tallies are inconsistent")
     stats[("t", 3)] = (n - 3) * (n3 // 3)
@@ -321,6 +349,7 @@ def _host_statistics(G: ColouredCompleteGraph) -> list[int]:
     stats[("t", 1)] = (n - 3) * n1
     stats[("t", 0)] = (n - 3) * (n0 // 3)
 
+    e_red = int(rdeg.sum()) // 2
     stats[("e", RED)] = comb(n - 2, 2) * e_red
     stats[("e", BLUE)] = comb(n - 2, 2) * (comb(n, 2) - e_red)
 
@@ -343,15 +372,15 @@ def census_k4(G: ColouredCompleteGraph) -> PatternCensus:
     pivots = [svec[i] for i in _PIVOT_ROWS]
     counts = []
     for row in _PIVOT_NUM:
-        num = sum(c * s for c, s in zip(row, pivots))
+        num = sum(map(mul, row, pivots))
         if num % _PIVOT_DEN or num < 0:
             raise AssertionError(f"census solve produced a non-count {Fraction(num, _PIVOT_DEN)}")
         counts.append(num // _PIVOT_DEN)
     # every statistic, including the 16 not used for the solve, must agree
-    for i, sid in enumerate(STAT_IDS):
-        lhs = sum(_COEFF[i][j] * counts[j] for j in range(NUM_CLASSES))
-        if lhs != svec[i]:
-            raise AssertionError(f"census statistic {sid} inconsistent: {lhs} != {svec[i]}")
+    for sid, row, s in zip(STAT_IDS, _COEFF, svec):
+        lhs = sum(map(mul, row, counts))
+        if lhs != s:
+            raise AssertionError(f"census statistic {sid} inconsistent: {lhs} != {s}")
     return PatternCensus(n, dict(zip(CLASS_KEYS, counts)))
 
 

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, repeat
 from math import ceil, comb
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -55,6 +56,56 @@ def _edge_triple(e: object, n: int, r: int) -> tuple[int, int, int]:
     return u, v, c
 
 
+def _valid_triples(edges: Sequence[object], n: int, r: int) -> np.ndarray | None:
+    """The entries as a (3, m) unsigned int array of rows u, v and c when
+    n and r are valid, there are C(n, 2) entries, and each entry is a list
+    or tuple of three ints (bools excluded) naming a pair u != v in
+    range(n) and a colour below r; else None.  Every check runs at C speed:
+    map and set over the entries and fields, one np.fromiter into the
+    smallest unsigned dtype that holds max(n, r), whose OverflowError marks
+    a negative or too large field, and vectorised comparisons.  Repeated
+    pairs are left to the caller."""
+    if not (n >= 1 and 2 <= r <= 255 and len(edges) == comb(n, 2)):
+        return None
+    if not all(map(isinstance, edges, repeat((list, tuple)))) or set(map(len, edges)) - {3}:
+        return None
+    if set(map(type, chain.from_iterable(edges))) - {int}:
+        return None
+    try:
+        flat = np.fromiter(chain.from_iterable(edges), dtype=np.min_scalar_type(max(n, r)),
+                           count=3 * len(edges))
+    except OverflowError:
+        return None
+    u, v, c = triples = flat.reshape(-1, 3).T
+    if ((u == v) | (u >= n) | (v >= n) | (c >= r)).any():
+        return None
+    return triples
+
+
+def _raise_edge_list_error(edges: Sequence[object], n: int, r: int) -> NoReturn:
+    """The error path of from_edges: raise the error of the first bad entry
+    in list order (malformed, out of range, or a pair already listed), else
+    the wrong entry count, else the bad n or r."""
+    seen = set()
+    for e in edges:
+        u, v, _ = _edge_triple(e, n, r)
+        pair = (u, v) if u < v else (v, u)
+        if pair in seen:
+            raise GraphFormatError(f"duplicate edge ({u},{v})")
+        seen.add(pair)
+    if len(edges) != comb(n, 2):
+        raise GraphFormatError(f"expected {comb(n, 2)} edges, got {len(edges)}")
+    _check_size(n, r)
+    raise AssertionError("the bulk edge-list checks rejected a valid list")
+
+
+def _check_size(n: int, r: int) -> None:
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
+    if not 2 <= r <= 255:
+        raise ValueError(f"need 2 <= r <= 255, got {r}")
+
+
 class ColouredCompleteGraph:
     """An n-vertex complete graph with an r-colouring of its edges.
 
@@ -68,10 +119,7 @@ class ColouredCompleteGraph:
         """Build from n rows of n colour bytes each (bytes-like, e.g. the
         rows of an n x n uint8 array).  The table must be symmetric with
         colours below r off the diagonal; the diagonal is stored as 0."""
-        if n < 1:
-            raise ValueError(f"need n >= 1, got {n}")
-        if not 2 <= r <= 255:
-            raise ValueError(f"need 2 <= r <= 255, got {r}")
+        _check_size(n, r)
         rows = [bytes(row) for row in rows]
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("colour table must be n x n")
@@ -102,21 +150,28 @@ class ColouredCompleteGraph:
     def from_edges(cls, n: int, r: int, edges: Iterable[Sequence[int]]) -> "ColouredCompleteGraph":
         """Build from an explicit [u, v, c] list covering all C(n,2) pairs.
 
-        Rejects self-loops, duplicate pairs, missing pairs and colours >= r.
+        Rejects malformed entries, self-loops, out-of-range vertices or
+        colours, duplicate pairs and missing pairs, naming the first bad
+        entry in list order.  A valid list is checked in bulk: the entry
+        count, the entry and field types at C speed, the values as one
+        integer array, and duplicates by scattering the colours into the
+        n x n table, which is allocated only once the count is C(n, 2).
+        Only a bad list is scanned entry by entry, to name its first error.
         """
-        unset = 0xFF  # never a colour, since r <= 255
-        rows = [bytearray([unset]) * n for _ in range(n)]
-        count = 0
-        for e in edges:
-            u, v, c = _edge_triple(e, n, r)
-            if rows[u][v] != unset:
-                raise GraphFormatError(f"duplicate edge ({u},{v})")
-            rows[u][v] = c
-            rows[v][u] = c
-            count += 1
-        if count != comb(n, 2):
-            raise GraphFormatError(f"expected {comb(n, 2)} edges, got {count}")
-        return cls(n, r, rows)
+        if not isinstance(edges, (list, tuple)):
+            edges = list(edges)
+        triples = _valid_triples(edges, n, r)
+        if triples is not None:
+            u, v, c = triples
+            unset = 0xFF  # never a colour, since r <= 255
+            table = np.full((n, n), unset, dtype=np.uint8)
+            table[u, v] = c
+            table[v, u] = c
+            np.fill_diagonal(table, 0)
+            # C(n, 2) in-range pairs were written, so an unset pair means a duplicate
+            if table.max() != unset:
+                return cls(n, r, table)
+        _raise_edge_list_error(edges, n, r)
 
     def colour(self, u: int, v: int) -> int:
         if u == v:
@@ -215,20 +270,16 @@ def colour_swap(G: ColouredCompleteGraph) -> ColouredCompleteGraph:
 # ---------------------------------------------------------------------------
 
 def graph_to_json(G: ColouredCompleteGraph, compact: bool = False) -> dict:
+    n = G.n
     if compact:
         if G.r > 10:
             raise GraphFormatError("compact format supports at most 10 colours")
-        rows = [
-            "".join(str(G._rows[u][v]) for v in range(u + 1, G.n))
-            for u in range(G.n)
-        ]
-        return {"n": G.n, "r": G.r, "rows": rows}
-    edges = [
-        [u, v, G._rows[u][v]]
-        for u in range(G.n)
-        for v in range(u + 1, G.n)
-    ]
-    return {"n": G.n, "r": G.r, "edges": edges}
+        digits = (G.table() + ord("0")).tobytes()  # the colour digit of each pair
+        rows = [digits[u * n + u + 1:(u + 1) * n].decode("ascii") for u in range(n)]
+        return {"n": n, "r": G.r, "rows": rows}
+    us, vs = np.triu_indices(n, 1)  # the pairs u < v in row-major order
+    edges = np.stack((us, vs, G.table()[us, vs]), axis=1).tolist()
+    return {"n": n, "r": G.r, "edges": edges}
 
 
 def graph_from_json(data: dict) -> ColouredCompleteGraph:
@@ -264,11 +315,5 @@ def graph_from_json(data: dict) -> ColouredCompleteGraph:
         edges = data["edges"]
         if not isinstance(edges, list):
             raise GraphFormatError("'edges' must be a list of [u, v, c] triples")
-        if len(edges) != comb(n, 2):
-            # rejected before from_edges allocates the n x n colour table;
-            # a malformed entry is still the error reported first
-            for e in edges:
-                _edge_triple(e, n, r)
-            raise GraphFormatError(f"expected {comb(n, 2)} edges, got {len(edges)}")
         return ColouredCompleteGraph.from_edges(n, r, edges)
     raise GraphFormatError("graph JSON needs an 'edges' or 'rows' field")

@@ -1,5 +1,6 @@
 """Small host builders shared by the tests, plus the reference paths the
-fast code must reproduce: the per-pair random stream, the set-based
+fast code must reproduce: the per-entry edge-list loader and the per-pair
+graph JSON writer, the per-pair random stream, the set-based
 smallest-unibalanced search, the O(n^4) K4 census and the brute-force M1
 count, with the class tables and exhaustive isomorphism checks they use,
 the pair-colouring Ramsey step, and the dict-of-masks canonical hypergraph
@@ -8,6 +9,7 @@ the pair-colouring Ramsey step, and the dict-of-masks canonical hypergraph
 import itertools
 import random
 from dataclasses import dataclass
+from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +24,7 @@ from localbalance import (
     ramsey_bound,
 )
 from localbalance.blowup_finder import _checked_parts, _check_in_host
-from localbalance.core import Rational, _as_fraction
+from localbalance.core import GraphFormatError, Rational, _as_fraction, _edge_triple
 from localbalance.patterns import _bits
 from localbalance.census import (
     CLASS_KEYS,
@@ -42,6 +44,48 @@ def graph_from(n: int, r: int, colour) -> ColouredCompleteGraph:
         for v in range(u + 1, n):
             table[u, v] = table[v, u] = colour(u, v)
     return ColouredCompleteGraph(n, r, table)
+
+
+def from_edges_reference(n: int, r: int, edges) -> ColouredCompleteGraph:
+    """ColouredCompleteGraph.from_edges one entry at a time: the first
+    malformed, out-of-range or repeated entry in list order is the error,
+    then a wrong entry count."""
+    unset = 0xFF  # never a colour, since r <= 255
+    rows = [bytearray([unset]) * n for _ in range(n)]
+    count = 0
+    for e in edges:
+        u, v, c = _edge_triple(e, n, r)
+        if rows[u][v] != unset:
+            raise GraphFormatError(f"duplicate edge ({u},{v})")
+        rows[u][v] = c
+        rows[v][u] = c
+        count += 1
+    if count != comb(n, 2):
+        raise GraphFormatError(f"expected {comb(n, 2)} edges, got {count}")
+    return ColouredCompleteGraph(n, r, rows)
+
+
+def outcome(build: Callable[[], object]) -> object:
+    """What build() returns, or the type and message of the ValueError
+    (GraphFormatError included) it raises."""
+    try:
+        return build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def graph_to_json_reference(G: ColouredCompleteGraph, compact: bool = False) -> dict:
+    """graph_to_json by the per-pair comprehension."""
+    if compact:
+        if G.r > 10:
+            raise GraphFormatError("compact format supports at most 10 colours")
+        rows = [
+            "".join(str(G.colour(u, v)) for v in range(u + 1, G.n))
+            for u in range(G.n)
+        ]
+        return {"n": G.n, "r": G.r, "rows": rows}
+    edges = [[u, v, G.colour(u, v)] for u in range(G.n) for v in range(u + 1, G.n)]
+    return {"n": G.n, "r": G.r, "edges": edges}
 
 
 def bipartite_from(nx: int, ny: int, colour) -> BipartiteColouring:

@@ -163,7 +163,7 @@ class TestCensus:
 
 
 class TestCensusKernels:
-    """Edge cases of the float64 codegree products and the forward-neighbourhood
+    """Edge cases of the float32 codegree products and the forward-neighbourhood
     K4 count, each checked against the O(n^4) enumeration."""
 
     def test_one_colour_hosts(self):
@@ -182,6 +182,25 @@ class TestCensusKernels:
 
     def test_random_host_at_n64(self):
         G = make_random(64, 2, 11)
+        assert census_k4(G).counts == census_k4_reference(G).counts
+
+    @pytest.mark.parametrize("colour, key", [(0, "000000"), (1, "111111")])
+    def test_one_colour_host_past_float32_integers(self, colour, key):
+        # vertex 0's forward-block tally is 6 C(299, 3), past 2^24, where a
+        # float32 running sum is no longer exact; its float32 row sums (each
+        # at most 299^2) and their float64 total are
+        n = 300
+        assert 6 * comb(n - 1, 3) > 2**24
+        c = census_k4(graph_from(n, 2, lambda u, v: colour))
+        assert c.counts[key] == comb(n, 4)
+        assert sum(c.counts.values()) == comb(n, 4)
+
+    def test_random_host_at_n96(self):
+        G = make_random(96, 2, 5)
+        assert census_k4(G).counts == census_k4_reference(G).counts
+
+    def test_noisy_split_host_at_n96(self):
+        G = make_split(48, 48, seed=0, flips=200)
         assert census_k4(G).counts == census_k4_reference(G).counts
 
     def test_row_blocks_match_reference(self, monkeypatch):

@@ -2,6 +2,7 @@ import json
 import random
 import re
 import tracemalloc
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,41 @@ from localbalance import (
     make_random,
     make_split,
 )
-from hosts import coloured_graphs_isomorphic, graph_from, relabelled
+from hosts import (
+    coloured_graphs_isomorphic,
+    from_edges_reference,
+    graph_from,
+    graph_to_json_reference,
+    outcome,
+    relabelled,
+)
+
+
+MALFORMED = [
+    {"n": 3, "r": 2, "edges": 5},
+    {"n": 3, "r": 2, "edges": {"0": [0, 1, 0]}},
+    {"n": 3, "r": 2, "edges": [[0, 1, 0], 7, [1, 2, 0]]},
+    {"n": 3, "r": 2, "edges": [[0, 1, 0], "012", [1, 2, 0]]},
+    {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, None], [1, 2, 0]]},
+    {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, "x", 0], [1, 2, 0]]},
+    {"n": 3, "r": 2, "rows": [1, 2, 3]},
+    {"n": 3, "r": 2, "rows": ["00", ["0"], ""]},
+    {"n": 3, "r": 2, "rows": "00"},
+    {"n": 3, "r": 2, "rows": ["02", "0", ""]},
+    {"n": 4, "r": 3, "rows": ["012", "01", "9", ""]},
+    {"n": 2, "r": 2, "rows": ["\u0661", ""]},
+    {"n": 0, "r": 2, "edges": []},
+    {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 1.7, True], [1, 2, 0]]},
+    {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, True], [1, 2, 0]]},
+    {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2.0, 1], [1, 2, 0]]},
+    {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, 1], [1, 2, 0.0]]},
+    {"n": "3", "r": 2, "rows": ["00", "0", ""]},
+    {"n": 3, "r": 2.9, "rows": ["00", "0", ""]},
+    {"n": 3.0, "r": 2, "rows": ["00", "0", ""]},
+    {"n": 3, "r": True, "rows": ["00", "0", ""]},
+    {"n": 3, "r": None, "rows": ["00", "0", ""]},
+    {"r": 2, "rows": ["00", "0", ""]},
+]
 
 
 def mono(n, colour=0, r=2):
@@ -349,31 +384,7 @@ class TestJson:
         with pytest.raises(GraphFormatError, match="length"):
             graph_from_json({"n": 3, "r": 2, "rows": ["000", "0", ""]})
 
-    @pytest.mark.parametrize("data", [
-        {"n": 3, "r": 2, "edges": 5},
-        {"n": 3, "r": 2, "edges": {"0": [0, 1, 0]}},
-        {"n": 3, "r": 2, "edges": [[0, 1, 0], 7, [1, 2, 0]]},
-        {"n": 3, "r": 2, "edges": [[0, 1, 0], "012", [1, 2, 0]]},
-        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, None], [1, 2, 0]]},
-        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, "x", 0], [1, 2, 0]]},
-        {"n": 3, "r": 2, "rows": [1, 2, 3]},
-        {"n": 3, "r": 2, "rows": ["00", ["0"], ""]},
-        {"n": 3, "r": 2, "rows": "00"},
-        {"n": 3, "r": 2, "rows": ["02", "0", ""]},
-        {"n": 4, "r": 3, "rows": ["012", "01", "9", ""]},
-        {"n": 2, "r": 2, "rows": ["\u0661", ""]},
-        {"n": 0, "r": 2, "edges": []},
-        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 1.7, True], [1, 2, 0]]},
-        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, True], [1, 2, 0]]},
-        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2.0, 1], [1, 2, 0]]},
-        {"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, 1], [1, 2, 0.0]]},
-        {"n": "3", "r": 2, "rows": ["00", "0", ""]},
-        {"n": 3, "r": 2.9, "rows": ["00", "0", ""]},
-        {"n": 3.0, "r": 2, "rows": ["00", "0", ""]},
-        {"n": 3, "r": True, "rows": ["00", "0", ""]},
-        {"n": 3, "r": None, "rows": ["00", "0", ""]},
-        {"r": 2, "rows": ["00", "0", ""]},
-    ])
+    @pytest.mark.parametrize("data", MALFORMED)
     def test_rejects_malformed_structure(self, data):
         with pytest.raises(GraphFormatError):
             graph_from_json(data)
@@ -388,7 +399,107 @@ class TestJson:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    @pytest.mark.parametrize("r", [2, 3])
+    @pytest.mark.parametrize("compact", [False, True])
+    def test_writer_matches_per_pair_reference(self, r, compact):
+        for n in (1, 2, 7, 40):
+            for seed in range(2):
+                G = make_random(n, r, seed)
+                data = graph_to_json(G, compact=compact)
+                assert data == graph_to_json_reference(G, compact=compact)
+                assert json.dumps(data) == json.dumps(graph_to_json_reference(G, compact=compact))
+
     def test_json_is_serialisable(self):
         G = make_random(6, 2, 0)
         json.dumps(graph_to_json(G))
         json.dumps(graph_to_json(G, compact=True))
+
+
+Pair = namedtuple("Pair", "u v c")
+OK3 = [[0, 1, 0], [0, 2, 1], [1, 2, 0]]
+# (n, r, edge list) cases for ColouredCompleteGraph.from_edges beyond MALFORMED
+EDGE_LISTS = [
+    (3, 2, OK3),
+    (3, 2, [[0, 1, 0], [-1, 2, 1], [1, 2, 0]]),          # negative vertex
+    (3, 2, [[0, 1, 0], [0, 10**30, 1], [1, 2, 0]]),      # vertex past int64
+    (3, 2, [[0, 1, 0], [0, 2**31, 1], [1, 2, 0]]),       # vertex past int32
+    (3, 2, [[0, 1, 0], [0, 2, 10**30], [1, 2, 0]]),      # colour past int64
+    (3, 2, [[0, 1, 0], [0, 2, -1], [1, 2, 0]]),
+    (3, 2, [[0, 1, 0], [2, 2, 1], [1, 2, 0]]),           # self-loop
+    (3, 2, [(0, 1, 0), (0, 2, 1), (1, 2, 0)]),           # tuple entries
+    (3, 2, [(0, 1, 0), (0, 2, 5), (1, 2, 0)]),
+    (3, 2, [Pair(0, 1, 0), Pair(0, 2, 1), Pair(1, 2, 0)]),
+    (3, 2, [[0, 1, 0], [1, 0, 1], [1, 2, 0]]),           # duplicate after its twin
+    (3, 2, [[0, 1, 0], [0, 2, 1], [0, 1, 1]]),
+    (3, 2, [[0, 1, 0], [0, 1, 0], "x"]),                 # duplicate before a bad entry
+    (3, 2, [[0, 1, 0], "x", [0, 1, 0]]),
+    (3, 2, [[0, 1, 0], [0, 2, 1]]),                      # missing pair
+    (3, 2, OK3 + [[1, 2, 0]]),
+    (3, 2, [[0, 1, 0], [0, 2, 1], [1, 2, 0, 0]]),
+    (3, 1, OK3),                                         # r out of range, entries fine
+    (3, 0, OK3),
+    (3, 255, [[0, 1, 254], [0, 2, 1], [1, 2, 0]]),
+    (3, 256, OK3),
+    (1, 2, []),
+    (0, 2, []),
+    (2, 2, [[0, 1, True]]),
+    (4, 3, [list(e) for e in reversed([(u, v, (u + v) % 3) for u in range(4) for v in range(u + 1, 4)])]),
+]
+
+
+class TestBulkEdgeLoader:
+    """from_edges checks a valid list in bulk and scans only a bad one; the
+    result, or the error type and message, must be the per-entry reference's."""
+
+    @pytest.mark.parametrize("data", [
+        d for d in MALFORMED if isinstance(d.get("edges"), list)
+    ])
+    def test_malformed_cases_match_reference(self, data):
+        n, r, edges = data["n"], data["r"], data["edges"]
+        want = outcome(lambda: from_edges_reference(n, r, edges))
+        assert outcome(lambda: ColouredCompleteGraph.from_edges(n, r, edges)) == want
+        if n >= 1:
+            assert outcome(lambda: graph_from_json(data)) == want
+
+    @pytest.mark.parametrize("n, r, edges", EDGE_LISTS)
+    def test_edge_lists_match_reference(self, n, r, edges):
+        want = outcome(lambda: from_edges_reference(n, r, edges))
+        assert outcome(lambda: ColouredCompleteGraph.from_edges(n, r, edges)) == want
+        assert outcome(lambda: ColouredCompleteGraph.from_edges(n, r, iter(edges))) == want
+        if n >= 1:
+            assert outcome(lambda: graph_from_json({"n": n, "r": r, "edges": list(edges)})) == want
+
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1, 0], [0, 10**30, 1], [1, 2, 0]],
+         "vertex out of range in edge (0,1000000000000000000000000000000)"),
+        ([[0, 1, 0], [0, 2, 10**30], [1, 2, 0]],
+         "colour 1000000000000000000000000000000 out of range in edge (0,2)"),
+        ([[0, 1, 0], [1, 0, 1], [1, 2, 0]], "duplicate edge (1,0)"),
+        ([[0, 1, 0], [0, 1, 0], "x"], "duplicate edge (0,1)"),
+        ([[0, 1, 0], "x", [0, 1, 0]], "edge entry 'x' is not a [u, v, c] triple"),
+        ([[0, 1, 0], [0, 2, 1]], "expected 3 edges, got 2"),
+    ])
+    def test_named_messages(self, edges, message):
+        with pytest.raises(GraphFormatError, match=re.escape(message) + "$"):
+            ColouredCompleteGraph.from_edges(3, 2, edges)
+
+    def test_generator_argument(self):
+        G = make_random(9, 3, 4)
+        edges = graph_to_json(G)["edges"]
+        assert ColouredCompleteGraph.from_edges(9, 3, (e for e in edges)) == G
+        bad = edges[:5] + [edges[2]] + edges[5:-1]
+        with pytest.raises(GraphFormatError, match=r"duplicate edge \(0,3\)"):
+            ColouredCompleteGraph.from_edges(9, 3, (e for e in bad))
+
+    def test_shuffled_lists_of_larger_hosts(self):
+        # n = 300 reads the fields as uint16, n = 25 as uint8
+        rng = random.Random(0)
+        for n, r in ((300, 2), (25, 4)):
+            G = make_random(n, r, 1)
+            edges = [[v, u, c] if rng.random() < 0.5 else [u, v, c]
+                     for u, v, c in graph_to_json(G)["edges"]]
+            rng.shuffle(edges)
+            assert ColouredCompleteGraph.from_edges(n, r, edges) == G
+            edges[-1] = edges[7]
+            assert outcome(lambda: ColouredCompleteGraph.from_edges(n, r, edges)) == outcome(
+                lambda: from_edges_reference(n, r, edges))

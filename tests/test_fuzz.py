@@ -23,7 +23,7 @@ from localbalance import (
     min_unibalanced_subgraph,
 )
 from localbalance.cli import main
-from hosts import graph_from, naive_min_unibalanced
+from hosts import from_edges_reference, graph_from, naive_min_unibalanced, outcome
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -92,6 +92,34 @@ def full_patterns(draw):
             "edges": draw(st.permutations(edges))}
 
 
+@st.composite
+def edge_lists(draw):
+    """(n, r, edges): every pair of an n-vertex host once, in any order and
+    either orientation, then up to three corruptions: a field replaced, an
+    entry inserted, dropped, repeated or made a tuple."""
+    n, r = draw(st.integers(1, 6)), draw(st.integers(2, 4) | st.integers(-1, 1))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [[*(draw(st.permutations(p))), draw(st.integers(0, 1))] for p in pairs]
+    edges = draw(st.permutations(edges))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("field", "insert", "drop", "repeat", "tuple")))
+        if kind == "insert" or not edges:
+            edges.insert(draw(st.integers(0, len(edges))), draw(entry))
+            continue
+        i = draw(st.integers(0, len(edges) - 1))
+        if kind == "field" and isinstance(edges[i], list) and len(edges[i]) == 3:
+            edges[i] = list(edges[i])
+            edges[i][draw(st.integers(0, 2))] = draw(small | st.integers() | json_scalars)
+        elif kind == "drop":
+            del edges[i]
+        elif kind == "repeat":
+            twin = edges[i][::-1] if draw(st.booleans()) and isinstance(edges[i], list) else edges[i]
+            edges.insert(draw(st.integers(0, len(edges))), twin)
+        elif kind == "tuple" and isinstance(edges[i], list):
+            edges[i] = tuple(edges[i])
+    return n, r, edges
+
+
 def load_graph(data):
     try:
         G = graph_from_json(data)
@@ -134,6 +162,15 @@ def load_bipartite(data):
         return None
     assert BipartiteColouring.from_dict(B.to_dict()) == B
     return B
+
+
+@FUZZ
+@given(edge_lists())
+def test_bulk_edge_loader_matches_per_entry_reference(case):
+    n, r, edges = case
+    want = outcome(lambda: from_edges_reference(n, r, edges))
+    assert outcome(lambda: ColouredCompleteGraph.from_edges(n, r, edges)) == want
+    assert outcome(lambda: graph_from_json({"n": n, "r": r, "edges": edges})) == want
 
 
 @FUZZ

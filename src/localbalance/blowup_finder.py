@@ -175,15 +175,6 @@ class CanonicalHypergraph:
         return CanonicalHypergraph(self.parts[:-1], heads, masks, len(self.prefixes))
 
 
-def _host_masks(Hg: CanonicalHypergraph, rows: Sequence[int]) -> list[int]:
-    """The last coordinates of the given rows as int masks over host vertices."""
-    last = Hg.parts[-1]
-    bits = np.zeros((len(rows), last[-1] + 1), dtype=bool)
-    bits[:, last] = _unpack(Hg.masks[np.asarray(rows, dtype=np.intp)], len(last))
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
 def _row_of(prefixes: np.ndarray, prefix: Sequence[int]) -> int:
     """The row of prefix in the sorted prefix array, found by binary search
     one column at a time: a column is sorted where the earlier ones agree."""
@@ -354,10 +345,11 @@ def canonical_hypergraph(
 
 @dataclass(frozen=True)
 class BipartiteIncidence:
-    """Bipartite graph between abstract items A and host vertices B.
+    """Bipartite graph between abstract items A and the positions of B.
 
-    nbrs[i] is the bitmask (over host vertex ids) of the B-neighbours of
-    a_items[i]; b_mask restricts B.
+    nbrs[i] is the bitmask of the B-neighbours of a_items[i], bit k standing
+    for the k-th element of B (in the cover, the k-th smallest vertex of
+    the last part); b_mask restricts B.
     """
 
     a_items: tuple
@@ -557,14 +549,16 @@ def hypergraph_cover(
     The split size s is chosen by sweeping the greedy star trajectory and
     maximising min(s, clique found in the common neighbourhood); kst_star
     then refines the star at that s, exactly when C(|A|, s) is at most
-    STAR_SEARCH_BUDGET.  The Ramsey steps run on G's colour bitmasks.
+    STAR_SEARCH_BUDGET.  The star incidence is over positions in the last
+    part, whose order is the vertex order, so popcounts and ties are those
+    of host-vertex masks; the Ramsey steps run on G's colour bitmasks.
     """
     if Hg.is_empty:
         raise ValueError("hypergraph_cover needs a nonempty hypergraph")
     _check_in_host(Hg.parts, G)
     l = Hg.ell
     if l == 1:
-        s1, colour = ramsey_clique(list(_bits(_host_masks(Hg, [0])[0])), G)
+        s1, colour = ramsey_clique([v for v, in Hg.edges()], G)
         return CoverResult((s1,), (colour,), tuple((v,) for v in s1), ("base",))
 
     adaptive = Fraction(Hg.edge_count, l * prod(map(len, Hg.parts)))
@@ -574,10 +568,11 @@ def hypergraph_cover(
 
     sub = hypergraph_cover(L.shadow(), G, config)
     A = sub.matching
+    last = L.parts[-1]
     F = BipartiteIncidence(
         a_items=A,
-        nbrs=tuple(_host_masks(L, [_row_of(L.prefixes, R) for R in A])),
-        b_mask=sum(1 << v for v in L.parts[-1]),
+        nbrs=tuple(int.from_bytes(L.masks[_row_of(L.prefixes, R)].tobytes(), "little") for R in A),
+        b_mask=(1 << len(last)) - 1,
     )
 
     best_s, best_score, best_state = 0, -1, None
@@ -587,7 +582,7 @@ def hypergraph_cover(
             break
         if s <= best_score:
             continue
-        clique, colour = ramsey_clique(list(_bits(common)), G)
+        clique, colour = ramsey_clique([last[k] for k in _bits(common)], G)
         score = min(s, len(clique))
         if score > best_score:
             best_s, best_score = s, score
@@ -600,7 +595,7 @@ def hypergraph_cover(
     star = kst_star(F, best_s)
     assert star is not None, "the sweep found a nonempty common neighbourhood at best_s"
     if star.mode == "exact":
-        clique, colour = ramsey_clique(list(_bits(star.common)), G)
+        clique, colour = ramsey_clique([last[k] for k in _bits(star.common)], G)
         if min(best_s, len(clique)) >= best_score:
             best_state = (star.members, clique, colour, "exact")
 

@@ -15,8 +15,8 @@ from math import ceil, comb
 import numpy as np
 
 from .census import BipartiteColouring
-from .core import ColouredCompleteGraph, Rational, _as_fraction
-from .patterns import TotallyColouredPattern, blow_up, get_pattern
+from .core import ColouredCompleteGraph, Rational, _as_fraction, _check_size
+from .patterns import TotallyColouredPattern, _bits, blow_up, get_pattern
 
 RED, BLUE, GREEN = 0, 1, 2
 
@@ -40,6 +40,8 @@ def make_Pk(k: int) -> ColouredCompleteGraph:
 def make_split(a: int, b: int, seed: int = 0, flips: int = 0) -> ColouredCompleteGraph:
     """A split colouring: red clique on a vertices, blue clique on b,
     cross edges by a seeded fair coin, then ``flips`` random edges toggled.
+    The cross pairs u < a <= v are the a x b block in row-major order, so
+    one draw_below draws the coins a per-pair randrange(2) loop would.
     """
     n = a + b
     if a < 0 or b < 0 or n < 2:
@@ -47,23 +49,12 @@ def make_split(a: int, b: int, seed: int = 0, flips: int = 0) -> ColouredComplet
     if flips < 0 or flips > comb(n, 2):
         raise ValueError(f"flips must lie in [0, C(n,2)], got {flips}")
     rng = random.Random(seed)
-    rows = [bytearray(n) for _ in range(n)]
-    pairs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            if v < a:
-                c = RED
-            elif u >= a:
-                c = BLUE
-            else:
-                c = rng.randrange(2)
-            rows[u][v] = rows[v][u] = c
-            pairs.append((u, v))
-    for idx in sorted(rng.sample(range(len(pairs)), flips)):
-        u, v = pairs[idx]
-        c = 1 - rows[u][v]
-        rows[u][v] = rows[v][u] = c
-    return ColouredCompleteGraph(n, 2, rows)
+    table = np.full((n, n), BLUE, dtype=np.uint8)
+    table[:a, :a] = RED
+    table[:a, a:] = draw_below(rng, 2, a * b).reshape(a, b)
+    colours = table[~np.tri(n, dtype=bool)]
+    colours[rng.sample(range(len(colours)), flips)] ^= 1
+    return ColouredCompleteGraph.from_pair_colours(n, 2, colours)
 
 
 def make_multicolour_cycle(l: int, part_size: int) -> ColouredCompleteGraph:
@@ -111,28 +102,15 @@ def draw_below(rng: random.Random, r: int, count: int) -> np.ndarray:
     return out
 
 
-def _check_random_args(n: int, r: int) -> None:
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if not 2 <= r <= 255:
-        raise ValueError(f"need 2 <= r <= 255, got r={r}")
-
-
-def _graph_from_pair_colours(n: int, r: int, colours: np.ndarray) -> ColouredCompleteGraph:
-    """The graph whose pairs u < v, in row-major order, take ``colours``."""
-    table = np.zeros((n, n), dtype=np.uint8)
-    table[~np.tri(n, dtype=bool)] = colours  # boolean masks fill in row-major order
-    return ColouredCompleteGraph(n, r, table | table.T)
-
-
 def make_random(n: int, r: int, seed: int) -> ColouredCompleteGraph:
     """I.i.d. uniform edge colours; deterministic per seed.
 
     The colour of pair u < v is the next ``random.Random(seed).randrange(r)``
     in row-major order, drawn in bulk by draw_below.
     """
-    _check_random_args(n, r)
-    return _graph_from_pair_colours(n, r, draw_below(random.Random(seed), r, comb(n, 2)))
+    _check_size(n, r)
+    colours = draw_below(random.Random(seed), r, comb(n, 2))
+    return ColouredCompleteGraph.from_pair_colours(n, r, colours)
 
 
 def make_bipartite_mindeg(
@@ -211,28 +189,18 @@ class SplitCloseness:
 EXACT_MAX_N = 24  # exact mode's int32 cost table takes 4 * 2^n bytes
 
 
-def _flipped_edges_for(G: ColouredCompleteGraph, red_mask: int) -> tuple[tuple[int, int], ...]:
+def _split_violations(G: ColouredCompleteGraph, red_mask: int) -> tuple[tuple[int, int], ...]:
+    """The pairs u < v, in row-major order, that the split with red side
+    red_mask must recolour; their number is the split's cost."""
+    blue_mask = ((1 << G.n) - 1) & ~red_mask
     out = []
     for u in range(G.n):
-        for v in range(u + 1, G.n):
-            inside_red = (red_mask >> u) & 1 and (red_mask >> v) & 1
-            inside_blue = not ((red_mask >> u) & 1) and not ((red_mask >> v) & 1)
-            c = G.colour(u, v)
-            if (inside_red and c == BLUE) or (inside_blue and c == RED):
-                out.append((u, v))
-    return tuple(out)
-
-
-def _split_cost(G: ColouredCompleteGraph, red_mask: int) -> int:
-    full = (1 << G.n) - 1
-    blue_mask = full & ~red_mask
-    cost = 0
-    for u in range(G.n):
         if (red_mask >> u) & 1:
-            cost += (G.neighbours(BLUE, u) & red_mask).bit_count()
+            wrong = G.neighbours(BLUE, u) & red_mask
         else:
-            cost += (G.neighbours(RED, u) & blue_mask).bit_count()
-    return cost // 2
+            wrong = G.neighbours(RED, u) & blue_mask
+        out.extend((u, v) for v in _bits(wrong >> (u + 1) << (u + 1)))
+    return tuple(out)
 
 
 def closeness_to_split(
@@ -276,7 +244,7 @@ def closeness_to_split(
         rng = random.Random(seed)
         for _ in range(starts):
             mask = rng.getrandbits(n)
-            cost = _split_cost(G, mask)
+            cost = len(_split_violations(G, mask))
             improved = True
             while improved:
                 improved = False
@@ -306,7 +274,7 @@ def closeness_to_split(
 
     red_side = tuple(v for v in range(n) if (best_mask >> v) & 1)
     blue_side = tuple(v for v in range(n) if not (best_mask >> v) & 1)
-    flipped = _flipped_edges_for(G, best_mask)
+    flipped = _split_violations(G, best_mask)
     return SplitCloseness(
         delta=Fraction(len(flipped), n * n),
         red_side=red_side,

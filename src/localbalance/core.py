@@ -4,6 +4,8 @@ Vertices are the integers 0..n-1 and colours the integers 0..r-1
 (red = 0, blue = 1, green = 2 by convention).  The colour table is dense
 and symmetric; per-colour neighbourhoods are additionally kept as int
 bitmasks so that codegree intersections cost one AND plus a popcount.
+Hosts given as row-major pair colours (random, split, compact JSON) are
+built by from_pair_colours; degrees and class sizes come from balance_profile.
 
 All epsilon thresholds are compared in exact rational arithmetic: the
 constructions of interest sit exactly on boundaries like 1/4, where float
@@ -103,7 +105,7 @@ def _check_size(n: int, r: int) -> None:
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 2 <= r <= 255:
-        raise ValueError(f"need 2 <= r <= 255, got {r}")
+        raise ValueError(f"need 2 <= r <= 255, got r={r}")
 
 
 class ColouredCompleteGraph:
@@ -173,6 +175,13 @@ class ColouredCompleteGraph:
                 return cls(n, r, table)
         _raise_edge_list_error(edges, n, r)
 
+    @classmethod
+    def from_pair_colours(cls, n: int, r: int, colours: np.ndarray) -> "ColouredCompleteGraph":
+        """The graph whose pairs u < v, in row-major order, take ``colours``."""
+        table = np.zeros((n, n), dtype=np.uint8)
+        table[~np.tri(n, dtype=bool)] = colours  # boolean masks fill in row-major order
+        return cls(n, r, table | table.T)
+
     def colour(self, u: int, v: int) -> int:
         if u == v:
             raise ValueError("no self-loops in a complete graph")
@@ -189,12 +198,6 @@ class ColouredCompleteGraph:
     def neighbours(self, c: int, u: int) -> int:
         """Bitmask of the colour-c neighbourhood of u."""
         return self._bits[c][u]
-
-    def degree(self, u: int, c: int) -> int:
-        return self._bits[c][u].bit_count()
-
-    def colour_class_size(self, c: int) -> int:
-        return sum(m.bit_count() for m in self._bits[c]) // 2
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColouredCompleteGraph):
@@ -224,18 +227,16 @@ class BalanceProfile:
 
 
 def balance_profile(G: ColouredCompleteGraph) -> BalanceProfile:
-    """Exact balance profile of G; deterministic, O(r n^2 / word)."""
-    n, r = G.n, G.r
-    degrees = tuple(
-        tuple(G.degree(v, c) for c in range(r)) for v in range(n)
-    )
-    min_deg = min(min(dv) for dv in degrees)
+    """Exact balance profile of G from one popcount per (vertex, colour)."""
+    n = G.n
+    per_colour = [[mask.bit_count() for mask in G.colour_bits(c)] for c in range(G.r)]
+    min_deg = min(map(min, per_colour))
     eps_local = Fraction(min_deg, n)
     if n < 2:
         eps_global = Fraction(0)
     else:
-        eps_global = Fraction(min(G.colour_class_size(c) for c in range(r)), comb(n, 2))
-    return BalanceProfile(degrees, min_deg, eps_local, eps_global)
+        eps_global = Fraction(min(map(sum, per_colour)) // 2, comb(n, 2))
+    return BalanceProfile(tuple(zip(*per_colour)), min_deg, eps_local, eps_global)
 
 
 def least_balanced_degree(eps: Rational, n: int) -> int:
@@ -250,7 +251,7 @@ def least_balanced_degree(eps: Rational, n: int) -> int:
 def is_locally_balanced(G: ColouredCompleteGraph, eps: Rational) -> bool:
     """True iff every (vertex, colour) degree is >= eps * n, exactly."""
     need = least_balanced_degree(eps, G.n)
-    return all(mask.bit_count() >= need for c in range(G.r) for mask in G.colour_bits(c))
+    return balance_profile(G).min_degree_per_colour >= need
 
 
 def colour_swap(G: ColouredCompleteGraph) -> ColouredCompleteGraph:
@@ -303,14 +304,14 @@ def graph_from_json(data: dict) -> ColouredCompleteGraph:
             if row and not (row.isascii() and row.isdigit()):
                 ch = next(ch for ch in row if ch not in "0123456789")
                 raise GraphFormatError(f"bad colour digit {ch!r} in row {u}")
-        table = np.zeros((n, n), dtype=np.uint8)
-        for u, row in enumerate(rows):
-            table[u, u + 1:] = np.frombuffer(row.encode("ascii"), dtype=np.uint8) - ord("0")
-        too_big = np.triu(table >= r, 1)
-        if too_big.any():
-            u, v = divmod(int(too_big.argmax()), n)
-            raise GraphFormatError(f"colour {table[u, v]} out of range in edge ({u},{v})")
-        return ColouredCompleteGraph(n, r, table | table.T)
+        # the rows, joined, are the pair colours in row-major order
+        colours = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8) - ord("0")
+        if (colours >= r).any():
+            bad = np.zeros((n, n), dtype=bool)
+            bad[~np.tri(n, dtype=bool)] = colours >= r
+            u, v = divmod(int(bad.argmax()), n)
+            raise GraphFormatError(f"colour {rows[u][v - u - 1]} out of range in edge ({u},{v})")
+        return ColouredCompleteGraph.from_pair_colours(n, r, colours)
     if "edges" in data:
         edges = data["edges"]
         if not isinstance(edges, list):

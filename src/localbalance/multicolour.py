@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
+from operator import index
 from typing import Sequence
 
 from .core import ColouredCompleteGraph, _as_fraction, is_locally_balanced
@@ -62,17 +63,11 @@ class SamplerConfig:
 
 def induced_unibalanced(G: ColouredCompleteGraph, S: Sequence[int]) -> bool:
     """True iff every vertex of S sees all r colours inside S."""
-    verts = tuple(S)
+    verts = tuple(map(index, S))  # 1 << np.int64(70) would be 0
     if not verts:
         raise ValueError("S must be nonempty")
-    mask = 0
-    for v in verts:
-        mask |= 1 << v
-    for v in verts:
-        for c in range(G.r):
-            if not G.neighbours(c, v) & mask:
-                return False
-    return True
+    mask = sum(1 << v for v in verts)
+    return all(G.neighbours(c, v) & mask for v in verts for c in range(G.r))
 
 
 def sample_unibalanced_subset(

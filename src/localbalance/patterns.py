@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
+from operator import index
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -256,13 +257,9 @@ def induced_edge_pattern(
     verts = sorted(set(S))
     if not verts:
         raise ValueError("S must be nonempty")
-    l = len(verts)
-    rows = tuple(
-        tuple(G.colour(verts[i], verts[j]) if i != j else 0 for j in range(l))
-        for i in range(l)
-    )
+    rows = tuple(map(tuple, G.table()[np.ix_(verts, verts)].tolist()))
     return TotallyColouredPattern(
-        G.r, (0,) * l, rows, vertex_colours_ignored=True, name=name
+        G.r, (0,) * len(verts), rows, vertex_colours_ignored=True, name=name
     )
 
 
@@ -285,6 +282,7 @@ def clique_colour(G: ColouredCompleteGraph, verts: Sequence[int]) -> int | None:
     """The colour every pair of the distinct vertices verts gets in G, or
     None when two pairs differ.  Fewer than two vertices have no pair; they
     report colour 0, and callers that match part colours skip them."""
+    verts = list(map(index, verts))  # 1 << np.int64(70) would be 0
     if len(verts) < 2:
         return 0
     c = G.colour(verts[0], verts[1])
@@ -325,13 +323,15 @@ def verify_witness(G: ColouredCompleteGraph, w: BlowupWitness) -> bool:
         c = clique_colour(G, part)
         if c is None or fixed_part_colours and c != H.vertex_colour(i):
             return False
+    masks = [sum(1 << index(v) for v in part) for part in w.parts]
     for i in range(len(w.parts)):
         for j in range(i + 1, len(w.parts)):
             want = H.edge_colour(i, j)
-            for u in w.parts[i]:
-                for v in w.parts[j]:
-                    if G.colour(u, v) != want:
-                        return False
+            if want >= G.r:
+                return False
+            adj = G.colour_bits(want)
+            if any(adj[u] & masks[j] != masks[j] for u in w.parts[i]):
+                return False
     return True
 
 

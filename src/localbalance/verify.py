@@ -23,8 +23,6 @@ import numpy as np
 from .census import BipartiteColouring, census_k4, count_m1
 from .constructions import (
     EXACT_MAX_N,
-    _check_random_args,
-    _graph_from_pair_colours,
     closeness_to_split,
     draw_below,
     make_bipartite_mindeg,
@@ -36,6 +34,7 @@ from .core import (
     ColouredCompleteGraph,
     Rational,
     _as_fraction,
+    _check_size,
     balance_profile,
     graph_to_json,
     least_balanced_degree,
@@ -84,7 +83,7 @@ def sample_locally_balanced(
     stream, and leaves rng in the same state, as the per-attempt loop.
     """
     need = least_balanced_degree(eps, n)
-    _check_random_args(n, r)
+    _check_size(n, r)
     if r * need > n - 1:
         return None
     us, vs = np.triu_indices(n, 1)
@@ -93,7 +92,7 @@ def sample_locally_balanced(
         colours = draw_below(random.Random(rng.randrange(2**31)), r, len(us))
         degrees = np.bincount(us + colours, minlength=n * r) + np.bincount(vs + colours, minlength=n * r)
         if int(degrees.min()) >= need:
-            return _graph_from_pair_colours(n, r, colours)
+            return ColouredCompleteGraph.from_pair_colours(n, r, colours)
     return None
 
 

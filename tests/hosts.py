@@ -1,6 +1,7 @@
 """Small host builders shared by the tests, plus the reference paths the
 fast code must reproduce: the per-entry edge-list loader and the per-pair
-graph JSON writer, the per-pair random stream, the set-based
+graph JSON writer, the per-pair random streams of make_random and
+make_split, the per-pair split violations and split cost, the set-based
 smallest-unibalanced search, the O(n^4) K4 census and the brute-force M1
 count, with the class tables and exhaustive isomorphism checks they use,
 the pair-colouring Ramsey step, and the dict-of-masks canonical hypergraph
@@ -35,6 +36,8 @@ from localbalance.census import (
     _code_tuple,
     _require_two_colours,
 )
+
+RED, BLUE = 0, 1
 
 
 def graph_from(n: int, r: int, colour) -> ColouredCompleteGraph:
@@ -105,6 +108,61 @@ def make_random_reference(n: int, r: int, seed: int) -> ColouredCompleteGraph:
     """One rng.randrange(r) call per pair u < v: the stream make_random draws in bulk."""
     rng = random.Random(seed)
     return graph_from(n, r, lambda u, v: rng.randrange(r))
+
+
+def make_split_reference(a: int, b: int, seed: int = 0, flips: int = 0) -> ColouredCompleteGraph:
+    """make_split by one rng.randrange(2) per cross pair, in row-major order
+    over all pairs, then the sampled pairs toggled one at a time."""
+    n = a + b
+    if a < 0 or b < 0 or n < 2:
+        raise ValueError(f"need a, b >= 0 and a + b >= 2, got ({a},{b})")
+    if flips < 0 or flips > comb(n, 2):
+        raise ValueError(f"flips must lie in [0, C(n,2)], got {flips}")
+    rng = random.Random(seed)
+    rows = [bytearray(n) for _ in range(n)]
+    pairs = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if v < a:
+                c = RED
+            elif u >= a:
+                c = BLUE
+            else:
+                c = rng.randrange(2)
+            rows[u][v] = rows[v][u] = c
+            pairs.append((u, v))
+    for idx in sorted(rng.sample(range(len(pairs)), flips)):
+        u, v = pairs[idx]
+        c = 1 - rows[u][v]
+        rows[u][v] = rows[v][u] = c
+    return ColouredCompleteGraph(n, 2, rows)
+
+
+def flipped_edges_reference(G: ColouredCompleteGraph, red_mask: int) -> tuple[tuple[int, int], ...]:
+    """The pairs the split with red side red_mask must flip, one G.colour
+    call per pair."""
+    out = []
+    for u in range(G.n):
+        for v in range(u + 1, G.n):
+            inside_red = (red_mask >> u) & 1 and (red_mask >> v) & 1
+            inside_blue = not ((red_mask >> u) & 1) and not ((red_mask >> v) & 1)
+            c = G.colour(u, v)
+            if (inside_red and c == BLUE) or (inside_blue and c == RED):
+                out.append((u, v))
+    return tuple(out)
+
+
+def split_cost_reference(G: ColouredCompleteGraph, red_mask: int) -> int:
+    """The number of those pairs, as half the per-vertex wrong-colour degrees."""
+    full = (1 << G.n) - 1
+    blue_mask = full & ~red_mask
+    cost = 0
+    for u in range(G.n):
+        if (red_mask >> u) & 1:
+            cost += (G.neighbours(BLUE, u) & red_mask).bit_count()
+        else:
+            cost += (G.neighbours(RED, u) & blue_mask).bit_count()
+    return cost // 2
 
 
 def min_unibalanced_reference(G: ColouredCompleteGraph, cap: int = 12):

@@ -20,6 +20,8 @@ from localbalance import (
     make_split,
     verify_prop_optimize,
 )
+from localbalance.constructions import _split_violations
+from hosts import flipped_edges_reference, split_cost_reference
 
 RED, BLUE, GREEN = 0, 1, 2
 
@@ -41,6 +43,24 @@ def naive_closeness_flips(G):
         if best is None or flips < best:
             best, best_mask = flips, mask
     return best, best_mask
+
+
+def local_search_reference(G, starts=32, seed=0):
+    """closeness_to_split's steepest descent with every cost recomputed by
+    split_cost_reference: the red-side mask it settles on."""
+    rng = random.Random(seed)
+    best_mask = best_cost = None
+    for _ in range(starts):
+        mask = rng.getrandbits(G.n)
+        while True:
+            cost = split_cost_reference(G, mask)
+            moves = [split_cost_reference(G, mask ^ 1 << v) - cost for v in range(G.n)]
+            if min(moves) >= 0:
+                break
+            mask ^= 1 << moves.index(min(moves))  # ties to the lowest vertex
+        if best_cost is None or cost < best_cost:
+            best_mask, best_cost = mask, cost
+    return best_mask
 
 
 class TestMakePk:
@@ -270,6 +290,31 @@ class TestCloseness:
     def test_rejects_three_colours(self):
         with pytest.raises(ValueError):
             closeness_to_split(make_random(6, 3, 0))
+
+
+class TestSplitViolations:
+    def test_matches_per_pair_references(self):
+        rng = random.Random(5)
+        for n in range(2, 31):
+            hosts = (make_random(n, 2, rng.randrange(10**6)),
+                     make_split(n // 2, n - n // 2, seed=n, flips=n // 2))
+            for G in hosts:
+                for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]:
+                    pairs = _split_violations(G, mask)
+                    assert pairs == flipped_edges_reference(G, mask)
+                    assert len(pairs) == split_cost_reference(G, mask)
+
+    @pytest.mark.parametrize("n, mode", [(9, "exact"), (20, "exact"),
+                                         (25, "local-search"), (30, "local-search")])
+    def test_closeness_reports_reference_pairs(self, n, mode):
+        for seed in range(3):
+            G = make_random(n, 2, seed)
+            c = closeness_to_split(G)
+            mask = sum(1 << v for v in c.red_side)
+            assert c.mode == mode
+            assert c.flipped_edges == flipped_edges_reference(G, mask)
+            if mode == "local-search":
+                assert mask == local_search_reference(G)
 
 
 class TestOptimizeInequality:

@@ -380,6 +380,25 @@ class TestJson:
         with pytest.raises(GraphFormatError, match="digit"):
             graph_from_json({"n": 3, "r": 2, "rows": ["0x", "0", ""]})
 
+    @pytest.mark.parametrize("rows, r, message", [
+        (["012", "01", "9", ""], 3, "colour 9 out of range in edge (2,3)"),
+        (["010", "05", "3", ""], 2, "colour 5 out of range in edge (1,3)"),
+        (["300", "00", "0", ""], 3, "colour 3 out of range in edge (0,1)"),
+    ])
+    def test_compact_colour_error_names_first_pair(self, rows, r, message):
+        with pytest.raises(GraphFormatError) as exc:
+            graph_from_json({"n": 4, "r": r, "rows": rows})
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("data", [
+        {"n": 2, "r": 300, "edges": [[0, 1, 0]]},
+        {"n": 3, "r": 1, "rows": ["00", "0", ""]},
+    ])
+    def test_bad_r_reads_like_the_generators(self, data):
+        # one n/r check serves the loaders and the random families
+        with pytest.raises(ValueError, match=r"^need 2 <= r <= 255, got r=\d+$"):
+            graph_from_json(data)
+
     def test_rejects_wrong_row_length(self):
         with pytest.raises(GraphFormatError, match="length"):
             graph_from_json({"n": 3, "r": 2, "rows": ["000", "0", ""]})

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from localbalance import (
@@ -16,10 +17,13 @@ from localbalance import (
     colour_swap,
     find_pattern_blowup_exhaustive,
     get_pattern,
+    induced_unibalanced,
     make_Pk,
+    make_random,
     pattern_library,
     verify_witness,
 )
+from localbalance.patterns import clique_colour
 from hosts import graph_from, is_unibalanced, patterns_isomorphic
 
 RED, BLUE = 0, 1
@@ -236,6 +240,48 @@ class TestVerifyWitness:
         G = blow_up(H, 1)
         parts = ((0,), (1,), (2,), (3,))
         assert verify_witness(G, BlowupWitness(H, parts, 1, homogeneous=False))
+
+    def test_cross_colour_beyond_host_rejected(self):
+        H = TotallyColouredPattern.from_parts(3, (0, 0), {(0, 1): 2})
+        G = graph_from(4, 2, lambda u, v: RED)
+        assert not verify_witness(G, BlowupWitness(H, ((0, 1), (2, 3)), 2, homogeneous=True))
+
+
+class TestNumpyVertices:
+    """Vertex ids past 63 as numpy integers: 1 << np.int64(70) is int64
+    arithmetic and overflows, so the bitmask checks read vertices through
+    operator.index."""
+
+    G = make_random(200, 2, 0)
+    # a homogeneous C4 2-blow-up of this host; swapping its first two parts breaks it
+    PARTS = ((13, 26), (41, 121), (27, 56), (62, 90))
+
+    @pytest.mark.parametrize("order, want", [((0, 1, 2, 3), True), ((1, 0, 2, 3), False)])
+    def test_verify_witness(self, order, want):
+        parts = [self.PARTS[i] for i in order]
+        as_np = tuple(tuple(np.array(p, dtype=np.int64)) for p in parts)
+        for ps in (tuple(parts), as_np):
+            assert verify_witness(self.G, BlowupWitness(get_pattern("C4"), ps, 2, True)) is want
+
+    @pytest.mark.parametrize("verts, colour, unibalanced", [
+        ((70, 121, 150), 0, False),
+        ((65, 66, 67), None, False),
+        ((3, 150, 170, 190, 20), None, False),
+        ((3, 150, 170, 190, 20, 77, 99), None, True),
+    ])
+    def test_clique_colour_and_unibalanced(self, verts, colour, unibalanced):
+        for vs in (verts, np.array(verts, dtype=np.int64)):
+            assert clique_colour(self.G, vs) == colour
+            assert induced_unibalanced(self.G, vs) is unibalanced
+
+    def test_float_vertex_raises(self):
+        with pytest.raises(TypeError):
+            clique_colour(self.G, (41.0, 121))
+        with pytest.raises(TypeError):
+            induced_unibalanced(self.G, (3, 150.0))
+        parts = ((13, 26), (41, 121.0), (27, 56), (62, 90))
+        with pytest.raises(TypeError):
+            verify_witness(self.G, BlowupWitness(get_pattern("C4"), parts, 2, True))
 
 
 class TestExhaustiveFinder:

@@ -66,6 +66,21 @@ def test_reference_paths_are_not_in_the_package():
     assert not hasattr(localbalance.BipartiteColouring, "colour")
 
 
+def test_duplicate_host_routines_stay_deleted():
+    from localbalance import blowup_finder, constructions
+
+    for name in ("degree", "colour_class_size"):
+        assert not hasattr(localbalance.ColouredCompleteGraph, name)
+    for name in ("_check_random_args", "_graph_from_pair_colours", "_split_cost",
+                 "_flipped_edges_for"):
+        assert not hasattr(constructions, name)
+    assert not hasattr(blowup_finder, "_host_masks")
+    tree = ast.parse((SOURCES / "verify.py").read_text())
+    assert [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "constructions"
+            for alias in node.names if alias.name.startswith("_")] == []
+
+
 def test_deleted_parameters_stay_deleted():
     assert list(inspect.signature(localbalance.census_k4).parameters) == ["G"]
     assert "exact_limit" not in inspect.signature(localbalance.closeness_to_split).parameters

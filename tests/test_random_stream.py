@@ -4,6 +4,7 @@ behind.  A CPython whose randrange stream changes fails here."""
 
 import random
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -16,9 +17,10 @@ from localbalance import (
     draw_below,
     make_bipartite_mindeg,
     make_random,
+    make_split,
     sample_locally_balanced,
 )
-from hosts import bipartite_from, make_random_reference
+from hosts import bipartite_from, make_random_reference, make_split_reference, outcome
 
 RED, BLUE = 0, 1
 
@@ -93,6 +95,30 @@ class TestMakeRandomStream:
     def test_rejects_bad_sizes(self, n, r):
         with pytest.raises(ValueError, match="need"):
             make_random(n, r, 0)
+
+
+class TestMakeSplitStream:
+    @pytest.mark.parametrize("a, b, flips", [
+        (a, b, flips)
+        for a in (0, 1, 5) for b in (0, 1, 7) if a + b >= 2
+        for flips in sorted({0, 1, comb(a + b, 2)})
+    ])
+    def test_equals_per_pair_loop(self, a, b, flips):
+        for seed in (0, 1, 7, 2**31 - 1):
+            G, H = make_split(a, b, seed, flips), make_split_reference(a, b, seed, flips)
+            assert G == H
+            assert G._bits == H._bits
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_census_host(self, seed):
+        G, H = make_split(192, 192, seed, 2000), make_split_reference(192, 192, seed, 2000)
+        assert G == H and G._bits == H._bits
+
+    @pytest.mark.parametrize("a, b, flips", [(1, 0, 0), (-1, 3, 0), (3, 3, 16), (3, 3, -1)])
+    def test_same_errors(self, a, b, flips):
+        got = outcome(lambda: make_split(a, b, 0, flips))
+        assert got == outcome(lambda: make_split_reference(a, b, 0, flips))
+        assert got[0] is ValueError
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)

@@ -15,7 +15,7 @@ from math import ceil, comb
 import numpy as np
 
 from .census import BipartiteColouring
-from .core import ColouredCompleteGraph, Rational, _as_fraction, _check_size
+from .core import ColouredCompleteGraph, Rational, _as_fraction, _check_size, balance_profile
 from .patterns import TotallyColouredPattern, _bits, blow_up, get_pattern
 
 RED, BLUE, GREEN = 0, 1, 2
@@ -170,23 +170,23 @@ class SplitCloseness:
 
     delta = flips / n^2 where flips is the number of edges whose colour
     must change so that red_side induces a red clique and blue_side a blue
-    clique.  Exact mode minimises over all 2^n bipartitions; local-search
-    mode reports the best bipartition found (an upper bound on the
-    labelled optimum).
+    clique; red_side is the least such side (as a bitmask) over all 2^n
+    bipartitions.
     """
 
     delta: Fraction
     red_side: tuple[int, ...]
     blue_side: tuple[int, ...]
     flipped_edges: tuple[tuple[int, int], ...]
-    mode: str
 
     @property
     def flips(self) -> int:
         return len(self.flipped_edges)
 
-
-EXACT_MAX_N = 24  # exact mode's int32 cost table takes 4 * 2^n bytes
+    @property
+    def mode(self) -> str:
+        """Always "exact": the closeness is exact at every n."""
+        return "exact"
 
 
 def _split_violations(G: ColouredCompleteGraph, red_mask: int) -> tuple[tuple[int, int], ...]:
@@ -203,82 +203,41 @@ def _split_violations(G: ColouredCompleteGraph, red_mask: int) -> tuple[tuple[in
     return tuple(out)
 
 
-def closeness_to_split(
-    G: ColouredCompleteGraph,
-    starts: int = 32,
-    seed: int = 0,
-) -> SplitCloseness:
+def closeness_to_split(G: ColouredCompleteGraph) -> SplitCloseness:
     """Fewest edge flips taking G to a split colouring of its labelled
-    vertex set (exact for n <= EXACT_MAX_N, steepest-descent otherwise).
+    vertex set, exactly, in O(n log n) time at any n.
 
-    Exact mode builds the cost of every bipartition in one int32 table of
-    length 2^n, indexed by the red-side mask, one vertex at a time.  Once
-    vertices 0..v-1 are placed, cost[:2^v] holds the cost of each of their
-    placements.  With blue_low and red_low the masks of v's blue and red
-    neighbours among them, vertex v then sets
+    The split with red side S recolours the blue pairs inside S and the red
+    pairs outside it.  With d_R(v) the red degree of v and e_R the number
+    of red edges, that is
 
-        cost[2^v + m] = cost[m] + |m & blue_low|       (v red)
-        cost[m]      += |red_low| - |m & red_low|      (v blue)
+        cost(S) = C(|S|, 2) + e_R - sum of d_R(v) over v in S,
 
-    for every m < 2^v.  That is O(2^n) time in total and a 4 * 2^n-byte
-    table (plus about as much again in temporaries), which bounds exact mode
-    to n <= EXACT_MAX_N.  Ties go to the lowest mask.
+    so among the sides of size k the k vertices of largest red degree cost
+    least.  Sorting by (-d_R, index) and taking prefix sums gives the best
+    cost for every k at once.  The first optimal k, with ties in degree
+    going to the lower index, gives the least optimal red-side mask: every
+    optimal side of size k has the same degree sum, and the prefix sides
+    are nested, so a larger k only adds bits.
     """
     if G.r != 2:
         raise ValueError(f"closeness_to_split needs r=2, got r={G.r}")
     n = G.n
-    if n <= EXACT_MAX_N:
-        cost = np.zeros(1 << n, dtype=np.int32)
-        for v in range(n):
-            half = 1 << v
-            masks = np.arange(half, dtype=np.int32)
-            blue_low = G.neighbours(BLUE, v) & (half - 1)
-            red_low = G.neighbours(RED, v) & (half - 1)
-            np.add(cost[:half], np.bitwise_count(masks & blue_low), out=cost[half:2 * half])
-            cost[:half] -= np.bitwise_count(masks & red_low)
-            cost[:half] += red_low.bit_count()
-        best_mask = int(np.argmin(cost))  # first occurrence: lowest mask wins ties
-        mode = "exact"
-    else:
-        best_mask, best_cost = 0, None
-        rng = random.Random(seed)
-        for _ in range(starts):
-            mask = rng.getrandbits(n)
-            cost = len(_split_violations(G, mask))
-            improved = True
-            while improved:
-                improved = False
-                move, move_delta = -1, 0
-                full = (1 << n) - 1
-                blue_side = full & ~mask
-                for v in range(n):
-                    if (mask >> v) & 1:
-                        delta = (
-                            (G.neighbours(RED, v) & blue_side).bit_count()
-                            - (G.neighbours(BLUE, v) & (mask & ~(1 << v))).bit_count()
-                        )
-                    else:
-                        delta = (
-                            (G.neighbours(BLUE, v) & mask).bit_count()
-                            - (G.neighbours(RED, v) & (blue_side & ~(1 << v))).bit_count()
-                        )
-                    if delta < move_delta:
-                        move, move_delta = v, delta
-                if move >= 0:
-                    mask ^= 1 << move
-                    cost += move_delta
-                    improved = True
-            if best_cost is None or cost < best_cost:
-                best_mask, best_cost = mask, cost
-        mode = "local-search"
-
-    red_side = tuple(v for v in range(n) if (best_mask >> v) & 1)
-    blue_side = tuple(v for v in range(n) if not (best_mask >> v) & 1)
-    flipped = _split_violations(G, best_mask)
+    red = [d[RED] for d in balance_profile(G).degrees]
+    order = sorted(range(n), key=lambda v: -red[v])  # stable: ties by index
+    cost = best = sum(red) // 2  # k = 0: every red edge is recoloured
+    best_k = 0
+    for k, v in enumerate(order):
+        cost += k - red[v]  # C(k + 1, 2) - C(k, 2) = k
+        if cost < best:
+            best, best_k = cost, k + 1
+    red_mask = sum(1 << v for v in order[:best_k])
+    flipped = _split_violations(G, red_mask)
+    if len(flipped) != best:
+        raise AssertionError(f"split lists {len(flipped)} pairs to flip, closed form says {best}")
     return SplitCloseness(
-        delta=Fraction(len(flipped), n * n),
-        red_side=red_side,
-        blue_side=blue_side,
+        delta=Fraction(best, n * n),
+        red_side=tuple(_bits(red_mask)),
+        blue_side=tuple(_bits(((1 << n) - 1) & ~red_mask)),
         flipped_edges=flipped,
-        mode=mode,
     )

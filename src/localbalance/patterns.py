@@ -254,9 +254,12 @@ def induced_edge_pattern(
     Hosts carry no vertex colours, so the pattern is flagged accordingly;
     pattern vertex i corresponds to the i-th smallest vertex of S.
     """
-    verts = sorted(set(S))
+    verts = sorted(set(map(index, S)))
     if not verts:
         raise ValueError("S must be nonempty")
+    for v in (verts[0], verts[-1]):
+        if not 0 <= v < G.n:
+            raise ValueError(f"vertex {v} out of range for a host with n={G.n}")
     rows = tuple(map(tuple, G.table()[np.ix_(verts, verts)].tolist()))
     return TotallyColouredPattern(
         G.r, (0,) * len(verts), rows, vertex_colours_ignored=True, name=name

@@ -22,7 +22,6 @@ import numpy as np
 
 from .census import BipartiteColouring, census_k4, count_m1
 from .constructions import (
-    EXACT_MAX_N,
     closeness_to_split,
     draw_below,
     make_bipartite_mindeg,
@@ -180,7 +179,8 @@ def verify_prop_optimize(
     seed: int = 0,
 ) -> VerificationReport:
     """Exact split-closeness delta against the minimum colour degree:
-    min degree <= (1/4 + 3 delta) n on every instance."""
+    min degree <= (1/4 + 3 delta) n on every instance, of any size (the
+    closeness is exact at every n)."""
     report = VerificationReport(suite="optimize", seeds=[seed])
     start = time.perf_counter()
     if instances is None:
@@ -194,8 +194,6 @@ def verify_prop_optimize(
         for k in range(1, max_n // 4 + 1):
             instances.append(make_Pk(k))
     for G in instances:
-        if G.n > EXACT_MAX_N:
-            raise ValueError(f"verify_prop_optimize needs exact closeness (n <= {EXACT_MAX_N})")
         closeness = closeness_to_split(G)
         prof = balance_profile(G)
         bound = (Fraction(1, 4) + 3 * closeness.delta) * G.n

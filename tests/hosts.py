@@ -1,11 +1,11 @@
 """Small host builders shared by the tests, plus the reference paths the
 fast code must reproduce: the per-entry edge-list loader and the per-pair
 graph JSON writer, the per-pair random streams of make_random and
-make_split, the per-pair split violations and split cost, the set-based
-smallest-unibalanced search, the O(n^4) K4 census and the brute-force M1
-count, with the class tables and exhaustive isomorphism checks they use,
-the pair-colouring Ramsey step, and the dict-of-masks canonical hypergraph
-(copy DFS, cleanup and shadow)."""
+make_split, the per-pair split violations and split cost, the 2^n split
+cost table, the set-based smallest-unibalanced search, the O(n^4) K4
+census and the brute-force M1 count, with the class tables and exhaustive
+isomorphism checks they use, the pair-colouring Ramsey step, and the
+dict-of-masks canonical hypergraph (copy DFS, cleanup and shadow)."""
 
 import itertools
 import random
@@ -163,6 +163,33 @@ def split_cost_reference(G: ColouredCompleteGraph, red_mask: int) -> int:
         else:
             cost += (G.neighbours(RED, u) & blue_mask).bit_count()
     return cost // 2
+
+
+def closeness_table_reference(G: ColouredCompleteGraph) -> tuple[int, int]:
+    """The 2^n cost table closeness_to_split once built, kept for n <= 20:
+    one int32 entry per red-side mask, built one vertex at a time.  Once
+    vertices 0..v-1 are placed, cost[:2^v] holds the cost of each of their
+    placements.  With blue_low and red_low the masks of v's blue and red
+    neighbours among them, vertex v then sets
+
+        cost[2^v + m] = cost[m] + |m & blue_low|       (v red)
+        cost[m]      += |red_low| - |m & red_low|      (v blue)
+
+    for every m < 2^v.  Returns (fewest flips, lowest red-side mask
+    attaining it)."""
+    if G.n > 20:
+        raise ValueError(f"the reference table takes 4 * 2^n bytes; need n <= 20, got {G.n}")
+    cost = np.zeros(1 << G.n, dtype=np.int32)
+    for v in range(G.n):
+        half = 1 << v
+        masks = np.arange(half, dtype=np.int32)
+        blue_low = G.neighbours(BLUE, v) & (half - 1)
+        red_low = G.neighbours(RED, v) & (half - 1)
+        np.add(cost[:half], np.bitwise_count(masks & blue_low), out=cost[half:2 * half])
+        cost[:half] -= np.bitwise_count(masks & red_low)
+        cost[:half] += red_low.bit_count()
+    best_mask = int(np.argmin(cost))  # first occurrence: lowest mask wins ties
+    return int(cost[best_mask]), best_mask
 
 
 def min_unibalanced_reference(G: ColouredCompleteGraph, cap: int = 12):

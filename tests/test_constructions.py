@@ -21,7 +21,7 @@ from localbalance import (
     verify_prop_optimize,
 )
 from localbalance.constructions import _split_violations
-from hosts import flipped_edges_reference, split_cost_reference
+from hosts import closeness_table_reference, flipped_edges_reference, split_cost_reference
 
 RED, BLUE, GREEN = 0, 1, 2
 
@@ -46,8 +46,9 @@ def naive_closeness_flips(G):
 
 
 def local_search_reference(G, starts=32, seed=0):
-    """closeness_to_split's steepest descent with every cost recomputed by
-    split_cost_reference: the red-side mask it settles on."""
+    """The seeded multi-start steepest descent closeness_to_split once used
+    above n = 24, with every cost recomputed by split_cost_reference: the
+    red-side mask it settles on, an upper bound on the optimum."""
     rng = random.Random(seed)
     best_mask = best_cost = None
     for _ in range(starts):
@@ -61,6 +62,18 @@ def local_search_reference(G, starts=32, seed=0):
         if best_cost is None or cost < best_cost:
             best_mask, best_cost = mask, cost
     return best_mask
+
+
+def mask_of(side):
+    return sum(1 << v for v in side)
+
+
+def optimize_instances():
+    """The 679 hosts of verify_prop_optimize's default run."""
+    hosts = [make_split(a, n - a, seed=a * 1000 + flips, flips=flips)
+             for n in range(2, 21) for a in range(n + 1) for flips in (0, 2, 4)
+             if flips <= n * (n - 1) // 2]
+    return hosts + [make_Pk(k) for k in range(1, 6)]
 
 
 class TestMakePk:
@@ -213,16 +226,33 @@ class TestCloseness:
             hosts.append(make_random(n, 2, rng.randrange(10**6)))
         for a, b, flips in ((5, 5, 0), (6, 4, 3), (0, 7, 2), (3, 0, 1), (2, 8, 5), (1, 1, 1)):
             hosts.append(make_split(a, b, seed=a * 10 + b, flips=flips))
-        hosts += [make_Pk(1), make_Pk(2)]
+        hosts += [make_Pk(1), make_Pk(2), make_Pk(3)]
+        for n in (10, 11, 12):
+            hosts += [make_random(n, 2, n), make_split(n // 2, n - n // 2, seed=n, flips=n)]
         for G in hosts:
             flips, mask = naive_closeness_flips(G)
             c = closeness_to_split(G)
             assert c.flips == flips
             assert c.red_side == tuple(v for v in range(G.n) if (mask >> v) & 1)
 
-    def test_exact_memory_is_one_table(self):
-        # the n = 20 cost table is 4 MB and its temporaries about as much again
-        G = make_random(20, 2, 3)
+    def test_matches_table_reference(self):
+        # every default optimize host and 400 random ones: the same cost,
+        # the same lowest red side and the same pairs as the 2^n table
+        hosts = optimize_instances()
+        assert len(hosts) == 679
+        rng = random.Random(16)
+        hosts += [make_random(rng.randrange(2, 17), 2, rng.randrange(10**9)) for _ in range(400)]
+        for G in hosts:
+            flips, mask = closeness_table_reference(G)
+            c = closeness_to_split(G)
+            assert (c.flips, mask_of(c.red_side)) == (flips, mask)
+            assert c.blue_side == tuple(v for v in range(G.n) if not (mask >> v) & 1)
+            assert c.flipped_edges == flipped_edges_reference(G, mask)
+            assert c.delta == Fraction(flips, G.n ** 2)
+
+    def test_memory_is_linear(self):
+        # n = 24 needed a 64 MB cost table and as much in temporaries
+        G = make_random(24, 2, 3)
         tracemalloc.start()
         try:
             c = closeness_to_split(G)
@@ -230,21 +260,13 @@ class TestCloseness:
         finally:
             tracemalloc.stop()
         assert c.mode == "exact"
-        assert peak < 12 << 20
-
-    def test_exact_size_guard_before_allocation(self):
-        # past n = 24 closeness falls back to local search; the optimize
-        # suite needs exact mode and refuses such a host before allocating
-        G = make_random(25, 2, 0)
-        assert closeness_to_split(G).mode == "local-search"
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="n <= 24"):
-                verify_prop_optimize([G])
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
         assert peak < 1 << 20
+
+    def test_optimize_takes_any_size(self):
+        G = make_random(25, 2, 0)
+        assert closeness_to_split(G).mode == "exact"
+        report = verify_prop_optimize([G])
+        assert report.passed and report.instances == 1
 
     def test_p1_blowup_fixture(self):
         # frozen from the exhaustive bipartition oracle: one flip suffices
@@ -275,17 +297,24 @@ class TestCloseness:
                         expect.append((u, v))
             assert sorted(c.flipped_edges) == expect
 
-    def test_local_search_mode(self):
-        G = make_split(14, 12, seed=2, flips=3)
-        c = closeness_to_split(G)
-        assert c.mode == "local-search"
-        assert c.delta <= Fraction(3, 26 * 26)  # found at least the planted split
+    def test_planted_split_above_24(self):
+        # past the table's range: no worse than the planted split or the
+        # steepest descent that used to run there
+        for n in range(25, 31):
+            a = n // 2 - n % 3
+            G = make_split(a, n - a, seed=n, flips=3)
+            c = closeness_to_split(G)
+            assert c.mode == "exact"
+            assert c.flips <= split_cost_reference(G, (1 << a) - 1) <= 3
+            assert c.flips <= split_cost_reference(G, local_search_reference(G))
 
-    def test_local_search_deterministic(self):
-        G = make_random(26, 2, 5)
-        a = closeness_to_split(G, seed=9)
-        b = closeness_to_split(G, seed=9)
-        assert a == b
+    def test_random_above_24_beats_local_search(self):
+        for n in range(25, 31):
+            G = make_random(n, 2, n)
+            c = closeness_to_split(G)
+            assert c.mode == "exact"
+            assert c.flips <= split_cost_reference(G, local_search_reference(G, seed=n))
+            assert closeness_to_split(G) == c
 
     def test_rejects_three_colours(self):
         with pytest.raises(ValueError):
@@ -304,17 +333,22 @@ class TestSplitViolations:
                     assert pairs == flipped_edges_reference(G, mask)
                     assert len(pairs) == split_cost_reference(G, mask)
 
-    @pytest.mark.parametrize("n, mode", [(9, "exact"), (20, "exact"),
-                                         (25, "local-search"), (30, "local-search")])
-    def test_closeness_reports_reference_pairs(self, n, mode):
+    @pytest.mark.parametrize("n, reference", [(9, "exact"), (20, "exact"),
+                                              (25, "local-search"), (30, "local-search")])
+    def test_closeness_reports_reference_pairs(self, n, reference):
+        # checked against the exact table up to n = 20, and past it against
+        # single-vertex moves and the steepest descent once used there
         for seed in range(3):
             G = make_random(n, 2, seed)
             c = closeness_to_split(G)
-            mask = sum(1 << v for v in c.red_side)
-            assert c.mode == mode
+            mask = mask_of(c.red_side)
+            assert c.mode == "exact"
             assert c.flipped_edges == flipped_edges_reference(G, mask)
-            if mode == "local-search":
-                assert mask == local_search_reference(G)
+            if reference == "exact":
+                assert closeness_table_reference(G) == (c.flips, mask)
+            else:
+                assert all(split_cost_reference(G, mask ^ 1 << v) >= c.flips for v in range(n))
+                assert c.flips <= split_cost_reference(G, local_search_reference(G, seed=seed))
 
 
 class TestOptimizeInequality:

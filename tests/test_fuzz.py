@@ -3,7 +3,8 @@ or is rejected with a ValueError (GraphFormatError included), never with
 another exception.  The numeric arguments of generate, min-unibalanced,
 find-blowup and experiment get the CLI version of the rule: exit 0, 1 or 2
 with at most one stderr line, never a traceback.  The smallest-unibalanced
-search is checked against plain enumeration on small hosts."""
+search is checked against plain enumeration on small hosts, and split
+closeness against single-vertex moves and random sides up to n = 64."""
 
 import contextlib
 import io
@@ -18,12 +19,21 @@ from localbalance import (
     BipartiteColouring,
     ColouredCompleteGraph,
     TotallyColouredPattern,
+    closeness_to_split,
     graph_from_json,
     graph_to_json,
+    make_random,
+    make_split,
     min_unibalanced_subgraph,
 )
 from localbalance.cli import main
-from hosts import from_edges_reference, graph_from, naive_min_unibalanced, outcome
+from hosts import (
+    from_edges_reference,
+    graph_from,
+    naive_min_unibalanced,
+    outcome,
+    split_cost_reference,
+)
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
@@ -282,6 +292,28 @@ def small_hosts(draw):
 @given(small_hosts(), st.integers(1, 12))
 def test_min_unibalanced_matches_enumeration(G, cap):
     assert min_unibalanced_subgraph(G, cap) == naive_min_unibalanced(G, cap)
+
+
+@st.composite
+def split_hosts(draw):
+    """make_random or make_split (with flips) at n <= 64, any seed."""
+    n = draw(st.integers(2, 64))
+    seed = draw(st.integers(0, 2**64))
+    if draw(st.booleans()):
+        return make_random(n, 2, seed)
+    a = draw(st.integers(0, n))
+    return make_split(a, n - a, seed, draw(st.integers(0, n * (n - 1) // 2)))
+
+
+@FUZZ
+@given(split_hosts(), st.data())
+def test_closeness_beats_moves_and_random_sides(G, data):
+    c = closeness_to_split(G)
+    mask = sum(1 << v for v in c.red_side)
+    assert c.flips == split_cost_reference(G, mask)
+    assert all(split_cost_reference(G, mask ^ 1 << v) >= c.flips for v in range(G.n))
+    for other in data.draw(st.lists(st.integers(0, 2**G.n - 1), min_size=1, max_size=8)):
+        assert split_cost_reference(G, other) >= c.flips
 
 
 @pytest.fixture(scope="module")

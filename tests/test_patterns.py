@@ -449,3 +449,11 @@ class TestInducedEdgePattern:
 
         with pytest.raises(ValueError):
             induced_edge_pattern(make_Pk(1), ())
+
+    @pytest.mark.parametrize("S, bad", [([-1, 0, 2], -1), ([0, 6], 6)])
+    def test_rejects_vertex_out_of_range(self, S, bad):
+        # a negative vertex must not count from the end of the table
+        from localbalance import induced_edge_pattern, make_random
+
+        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range .*n=6$"):
+            induced_edge_pattern(make_random(6, 2, 0), S)

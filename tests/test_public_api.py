@@ -72,7 +72,7 @@ def test_duplicate_host_routines_stay_deleted():
     for name in ("degree", "colour_class_size"):
         assert not hasattr(localbalance.ColouredCompleteGraph, name)
     for name in ("_check_random_args", "_graph_from_pair_colours", "_split_cost",
-                 "_flipped_edges_for"):
+                 "_flipped_edges_for", "EXACT_MAX_N"):
         assert not hasattr(constructions, name)
     assert not hasattr(blowup_finder, "_host_masks")
     tree = ast.parse((SOURCES / "verify.py").read_text())
@@ -83,7 +83,7 @@ def test_duplicate_host_routines_stay_deleted():
 
 def test_deleted_parameters_stay_deleted():
     assert list(inspect.signature(localbalance.census_k4).parameters) == ["G"]
-    assert "exact_limit" not in inspect.signature(localbalance.closeness_to_split).parameters
+    assert list(inspect.signature(localbalance.closeness_to_split).parameters) == ["G"]
     assert list(inspect.signature(localbalance.ramsey_clique).parameters) == ["vertices", "G"]
     assert list(inspect.signature(localbalance.hypergraph_cover).parameters) == ["Hg", "G", "config"]
     assert list(inspect.signature(localbalance.kst_star).parameters) == ["F", "s"]

@@ -86,11 +86,16 @@ class TestOptimize:
         assert report.passed
         assert report.bounds[0]["delta"] == "0"
 
-    def test_rejects_oversized_instance(self):
-        from localbalance import make_split
+    def test_large_hosts_pass(self):
+        # closeness is exact at every n, so the suite takes hosts past n = 24
+        from localbalance import make_Pk, make_split
 
-        with pytest.raises(ValueError):
-            verify_prop_optimize(instances=[make_split(13, 13, seed=0)])
+        report = verify_prop_optimize(instances=[make_Pk(64), make_split(100, 156, flips=50)])
+        assert report.passed and report.instances == 2
+        pk, split = report.bounds
+        assert pk["n"] == 256 and pk["delta"] == "0"
+        assert pk["minDegree"] == pk["bound"] == 64  # P_k is extremal
+        assert split["n"] == 256 and Fraction(split["delta"]) <= Fraction(50, 256**2)
 
 
 class TestM1Bound:

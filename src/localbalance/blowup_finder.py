@@ -29,46 +29,17 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import comb, log, prod
-from operator import index
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import ColouredCompleteGraph, Rational, _as_fraction
-from .patterns import BlowupWitness, TotallyColouredPattern, _bits, clique_colour, verify_witness
+from .core import (
+    ColouredCompleteGraph, Rational, _as_fraction, _bits, _checked_parts, _vertex, _vertex_set,
+)
+from .patterns import BlowupWitness, TotallyColouredPattern, clique_colour, verify_witness
 
 # prefixes are stored as int32 host vertices
 _VERTEX_LIMIT = 2**31
-
-
-def _vertex(v: object, limit: int = _VERTEX_LIMIT) -> int:
-    """v as a vertex id: a Python or numpy integer in range(limit), no bool."""
-    if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)) \
-            or not 0 <= v < limit:
-        raise ValueError(f"vertex {v!r} is not an integer in range({limit})")
-    return int(v)
-
-
-def _check_in_host(parts: Sequence[Sequence[int]], G: ColouredCompleteGraph) -> None:
-    """Sorted nonempty parts must hold host vertices only."""
-    if any(p[0] < 0 or p[-1] >= G.n for p in parts):
-        raise ValueError(f"parts must hold host vertices in range({G.n})")
-
-
-def _checked_parts(
-    parts: Sequence[Sequence[int]], limit: int = _VERTEX_LIMIT
-) -> tuple[tuple[int, ...], ...]:
-    """parts as sorted tuples of vertex ids below limit, checked nonempty
-    and disjoint."""
-    try:
-        out = tuple(tuple(sorted(_vertex(v, limit) for v in p)) for p in parts)
-    except TypeError:
-        raise ValueError("parts must be sequences of vertices") from None
-    if not all(out):
-        raise ValueError("empty part")
-    if len(set().union(*out)) != sum(map(len, out)):
-        raise ValueError("parts must be disjoint")
-    return out
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
@@ -126,13 +97,13 @@ class CanonicalHypergraph:
     def from_edges(
         cls, parts: Sequence[Sequence[int]], edges: Sequence[tuple[int, ...]]
     ) -> "CanonicalHypergraph":
-        parts = _checked_parts(parts)
+        parts = _checked_parts(parts, _VERTEX_LIMIT)
         l = len(parts)
         part_sets = [set(p) for p in parts]
         rows = []
         for e in edges:
             try:
-                e = tuple(map(_vertex, e))
+                e = tuple(_vertex(v, _VERTEX_LIMIT) for v in e)
             except TypeError:
                 raise ValueError(f"edge {e!r} is not a sequence of vertices") from None
             if len(e) != l:
@@ -483,18 +454,13 @@ def ramsey_clique(
     most frequent out-colour class.  If the greedy result falls short of
     floor(log_{2r} n) - it provably cannot for r = 2 - an exact search for
     a clique of that size is attempted.  Returns (sorted clique, colour);
-    a single-vertex clique reports colour 0.  Raises ValueError for an
-    empty input, a vertex outside range(G.n) or a repeated vertex, and
-    TypeError for a vertex that is not an integer.
+    a single-vertex clique reports colour 0.  Raises ValueError unless
+    vertices is a nonempty set of distinct host vertices.
     """
-    verts = sorted(vertices)
+    verts = _vertex_set(vertices, G.n)
     if not verts:
         raise ValueError("ramsey_clique needs at least one vertex")
-    if verts[0] < 0 or verts[-1] >= G.n:
-        raise ValueError(f"vertices must lie in range({G.n})")
-    everything = sum(1 << index(v) for v in verts)  # no int64 shift overflow
-    if everything.bit_count() != len(verts):
-        raise ValueError("vertices must not repeat")
+    everything = sum(1 << v for v in verts)
     # the chain takes increasing vertices, so each class is sorted and the
     # last live vertex (which closes every class) is the largest
     classes: list[list[int]] = [[] for _ in range(G.r)]
@@ -544,7 +510,7 @@ def hypergraph_cover(
     Hg: CanonicalHypergraph, G: ColouredCompleteGraph, config: FinderConfig
 ) -> CoverResult:
     """Run the inductive covering extraction on a nonempty hypergraph
-    whose parts hold vertices of the host G.
+    whose parts hold vertices of the host G (ValueError otherwise).
 
     The split size s is chosen by sweeping the greedy star trajectory and
     maximising min(s, clique found in the common neighbourhood); kst_star
@@ -555,7 +521,8 @@ def hypergraph_cover(
     """
     if Hg.is_empty:
         raise ValueError("hypergraph_cover needs a nonempty hypergraph")
-    _check_in_host(Hg.parts, G)
+    # from_edges cannot know G.n; each part is the last at one level of the recursion
+    _vertex_set(Hg.parts[-1], G.n)
     l = Hg.ell
     if l == 1:
         s1, colour = ramsey_clique([v for v, in Hg.edges()], G)

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ColouredCompleteGraph, GraphFormatError
+from .core import ColouredCompleteGraph, GraphFormatError, _checked_parts
 
 RED, BLUE = 0, 1
 
@@ -474,17 +474,8 @@ def count_m1(B: BipartiteColouring) -> int:
 def count_alternating_c4(
     G: ColouredCompleteGraph, X: Sequence[int], Y: Sequence[int]
 ) -> int:
-    """M1 count of the bipartite restriction of a 2-coloured host to (X, Y)."""
+    """M1 count of the bipartite restriction of a 2-coloured host to (X, Y),
+    two nonempty disjoint sets of host vertices (ValueError otherwise)."""
     _require_two_colours(G)
-    xs, ys = tuple(X), tuple(Y)
-    if set(xs) & set(ys):
-        raise ValueError("X and Y must be disjoint")
-    if len(set(xs)) != len(xs) or len(set(ys)) != len(ys):
-        raise ValueError("X and Y must not repeat vertices")
-    # checked here: np.ix_ would read vertex -1 as vertex n - 1, and the
-    # intp arrays would truncate 1.5 to 1; they keep bools as vertex numbers,
-    # where np.ix_ would read a tuple of bools as a mask
-    if not all(isinstance(v, (int, np.integer)) and 0 <= v < G.n for v in xs + ys):
-        raise ValueError(f"X and Y must be vertices in range({G.n})")
-    rows, cols = np.array(xs, dtype=np.intp), np.array(ys, dtype=np.intp)
-    return count_m1(BipartiteColouring(G.table()[np.ix_(rows, cols)] == RED))
+    xs, ys = _checked_parts((X, Y), G.n)
+    return count_m1(BipartiteColouring(G.table()[np.ix_(xs, ys)] == RED))

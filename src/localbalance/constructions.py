@@ -15,8 +15,8 @@ from math import ceil, comb
 import numpy as np
 
 from .census import BipartiteColouring
-from .core import ColouredCompleteGraph, Rational, _as_fraction, _check_size, balance_profile
-from .patterns import TotallyColouredPattern, _bits, blow_up, get_pattern
+from .core import ColouredCompleteGraph, Rational, _as_fraction, _bits, _check_size, balance_profile
+from .patterns import TotallyColouredPattern, blow_up, get_pattern
 
 RED, BLUE, GREEN = 0, 1, 2
 

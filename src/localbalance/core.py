@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import ceil, comb
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -106,6 +106,54 @@ def _check_size(n: int, r: int) -> None:
         raise ValueError(f"need n >= 1, got {n}")
     if not 2 <= r <= 255:
         raise ValueError(f"need 2 <= r <= 255, got r={r}")
+
+
+# ---------------------------------------------------------------------------
+# Host vertex sets: every public function that takes a vertex set reads it here
+# ---------------------------------------------------------------------------
+
+def _vertex(v: object, limit: int) -> int:
+    """v as a vertex number: a Python or numpy integer, not a bool, in
+    range(limit), returned as a Python int (1 << np.int64(70) overflows)."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < limit:
+        raise ValueError(f"vertex {v!r} is not an integer in range({limit})")
+    return int(v)
+
+
+def _vertex_set(verts: Iterable[object], limit: int) -> tuple[int, ...]:
+    """verts as a sorted tuple of distinct vertex numbers below limit;
+    ValueError for a non-iterable input, a bad vertex or a repeat.  Python
+    ints, the common case, are range-checked after the sort, at the ends."""
+    try:
+        out = sorted(v if type(v) is int else _vertex(v, limit) for v in verts)
+    except TypeError:
+        raise ValueError(f"{verts!r} is not a collection of vertices") from None
+    for v in out[:1] + out[-1:]:  # sorted Python ints: the ends bound the rest
+        _vertex(v, limit)
+    if len(set(out)) != len(out):
+        v = next(a for a, b in zip(out, out[1:]) if a == b)
+        raise ValueError(f"vertex {v} repeats; vertices must be distinct and parts disjoint")
+    return tuple(out)
+
+
+def _checked_parts(parts: Iterable[Iterable[object]], limit: int) -> tuple[tuple[int, ...], ...]:
+    """parts as nonempty, disjoint vertex sets below limit."""
+    try:
+        out = tuple(_vertex_set(p, limit) for p in parts)
+    except TypeError:
+        raise ValueError(f"{parts!r} is not a collection of vertex sets") from None
+    if not all(out):
+        raise ValueError("empty part")
+    _vertex_set(chain.from_iterable(out), limit)
+    return out
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class ColouredCompleteGraph:

@@ -15,10 +15,9 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import log
-from operator import index
 from typing import Sequence
 
-from .core import ColouredCompleteGraph, _as_fraction, is_locally_balanced
+from .core import ColouredCompleteGraph, _as_fraction, _vertex_set, is_locally_balanced
 
 
 @dataclass(frozen=True)
@@ -62,8 +61,9 @@ class SamplerConfig:
 
 
 def induced_unibalanced(G: ColouredCompleteGraph, S: Sequence[int]) -> bool:
-    """True iff every vertex of S sees all r colours inside S."""
-    verts = tuple(map(index, S))  # 1 << np.int64(70) would be 0
+    """True iff every vertex of the nonempty host vertex set S sees all r
+    colours inside S."""
+    verts = _vertex_set(S, G.n)
     if not verts:
         raise ValueError("S must be nonempty")
     mask = sum(1 << v for v in verts)

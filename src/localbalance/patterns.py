@@ -24,23 +24,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import comb
-from operator import index
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .census import BipartiteColouring
-from .core import ColouredCompleteGraph, GraphFormatError, _edge_triple
+from .core import (
+    ColouredCompleteGraph, GraphFormatError, _bits, _checked_parts, _edge_triple, _vertex_set,
+)
 
 RED, BLUE = 0, 1
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """The set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class InvalidWitnessError(ValueError):
@@ -48,7 +41,7 @@ class InvalidWitnessError(ValueError):
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """An exhaustive search would exceed its configured budget."""
+    """An exhaustive search would exceed EXHAUSTIVE_SEARCH_BUDGET."""
 
 
 @dataclass(frozen=True)
@@ -252,14 +245,12 @@ def induced_edge_pattern(
     """The edge colouring G[S] as a pattern (vertex colours ignored).
 
     Hosts carry no vertex colours, so the pattern is flagged accordingly;
-    pattern vertex i corresponds to the i-th smallest vertex of S.
+    pattern vertex i corresponds to the i-th smallest vertex of the
+    nonempty host vertex set S.
     """
-    verts = sorted(set(map(index, S)))
+    verts = _vertex_set(S, G.n)
     if not verts:
         raise ValueError("S must be nonempty")
-    for v in (verts[0], verts[-1]):
-        if not 0 <= v < G.n:
-            raise ValueError(f"vertex {v} out of range for a host with n={G.n}")
     rows = tuple(map(tuple, G.table()[np.ix_(verts, verts)].tolist()))
     return TotallyColouredPattern(
         G.r, (0,) * len(verts), rows, vertex_colours_ignored=True, name=name
@@ -282,10 +273,10 @@ def blow_up(H: TotallyColouredPattern, t: int) -> ColouredCompleteGraph:
 
 
 def clique_colour(G: ColouredCompleteGraph, verts: Sequence[int]) -> int | None:
-    """The colour every pair of the distinct vertices verts gets in G, or
+    """The colour every pair of the host vertex set verts gets in G, or
     None when two pairs differ.  Fewer than two vertices have no pair; they
     report colour 0, and callers that match part colours skip them."""
-    verts = list(map(index, verts))  # 1 << np.int64(70) would be 0
+    verts = _vertex_set(verts, G.n)
     if len(verts) < 2:
         return 0
     c = G.colour(verts[0], verts[1])
@@ -298,9 +289,9 @@ def verify_witness(G: ColouredCompleteGraph, w: BlowupWitness) -> bool:
     """Check a blow-up witness against the host.
 
     Returns False on colour mismatches; raises InvalidWitnessError when the
-    witness is structurally broken (wrong part count or sizes, vertices out
-    of range, overlapping parts).  Vertex-colour matching is skipped when
-    the witness is homogeneous or the pattern ignores vertex colours.
+    witness is structurally broken (wrong part count or sizes, parts that
+    are not disjoint host vertex sets).  Vertex-colour matching is skipped
+    when the witness is homogeneous or the pattern ignores vertex colours.
     """
     H = w.pattern
     if len(w.parts) != H.num_vertices:
@@ -309,36 +300,33 @@ def verify_witness(G: ColouredCompleteGraph, w: BlowupWitness) -> bool:
         )
     if w.t < 1:
         raise InvalidWitnessError(f"witness t must be >= 1, got {w.t}")
-    seen: set[int] = set()
-    for part in w.parts:
+    try:
+        parts = _checked_parts(w.parts, G.n)
+    except ValueError as exc:
+        raise InvalidWitnessError(str(exc)) from None
+    for part in parts:
         if len(part) != w.t:
             raise InvalidWitnessError(f"part {part} does not have size t={w.t}")
-        for v in part:
-            if not 0 <= v < G.n:
-                raise InvalidWitnessError(f"vertex {v} out of range")
-            if v in seen:
-                raise InvalidWitnessError(f"parts overlap at vertex {v}")
-            seen.add(v)
 
     # t = 1 parts are vacuously monochromatic in any colour
     fixed_part_colours = not (w.homogeneous or H.vertex_colours_ignored) and w.t > 1
-    for i, part in enumerate(w.parts):
+    for i, part in enumerate(parts):
         c = clique_colour(G, part)
         if c is None or fixed_part_colours and c != H.vertex_colour(i):
             return False
-    masks = [sum(1 << index(v) for v in part) for part in w.parts]
-    for i in range(len(w.parts)):
-        for j in range(i + 1, len(w.parts)):
+    masks = [sum(1 << v for v in part) for part in parts]
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
             want = H.edge_colour(i, j)
             if want >= G.r:
                 return False
             adj = G.colour_bits(want)
-            if any(adj[u] & masks[j] != masks[j] for u in w.parts[i]):
+            if any(adj[u] & masks[j] != masks[j] for u in parts[i]):
                 return False
     return True
 
 
-DEFAULT_SEARCH_BUDGET = 10**12
+EXHAUSTIVE_SEARCH_BUDGET = 10**12
 
 
 def find_pattern_blowup_exhaustive(
@@ -346,23 +334,22 @@ def find_pattern_blowup_exhaustive(
     H: TotallyColouredPattern,
     t: int,
     homogeneous: bool = False,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> BlowupWitness | None:
     """Exhaustive search for a t-blow-up of H in G.
 
     Returns the lexicographically least witness (parts in pattern order,
-    each part sorted) or None.  The nominal search space C(n,t)^l is
-    checked against ``budget`` before starting; the actual search prunes
-    via per-part candidate bitmasks.
+    each part sorted) or None.  A nominal search space C(n,t)^l over
+    EXHAUSTIVE_SEARCH_BUDGET raises SearchBudgetExceeded before starting;
+    the actual search prunes via per-part candidate bitmasks.
     """
     l = H.num_vertices
     if l > 8:
         raise ValueError("exhaustive blow-up search supports patterns with l <= 8")
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    if comb(G.n, t) ** l > budget:
+    if comb(G.n, t) ** l > EXHAUSTIVE_SEARCH_BUDGET:
         raise SearchBudgetExceeded(
-            f"C({G.n},{t})^{l} = {comb(G.n, t) ** l} exceeds budget {budget}"
+            f"C({G.n},{t})^{l} = {comb(G.n, t) ** l} exceeds budget {EXHAUSTIVE_SEARCH_BUDGET}"
         )
     used_colours = {H.edge_colour(i, j) for i in range(l) for j in range(i + 1, l)}
     if not (homogeneous or H.vertex_colours_ignored):

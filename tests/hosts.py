@@ -24,9 +24,9 @@ from localbalance import (
     induced_unibalanced,
     ramsey_bound,
 )
-from localbalance.blowup_finder import _checked_parts, _check_in_host
-from localbalance.core import GraphFormatError, Rational, _as_fraction, _edge_triple
-from localbalance.patterns import _bits
+from localbalance.core import (
+    GraphFormatError, Rational, _as_fraction, _bits, _checked_parts, _edge_triple,
+)
 from localbalance.census import (
     CLASS_KEYS,
     CLASS_REPS,
@@ -558,10 +558,9 @@ def canonical_hypergraph_reference(
     pruning keeps nonzero; prefixes are inserted in lexicographic order.
     """
     l = H.num_vertices
-    parts = _checked_parts(parts)
+    parts = _checked_parts(parts, G.n)
     if len(parts) != l:
         raise ValueError(f"need one part per pattern vertex ({l}), got {len(parts)}")
-    _check_in_host(parts, G)
     by_prefix: dict[tuple[int, ...], int] = {}
     if any(H.edge_colour(i, j) >= G.r for i in range(l) for j in range(i + 1, l)):
         return DictHypergraph(parts, by_prefix, 0)

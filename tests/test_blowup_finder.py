@@ -568,9 +568,9 @@ class TestRamseyClique:
         assert clique == (7,)
         assert colour == 0
 
-    @pytest.mark.parametrize("vertices", [[-1, 0, 1, 2], [0, 1, 9]])
+    @pytest.mark.parametrize("vertices", [[-1, 0, 1, 2], [0, 1, 9], [True, 2]])
     def test_vertex_outside_the_host_rejected(self, vertices):
-        # -1 would otherwise be read as vertex 5, and 9 as an IndexError
+        # -1 would otherwise be read as vertex 5, 9 as an IndexError and True as 1
         with pytest.raises(ValueError, match=r"range\(6\)"):
             ramsey_clique(vertices, make_random(6, 2, 0))
 
@@ -582,7 +582,7 @@ class TestRamseyClique:
         # int64 shifts past bit 63 would overflow; a float is no vertex
         G = make_random(100, 2, 0)
         assert ramsey_clique(np.arange(100), G) == ramsey_clique(range(100), G)
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             ramsey_clique([0.5, 1], G)
 
     def test_matches_pair_colouring_reference(self):

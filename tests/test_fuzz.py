@@ -4,29 +4,43 @@ another exception.  The numeric arguments of generate, min-unibalanced,
 find-blowup and experiment get the CLI version of the rule: exit 0, 1 or 2
 with at most one stderr line, never a traceback.  The smallest-unibalanced
 search is checked against plain enumeration on small hosts, and split
-closeness against single-vertex moves and random sides up to n = 64."""
+closeness against single-vertex moves and random sides up to n = 64.  Every
+function that takes host vertices returns a result or raises ValueError for
+any drawn vertex list, ValueError when an entry is no integer, and the same
+result for its Python and numpy spellings."""
 
 import contextlib
 import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from localbalance import (
     BipartiteColouring,
+    BlowupWitness,
+    CanonicalHypergraph,
     ColouredCompleteGraph,
     TotallyColouredPattern,
+    canonical_hypergraph,
     closeness_to_split,
+    count_alternating_c4,
+    get_pattern,
     graph_from_json,
     graph_to_json,
+    induced_edge_pattern,
+    induced_unibalanced,
     make_random,
     make_split,
     min_unibalanced_subgraph,
+    ramsey_clique,
+    verify_witness,
 )
 from localbalance.cli import main
+from localbalance.patterns import clique_colour
 from hosts import (
     from_edges_reference,
     graph_from,
@@ -314,6 +328,63 @@ def test_closeness_beats_moves_and_random_sides(G, data):
     assert all(split_cost_reference(G, mask ^ 1 << v) >= c.flips for v in range(G.n))
     for other in data.draw(st.lists(st.integers(0, 2**G.n - 1), min_size=1, max_size=8)):
         assert split_cost_reference(G, other) >= c.flips
+
+
+@st.composite
+def vertex_lists(draw):
+    """A host with n <= 8 and a list of up to six would-be vertices: ints in
+    [-3, n + 3] as Python or numpy integers, bools, floats and strings;
+    repeats come from the small range."""
+    n = draw(st.integers(1, 8))
+    G = make_random(n, draw(st.integers(2, 3)), draw(st.integers(0, 2**32)))
+    ints = st.integers(-3, n + 3)
+    vertex = (ints | ints.map(np.int64) | ints.map(np.int32) | st.booleans() | st.floats()
+              | st.text(max_size=2))
+    return G, draw(st.lists(vertex, max_size=6))
+
+
+def halves(S):
+    return S[:len(S) // 2], S[len(S) // 2:]
+
+
+# every public function that takes host vertices, called as f(G, S)
+VERTEX_FUNCTIONS = (
+    lambda G, S: ramsey_clique(S, G),
+    clique_colour,
+    induced_edge_pattern,
+    induced_unibalanced,
+    lambda G, S: count_alternating_c4(G, *halves(S)),
+    lambda G, S: verify_witness(
+        G, BlowupWitness(get_pattern("P1"), halves(S), len(S) // 2, homogeneous=True)),
+    lambda G, S: canonical_hypergraph(G, get_pattern("P1"), halves(S)),
+    lambda G, S: CanonicalHypergraph.from_edges(halves(S), [(S[0], S[-1])] if len(S) else []),
+)
+
+
+def vertex_call(f, G, S):
+    """f(G, S) as a comparable value, or ValueError if it raised one; any
+    other exception fails the test."""
+    try:
+        got = f(G, S)
+    except ValueError:  # InvalidWitnessError included
+        return ValueError
+    if isinstance(got, CanonicalHypergraph):
+        return got.parts, list(got.edges())
+    return got
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(vertex_lists())
+def test_vertex_functions_return_or_raise_value_error(case):
+    G, S = case
+    integers = all(type(v) in (int, np.int64, np.int32) for v in S)  # bools excluded
+    for f in VERTEX_FUNCTIONS:
+        got = vertex_call(f, G, S)
+        assert integers or got is ValueError  # each function reads all of S
+        if integers:
+            as_python = [int(v) for v in S]
+            assert vertex_call(f, G, as_python) == got
+            assert vertex_call(f, G, np.array(as_python, dtype=np.int64)) == got
 
 
 @pytest.fixture(scope="module")

@@ -220,7 +220,7 @@ class TestVerifyWitness:
     def test_overlap_raises(self):
         G = blow_up(get_pattern("P1"), 2)
         w = BlowupWitness(get_pattern("P1"), ((0, 1), (1, 2)), 2, homogeneous=False)
-        with pytest.raises(InvalidWitnessError, match="overlap"):
+        with pytest.raises(InvalidWitnessError, match="repeats"):
             verify_witness(G, w)
 
     def test_out_of_range_raises(self):
@@ -249,8 +249,8 @@ class TestVerifyWitness:
 
 class TestNumpyVertices:
     """Vertex ids past 63 as numpy integers: 1 << np.int64(70) is int64
-    arithmetic and overflows, so the bitmask checks read vertices through
-    operator.index."""
+    arithmetic and overflows, so the bitmask checks read vertices as Python
+    ints."""
 
     G = make_random(200, 2, 0)
     # a homogeneous C4 2-blow-up of this host; swapping its first two parts breaks it
@@ -275,12 +275,12 @@ class TestNumpyVertices:
             assert induced_unibalanced(self.G, vs) is unibalanced
 
     def test_float_vertex_raises(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             clique_colour(self.G, (41.0, 121))
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError):
             induced_unibalanced(self.G, (3, 150.0))
         parts = ((13, 26), (41, 121.0), (27, 56), (62, 90))
-        with pytest.raises(TypeError):
+        with pytest.raises(InvalidWitnessError):
             verify_witness(self.G, BlowupWitness(get_pattern("C4"), parts, 2, True))
 
 
@@ -311,9 +311,10 @@ class TestExhaustiveFinder:
         assert w is not None and verify_witness(G, w)
 
     def test_budget_guard(self):
-        G = make_Pk(2)
+        # C(46, 2)^4 is about 1.15e12, over the 1e12 budget; C(45, 2)^4 is under it
+        G = make_random(46, 2, 0)
         with pytest.raises(SearchBudgetExceeded):
-            find_pattern_blowup_exhaustive(G, get_pattern("P3"), 2, budget=10)
+            find_pattern_blowup_exhaustive(G, get_pattern("P3"), 2)
 
     def test_found_witnesses_always_verify(self):
         rng = random.Random(6)
@@ -450,10 +451,28 @@ class TestInducedEdgePattern:
         with pytest.raises(ValueError):
             induced_edge_pattern(make_Pk(1), ())
 
-    @pytest.mark.parametrize("S, bad", [([-1, 0, 2], -1), ([0, 6], 6)])
+    @pytest.mark.parametrize("S, bad", [
+        ([-1, 0, 2], -1), ([0, 6], 6), ([6], 6), ([0, -1], -1), ([True, 2], True),
+        ([0, True, 2], True),
+    ])
     def test_rejects_vertex_out_of_range(self, S, bad):
-        # a negative vertex must not count from the end of the table
+        # a negative vertex must not count from the end of the table, a vertex
+        # past it must not raise IndexError, and a bool is no vertex number;
+        # the functions here that take a host vertex set all read it in core
         from localbalance import induced_edge_pattern, make_random
 
-        with pytest.raises(ValueError, match=rf"^vertex {bad} out of range .*n=6$"):
-            induced_edge_pattern(make_random(6, 2, 0), S)
+        G = make_random(6, 2, 0)
+        message = rf"^vertex {bad} is not an integer in range\(6\)$"
+        for f in (induced_edge_pattern, induced_unibalanced, clique_colour):
+            with pytest.raises(ValueError, match=message):
+                f(G, S)
+        w = BlowupWitness(induced_edge_pattern(G, [3]), (S,), len(S), homogeneous=True)
+        with pytest.raises(InvalidWitnessError, match=message):
+            verify_witness(G, w)
+
+    def test_rejects_repeated_vertex(self):
+        # a repeat used to be dropped silently
+        from localbalance import induced_edge_pattern
+
+        with pytest.raises(ValueError, match="^vertex 1 repeats"):
+            induced_edge_pattern(make_random(6, 2, 0), [1, 1, 2])

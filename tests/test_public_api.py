@@ -87,5 +87,27 @@ def test_deleted_parameters_stay_deleted():
     assert list(inspect.signature(localbalance.ramsey_clique).parameters) == ["vertices", "G"]
     assert list(inspect.signature(localbalance.hypergraph_cover).parameters) == ["Hg", "G", "config"]
     assert list(inspect.signature(localbalance.kst_star).parameters) == ["F", "s"]
+    assert list(inspect.signature(localbalance.find_pattern_blowup_exhaustive).parameters) == [
+        "G", "H", "t", "homogeneous"]
     assert [f.name for f in dataclasses.fields(localbalance.FinderConfig)] == [
         "c", "seed", "max_partition_retries"]
+
+
+def test_vertex_checks_live_only_in_core():
+    # one reading of "a set of host vertices": the routines are defined in
+    # core, and no other module reads vertices through operator.index
+    defined, index_imports = [], []
+    for path in sorted(SOURCES.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in (
+                    "_vertex", "_vertex_set", "_checked_parts", "_check_in_host", "_bits"):
+                defined.append((node.name, path.name))
+            elif isinstance(node, ast.ImportFrom) and node.module == "operator" and any(
+                    alias.name == "index" for alias in node.names):
+                index_imports.append(path.name)
+            elif isinstance(node, ast.Attribute) and node.attr == "index" and \
+                    isinstance(node.value, ast.Name) and node.value.id == "operator":
+                index_imports.append(path.name)
+    assert sorted(defined) == [("_bits", "core.py"), ("_checked_parts", "core.py"),
+                               ("_vertex", "core.py"), ("_vertex_set", "core.py")]
+    assert [name for name in index_imports if name != "core.py"] == []

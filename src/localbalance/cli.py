@@ -1,9 +1,11 @@
 """Command-line entry point: generate / census / find-blowup /
 sample-unibalanced / min-unibalanced / verify / experiment.
 
-Every output JSON embeds a run manifest (command, argv, seeds, input file
-hashes, version, wall time).  Outputs are deterministic given the same
-command, seeds and inputs, except for the manifest's wallTimeMs field.
+main is the one runner: each _cmd_* handler only computes and returns
+(payload, exit code); main adds the run manifest (command, argv, seeds,
+input file hashes, version, wall time), writes the payload and prints each
+error and warning as one stderr line.  Outputs are deterministic given the
+same command, seeds and inputs, except for the manifest's wallTimeMs field.
 Exit codes: 0 pass, 1 assertion/suite failure or exhausted sampling, 2 usage
 or I/O error.
 """
@@ -14,13 +16,15 @@ import argparse
 import csv
 import functools
 import hashlib
-import io
 import json
 import random
 import sys
 import time
+import warnings
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 from . import __version__
 from .blowup_finder import FinderConfig, find_homogeneous_blowup
@@ -35,6 +39,7 @@ from .constructions import (
 )
 from .core import (
     ColouredCompleteGraph,
+    _check_size,
     balance_profile,
     graph_from_json,
     graph_to_json,
@@ -71,37 +76,49 @@ def _fraction_list(text: str) -> list[Fraction]:
     return [_fraction(x) for x in text.split(",") if x]
 
 
-def _hash_file(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
-
-
-def _manifest(args: argparse.Namespace, seeds: list[int], inputs: list[str], t0: float) -> dict:
+def _manifest(args: argparse.Namespace, t0: float) -> dict:
+    """The run manifest, read off the parsed arguments.  The seeds are
+    --seeds, else [--seed], else [].  The inputs are the host file's bytes
+    and any --pattern-file's JSON without its own "manifest", so that the
+    wall time of the step that wrote it does not change this output."""
+    opts = vars(args)
+    seeds = list(opts["seeds"]) if "seeds" in opts else [opts["seed"]] if "seed" in opts else []
+    inputs = {}
+    if opts.get("graph"):
+        inputs[args.graph] = Path(args.graph).read_bytes()
+    if opts.get("pattern_file"):
+        data = json.loads(Path(args.pattern_file).read_bytes())
+        if isinstance(data, dict):
+            data.pop("manifest", None)
+        inputs[args.pattern_file] = json.dumps(data, sort_keys=True).encode()
     return {
         "command": args.command,
         "argv": args.argv,
         "seeds": seeds,
-        "inputHashes": {p: _hash_file(p) for p in inputs},
+        "inputHashes": {p: hashlib.sha256(b).hexdigest() for p, b in inputs.items()},
         "version": __version__,
         "wallTimeMs": round(1000 * (time.perf_counter() - t0), 1),
     }
 
 
-def _emit(payload: dict, out_path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+# experiment --csv columns; a cell leaves the ones it did not reach empty
+_CSV_FIELDS = ["eps", "n", "seed", "status", "epsilonLocal", "C4", "C4bar", "P3o",
+               "achievedT", "paperTargetT"]
 
 
-# generate and experiment refuse a host past either bound before any draw or
-# allocation; the second is the constructor's (r, n, n) one-hot array in bytes
-MAX_HOST_N = 4096
-MAX_ONEHOT_BYTES = 2**30
+def _emit(payload: dict, args: argparse.Namespace) -> None:
+    """Write the payload to --csv (experiment rows), --json or --out, or to
+    stdout when the path is absent or "-"."""
+    csv_path = vars(args).get("csv")
+    path = csv_path or args.out
+    with open(path, "w", newline="") if path and path != "-" else nullcontext(sys.stdout) as fh:
+        if csv_path:
+            writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS, restval="")
+            writer.writeheader()
+            writer.writerows(payload["rows"])
+        else:
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
 
 # generate family -> (the options its builder reads, (n, r) of the host it
 # builds, builder).  --seed and --out are shared; any other option given for
@@ -137,21 +154,14 @@ _SUITES = {
 }
 
 
-def _check_host_size(n: int, r: int) -> None:
-    if n > MAX_HOST_N or n > 0 and r * n * n > MAX_ONEHOT_BYTES:
-        raise ValueError(f"host too large: n={n}, r={r} "
-                         f"(limits: n <= {MAX_HOST_N}, r*n^2 <= {MAX_ONEHOT_BYTES})")
-
-
 def _load_graph(path: str) -> ColouredCompleteGraph:
     with open(path) as fh:
         return graph_from_json(json.load(fh))
 
 
-# --- subcommand handlers ----------------------------------------------------
+# --- subcommand handlers: each returns (payload, exit code) --------------
 
-def _cmd_generate(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_generate(args) -> tuple[dict, int]:
     reads, host_size, build = _FAMILIES[args.family]
     stray = [f"--{k.replace('_', '-')}" for k in _GENERATE_DEFAULTS
              if k in vars(args) and k not in reads]
@@ -159,36 +169,27 @@ def _cmd_generate(args) -> int:
         raise ValueError(f"--family {args.family} does not read {', '.join(stray)}")
     for k in reads:
         vars(args).setdefault(k, _GENERATE_DEFAULTS[k])
-    _check_host_size(*host_size(args))
+    n, r = host_size(args)
+    if n >= 1:  # else the builder names its own bad argument (--k, --n-side, ...)
+        _check_size(n, r)
     host = build(args)
     if host is None:  # balanced rejection sampling ran out of draws
-        print(f"could not sample a locally {args.eps}-balanced colouring", file=sys.stderr)
-        return 1
+        raise ResamplingBudgetExceeded(f"could not sample a locally {args.eps}-balanced colouring")
     if isinstance(host, BipartiteColouring):
-        obj = host.to_dict()
-    else:
-        obj = graph_to_json(host, compact=args.compact)
-    obj["manifest"] = _manifest(args, [args.seed], [], t0)
-    _emit(obj, args.out)
-    return 0
+        return host.to_dict(), 0
+    return graph_to_json(host, compact=args.compact), 0
 
 
-def _cmd_census(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_census(args) -> tuple[dict, int]:
     G = _load_graph(args.graph)
     if G.n > args.max_n:
-        print(f"census limited to n <= {args.max_n} (got n={G.n})", file=sys.stderr)
-        return 2
+        raise ValueError(f"census limited to n <= {args.max_n} (got n={G.n})")
     result = census_k4(G).to_dict()
-    prof = balance_profile(G)
-    result["epsilonLocal"] = str(prof.epsilon_local)
-    result["manifest"] = _manifest(args, [], [args.graph], t0)
-    _emit(result, args.json)
-    return 0
+    result["epsilonLocal"] = str(balance_profile(G).epsilon_local)
+    return result, 0
 
 
-def _cmd_find_blowup(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_find_blowup(args) -> tuple[dict, int]:
     G = _load_graph(args.graph)
     if args.pattern_file:
         with open(args.pattern_file) as fh:
@@ -202,15 +203,11 @@ def _cmd_find_blowup(args) -> int:
     res = find_homogeneous_blowup(G, pattern, config, target_t=args.target_t)
     payload = res.to_dict()
     payload["pattern"] = pattern.name or pattern.to_dict()
-    payload["manifest"] = _manifest(args, [args.seed], [args.graph], t0)
-    _emit(payload, args.json)
-    if args.target_t is not None and res.achieved_t < args.target_t:
-        return 1
-    return 0
+    missed = args.target_t is not None and res.achieved_t < args.target_t
+    return payload, 1 if missed else 0
 
 
-def _cmd_sample_unibalanced(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_sample_unibalanced(args) -> tuple[dict, int]:
     G = _load_graph(args.graph)
     config = SamplerConfig(eps=args.eps, r=G.r, max_draws=args.max_draws, seed=args.seed)
     got = sample_unibalanced_subset(G, config)
@@ -220,7 +217,6 @@ def _cmd_sample_unibalanced(args) -> int:
         "S": list(got[0]) if got else None,
         "draws": got[1] if got else args.max_draws,
         "found": got is not None,
-        "manifest": _manifest(args, [args.seed], [args.graph], t0),
     }
     if got:
         # the induced pattern of the sampled subset; feeding this back into
@@ -228,12 +224,10 @@ def _cmd_sample_unibalanced(args) -> int:
         # blow-up pipeline (patterns with more than 8 vertices are only
         # reported, the extractor does not accept them)
         payload["pattern"] = induced_edge_pattern(G, got[0], name="sampled").to_dict()
-    _emit(payload, args.json)
-    return 0 if got else 1
+    return payload, 0 if got else 1
 
 
-def _cmd_min_unibalanced(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_min_unibalanced(args) -> tuple[dict, int]:
     G = _load_graph(args.graph)
     witness = min_unibalanced_subgraph(G, cap=args.cap)
     payload = {
@@ -241,38 +235,29 @@ def _cmd_min_unibalanced(args) -> int:
         "S": None if witness is None else list(witness),
         "exceedsCap": witness is None,
         "cap": args.cap,
-        "manifest": _manifest(args, [], [args.graph], t0),
     }
     if witness is not None:
         # feeding this back into find-blowup --pattern-file completes the
         # smallest-unibalanced-subgraph -> blow-up pipeline
         payload["pattern"] = induced_edge_pattern(G, witness, name="minimal").to_dict()
-    _emit(payload, args.json)
-    return 0
+    return payload, 0
 
 
-def _cmd_verify(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_verify(args) -> tuple[dict, int]:
     report = _SUITES[args.suite](args)
-    payload = report.to_dict()
-    payload["manifest"] = _manifest(args, [args.seed], [], t0)
-    _emit(payload, args.json)
     print(
         f"suite {report.suite}: {report.instances} instances, "
         f"{len(report.failures)} failures -> {'PASS' if report.passed else 'FAIL'}",
         file=sys.stderr,
     )
-    return 0 if report.passed else 1
+    return report.to_dict(), 0 if report.passed else 1
 
 
-def _cmd_experiment(args) -> int:
-    t0 = time.perf_counter()
+def _cmd_experiment(args) -> tuple[dict, int]:
     pattern = get_pattern(args.pattern)
     config = FinderConfig(max_partition_retries=args.retries)
     for n in args.n_list:
-        if n < 1:
-            raise ValueError(f"need every n >= 1, got {n}")
-        _check_host_size(n, 2)
+        _check_size(n, 2)
         if CENSUS_MAX_N < n <= args.census_limit:
             raise ValueError(f"census statistics support n <= {CENSUS_MAX_N}, got n={n} "
                              f"under --census-limit {args.census_limit}")
@@ -308,23 +293,7 @@ def _cmd_experiment(args) -> int:
                     row["status"] = f"error: {exc}"
                     hard_failure = True
                 rows.append(row)
-    payload = {"rows": rows, "manifest": _manifest(args, list(args.seeds), [], t0)}
-    if args.csv:
-        fields = ["eps", "n", "seed", "status", "epsilonLocal", "C4", "C4bar", "P3o",
-                  "achievedT", "paperTargetT"]
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: row.get(k, "") for k in fields})
-        if args.csv == "-":
-            sys.stdout.write(buf.getvalue())
-        else:
-            with open(args.csv, "w") as fh:
-                fh.write(buf.getvalue())
-    else:
-        _emit(payload, args.json)
-    return 1 if hard_failure else 0
+    return {"rows": rows}, 1 if hard_failure else 0
 
 
 @functools.cache
@@ -362,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("census", help="K4 class census of a 2-coloured host")
     c.add_argument("graph")
     c.add_argument("--max-n", type=int, default=1024)
-    c.add_argument("--json", default=None)
+    c.add_argument("--json", dest="out", default=None)
     c.set_defaults(func=_cmd_census)
 
     f = sub.add_parser("find-blowup", help="extract a homogeneous blow-up")
@@ -377,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap on the per-level cleanup threshold (also sets paperTargetT)")
     f.add_argument("--retries", type=int, default=64,
                    help="at most this many random equitable partitions")
-    f.add_argument("--json", default=None)
+    f.add_argument("--json", dest="out", default=None)
     f.set_defaults(func=_cmd_find_blowup)
 
     s = sub.add_parser("sample-unibalanced", help="Bernoulli sampling of unibalanced subsets")
@@ -385,20 +354,20 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--eps", type=_fraction, required=True)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--max-draws", type=int, default=64)
-    s.add_argument("--json", default=None)
+    s.add_argument("--json", dest="out", default=None)
     s.set_defaults(func=_cmd_sample_unibalanced)
 
     m = sub.add_parser("min-unibalanced", help="smallest unibalanced induced subgraph")
     m.add_argument("graph")
     m.add_argument("--cap", type=int, default=8)
-    m.add_argument("--json", default=None)
+    m.add_argument("--json", dest="out", default=None)
     m.set_defaults(func=_cmd_min_unibalanced)
 
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--suite", required=True, choices=list(_SUITES))
     v.add_argument("--strict", action="store_true")
     v.add_argument("--seed", type=int, default=0)
-    v.add_argument("--json", default=None)
+    v.add_argument("--json", dest="out", default=None)
     v.set_defaults(func=_cmd_verify)
 
     e = sub.add_parser("experiment", help="sweep (eps, n, seed) cells")
@@ -412,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="at most this many random equitable partitions")
     e.add_argument("--census-limit", type=int, default=1024)
     e.add_argument("--csv", default=None)
-    e.add_argument("--json", default=None)
+    e.add_argument("--json", dest="out", default=None)
     e.set_defaults(func=_cmd_experiment)
     return p
 
@@ -421,8 +390,14 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.argv = argv  # recorded in every output manifest
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            payload, code = args.func(args)
+            payload["manifest"] = _manifest(args, t0)
+            _emit(payload, args)
+        return code
     except (OSError, ValueError) as exc:  # GraphFormatError and JSONDecodeError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -101,11 +101,22 @@ def _raise_edge_list_error(edges: Sequence[object], n: int, r: int) -> NoReturn:
     raise AssertionError("the bulk edge-list checks rejected a valid list")
 
 
+# the largest host a constructor builds: n vertices, and the (r, n, n) one-hot
+# array of its colour masks in bytes, sized by the declared r
+MAX_HOST_N = 4096
+MAX_ONEHOT_BYTES = 2**30
+
+
 def _check_size(n: int, r: int) -> None:
+    """The one host-size rule, the constructor's first step: n >= 1,
+    2 <= r <= 255, and n and r * n^2 within the limits above."""
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 2 <= r <= 255:
         raise ValueError(f"need 2 <= r <= 255, got r={r}")
+    if n > MAX_HOST_N or r * n * n > MAX_ONEHOT_BYTES:
+        raise ValueError(f"host too large: n={n}, r={r} "
+                         f"(limits: n <= {MAX_HOST_N}, r*n^2 <= {MAX_ONEHOT_BYTES})")
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,15 @@
+import ast
+import hashlib
+import inspect
 import json
 import time
 
 import pytest
 
 from hosts import census_k4_reference
-from localbalance import graph_from_json
-from localbalance.cli import _check_host_size, main
+from localbalance import cli, graph_from_json, graph_to_json, make_random
+from localbalance.cli import main
+from localbalance.core import _check_size
 
 
 def run_cli(capsys, *argv):
@@ -77,7 +81,7 @@ class TestGenerate:
         code, out, err = run_cli(capsys, "generate", "--family", "balanced",
                                  "--n", "8", "--eps", "1/2")
         assert code == 1 and out == ""
-        assert err == "could not sample a locally 1/2-balanced colouring\n"
+        assert err == "error: could not sample a locally 1/2-balanced colouring\n"
 
     @pytest.mark.parametrize("argv, builder, stray", [
         (("--family", "bipartite", "--n-side", "4", "--seed", "1", "--compact"),
@@ -114,11 +118,11 @@ class TestGenerate:
         assert err.count("\n") == 1 and err.startswith("error: host too large")
 
     def test_size_limits_are_inclusive(self):
-        _check_host_size(4096, 64)  # 64 * 4096^2 == 2^30
+        _check_size(4096, 64)  # 64 * 4096^2 == 2^30
         with pytest.raises(ValueError, match="n=4096, r=65"):
-            _check_host_size(4096, 65)
+            _check_size(4096, 65)
         with pytest.raises(ValueError, match="n=4097"):
-            _check_host_size(4097, 2)
+            _check_size(4097, 2)
 
     def test_manifest_records_the_given_argv(self, capsys):
         argv = ["generate", "--family", "pk", "--k", "1"]
@@ -187,6 +191,20 @@ class TestCensusCommand:
         code, _, err = run_cli(capsys, "census", str(path))
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_declared_r_sizes_the_host(self, tmp_path, capsys, monkeypatch):
+        # the constructor's one-hot is (r, n, n) for the declared r, whatever
+        # colours the rows hold; the limit is lowered to just fit r = 2
+        host = graph_to_json(make_random(300, 2, 0), compact=True)
+        path = tmp_path / "r255.json"
+        path.write_text(json.dumps({**host, "r": 255}))
+        monkeypatch.setattr("localbalance.core.MAX_ONEHOT_BYTES", 2 * 300 * 300)
+        assert graph_from_json(host).r == 2
+        with pytest.raises(ValueError, match=r"^host too large: n=300, r=255 "):
+            graph_from_json({**host, "r": 255})
+        code, out, err = run_cli(capsys, "census", str(path))
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: host too large: n=300, r=255 ")
 
     def test_malformed_json_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -338,6 +356,14 @@ class TestUnibalancedCommands:
         data = json.loads(out)
         assert data["pattern"]["l"] == len(data["S"])
 
+    def test_warning_is_one_line(self, tmp_path, capsys):
+        # P_3 is locally 1/4-balanced, so --eps 1/3 samples without backing
+        path = tmp_path / "pk3.json"
+        run_cli(capsys, "generate", "--family", "pk", "--k", "3", "--out", str(path))
+        code, out, err = run_cli(capsys, "sample-unibalanced", "--eps", "1/3", str(path))
+        assert code == (0 if json.loads(out)["found"] else 1)
+        assert err == "warning: host is not locally 1/3-balanced; sampling is best-effort\n"
+
 
 class TestVerifyCommand:
     def test_cute_passes(self, capsys):
@@ -451,3 +477,71 @@ class TestParserReuse:
             code, out, _ = run_cli(capsys, *argv)
             assert code == 0
             assert json.loads(out)["manifest"]["seeds"] == seeds
+
+
+class TestRunner:
+    """main builds every manifest and writes every output; the handlers
+    only compute."""
+
+    @pytest.mark.parametrize("argv, seeds, inputs", [
+        (("generate", "--family", "pk", "--k", "1", "--seed", "4"), [4], []),
+        (("census", "HOST"), [], ["HOST"]),
+        (("find-blowup", "HOST", "--retries", "2"), [0], ["HOST"]),
+        (("find-blowup", "HOST", "--pattern-file", "PATTERN", "--seed", "2", "--retries", "2"),
+         [2], ["HOST", "PATTERN"]),
+        (("sample-unibalanced", "HOST", "--eps", "1/4", "--seed", "3"), [3], ["HOST"]),
+        (("min-unibalanced", "HOST", "--cap", "4"), [], ["HOST"]),
+        (("verify", "--suite", "cute", "--seed", "5"), [5], []),
+        (("experiment", "--eps-list", "0", "--n-list", "8", "--seeds", "3,4"), [3, 4], []),
+    ], ids=["generate", "census", "find-blowup", "find-blowup-pattern-file",
+            "sample-unibalanced", "min-unibalanced", "verify", "experiment"])
+    def test_manifest_records_seeds_and_every_input_file(self, tmp_path, capsys, argv,
+                                                         seeds, inputs):
+        files = {"HOST": tmp_path / "pk2.json", "PATTERN": tmp_path / "pattern.json"}
+        run_cli(capsys, "generate", "--family", "pk", "--k", "2", "--out", str(files["HOST"]))
+        files["PATTERN"].write_text(json.dumps(TestFindBlowup.GOOD_PATTERN))
+        argv = [str(files.get(a, a)) for a in argv]
+        _, out, _ = run_cli(capsys, *argv)
+        manifest = json.loads(out)["manifest"]
+        assert sorted(manifest) == ["argv", "command", "inputHashes", "seeds", "version",
+                                    "wallTimeMs"]
+        assert manifest["command"] == argv[0] and manifest["argv"] == argv
+        assert manifest["seeds"] == seeds
+        # the host's bytes; the pattern file's JSON, canonical and without a manifest
+        hashed = {"HOST": files["HOST"].read_bytes(),
+                  "PATTERN": json.dumps(TestFindBlowup.GOOD_PATTERN, sort_keys=True).encode()}
+        assert manifest["inputHashes"] == {
+            str(files[f]): hashlib.sha256(hashed[f]).hexdigest() for f in inputs}
+
+    def test_pattern_file_hash_ignores_the_manifest_it_carries(self, tmp_path, capsys):
+        # a min-unibalanced output read back differs run to run only in its
+        # manifest's wall time, which must not reach the next step's output
+        host, pat = tmp_path / "pk2.json", tmp_path / "min.json"
+        run_cli(capsys, "generate", "--family", "pk", "--k", "2", "--out", str(host))
+        outputs = []
+        for wall, first_edge in ((1.5, [0, 1, 1]), (2.5, [0, 1, 1]), (2.5, [0, 1, 0])):
+            pattern = dict(TestFindBlowup.GOOD_PATTERN)
+            pattern["edges"] = [first_edge] + pattern["edges"][1:]
+            pat.write_text(json.dumps({"pattern": pattern, "manifest": {"wallTimeMs": wall}}))
+            _, out, _ = run_cli(capsys, "find-blowup", str(host), "--pattern-file", str(pat),
+                                "--retries", "2")
+            outputs.append(parse_without_timing(out))
+        assert outputs[0] == outputs[1]
+        assert outputs[1]["manifest"]["inputHashes"][str(pat)] != \
+            outputs[2]["manifest"]["inputHashes"][str(pat)]
+
+    def test_only_main_builds_manifests_and_writes_outputs(self):
+        # callee name -> the top-level functions (or "<module>") that call it
+        callers = {}
+        for stmt in ast.parse(inspect.getsource(cli)).body:
+            owner = stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+                    callers.setdefault(name, set()).add(owner)
+        handlers = {name for name in vars(cli) if name.startswith("_cmd_")}
+        assert len(handlers) == 7
+        assert callers["_manifest"] == callers["_emit"] == {"main"}
+        assert handlers & (callers["perf_counter"] | callers["_manifest"] | callers["_emit"]) == set()
+        assert handlers & callers["print"] == {"_cmd_verify"}  # its PASS/FAIL summary line

@@ -40,6 +40,7 @@ from .constructions import (
 from .core import (
     ColouredCompleteGraph,
     _check_size,
+    _read_graph_json,
     balance_profile,
     graph_from_json,
     graph_to_json,
@@ -155,8 +156,7 @@ _SUITES = {
 
 
 def _load_graph(path: str) -> ColouredCompleteGraph:
-    with open(path) as fh:
-        return graph_from_json(json.load(fh))
+    return graph_from_json(_read_graph_json(Path(path).read_bytes()))
 
 
 # --- subcommand handlers: each returns (payload, exit code) --------------
@@ -192,8 +192,7 @@ def _cmd_census(args) -> tuple[dict, int]:
 def _cmd_find_blowup(args) -> tuple[dict, int]:
     G = _load_graph(args.graph)
     if args.pattern_file:
-        with open(args.pattern_file) as fh:
-            data = json.load(fh)
+        data = json.loads(Path(args.pattern_file).read_bytes())
         if isinstance(data, dict):
             data = data.get("pattern", data)
         pattern = TotallyColouredPattern.from_dict(data)

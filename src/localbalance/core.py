@@ -14,6 +14,7 @@ comparison would be wrong.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
@@ -58,30 +59,40 @@ def _edge_triple(e: object, n: int, r: int) -> tuple[int, int, int]:
     return u, v, c
 
 
-def _valid_triples(edges: Sequence[object], n: int, r: int) -> np.ndarray | None:
-    """The entries as a (3, m) unsigned int array of rows u, v and c when
-    n and r are valid, there are C(n, 2) entries, and each entry is a list
-    or tuple of three ints (bools excluded) naming a pair u != v in
-    range(n) and a colour below r; else None.  Every check runs at C speed:
-    map and set over the entries and fields, one np.fromiter into the
-    smallest unsigned dtype that holds max(n, r), whose OverflowError marks
-    a negative or too large field, and vectorised comparisons.  Repeated
-    pairs are left to the caller."""
-    if not (n >= 1 and 2 <= r <= 255 and len(edges) == comb(n, 2)):
-        return None
+def _valid_triples(edges: Sequence[object]) -> np.ndarray | None:
+    """The entries as an (m, 3) int64 array when each is a list or tuple of
+    three ints (bools excluded) that fit in int64; else None.  The checks
+    run at C speed: map and set over the entries and fields, then one
+    np.fromiter, whose OverflowError marks a field past int64."""
     if not all(map(isinstance, edges, repeat((list, tuple)))) or set(map(len, edges)) - {3}:
         return None
     if set(map(type, chain.from_iterable(edges))) - {int}:
         return None
     try:
-        flat = np.fromiter(chain.from_iterable(edges), dtype=np.min_scalar_type(max(n, r)),
-                           count=3 * len(edges))
+        flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=3 * len(edges))
     except OverflowError:
         return None
-    u, v, c = triples = flat.reshape(-1, 3).T
-    if ((u == v) | (u >= n) | (v >= n) | (c >= r)).any():
+    return flat.reshape(-1, 3)
+
+
+def _edge_table(triples: np.ndarray, n: int, r: int) -> np.ndarray | None:
+    """The n x n colour table of an (m, 3) integer array of [u, v, c] rows
+    when n and r are valid and the rows name each of the C(n, 2) pairs
+    u != v in range(n) once, with a colour in range(r); else None.  The
+    count is checked before the table is allocated, and repeated pairs by
+    scattering the colours into it: C(n, 2) in-range pairs were written,
+    so an unset pair means a duplicate."""
+    if not (n >= 1 and 2 <= r <= 255 and len(triples) == comb(n, 2)):
         return None
-    return triples
+    u, v, c = triples.T
+    if ((u == v) | (u < 0) | (v < 0) | (c < 0) | (u >= n) | (v >= n) | (c >= r)).any():
+        return None
+    unset = 0xFF  # never a colour, since r <= 255
+    table = np.full((n, n), unset, dtype=np.uint8)
+    table[u, v] = c
+    table[v, u] = c
+    np.fill_diagonal(table, 0)
+    return None if table.max() == unset else table
 
 
 def _raise_edge_list_error(edges: Sequence[object], n: int, r: int) -> NoReturn:
@@ -214,25 +225,17 @@ class ColouredCompleteGraph:
         Rejects malformed entries, self-loops, out-of-range vertices or
         colours, duplicate pairs and missing pairs, naming the first bad
         entry in list order.  A valid list is checked in bulk: the entry
-        count, the entry and field types at C speed, the values as one
-        integer array, and duplicates by scattering the colours into the
-        n x n table, which is allocated only once the count is C(n, 2).
-        Only a bad list is scanned entry by entry, to name its first error.
+        and field types at C speed, then the values as one integer array
+        (_edge_table).  Only a bad list is scanned entry by entry, to name
+        its first error.
         """
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)
-        triples = _valid_triples(edges, n, r)
-        if triples is not None:
-            u, v, c = triples
-            unset = 0xFF  # never a colour, since r <= 255
-            table = np.full((n, n), unset, dtype=np.uint8)
-            table[u, v] = c
-            table[v, u] = c
-            np.fill_diagonal(table, 0)
-            # C(n, 2) in-range pairs were written, so an unset pair means a duplicate
-            if table.max() != unset:
-                return cls(n, r, table)
-        _raise_edge_list_error(edges, n, r)
+        triples = _valid_triples(edges)
+        table = None if triples is None else _edge_table(triples, n, r)
+        if table is None:
+            _raise_edge_list_error(edges, n, r)
+        return cls(n, r, table)
 
     @classmethod
     def from_pair_colours(cls, n: int, r: int, colours: np.ndarray) -> "ColouredCompleteGraph":
@@ -327,7 +330,124 @@ def colour_swap(G: ColouredCompleteGraph) -> ColouredCompleteGraph:
 #          listed exactly once.
 # Compact: {"n": int, "r": int, "rows": [digits of colour(u, v) for v > u]}
 #          (requires r <= 10).
+#
+# graph_from_json validates either format as a dict.  A host file's bytes
+# go through _read_graph_json first: a plain "edges" array of integer
+# triples comes back as one (m, 3) int64 array, parsed without building a
+# Python list per edge, and anything else as json.loads reads it.
 # ---------------------------------------------------------------------------
+
+def _plain_edge_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
+    """The JSON array at text[start] as an (m, 3) int64 array, with the
+    index just past it, when it is a plain array of [u, v, c] triples of
+    non-negative decimal integers of at most 18 digits (so they fit int64);
+    else None.
+
+    Such an array holds only digits, "[", "]", "," and JSON whitespace, so
+    it ends before the first '"' or '}'.  Without whitespace and digits it
+    is "[" + ",".join(["[,,]"] * m) + "]", and it holds 3m digit runs, one
+    in each of the three slots of each entry, that whitespace does not
+    split and that have no leading zeros (RFC 8259)."""
+    if not text.startswith("[", start):
+        return None
+    stop = len(text)
+    for ch in '"}':
+        found = text.find(ch, start, stop)
+        stop = stop if found < 0 else found
+    try:
+        chunk = text[start:stop].encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    solid = chunk.translate(None, b" \t\n\r")
+    skeleton = solid.translate(None, b"0123456789")
+    m = 0 if skeleton[1:2] == b"]" else (skeleton.find(b"]]") + 1) // 5
+    want = b"[" + (b",[,,]" * m)[1:] + b"]"
+    # after the array only whitespace and commas, which the caller's walk checks
+    if not skeleton.startswith(want) or skeleton[len(want):].strip(b","):
+        return None
+    digit = (np.frombuffer(chunk, dtype=np.uint8) - ord("0")) < 10
+    if np.count_nonzero(digit[1:] > digit[:-1]) != 3 * m:  # the runs; chunk[0] is "["
+        return None
+    end = start + len(chunk.rstrip(b" \t\n\r,"))
+    del chunk, digit  # the per-byte arrays go before the per-run ones, to bound the peak
+    if len(solid) >= 2**31:  # positions in solid are int32 below
+        return None
+    # without whitespace each run ends at a mark, and 3m runs there mean that
+    # whitespace split none
+    solid = np.frombuffer(solid, dtype=np.uint8)
+    digit = (solid - ord("0")) < 10
+    ends = (np.flatnonzero(digit[:-1] > digit[1:]) + 1).astype(np.int32)
+    del digit
+    if len(ends) != 3 * m:
+        return None
+    values = np.zeros(3 * m, dtype=np.int64)
+    lengths = np.zeros(3 * m, dtype=np.uint8)
+    alive = np.ones(3 * m, dtype=bool)
+    for j in range(19):  # Horner from each run's end, while the run lasts
+        d = solid[ends - (1 + j)] - ord("0")
+        alive &= d < 10
+        if not alive.any():
+            break
+        values += d * alive * np.int64(10**j)
+        lengths += alive
+    else:
+        return None  # a run of 19 digits
+    if ((solid[ends - lengths] == ord("0")) & (lengths > 1)).any():
+        return None
+    # run r must close slot r % 3 of entry r // 3: mark 2 + 5 (r // 3) + r % 3
+    # of solid, which has the digits of runs 0..r before it
+    marks = ends.reshape(m, 3)
+    marks -= np.cumsum(lengths, dtype=np.int32).reshape(m, 3)
+    marks -= 5 * np.arange(m, dtype=np.int32)[:, None]
+    if not (marks == (2, 3, 4)).all():
+        return None
+    return values.reshape(m, 3), end
+
+
+def _graph_object(text: str) -> dict | None:
+    """The JSON object that is the whole of text, walked member by member
+    as json does (keys by scanstring, values by raw_decode, JSON
+    whitespace between tokens, the last of a repeated key winning), but
+    with a plain "edges" array read by _plain_edge_array; None where the
+    walk does not get through, or ValueError from json's parts."""
+    skip = json.decoder.WHITESPACE.match
+    value_at = json.JSONDecoder().raw_decode
+    i = skip(text, 0).end()
+    if not text.startswith("{", i):
+        return None
+    data = {}
+    sep = ","
+    while sep == ",":
+        i = skip(text, i + 1).end()
+        if not text.startswith('"', i):
+            return None
+        key, i = json.decoder.scanstring(text, i + 1)
+        i = skip(text, i).end()
+        if not text.startswith(":", i):
+            return None
+        i = skip(text, i + 1).end()
+        plain = _plain_edge_array(text, i) if key == "edges" else None
+        data[key], i = plain or value_at(text, i)
+        i = skip(text, i).end()
+        sep = text[i:i + 1]
+    if sep != "}" or skip(text, i + 1).end() != len(text):
+        return None
+    return data
+
+
+def _read_graph_json(raw: bytes) -> dict:
+    """The graph JSON document in raw, decoded as json.loads decodes bytes
+    (UTF-8, -16 or -32; a UTF-8 BOM is dropped).  A plain "edges" array
+    comes back as an (m, 3) int64 array, without a Python list per edge;
+    every other value, and every document the object walk does not get
+    through, is what json.loads(raw) returns, and every error is the one
+    it raises."""
+    try:
+        data = _graph_object(raw.decode(json.detect_encoding(raw), "surrogatepass"))
+    except (ValueError, RecursionError):  # UnicodeDecodeError and JSONDecodeError included
+        data = None
+    return json.loads(raw) if data is None else data
+
 
 def graph_to_json(G: ColouredCompleteGraph, compact: bool = False) -> dict:
     n = G.n
@@ -373,6 +493,11 @@ def graph_from_json(data: dict) -> ColouredCompleteGraph:
         return ColouredCompleteGraph.from_pair_colours(n, r, colours)
     if "edges" in data:
         edges = data["edges"]
+        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (3,):
+            table = _edge_table(edges, n, r)
+            if table is None:
+                _raise_edge_list_error(edges.tolist(), n, r)
+            return ColouredCompleteGraph(n, r, table)
         if not isinstance(edges, list):
             raise GraphFormatError("'edges' must be a list of [u, v, c] triples")
         return ColouredCompleteGraph.from_edges(n, r, edges)

@@ -2,7 +2,11 @@ import ast
 import hashlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +216,55 @@ class TestCensusCommand:
         code, _, err = run_cli(capsys, "census", str(path))
         assert code == 2
         assert "self-loop" in err
+
+    def test_host_passes_through_graph_from_json_once(self, tmp_path, capsys, monkeypatch):
+        # the benchmark's tracer times the host load as cli.graph_from_json
+        calls = []
+        real = cli.graph_from_json
+        monkeypatch.setattr(cli, "graph_from_json", lambda data: calls.append(data) or real(data))
+        path = tmp_path / "r12.json"
+        path.write_text(json.dumps(graph_to_json(make_random(12, 2, 0))))
+        code, _, _ = run_cli(capsys, "census", str(path), "--json", str(tmp_path / "out.json"))
+        assert code == 0 and len(calls) == 1
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_in_c_locale(cwd, *argv):
+    """The CLI in a fresh interpreter whose locale encoding is ASCII."""
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-m", "localbalance.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, timeout=120)
+
+
+class TestInputEncoding:
+    """Input files are JSON text, read as bytes and decoded as JSON, not
+    with the locale's encoding."""
+
+    def test_utf8_host_under_an_ascii_locale(self, tmp_path):
+        host = {**graph_to_json(make_random(2, 2, 0)), "manifest": {"note": "café —"}}
+        (tmp_path / "host.json").write_text(json.dumps(host, ensure_ascii=False), encoding="utf-8")
+        done = run_in_c_locale(tmp_path, "census", "host.json")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["n"] == 2
+
+    def test_utf8_pattern_file_under_an_ascii_locale(self, tmp_path):
+        (tmp_path / "r12.json").write_text(json.dumps(graph_to_json(make_random(12, 2, 0))))
+        pattern = {**TestFindBlowup.GOOD_PATTERN, "name": "café"}
+        (tmp_path / "pat.json").write_text(json.dumps(pattern, ensure_ascii=False),
+                                           encoding="utf-8")
+        done = run_in_c_locale(tmp_path, "find-blowup", "r12.json", "--pattern-file", "pat.json",
+                               "--retries", "2")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["pattern"]["edges"] == pattern["edges"]
+
+    def test_utf8_bom_host_loads(self, tmp_path, capsys):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(graph_to_json(make_random(6, 2, 0))).encode())
+        code, out, _ = run_cli(capsys, "census", str(path))
+        assert code == 0 and json.loads(out)["n"] == 6
 
 
 class TestFindBlowup:

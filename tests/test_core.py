@@ -5,7 +5,10 @@ import tracemalloc
 from collections import namedtuple
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localbalance import (
     ColouredCompleteGraph,
@@ -28,6 +31,7 @@ from hosts import (
     outcome,
     relabelled,
 )
+from localbalance.core import _read_graph_json
 
 
 MALFORMED = [
@@ -511,7 +515,7 @@ class TestBulkEdgeLoader:
             ColouredCompleteGraph.from_edges(9, 3, (e for e in bad))
 
     def test_shuffled_lists_of_larger_hosts(self):
-        # n = 300 reads the fields as uint16, n = 25 as uint8
+        # n = 300 has vertex fields past one byte
         rng = random.Random(0)
         for n, r in ((300, 2), (25, 4)):
             G = make_random(n, r, 1)
@@ -522,3 +526,162 @@ class TestBulkEdgeLoader:
             edges[-1] = edges[7]
             assert outcome(lambda: ColouredCompleteGraph.from_edges(n, r, edges)) == outcome(
                 lambda: from_edges_reference(n, r, edges))
+
+
+def reader_matches_json(raw: bytes) -> object:
+    """Assert that the host file bytes raw load through _read_graph_json as
+    through json.loads: the same graph, or the same error type and message;
+    return what the reader gave, or its error."""
+    want = outcome(lambda: graph_from_json(json.loads(raw)))
+    assert outcome(lambda: graph_from_json(_read_graph_json(raw))) == want
+    return outcome(lambda: _read_graph_json(raw))
+
+
+def plain_edges(edges) -> bool:
+    """Whether edges serialises as a plain array: [u, v, c] triples of ints
+    in [0, 10^18)."""
+    return isinstance(edges, list) and all(
+        isinstance(e, (list, tuple)) and len(e) == 3
+        and all(type(x) is int and 0 <= x < 10**18 for x in e) for e in edges)
+
+
+class TestGraphJsonReader:
+    """_read_graph_json reads a plain edge array as one int64 array and every
+    other document as json.loads does; graph_from_json must give the same
+    graph, or the same error, either way."""
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    @pytest.mark.parametrize("sort_keys", [False, True])
+    @pytest.mark.parametrize("data", MALFORMED + [
+        {"n": n, "r": r, "edges": list(edges)} for n, r, edges in EDGE_LISTS
+    ])
+    def test_loader_cases_match_json(self, data, indent, sort_keys):
+        got = reader_matches_json(json.dumps(data, indent=indent, sort_keys=sort_keys).encode())
+        if plain_edges(data.get("edges")):
+            assert isinstance(got["edges"], np.ndarray) and got["edges"].dtype == np.int64
+            assert got["edges"].tolist() == [list(e) for e in data["edges"]]
+
+    @pytest.mark.parametrize("raw", [
+        b"", b" ", b"{}", b"[]", b"null", b"{", b"\xff\xfe", b"\xc3",
+        b'{"n": 2, "r": 2, "edges": [[0, 1, 1]]}',
+        b'\xef\xbb\xbf{"n": 2, "r": 2, "edges": [[0, 1, 1]]}',
+        b'{"n":2,"r":2,"edges":[[0,1,1]]}\n',
+        b' {\t"edges" : [ [ 1 ,\r\n0 , 1 ] ] , "n" : 2 , "r" : 2 } ',
+        b'{"n": 2, "r": 2, "edges": [[0, 1, 1]]} x',
+        b'{"n": 2, "r": 2, "edges": [[0, 1, 1]],}',
+        b'{"n": 2, "r": 2, "edges": [[0, 1, 1]]]}',
+        b'{"n": 2, "r": 2, "edges": [[0, 1, 1],]}',
+        b'{"n": 2, "r": 2, "edges": [[0, 1,]1]}',
+        b'{"n": 2, "r": 2, "edges": [1[0, 1,]]}',
+        b'{"n": 2, "r": 2, "edges": [[0, 1, 1]],, "x": 1}',
+        b'{"n": 2, "r": 2, "edges": [[0, 1, 1]] 5}',
+        b'{"n": 2, "r": 2, "edges": [[0, 1, 1]], 5}',
+        b'{"n": 2, "r": 2, "edges": [[0, 1,\x0b1]]}',
+        b'{"n": 2, "r": 2, "edges": [[0, 1, \xc3\xa9]]}',
+        b'{"n": 2, "r": 2, "edges": [[0, 1, 1]], "edges": 5}',
+        b'{"n": 2, "r": 2, "edges": 5, "edges": [[0, 1, 1]]}',
+        b'{"n": 2, "r": 2, "edges": [[0, 1, 1]], "note": "}]\\" [[0, 1, 0]]"}',
+        b'{"n": 2 "r": 2, "edges": [[0, 1, 1]]}',
+        b'{"n": 2, "r": 2, "edges": [[0, 1, 1]], "x": NaN, "y": -Infinity}',
+        b'{"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, 1], [1, 2, 0]] [[0, 1, 1]]}',
+        b'{"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 2, 1]], [1, 2, 0]]}',
+        b'{"n": 1, "r": 2, "edges": []}',
+        b'{"n": 1, "r": 2, "edges": [ ]}',
+        b'{"n": 1, "r": 2, "edges": [[]]}',
+        '{"n": 2, "r": 2, "edges": [[0, 1, 1]]}'.encode("utf-16"),
+        '{"n": 2, "r": 2, "edges": [[0, 1, 1]], "m": "caf\u00e9"}'.encode("utf-32-le"),
+    ])
+    def test_documents_match_json(self, raw):
+        reader_matches_json(raw)
+
+    def test_plain_arrays_of_every_size_and_layout(self):
+        for n, r in ((1, 2), (2, 2), (7, 3), (40, 2)):
+            data = graph_to_json(make_random(n, r, n))
+            for indent in (None, 0, 2, "\t"):
+                raw = json.dumps(data, indent=indent).encode()
+                got = reader_matches_json(raw)
+                assert isinstance(got["edges"], np.ndarray)
+                assert got["edges"].shape == (len(data["edges"]), 3)
+
+    def test_deep_nesting_raises_what_json_raises(self):
+        raw = b'{"n": 2, "r": 2, "edges": [[0, 1, 1]], "x": ' + b"[" * 10**6 + b"]" * 10**6 + b"}"
+        with pytest.raises(RecursionError):
+            json.loads(raw)
+        with pytest.raises(RecursionError):
+            _read_graph_json(raw)
+
+
+# mutations of the edge-array text: applied to one drawn field, or to the text
+FIELD_MUTATIONS = {
+    "01": lambda f: "0" + f,
+    "-0": lambda f: "-0",
+    "1.0": lambda f: f + ".0",
+    "1e0": lambda f: f + "e0",
+    "true": lambda f: "true",
+    "NaN": lambda f: "NaN",
+    "1 2": lambda f: f + " 2",
+    "empty slot": lambda f: "",
+    "4 fields": lambda f: f + ", 0",
+    "nested": lambda f: "[" + f + "]",
+    "19 digits": lambda f: str(10**18),
+    "31 digits": lambda f: str(10**30),
+}
+DOCUMENT_MUTATIONS = ["none", "field moved out of its slot", "trailing comma", "edges before", "edges after", "truncated",
+                      "garbage"]
+SPACE = st.sampled_from(["", " ", "  ", "\n", "\t", "\r\n", "\n    "])
+NOTE = st.text(st.sampled_from(list('ab[]{},:"\\/0\n\t\u00e9\u2014\u2028') + ["\U0001f600"]),
+               max_size=10)
+
+
+@st.composite
+def host_documents(draw, mutation):
+    """The bytes of a host file: a small random host, its edge array written
+    with drawn separators and indentation, the other members in a drawn
+    order with drawn whitespace and a manifest whose strings hold
+    brackets, quotes, escapes and non-ASCII text; then the mutation."""
+    n, r = draw(st.integers(1, 6)), draw(st.integers(2, 3))
+    edges = [[v, u, c] if draw(st.booleans()) else [u, v, c]
+             for u, v, c in draw(st.permutations(graph_to_json(make_random(n, r, n))["edges"]))]
+    item_sep = draw(SPACE) + "," + draw(SPACE)
+    text = json.dumps(edges, indent=draw(st.sampled_from([None, 0, 2, "\t"])),
+                      separators=(item_sep, ":"))
+    fields = list(re.finditer(r"[0-9]+", text))
+    if mutation in FIELD_MUTATIONS and fields:
+        f = draw(st.sampled_from(fields))
+        text = text[:f.start()] + FIELD_MUTATIONS[mutation](f.group()) + text[f.end():]
+    elif mutation == "trailing comma":
+        text = text[:-1] + ",]"
+    elif mutation == "field moved out of its slot" and fields:
+        f = draw(st.sampled_from(fields))
+        close = text.index("]", f.end()) + 1
+        text = text[:f.start()] + text[f.end():close] + f.group() + text[close:]
+    manifest = {"note": draw(NOTE), "argv": [draw(NOTE), 1, [2.5, None]]}
+    members = draw(st.permutations([
+        ("n", json.dumps(n)), ("r", json.dumps(r)), ("edges", text),
+        ("manifest", json.dumps(manifest, ensure_ascii=draw(st.booleans()))),
+    ]))
+    if mutation in ("edges before", "edges after"):
+        other = json.dumps(graph_to_json(make_random(n, r, n + 1))["edges"])
+        at = members.index(("edges", text)) + (mutation == "edges after")
+        members.insert(at, ("edges", other))
+    space = draw(SPACE)
+    doc = "{" + space + ("," + space).join(
+        f'"{key}"{space}:{space}{value}' for key, value in members) + space + "}"
+    doc += draw(SPACE)
+    if mutation == "truncated":
+        doc = doc[:draw(st.integers(0, len(doc) - 1))]
+    elif mutation == "garbage":
+        doc += draw(st.sampled_from(["x", "]", "}", "0", ",", "[]", "{}"]))
+    return doc.encode(draw(st.sampled_from(["utf-8", "utf-8-sig", "utf-16"])))
+
+
+@pytest.mark.parametrize("mutation", list(FIELD_MUTATIONS) + DOCUMENT_MUTATIONS)
+def test_reader_matches_json_on_drawn_documents(mutation):
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(host_documents(mutation))
+    def check(raw):
+        got = reader_matches_json(raw)
+        if mutation == "none":
+            assert isinstance(got["edges"], np.ndarray)
+
+    check()

@@ -464,13 +464,14 @@ def ramsey_clique(
     # the chain takes increasing vertices, so each class is sorted and the
     # last live vertex (which closes every class) is the largest
     classes: list[list[int]] = [[] for _ in range(G.r)]
+    bits = [G.colour_bits(c) for c in range(G.r)]
     live = everything
     while True:
         v = (live & -live).bit_length() - 1
         live ^= 1 << v
         if not live:
             break
-        buckets = [G.neighbours(c, v) & live for c in range(G.r)]
+        buckets = [rows[v] & live for rows in bits]
         best_c = max(range(G.r), key=lambda c: buckets[c].bit_count())
         classes[best_c].append(v)
         live = buckets[best_c]

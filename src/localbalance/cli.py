@@ -222,7 +222,7 @@ def _cmd_sample_unibalanced(args) -> tuple[dict, int]:
         # find-blowup --pattern-file completes the sample -> extract ->
         # blow-up pipeline (patterns with more than 8 vertices are only
         # reported, the extractor does not accept them)
-        payload["pattern"] = induced_edge_pattern(G, got[0], name="sampled").to_dict()
+        payload["pattern"] = induced_edge_pattern(G, got[0]).to_dict()
     return payload, 0 if got else 1
 
 
@@ -238,7 +238,7 @@ def _cmd_min_unibalanced(args) -> tuple[dict, int]:
     if witness is not None:
         # feeding this back into find-blowup --pattern-file completes the
         # smallest-unibalanced-subgraph -> blow-up pipeline
-        payload["pattern"] = induced_edge_pattern(G, witness, name="minimal").to_dict()
+        payload["pattern"] = induced_edge_pattern(G, witness).to_dict()
     return payload, 0
 
 
@@ -304,10 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Locally balanced edge-colourings: generators, censuses, blow-up mining.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    pattern_names = sorted(
-        name for name, pat in pattern_library().items()
-        if isinstance(pat, TotallyColouredPattern)
-    )
+    pattern_names = sorted(pattern_library())
 
     g = sub.add_parser("generate", help="write a named colouring as JSON",
                        argument_default=argparse.SUPPRESS)

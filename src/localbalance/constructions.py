@@ -193,12 +193,13 @@ def _split_violations(G: ColouredCompleteGraph, red_mask: int) -> tuple[tuple[in
     """The pairs u < v, in row-major order, that the split with red side
     red_mask must recolour; their number is the split's cost."""
     blue_mask = ((1 << G.n) - 1) & ~red_mask
+    red, blue = G.colour_bits(RED), G.colour_bits(BLUE)
     out = []
     for u in range(G.n):
         if (red_mask >> u) & 1:
-            wrong = G.neighbours(BLUE, u) & red_mask
+            wrong = blue[u] & red_mask
         else:
-            wrong = G.neighbours(RED, u) & blue_mask
+            wrong = red[u] & blue_mask
         out.extend((u, v) for v in _bits(wrong >> (u + 1) << (u + 1)))
     return tuple(out)
 

@@ -245,6 +245,11 @@ class ColouredCompleteGraph:
         return cls(n, r, table | table.T)
 
     def colour(self, u: int, v: int) -> int:
+        """The colour of the edge u v; ValueError unless u and v are two
+        distinct vertices (the vertex rule of _vertex)."""
+        n = self.n
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
+            u, v = _vertex(u, n), _vertex(v, n)
         if u == v:
             raise ValueError("no self-loops in a complete graph")
         return self._rows[u][v]
@@ -258,7 +263,10 @@ class ColouredCompleteGraph:
         return self._bits[c]
 
     def neighbours(self, c: int, u: int) -> int:
-        """Bitmask of the colour-c neighbourhood of u."""
+        """Bitmask of the colour-c neighbourhood of u; ValueError unless u
+        is a vertex (the vertex rule of _vertex)."""
+        if not (type(u) is int and 0 <= u < self.n):
+            u = _vertex(u, self.n)
         return self._bits[c][u]
 
     def __eq__(self, other: object) -> bool:

@@ -67,7 +67,7 @@ def induced_unibalanced(G: ColouredCompleteGraph, S: Sequence[int]) -> bool:
     if not verts:
         raise ValueError("S must be nonempty")
     mask = sum(1 << v for v in verts)
-    return all(G.neighbours(c, v) & mask for v in verts for c in range(G.r))
+    return all(bits[v] & mask for bits in map(G.colour_bits, range(G.r)) for v in verts)
 
 
 def sample_unibalanced_subset(
@@ -103,21 +103,28 @@ def min_unibalanced_subgraph(
     subgraph, or None past the cap.
 
     Increasing-size DFS over sorted vertex choices, from k = r + 1 (a
-    vertex needs r others to see r colours).  The state is the chosen
-    list and the bitmask S of chosen vertices; chosen u misses colour c
-    exactly when G.neighbours(c, u) & S == 0.  With the next choice drawn
-    from the pool {start, ..., n-1}, a node is pruned, exactly, when the
-    pool holds fewer vertices than slots left (the loop bound), when a
-    chosen vertex misses more colours than slots left (a new vertex adds
-    one colour at it), or when a missing colour has no neighbour in the
-    pool.  With one slot left the candidates are the pool vertices in
-    every missing colour class, one accepted when it sees all r colours
-    in S.  Children go in increasing order: the first hit is the least.
+    vertex needs r others to see r colours), or k = r + 2 for even r.  In
+    a unibalanced (r+1)-set each vertex sees r distinct colours on its r
+    edges, so the set is a proper r-edge-colouring of K_{r+1}.  For even r,
+    m = r + 1 is odd, each colour class is a matching of at most (m - 1)/2
+    edges, and r classes cover at most r(m - 1)/2 < C(m, 2) edges: K_m has
+    chromatic index m, and no (r+1)-set is unibalanced.
+
+    The state is the chosen list and the bitmask S of chosen vertices;
+    chosen u misses colour c exactly when G.colour_bits(c)[u] & S == 0.
+    With the next choice drawn from the pool {start, ..., n-1}, a node is
+    pruned, exactly, when the pool holds fewer vertices than slots left
+    (the loop bound), when a chosen vertex misses more colours than slots
+    left (a new vertex adds one colour at it), or when a missing colour
+    has no neighbour in the pool.  With one slot left the candidates are
+    the pool vertices in every missing colour class, one accepted when it
+    sees all r colours in S.  Children go in increasing order: the first
+    hit is the least.
     """
     if not 1 <= cap <= 12:
         raise ValueError(f"cap must lie in 1..12, got {cap}")
     n, r = G.n, G.r
-    nbrs = [tuple(G.neighbours(c, v) for c in range(r)) for v in range(n)]
+    nbrs = list(zip(*map(G.colour_bits, range(r))))
     full = (1 << n) - 1
     chosen: list[int] = []
 
@@ -146,7 +153,7 @@ def min_unibalanced_subgraph(
             chosen.pop()
         return False
 
-    for k in range(r + 1, min(cap, n) + 1):
+    for k in range(r + 1 + (r % 2 == 0), min(cap, n) + 1):
         if dfs(0, 0, k):
             return tuple(chosen)
     return None

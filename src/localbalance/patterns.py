@@ -1,6 +1,8 @@
 """Named totally-coloured patterns, blow-ups and witness checking.
 
-The library patterns (red = 0, blue = 1):
+A pattern is an edge-coloured complete graph, held as a
+ColouredCompleteGraph and so checked by its one constructor, plus a colour
+for each vertex.  The library patterns (red = 0, blue = 1):
 
 * P1    - K2, both vertices red, the edge blue.  Its t-blow-up is a blue
           induced K_{t,t} between two red cliques.
@@ -9,10 +11,11 @@ The library patterns (red = 0, blue = 1):
           everything else red.  Self-complementary under colour swap.
 * P3o   - P3 with the vertex colours flagged as ignored (edge pattern only).
 * C4    - K4 whose red edges form a 4-cycle; vertex colours ignored.
-* M1    - the properly 2-coloured K_{2,2}, i.e. an alternating 4-cycle.
-          M1 is bipartite, not complete, so it is represented as a
-          BipartiteColouring rather than a pattern object.
 * P1bar, P2bar, C4bar - colour swaps of the above.
+
+The library is built once, at import.  The alternating 4-cycle M1, the
+properly 2-coloured K_{2,2}, is bipartite rather than complete, so it is
+not a pattern: it is the BipartiteColouring of np.eye(2, dtype=bool).
 
 Patterns whose ``vertex_colours_ignored`` flag is set still carry vertex
 colours (used by blow_up to pick clique colours) but witness matching for
@@ -28,9 +31,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .census import BipartiteColouring
 from .core import (
-    ColouredCompleteGraph, GraphFormatError, _bits, _checked_parts, _edge_triple, _vertex_set,
+    ColouredCompleteGraph, GraphFormatError, _bits, _checked_parts, _vertex_set, colour_swap,
+    graph_to_json,
 )
 
 RED, BLUE = 0, 1
@@ -46,40 +49,31 @@ class SearchBudgetExceeded(RuntimeError):
 
 @dataclass(frozen=True)
 class TotallyColouredPattern:
-    """A complete graph with r-coloured vertices and edges."""
+    """A complete graph with r-coloured vertices and edges: the edge
+    colouring is ``graph``, and vertex i has colour vertex_colours[i]."""
 
-    r: int
+    graph: ColouredCompleteGraph
     vertex_colours: tuple[int, ...]
-    edge_rows: tuple[tuple[int, ...], ...]  # full symmetric matrix, diag ignored
     vertex_colours_ignored: bool = False
     name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        l = len(self.vertex_colours)
-        if l < 1:
-            raise ValueError("pattern needs at least one vertex")
-        if not 2 <= self.r <= 255:  # the colour range of host graphs
-            raise ValueError(f"pattern needs 2 <= r <= 255, got {self.r}")
-        if len(self.edge_rows) != l or any(len(row) != l for row in self.edge_rows):
-            raise ValueError("edge colour matrix must be l x l")
-        for i in range(l):
-            if not 0 <= self.vertex_colours[i] < self.r:
+        if len(self.vertex_colours) != self.graph.n:
+            raise ValueError(f"need {self.graph.n} vertex colours, got {len(self.vertex_colours)}")
+        for i, c in enumerate(self.vertex_colours):
+            if not 0 <= c < self.r:
                 raise ValueError(f"vertex colour out of range at {i}")
-            for j in range(i + 1, l):
-                c = self.edge_rows[i][j]
-                if not 0 <= c < self.r:
-                    raise ValueError(f"edge colour out of range at ({i},{j})")
-                if self.edge_rows[j][i] != c:
-                    raise ValueError(f"edge colours not symmetric at ({i},{j})")
+
+    @property
+    def r(self) -> int:
+        return self.graph.r
 
     @property
     def num_vertices(self) -> int:
-        return len(self.vertex_colours)
+        return self.graph.n
 
     def edge_colour(self, i: int, j: int) -> int:
-        if i == j:
-            raise ValueError("patterns have no self-loops")
-        return self.edge_rows[i][j]
+        return self.graph.colour(i, j)
 
     def vertex_colour(self, i: int) -> int:
         return self.vertex_colours[i]
@@ -100,52 +94,41 @@ class TotallyColouredPattern:
         items = edges.items() if isinstance(edges, Mapping) else [((i, j), c) for i, j, c in edges]
         for (i, j), c in items:
             rows[i][j] = rows[j][i] = c
-        return cls(
-            r,
-            tuple(vertex_colours),
-            tuple(tuple(row) for row in rows),
-            vertex_colours_ignored,
-            name,
-        )
+        graph = ColouredCompleteGraph(l, r, rows)
+        return cls(graph, tuple(vertex_colours), vertex_colours_ignored, name)
 
     def swap(self) -> "TotallyColouredPattern":
         """The pattern with the two colours interchanged (r = 2 only)."""
-        if self.r != 2:
-            raise ValueError("colour swap is defined for 2-coloured patterns")
-        l = self.num_vertices
         return TotallyColouredPattern(
-            2,
+            colour_swap(self.graph),
             tuple(1 - c for c in self.vertex_colours),
-            tuple(
-                tuple((1 - self.edge_rows[i][j]) if i != j else 0 for j in range(l))
-                for i in range(l)
-            ),
             self.vertex_colours_ignored,
             f"{self.name}bar" if self.name else None,
         )
 
     def to_dict(self) -> dict:
-        return {
+        data = {
             "l": self.num_vertices,
             "r": self.r,
             "vertexColours": list(self.vertex_colours),
-            "edges": [
-                [i, j, self.edge_rows[i][j]]
-                for i in range(self.num_vertices)
-                for j in range(i + 1, self.num_vertices)
-            ],
+            "edges": graph_to_json(self.graph)["edges"],
             "vertexColoursIgnored": self.vertex_colours_ignored,
         }
+        if self.name is not None:
+            data["name"] = self.name
+        return data
 
     @classmethod
     def from_dict(cls, data: object) -> "TotallyColouredPattern":
         """Inverse of to_dict.  Raises GraphFormatError unless l, r and
-        every colour are JSON integers and the [i, j, c] edge entries colour
-        each of the C(l, 2) pairs exactly once."""
+        every colour are JSON integers, the [i, j, c] edge entries colour
+        each of the C(l, 2) pairs exactly once (ColouredCompleteGraph.from_edges)
+        and the optional name is a string."""
         if not isinstance(data, dict) or not {"l", "r", "vertexColours", "edges"} <= data.keys():
             raise GraphFormatError("pattern JSON needs the fields l, r, vertexColours and edges")
         l, r, vertex_colours, edges = data["l"], data["r"], data["vertexColours"], data["edges"]
         ignored = data.get("vertexColoursIgnored", False)
+        name = data.get("name")
         if type(l) is not int or type(r) is not int or l < 1 or type(ignored) is not bool:
             raise GraphFormatError(
                 f"need integers l >= 1 and r and a boolean vertexColoursIgnored, got "
@@ -154,12 +137,10 @@ class TotallyColouredPattern:
         if not (isinstance(vertex_colours, list) and len(vertex_colours) == l
                 and all(type(c) is int for c in vertex_colours) and isinstance(edges, list)):
             raise GraphFormatError(f"need a list of {l} integer vertex colours and a list of edges")
-        triples = [_edge_triple(e, l, r) for e in edges]
-        pairs = {(min(i, j), max(i, j)) for i, j, _ in triples}
-        if len(triples) != comb(l, 2) or len(pairs) != len(triples):
-            # checked before from_parts allocates the l x l table
-            raise GraphFormatError(f"pattern edges must colour each of the {comb(l, 2)} pairs once")
-        return cls.from_parts(r, vertex_colours, triples, vertex_colours_ignored=ignored)
+        if "name" in data and not isinstance(name, str):
+            raise GraphFormatError(f"pattern name must be a string, got {name!r}")
+        graph = ColouredCompleteGraph.from_edges(l, r, edges)
+        return cls(graph, tuple(vertex_colours), ignored, name)
 
 
 @dataclass(frozen=True)
@@ -180,68 +161,40 @@ class BlowupWitness:
         }
 
 
-def pattern_library() -> dict[str, TotallyColouredPattern | BipartiteColouring]:
-    """The named patterns, keyed by the strings the CLI accepts."""
-    p1 = TotallyColouredPattern.from_parts(
-        2, (RED, RED), {(0, 1): BLUE}, name="P1"
-    )
-    p2 = TotallyColouredPattern.from_parts(
-        2, (RED, BLUE), {(0, 1): RED}, name="P2"
-    )
-    p3 = TotallyColouredPattern.from_parts(
-        2,
-        (RED, BLUE, BLUE, RED),
-        {(0, 1): BLUE, (1, 2): BLUE, (2, 3): BLUE},
-        default_edge_colour=RED,
-        name="P3",
-    )
+def _library() -> dict[str, TotallyColouredPattern]:
+    p1 = TotallyColouredPattern.from_parts(2, (RED, RED), {(0, 1): BLUE}, name="P1")
+    p2 = TotallyColouredPattern.from_parts(2, (RED, BLUE), {(0, 1): RED}, name="P2")
+    p3_edges = {(0, 1): BLUE, (1, 2): BLUE, (2, 3): BLUE}
+    p3 = TotallyColouredPattern.from_parts(2, (RED, BLUE, BLUE, RED), p3_edges, name="P3")
     p3o = TotallyColouredPattern.from_parts(
-        2,
-        (RED, BLUE, BLUE, RED),
-        {(0, 1): BLUE, (1, 2): BLUE, (2, 3): BLUE},
-        default_edge_colour=RED,
-        vertex_colours_ignored=True,
-        name="P3o",
+        2, (RED, BLUE, BLUE, RED), p3_edges, vertex_colours_ignored=True, name="P3o"
     )
     c4 = TotallyColouredPattern.from_parts(
         2,
         (RED, RED, RED, RED),
         {(0, 2): BLUE, (1, 3): BLUE},  # red edges form the cycle 0-1-2-3-0
-        default_edge_colour=RED,
         vertex_colours_ignored=True,
         name="C4",
     )
-    m1 = BipartiteColouring(np.eye(2, dtype=bool))  # red exactly on x == y
-    lib: dict[str, TotallyColouredPattern | BipartiteColouring] = {
-        "P1": p1,
-        "P2": p2,
-        "P3": p3,
-        "P3o": p3o,
-        "C4": c4,
-        "M1": m1,
-        "P1bar": p1.swap(),
-        "P2bar": p2.swap(),
-        "C4bar": c4.swap(),
-    }
-    for name, pat in lib.items():
-        if isinstance(pat, TotallyColouredPattern):
-            object.__setattr__(pat, "name", name)
-    return lib
+    return {p.name: p for p in (p1, p2, p3, p3o, c4, p1.swap(), p2.swap(), c4.swap())}
+
+
+_LIBRARY = _library()
+
+
+def pattern_library() -> dict[str, TotallyColouredPattern]:
+    """The named patterns, keyed by the strings the CLI accepts (a copy)."""
+    return dict(_LIBRARY)
 
 
 def get_pattern(name: str) -> TotallyColouredPattern:
-    lib = pattern_library()
-    if name not in lib:
-        raise KeyError(f"unknown pattern {name!r}; known: {sorted(lib)}")
-    pat = lib[name]
-    if not isinstance(pat, TotallyColouredPattern):
-        raise KeyError(f"pattern {name!r} is bipartite, not a complete pattern")
-    return pat
+    try:
+        return _LIBRARY[name]
+    except KeyError:
+        raise KeyError(f"unknown pattern {name!r}; known: {sorted(_LIBRARY)}") from None
 
 
-def induced_edge_pattern(
-    G: ColouredCompleteGraph, S: Sequence[int], name: str | None = None
-) -> TotallyColouredPattern:
+def induced_edge_pattern(G: ColouredCompleteGraph, S: Sequence[int]) -> TotallyColouredPattern:
     """The edge colouring G[S] as a pattern (vertex colours ignored).
 
     Hosts carry no vertex colours, so the pattern is flagged accordingly;
@@ -251,10 +204,8 @@ def induced_edge_pattern(
     verts = _vertex_set(S, G.n)
     if not verts:
         raise ValueError("S must be nonempty")
-    rows = tuple(map(tuple, G.table()[np.ix_(verts, verts)].tolist()))
-    return TotallyColouredPattern(
-        G.r, (0,) * len(verts), rows, vertex_colours_ignored=True, name=name
-    )
+    graph = ColouredCompleteGraph(len(verts), G.r, G.table()[np.ix_(verts, verts)])
+    return TotallyColouredPattern(graph, (0,) * len(verts), vertex_colours_ignored=True)
 
 
 def blow_up(H: TotallyColouredPattern, t: int) -> ColouredCompleteGraph:
@@ -265,11 +216,10 @@ def blow_up(H: TotallyColouredPattern, t: int) -> ColouredCompleteGraph:
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
-    l = H.num_vertices
-    quotient = np.array(H.edge_rows, dtype=np.uint8)
+    quotient = H.graph.table().copy()
     np.fill_diagonal(quotient, H.vertex_colours)
-    part = np.arange(l * t) // t
-    return ColouredCompleteGraph(l * t, H.r, quotient[np.ix_(part, part)])
+    part = np.arange(H.num_vertices * t) // t
+    return ColouredCompleteGraph(H.num_vertices * t, H.r, quotient[np.ix_(part, part)])
 
 
 def clique_colour(G: ColouredCompleteGraph, verts: Sequence[int]) -> int | None:

@@ -186,6 +186,28 @@ class TestConstruction:
         with pytest.raises(ValueError, match="n x n"):
             ColouredCompleteGraph(3, 2, [bytes(3), bytes(3)])
 
+    @pytest.mark.parametrize("bad", [-1, True, 6, 1.0, "2", None])
+    def test_vertex_readers_follow_the_vertex_rule(self, bad):
+        # -1 used to read vertex n - 1 and True vertex 1; n raised a bare
+        # IndexError and 1.0 a TypeError
+        from localbalance import induced_edge_pattern
+
+        G = make_random(6, 2, 0)
+        H = induced_edge_pattern(G, range(6))
+        message = rf"^vertex {re.escape(repr(bad))} is not an integer in range\(6\)$"
+        readers = [lambda: G.colour(0, bad), lambda: G.colour(bad, 2), lambda: G.neighbours(0, bad),
+                   lambda: H.edge_colour(0, bad), lambda: H.edge_colour(bad, 2)]
+        for read in readers:
+            with pytest.raises(ValueError, match=message):
+                read()
+
+    def test_vertex_readers_take_numpy_integers(self):
+        G = make_random(6, 2, 0)
+        assert G.colour(np.int64(0), np.uint8(5)) == G.colour(0, 5) == G.table()[0, 5]
+        assert G.neighbours(1, np.int32(4)) == G.colour_bits(1)[4]
+        with pytest.raises(ValueError, match="self-loops"):
+            G.colour(3, np.int64(3))
+
     def test_colour_degrees_sum_to_n_minus_1(self):
         for G in (make_Pk(3), make_random(11, 3, 0), make_split(4, 5, seed=2)):
             prof = balance_profile(G)

@@ -9,7 +9,6 @@ import pytest
 
 from localbalance import (
     SamplerConfig,
-    TotallyColouredPattern,
     balance_profile,
     blow_up,
     get_pattern,
@@ -152,6 +151,59 @@ class TestMinUnibalanced:
             if got is not None:
                 assert got >= 3
 
+    def test_no_unibalanced_triangle_for_two_colours(self):
+        # an odd cycle has no proper 2-edge-colouring, so r = 2 starts at k = 4
+        for colours in itertools.product(range(2), repeat=3):
+            G = graph_from(3, 2, lambda u, v: colours[u + v - 1])
+            assert not induced_unibalanced(G, range(3))
+            assert min_unibalanced_subgraph(G, cap=3) is None
+
+    @staticmethod
+    def proper_edge_colourings(m, r):
+        """The proper r-edge-colourings of K_m, by a DFS over the edges in
+        row-major order that prunes a colour already on an edge at u or v."""
+        pairs = list(itertools.combinations(range(m), 2))
+        used = [set() for _ in range(m)]
+        colouring = []
+
+        def dfs(k):
+            if k == len(pairs):
+                yield tuple(colouring)
+                return
+            u, v = pairs[k]
+            for c in sorted(set(range(r)) - used[u] - used[v]):
+                used[u].add(c)
+                used[v].add(c)
+                colouring.append(c)
+                yield from dfs(k + 1)
+                colouring.pop()
+                used[u].discard(c)
+                used[v].discard(c)
+
+        return dfs(0)
+
+    def test_k5_has_no_proper_four_edge_colouring(self):
+        # the even-r skip: a unibalanced 5-set of a 4-colouring would be one
+        assert next(self.proper_edge_colourings(5, 4), None) is None
+        # the DFS does find one where one exists: K_4 with 3 colours (r = 3, k = 4)
+        assert len(list(self.proper_edge_colourings(4, 3))) == 6
+
+    @pytest.mark.parametrize("r, n", [(2, 9), (4, 16)])
+    def test_even_r_matches_enumeration(self, r, n):
+        # the enumeration starts at k = 2, so it checks the skipped k = r + 1
+        rng = random.Random(4)
+        found = 0
+        for _ in range(6):
+            G = make_random(n, r, rng.randrange(10**6))
+            S = min_unibalanced_subgraph(G, cap=6)
+            assert S == naive_min_unibalanced(G, 6)
+            found += S is not None
+        assert found >= 2
+
+    def test_four_colour_witness_pinned(self):
+        # the witness of the search that tried k = 5 first, which took about 4 s
+        assert min_unibalanced_subgraph(make_random(128, 4, 0), cap=8) == (0, 1, 2, 14, 75, 115)
+
     def test_rejects_big_cap(self):
         with pytest.raises(ValueError):
             min_unibalanced_subgraph_size(make_random(6, 2, 0), cap=13)
@@ -191,10 +243,7 @@ class TestBitmaskSearchMatchesReference:
         G = make_multicolour_cycle(l, m)
         assert min_unibalanced_subgraph(G, cap=8) == min_unibalanced_reference(G, cap=8)
 
-    @pytest.mark.parametrize("name", sorted(
-        name for name, pat in pattern_library().items()
-        if isinstance(pat, TotallyColouredPattern)
-    ))
+    @pytest.mark.parametrize("name", sorted(pattern_library()))
     def test_library_blowups(self, name):
         for t in (1, 2, 3):
             G = blow_up(get_pattern(name), t)

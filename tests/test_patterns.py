@@ -35,7 +35,7 @@ def random_pattern(rng, l, r):
     for i in range(l):
         for j in range(i + 1, l):
             rows[i][j] = rows[j][i] = rng.randrange(r)
-    return TotallyColouredPattern(r, vcols, tuple(tuple(row) for row in rows))
+    return TotallyColouredPattern(ColouredCompleteGraph(l, r, rows), vcols)
 
 
 class TestLibrary:
@@ -74,8 +74,7 @@ class TestLibrary:
         assert c4.vertex_colours_ignored
 
     def test_m1_is_the_proper_k22(self):
-        m1 = pattern_library()["M1"]
-        assert isinstance(m1, BipartiteColouring)
+        m1 = BipartiteColouring(np.eye(2, dtype=bool))
         assert (m1.nx, m1.ny) == (2, 2)
         for x in range(2):
             assert m1.red[x, 0] != m1.red[x, 1]
@@ -94,7 +93,7 @@ class TestLibrary:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             get_pattern("P9")
-        with pytest.raises(KeyError, match="bipartite"):
+        with pytest.raises(KeyError, match="unknown pattern 'M1'"):
             get_pattern("M1")
 
 
@@ -154,16 +153,12 @@ class TestUnibalanced:
         assert not is_unibalanced(get_pattern("P2"))
 
     def test_single_vertex(self):
-        H = TotallyColouredPattern(2, (RED,), ((0,),))
+        H = TotallyColouredPattern(ColouredCompleteGraph(1, 2, [[0]]), (RED,))
         assert not is_unibalanced(H)
 
     def test_unibalanced_iff_blowup_locally_balanced(self):
         # both directions, library plus random patterns, t = 2 and 3
-        lib = [
-            p
-            for p in pattern_library().values()
-            if isinstance(p, TotallyColouredPattern)
-        ]
+        lib = list(pattern_library().values())
         rng = random.Random(11)
         pats = lib + [
             random_pattern(rng, rng.randrange(1, 6), rng.randrange(2, 4))
@@ -179,8 +174,6 @@ class TestUnibalanced:
 class TestVerifyWitness:
     def test_defining_partition_all_library_patterns(self):
         for name, H in pattern_library().items():
-            if not isinstance(H, TotallyColouredPattern):
-                continue
             for t in (1, 2, 3, 4):
                 G = blow_up(H, t)
                 parts = tuple(
@@ -333,9 +326,8 @@ class TestExhaustiveFinder:
 class TestPatternJson:
     def test_round_trip(self):
         for name, H in pattern_library().items():
-            if isinstance(H, TotallyColouredPattern):
-                again = TotallyColouredPattern.from_dict(H.to_dict())
-                assert again == H, name
+            again = TotallyColouredPattern.from_dict(H.to_dict())
+            assert again == H and again.name == name
 
     @pytest.mark.parametrize("data", [
         [1, 2],
@@ -360,10 +352,21 @@ class TestPatternJson:
         {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [0, 2], [1, 2, 1]]},
         {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [0, 2, 0.0], [1, 2, 1]]},
         {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [1, 1, 0], [1, 2, 1]]},
+        {"l": 2, "r": 2, "vertexColours": [0, 0], "edges": [[0, 1, 1]], "name": 5},
+        {"l": 2, "r": 2, "vertexColours": [0, 0], "edges": [[0, 1, 1]], "name": None},
+        {"l": 2, "r": 2, "vertexColours": [0, 0], "edges": [[0, 1, 1]], "name": ["P1"]},
     ])
     def test_from_dict_rejects_malformed(self, data):
         with pytest.raises(GraphFormatError):
             TotallyColouredPattern.from_dict(data)
+
+    def test_name_survives_its_json(self):
+        data = {"l": 2, "r": 2, "vertexColours": [0, 0], "edges": [[0, 1, 1]]}
+        assert TotallyColouredPattern.from_dict(data).name is None
+        assert "name" not in TotallyColouredPattern.from_dict(data).to_dict()
+        named = TotallyColouredPattern.from_dict({**data, "name": "café"})
+        assert named.name == "café"
+        assert named.to_dict() == {**data, "vertexColoursIgnored": False, "name": "café"}
 
     @pytest.mark.parametrize("r, colour", [(1, 0), (256, 0), (300, 299)])
     def test_from_dict_rejects_colour_count_hosts_cannot_have(self, r, colour):
@@ -375,7 +378,7 @@ class TestPatternJson:
         data = {"l": 5000, "r": 2, "vertexColours": [0] * 5000, "edges": []}
         tracemalloc.start()
         try:
-            with pytest.raises(GraphFormatError, match="12497500 pairs"):
+            with pytest.raises(GraphFormatError, match="expected 12497500 edges"):
                 TotallyColouredPattern.from_dict(data)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -383,7 +386,7 @@ class TestPatternJson:
         assert peak < 1 << 20
 
     def test_bipartite_round_trip(self):
-        m1 = pattern_library()["M1"]
+        m1 = BipartiteColouring(np.eye(2, dtype=bool))
         assert m1.to_dict() == {"kind": "bipartite", "x": 2, "y": 2, "rows": ["01", "10"]}
         assert BipartiteColouring.from_dict(m1.to_dict()) == m1
 

@@ -111,3 +111,37 @@ def test_vertex_checks_live_only_in_core():
     assert sorted(defined) == [("_bits", "core.py"), ("_checked_parts", "core.py"),
                                ("_vertex", "core.py"), ("_vertex_set", "core.py")]
     assert [name for name in index_imports if name != "core.py"] == []
+
+
+def test_patterns_hold_their_edge_colouring_as_a_host():
+    # one record of an edge-coloured complete graph: patterns keep a
+    # ColouredCompleteGraph, and its constructor is the one edge check
+    fields = [f.name for f in dataclasses.fields(localbalance.TotallyColouredPattern)]
+    assert fields == ["graph", "vertex_colours", "vertex_colours_ignored", "name"]
+    tree = ast.parse((SOURCES / "patterns.py").read_text())
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [m for m, _ in imports if m == "census"] == []
+    assert [name for _, name in imports if name == "_edge_triple"] == []
+
+
+def test_the_library_holds_only_patterns_and_hands_out_copies():
+    lib = localbalance.pattern_library()
+    assert all(isinstance(p, localbalance.TotallyColouredPattern) for p in lib.values())
+    assert "M1" not in lib
+    p1 = lib["P1"]
+    lib["P1"] = lib["P2"]
+    del lib["C4"]
+    assert localbalance.get_pattern("P1") is p1
+    assert localbalance.get_pattern("C4").name == "C4"
+    assert localbalance.pattern_library().keys() == lib.keys() | {"C4"}
+
+
+def test_patterns_compare_as_their_hosts_do():
+    # the diagonal is not an edge: tables that differ only there are equal
+    G = localbalance.ColouredCompleteGraph
+    P = localbalance.TotallyColouredPattern
+    zero = P(G(2, 2, [[0, 1], [1, 0]]), (0, 1))
+    ones = P(G(2, 2, [[1, 1], [1, 1]]), (0, 1), name="ones")
+    assert zero == ones and hash(zero) == hash(ones)
+    assert zero != P(G(2, 2, [[0, 0], [0, 0]]), (0, 1))

@@ -27,7 +27,6 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cached_property
 from math import comb, log, prod
 from typing import Iterator, Sequence
 
@@ -327,27 +326,11 @@ class BipartiteIncidence:
     nbrs: tuple[int, ...]
     b_mask: int
 
-    def greedy_steps(self) -> Iterator[tuple[int, int]]:
-        """The greedy star order: repeatedly add the item keeping the common
-        neighbourhood largest (ties to the earliest item), as (item index,
-        common mask after adding it).  Each step is computed once per
-        incidence, when it is first read, so every reader shares one
-        trajectory and none pays for steps it never reads."""
-        done, fresh = self._greedy_memo
-        for k in itertools.count():
-            if k == len(done):
-                step = next(fresh, None)
-                if step is None:
-                    return
-                done.append(step)
-            yield done[k]
-
-    @cached_property
-    def _greedy_memo(self) -> tuple[list[tuple[int, int]], Iterator[tuple[int, int]]]:
-        return [], _greedy_star_order(self)
-
 
 def _greedy_star_order(F: BipartiteIncidence) -> Iterator[tuple[int, int]]:
+    """The greedy star order: repeatedly add the item keeping the common
+    neighbourhood largest (ties to the earliest item), as (item index,
+    common mask after adding it)."""
     remaining = list(range(len(F.a_items)))
     common = F.b_mask
     while remaining:
@@ -397,7 +380,7 @@ def kst_star(F: BipartiteIncidence, s: int) -> StarResult | None:
             return None
         _, combo, common = best
         return StarResult(tuple(F.a_items[i] for i in combo), common, "exact")
-    traj = list(itertools.islice(F.greedy_steps(), s))
+    traj = list(itertools.islice(_greedy_star_order(F), s))
     common = traj[-1][1]
     if not common:
         return None
@@ -544,22 +527,21 @@ def hypergraph_cover(
     )
 
     best_s, best_score, best_state = 0, -1, None
-    for s, (_, common) in enumerate(F.greedy_steps(), 1):
+    chosen: list[int] = []
+    for s, (i, common) in enumerate(_greedy_star_order(F), 1):
         t_size = common.bit_count()
         if t_size == 0 or t_size <= best_score:
             break
-        if s <= best_score:
-            continue
+        chosen.append(i)
         clique, colour = ramsey_clique([last[k] for k in _bits(common)], G)
         score = min(s, len(clique))
         if score > best_score:
             best_s, best_score = s, score
-            members = tuple(F.a_items[i] for i, _ in itertools.islice(F.greedy_steps(), s))
-            best_state = (members, clique, colour, "greedy")
+            best_state = (tuple(F.a_items[j] for j in chosen), clique, colour, "greedy")
     assert best_state is not None, "a nonempty cleaned hypergraph yields s = 1"
 
     # the star at the chosen size; over the limit kst_star's greedy branch
-    # reads the sweep's own steps back, which best_state already holds
+    # recomputes the sweep's first best_s steps, which best_state already holds
     star = kst_star(F, best_s)
     assert star is not None, "the sweep found a nonempty common neighbourhood at best_s"
     if star.mode == "exact":

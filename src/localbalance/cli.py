@@ -5,7 +5,8 @@ main is the one runner: each _cmd_* handler only computes and returns
 (payload, exit code); main adds the run manifest (command, argv, seeds,
 input file hashes, version, wall time), writes the payload and prints each
 error and warning as one stderr line.  Outputs are deterministic given the
-same command, seeds and inputs, except for the manifest's wallTimeMs field.
+same command, seeds and inputs, except for the manifest's wallTimeMs field,
+the one timing in any output (verify reports included).
 Exit codes: 0 pass, 1 assertion/suite failure or exhausted sampling, 2 usage
 or I/O error.
 """

@@ -142,6 +142,27 @@ def _vertex(v: object, limit: int) -> int:
     return int(v)
 
 
+def _colour(c: object, r: int) -> int:
+    """c as a colour number: a Python or numpy integer, not a bool, in
+    range(r), returned as a Python int."""
+    if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < r:
+        raise ValueError(f"colour {c!r} is not an integer in range({r})")
+    return int(c)
+
+
+def _row_entry_error(rows: Sequence) -> ValueError | None:
+    """The error naming the first entry of the list or tuple rows that is
+    not a byte, as a colour at its edge; None when there is none."""
+    for u, row in enumerate(rows):
+        if isinstance(row, (list, tuple)):
+            for v, c in enumerate(row):
+                try:
+                    bytes((c,))
+                except (TypeError, ValueError):
+                    return ValueError(f"colour {c!r} out of range at edge ({u},{v})")
+    return None
+
+
 def _vertex_set(verts: Iterable[object], limit: int) -> tuple[int, ...]:
     """verts as a sorted tuple of distinct vertex numbers below limit;
     ValueError for a non-iterable input, a bad vertex or a repeat.  Python
@@ -192,7 +213,10 @@ class ColouredCompleteGraph:
         rows of an n x n uint8 array).  The table must be symmetric with
         colours below r off the diagonal; the diagonal is stored as 0."""
         _check_size(n, r)
-        rows = [bytes(row) for row in rows]
+        try:
+            rows = [bytes(row) for row in rows]
+        except (TypeError, ValueError) as exc:
+            raise (_row_entry_error(rows) or exc) from None
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValueError("colour table must be n x n")
         table = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(n, n).copy()
@@ -259,15 +283,16 @@ class ColouredCompleteGraph:
         return np.frombuffer(b"".join(self._rows), dtype=np.uint8).reshape(self.n, self.n)
 
     def colour_bits(self, c: int) -> tuple[int, ...]:
-        """Per-vertex neighbourhood bitmasks of colour class c."""
-        return self._bits[c]
+        """Per-vertex neighbourhood bitmasks of colour class c; ValueError
+        unless c is a colour (_colour)."""
+        return self._bits[_colour(c, self.r)]
 
     def neighbours(self, c: int, u: int) -> int:
-        """Bitmask of the colour-c neighbourhood of u; ValueError unless u
-        is a vertex (the vertex rule of _vertex)."""
+        """Bitmask of the colour-c neighbourhood of u; ValueError unless c
+        is a colour (_colour) and u a vertex (the vertex rule of _vertex)."""
         if not (type(u) is int and 0 <= u < self.n):
             u = _vertex(u, self.n)
-        return self._bits[c][u]
+        return self._bits[_colour(c, self.r)][u]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColouredCompleteGraph):

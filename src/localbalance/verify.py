@@ -12,7 +12,6 @@ strict mode is requested.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -50,23 +49,21 @@ class VerificationReport:
     bounds: list[dict] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
     seeds: list[int] = field(default_factory=list)
-    runtime_s: float = 0.0
 
     @property
     def passed(self) -> bool:
         return not self.failures
 
+    def record(self, entry: dict, failure: dict | None = None) -> None:
+        """Count one instance, with its bounds entry and, if it failed, its
+        failure record."""
+        self.instances += 1
+        self.bounds.append(entry)
+        if failure is not None:
+            self.failures.append(failure)
+
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "instances": self.instances,
-            "passed": self.passed,
-            "failures": self.failures,
-            "bounds": self.bounds,
-            "notes": self.notes,
-            "seeds": self.seeds,
-            "runtimeSeconds": round(self.runtime_s, 3),
-        }
+        return {**vars(self), "passed": self.passed}
 
 
 def sample_locally_balanced(
@@ -100,7 +97,6 @@ def verify_prop_cute(sizes: tuple[tuple[int, int], ...] = ((3, 3), (3, 4))) -> V
     both sides > 2, every A-vertex owning a blue edge and every B-vertex a
     red edge, contains an alternating 4-cycle."""
     report = VerificationReport(suite="cute")
-    start = time.perf_counter()
     for na, nb in sizes:
         if na <= 2 or nb <= 2:
             raise ValueError("the hypothesis needs both sides > 2")
@@ -118,8 +114,13 @@ def verify_prop_cute(sizes: tuple[tuple[int, int], ...] = ((3, 3), (3, 4))) -> V
                 )
         report.instances += in_hypothesis
         report.notes.append(f"K_{{{na},{nb}}}: {in_hypothesis} in-hypothesis colourings")
-    report.runtime_s = time.perf_counter() - start
     return report
+
+
+def _record_host(report: VerificationReport, G: ColouredCompleteGraph, entry: dict) -> None:
+    """Record entry for the host G; a failed entry's record carries G."""
+    failure = None if entry["ok"] else {"entry": entry, "colouring": graph_to_json(G, compact=True)}
+    report.record(entry, failure)
 
 
 def _p3c4_bound_holds(G: ColouredCompleteGraph) -> dict:
@@ -147,7 +148,6 @@ def verify_prop_many_p3c4(
     """Copies of the alternating-completable K4 classes vs eps^4 n^4 / 1e5,
     with eps the instance's exact local balance level."""
     report = VerificationReport(suite="p3c4", seeds=[seed])
-    start = time.perf_counter()
     if instances is None:
         instances = [make_Pk(k) for k in range(2, 9)]
         rng = random.Random(seed)
@@ -161,14 +161,7 @@ def verify_prop_many_p3c4(
                 instances.append(G)
                 got += 1
     for G in instances:
-        entry = _p3c4_bound_holds(G)
-        report.instances += 1
-        report.bounds.append(entry)
-        if not entry["ok"]:
-            report.failures.append(
-                {"entry": entry, "colouring": graph_to_json(G, compact=True)}
-            )
-    report.runtime_s = time.perf_counter() - start
+        _record_host(report, G, _p3c4_bound_holds(G))
     return report
 
 
@@ -182,7 +175,6 @@ def verify_prop_optimize(
     min degree <= (1/4 + 3 delta) n on every instance, of any size (the
     closeness is exact at every n)."""
     report = VerificationReport(suite="optimize", seeds=[seed])
-    start = time.perf_counter()
     if instances is None:
         instances = []
         for total in range(2, max_n + 1):
@@ -197,20 +189,13 @@ def verify_prop_optimize(
         closeness = closeness_to_split(G)
         prof = balance_profile(G)
         bound = (Fraction(1, 4) + 3 * closeness.delta) * G.n
-        entry = {
+        _record_host(report, G, {
             "n": G.n,
             "delta": str(closeness.delta),
             "minDegree": prof.min_degree_per_colour,
             "bound": float(bound),
             "ok": prof.min_degree_per_colour <= bound,
-        }
-        report.instances += 1
-        report.bounds.append(entry)
-        if not entry["ok"]:
-            report.failures.append(
-                {"entry": entry, "colouring": graph_to_json(G, compact=True)}
-            )
-    report.runtime_s = time.perf_counter() - start
+        })
     return report
 
 
@@ -223,22 +208,18 @@ def verify_lemma_m1_bound(
     """Alternating-K22 count vs eps^4 n^4 / 150 on min-degree-conditioned
     bipartite instances."""
     report = VerificationReport(suite="m1bound", seeds=[seed])
-    start = time.perf_counter()
     for n_side, eps in product(n_sides, [_as_fraction(e) for e in eps_list]):
         bound = eps**4 * n_side**4 / 150
         for i in range(per_cell):
             B = make_bipartite_mindeg(n_side, eps, seed=seed + 7919 * i + n_side)
             observed = count_m1(B)
-            report.instances += 1
             ok = Fraction(observed) >= bound
-            report.bounds.append(
+            report.record(
                 {"nSide": n_side, "eps": str(eps), "bound": float(bound),
-                 "observed": observed, "ok": ok}
+                 "observed": observed, "ok": ok},
+                None if ok else {"nSide": n_side, "eps": str(eps), "observed": observed,
+                                 "colouring": B.to_dict()},
             )
-            if not ok:
-                report.failures.append({"nSide": n_side, "eps": str(eps), "observed": observed,
-                                        "colouring": B.to_dict()})
-    report.runtime_s = time.perf_counter() - start
     return report
 
 
@@ -248,16 +229,11 @@ def verify_prop_3colourfail(
     """The alternating-cycle 3-colouring has no unibalanced subgraph
     smaller than its number of parts, and a transversal attains it."""
     report = VerificationReport(suite="3colourfail")
-    start = time.perf_counter()
     for l, m in product(ls, ms):
         G = make_multicolour_cycle(l, m)
         got = min_unibalanced_subgraph_size(G, cap=min(12, G.n))
-        report.instances += 1
         entry = {"l": l, "partSize": m, "expected": l, "minSize": got, "ok": got == l}
-        report.bounds.append(entry)
-        if not entry["ok"]:
-            report.failures.append(entry)
-    report.runtime_s = time.perf_counter() - start
+        report.record(entry, None if entry["ok"] else entry)
     return report
 
 
@@ -280,7 +256,6 @@ def verify_theorem_anybalanced_small(
         raise ValueError("the small containment suite is limited to n <= 16")
     eps = _as_fraction(eps)
     report = VerificationReport(suite="anybalanced", seeds=[seed])
-    start = time.perf_counter()
     rng = random.Random(seed)
     pats = [get_pattern("P1"), get_pattern("P1bar"), get_pattern("P3")]
     eps_used = eps
@@ -301,14 +276,13 @@ def verify_theorem_anybalanced_small(
             if find_pattern_blowup_exhaustive(G, pat, 2, homogeneous=False) is not None:
                 hit = pat.name
                 break
-        report.instances += 1
-        report.bounds.append({"n": n, "found": hit})
+        failure = None
         if hit is not None:
             found_count += 1
         elif strict:
-            report.failures.append({"n": n, "colouring": graph_to_json(G, compact=True)})
+            failure = {"n": n, "colouring": graph_to_json(G, compact=True)}
         else:
             report.notes.append("sample without P1/P1bar/P3 2-blow-up (recorded)")
+        report.record({"n": n, "found": hit}, failure)
     report.notes.append(f"{found_count}/{report.instances} samples contained a target blow-up")
-    report.runtime_s = time.perf_counter() - start
     return report

@@ -438,28 +438,11 @@ class TestKstStar:
         assert kst_star(F, 1) is None
 
     def test_greedy_mode_on_large_a(self):
+        # over the exact-search budget, kst_star takes the first s items of
+        # the greedy order and their common neighbourhood
         rng = random.Random(2)
-        n_a, n_b = 30, 20
+        n_a, n_b, s = 30, 20, 15
         nbrs = tuple(rng.getrandbits(n_b) | 1 for _ in range(n_a))
-        F = BipartiteIncidence(tuple(range(n_a)), nbrs, (1 << n_b) - 1)
-        assert comb(n_a, 15) > STAR_SEARCH_BUDGET
-        star = kst_star(F, 15)
-        assert star is None or star.mode == "greedy"
-
-    def test_greedy_star_reads_the_sweeps_steps(self):
-        # the cover's sweep reads the greedy steps up to its break, then
-        # kst_star's greedy branch reads the first s again: each step is
-        # computed once, and only as far as it is read
-        reads = []
-
-        class CountedNbrs(tuple):
-            def __getitem__(self, i):
-                reads.append(i)
-                return tuple.__getitem__(self, i)
-
-        rng = random.Random(4)
-        n_a, n_b, s = 30, 24, 15
-        nbrs = tuple(sum(1 << b for b in range(n_b) if rng.random() < 0.9) for _ in range(n_a))
         # the whole greedy order, computed eagerly
         remaining, common, eager = list(range(n_a)), (1 << n_b) - 1, []
         while remaining:
@@ -471,15 +454,11 @@ class TestKstStar:
             common &= nbrs[best_i]
             eager.append((best_i, common))
             remaining.remove(best_i)
-        F = BipartiteIncidence(tuple(range(n_a)), CountedNbrs(nbrs), (1 << n_b) - 1)
-        assert list(itertools.islice(F.greedy_steps(), s + 1)) == eager[:s + 1]
-        swept = len(reads)
+        F = BipartiteIncidence(tuple(range(n_a)), nbrs, (1 << n_b) - 1)
         assert comb(n_a, s) > STAR_SEARCH_BUDGET
         star = kst_star(F, s)
-        assert len(reads) == swept
         assert star.mode == "greedy" and star.common == eager[s - 1][1] != 0
         assert star.members == tuple(i for i, _ in eager[:s])
-        assert list(F.greedy_steps()) == eager
 
     def test_result_is_complete_bipartite(self):
         rng = random.Random(9)

@@ -437,6 +437,14 @@ class TestVerifyCommand:
         data = json.loads(out_path.read_text())
         assert data["suite"] == "3colourfail"
 
+    def test_report_repeats_up_to_the_wall_time(self, capsys):
+        # the manifest's wallTimeMs is the run's one timing
+        (code, out, err), (code2, out2, err2) = (
+            run_cli(capsys, "verify", "--suite", "3colourfail") for _ in range(2))
+        assert code == code2 == 0 and err == err2
+        assert parse_without_timing(out) == parse_without_timing(out2)
+        assert "runtimeSeconds" not in json.loads(out)
+
 
 class TestExperiment:
     def test_csv_output(self, capsys):

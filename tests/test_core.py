@@ -201,10 +201,20 @@ class TestConstruction:
             with pytest.raises(ValueError, match=message):
                 read()
 
+    @pytest.mark.parametrize("bad", [-1, 3, True, 1.0])
+    def test_colour_readers_follow_the_colour_rule(self, bad):
+        # -1 used to read colour 2's masks and 3 raised a bare IndexError
+        G = make_random(6, 3, 0)
+        message = rf"^colour {re.escape(repr(bad))} is not an integer in range\(3\)$"
+        for read in (lambda: G.colour_bits(bad), lambda: G.neighbours(bad, 0)):
+            with pytest.raises(ValueError, match=message):
+                read()
+
     def test_vertex_readers_take_numpy_integers(self):
         G = make_random(6, 2, 0)
         assert G.colour(np.int64(0), np.uint8(5)) == G.colour(0, 5) == G.table()[0, 5]
         assert G.neighbours(1, np.int32(4)) == G.colour_bits(1)[4]
+        assert G.neighbours(np.uint8(1), 4) == G.colour_bits(np.int64(1))[4]
         with pytest.raises(ValueError, match="self-loops"):
             G.colour(3, np.int64(3))
 

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -95,6 +96,13 @@ class TestLibrary:
             get_pattern("P9")
         with pytest.raises(KeyError, match="unknown pattern 'M1'"):
             get_pattern("M1")
+
+    @pytest.mark.parametrize("bad", [300, -1, 1.5])
+    def test_from_parts_names_the_bad_edge(self, bad):
+        # bytes(row) raised "bytes must be in range(0, 256)" or a TypeError
+        message = rf"^colour {re.escape(repr(bad))} out of range at edge \(0,1\)$"
+        with pytest.raises(ValueError, match=message):
+            TotallyColouredPattern.from_parts(2, (0, 0), {(0, 1): bad})
 
 
 class TestBlowUp:

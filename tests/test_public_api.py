@@ -145,3 +145,16 @@ def test_patterns_compare_as_their_hosts_do():
     ones = P(G(2, 2, [[1, 1], [1, 1]]), (0, 1), name="ones")
     assert zero == ones and hash(zero) == hash(ones)
     assert zero != P(G(2, 2, [[0, 0], [0, 0]]), (0, 1))
+
+
+def test_only_the_cli_reads_the_clock():
+    # the manifest's wallTimeMs is a run's one timing: no report keeps a second clock
+    importers = []
+    for path in sorted(SOURCES.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Import) and any(a.name == "time" for a in node.names)
+                    or isinstance(node, ast.ImportFrom) and node.module == "time"):
+                importers.append(path.name)
+    assert importers == ["cli.py"]
+    fields = [f.name for f in dataclasses.fields(localbalance.VerificationReport)]
+    assert fields == ["suite", "instances", "failures", "bounds", "notes", "seeds"]

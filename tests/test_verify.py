@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,7 +10,9 @@ from localbalance import (
     blow_up,
     find_pattern_blowup_exhaustive,
     get_pattern,
+    graph_to_json,
     is_locally_balanced,
+    make_bipartite_mindeg,
     make_Pk,
     sample_locally_balanced,
     verify_lemma_m1_bound,
@@ -72,6 +75,16 @@ class TestP3c4:
         # eps = 0 makes the bound vacuous: passes, observed 0 >= 0
         assert report.passed
 
+    def test_failure_record_carries_the_host(self, monkeypatch):
+        # with no copies counted, P_2 (eps = 1/4, n = 8) misses the bound
+        none = SimpleNamespace(count_c4=0, count_c4bar=0, count_p3o=0)
+        monkeypatch.setattr("localbalance.verify.census_k4", lambda G: none)
+        G = make_Pk(2)
+        report = verify_prop_many_p3c4(instances=[G])
+        entry = {"n": 8, "eps": "1/4", "bound": 0.00016, "observed": 0, "ok": False}
+        assert report.instances == 1 and report.bounds == [entry]
+        assert report.failures == [{"entry": entry, "colouring": graph_to_json(G, compact=True)}]
+
 
 class TestOptimize:
     def test_default_family_small(self):
@@ -97,6 +110,16 @@ class TestOptimize:
         assert pk["minDegree"] == pk["bound"] == 64  # P_k is extremal
         assert split["n"] == 256 and Fraction(split["delta"]) <= Fraction(50, 256**2)
 
+    def test_failure_record_carries_the_host(self, monkeypatch):
+        # delta = -1/12 puts the bound at (1/4 - 1/4) n = 0, under P_2's min degree 2
+        monkeypatch.setattr("localbalance.verify.closeness_to_split",
+                            lambda G: SimpleNamespace(delta=Fraction(-1, 12)))
+        G = make_Pk(2)
+        report = verify_prop_optimize(instances=[G])
+        entry = {"n": 8, "delta": "-1/12", "minDegree": 2, "bound": 0.0, "ok": False}
+        assert report.instances == 1 and report.bounds == [entry]
+        assert report.failures == [{"entry": entry, "colouring": graph_to_json(G, compact=True)}]
+
 
 class TestM1Bound:
     def test_small_run_passes(self):
@@ -115,6 +138,19 @@ class TestM1Bound:
         digest = hashlib.sha256(json.dumps(observed).encode()).hexdigest()
         assert digest[:16] == "84d6f554450cab40"
 
+    def test_failure_record_carries_the_colouring(self, monkeypatch):
+        monkeypatch.setattr("localbalance.verify.count_m1", lambda B: 0)
+        report = verify_lemma_m1_bound(n_sides=(20,), eps_list=(Fraction(1, 10),),
+                                       per_cell=2, seed=3)
+        assert report.instances == 2
+        assert report.bounds == [{"nSide": 20, "eps": "1/10", "bound": 0.10666666666666667,
+                                  "observed": 0, "ok": False}] * 2
+        assert report.failures == [
+            {"nSide": 20, "eps": "1/10", "observed": 0,
+             "colouring": make_bipartite_mindeg(20, Fraction(1, 10), seed=3 + 7919 * i + 20).to_dict()}
+            for i in range(2)
+        ]
+
 
 class Test3ColourFail:
     def test_all_cells(self):
@@ -123,12 +159,43 @@ class Test3ColourFail:
         assert report.instances == 4
         assert all(e["minSize"] == e["l"] for e in report.bounds)
 
+    def test_failure_record_is_the_entry(self, monkeypatch):
+        monkeypatch.setattr("localbalance.verify.min_unibalanced_subgraph_size",
+                            lambda G, cap: None)
+        report = verify_prop_3colourfail(ls=(4,), ms=(1,))
+        entry = {"l": 4, "partSize": 1, "expected": 4, "minSize": None, "ok": False}
+        assert report.instances == 1
+        assert report.bounds == report.failures == [entry]
+
 
 class TestAnybalancedSmall:
     def test_record_mode_never_fails(self):
         report = verify_theorem_anybalanced_small(n=10, samples=10, seed=0)
         assert report.passed  # record mode: absences are notes, not failures
         assert report.instances == 10
+
+    def test_strict_mode_fails_each_recorded_absence(self, monkeypatch):
+        # every sample holds a P1 2-blow-up; hide all three targets in every
+        # second sample so that both modes see five absences
+        seen = []
+
+        def every_second_sample(G, pat, t, homogeneous):
+            if not seen or seen[-1] is not G:
+                seen.append(G)
+            return None if len(seen) % 2 == 0 else find_pattern_blowup_exhaustive(G, pat, t, homogeneous)
+
+        monkeypatch.setattr("localbalance.verify.find_pattern_blowup_exhaustive", every_second_sample)
+        record = verify_theorem_anybalanced_small(n=10, samples=10, seed=0)
+        sampled, seen[:] = seen[:], []
+        strict = verify_theorem_anybalanced_small(n=10, samples=10, seed=0, strict=True)
+        assert seen == sampled and len(sampled) == 10
+        assert strict.bounds == record.bounds == [{"n": 10, "found": "P1"}, {"n": 10, "found": None}] * 5
+        assert record.passed and not strict.passed
+        assert strict.failures == [
+            {"n": 10, "colouring": graph_to_json(G, compact=True)} for G in sampled[1::2]
+        ]
+        absent = "sample without P1/P1bar/P3 2-blow-up (recorded)"
+        assert record.notes.count(absent) == 5 and absent not in strict.notes
 
     def test_pk3_contains_planted_p3_blowup(self):
         G = make_Pk(3)

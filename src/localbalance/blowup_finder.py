@@ -35,7 +35,9 @@ import numpy as np
 from .core import (
     ColouredCompleteGraph, Rational, _as_fraction, _bits, _checked_parts, _vertex, _vertex_set,
 )
-from .patterns import BlowupWitness, TotallyColouredPattern, clique_colour, verify_witness
+from .patterns import (
+    BlowupWitness, TotallyColouredPattern, _blowup_search, clique_colour, verify_witness,
+)
 
 # prefixes are stored as int32 host vertices
 _VERTEX_LIMIT = 2**31
@@ -401,32 +403,6 @@ def ramsey_bound(n: int, r: int) -> int:
     return k
 
 
-def _exact_mono_clique(
-    verts: int, G: ColouredCompleteGraph, k: int
-) -> tuple[tuple[int, ...], int] | None:
-    """Smallest-colour, lexicographically least monochromatic k-clique
-    inside the vertex mask verts, or None.  Exhaustive over G's colour
-    bitmasks, candidates in increasing vertex order; intended for small k."""
-
-    def grow(chosen: tuple[int, ...], cand: int) -> tuple[int, ...] | None:
-        if len(chosen) == k:
-            return chosen
-        if len(chosen) + cand.bit_count() < k:
-            return None
-        for v in _bits(cand):
-            got = grow(chosen + (v,), cand & adj[v] & ~((1 << (v + 1)) - 1))
-            if got is not None:
-                return got
-        return None
-
-    for colour in range(G.r):
-        adj = G.colour_bits(colour)
-        found = grow((), verts)
-        if found is not None:
-            return found, colour
-    return None
-
-
 def ramsey_clique(
     vertices: Sequence[int], G: ColouredCompleteGraph
 ) -> tuple[tuple[int, ...], int]:
@@ -464,9 +440,11 @@ def ramsey_clique(
 
     bound = ramsey_bound(len(verts), G.r)
     if len(clique) < bound:
-        exact = _exact_mono_clique(everything, G, bound)
-        if exact is not None:
-            return exact
+        # a monochromatic k-clique is a k-blow-up of the one-vertex pattern
+        for c in range(G.r):
+            exact = _blowup_search(G, (everything,), (c,), ((0,),), bound)
+            if exact is not None:
+                return exact[0], c
     return clique, colour
 
 

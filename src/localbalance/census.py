@@ -13,8 +13,9 @@ redundant equations are verified on every call, so a disagreement anywhere
 surfaces as an error rather than a wrong count.  The tests check it against
 an enumeration of all C(n,4) quadruples.
 
-Kernel cost: the codegree products red@red, blue@blue and red@blue (blocks
-of rows against the upper triangle, O(n^omega) BLAS work in all) and, for
+Kernel cost: four codegree products red@red, blue@blue, red@blue and
+blue@red (blocks of rows against the upper triangle, which lack the
+transposes of their own red@blue entries; O(n^omega) BLAS work in all) and, for
 the two monochromatic-K4 counts, one triangle count per vertex u inside its
 forward neighbourhood N+(u) = {v > u : uv of that colour}, which is
 sum_u |N+(u)|^3 BLAS flops.  The adjacency is kept as one bool table per

@@ -152,11 +152,13 @@ def _colour(c: object, r: int) -> int:
 
 def _row_entry_error(rows: Sequence) -> ValueError | None:
     """The error naming the first entry of the list or tuple rows that is
-    not a byte, as a colour at its edge; None when there is none."""
+    a bool or not a byte, as a colour at its edge; None when there is none."""
     for u, row in enumerate(rows):
         if isinstance(row, (list, tuple)):
             for v, c in enumerate(row):
                 try:
+                    if isinstance(c, bool):
+                        raise TypeError
                     bytes((c,))
                 except (TypeError, ValueError):
                     return ValueError(f"colour {c!r} out of range at edge ({u},{v})")
@@ -208,27 +210,42 @@ class ColouredCompleteGraph:
 
     __slots__ = ("n", "r", "_rows", "_bits")
 
-    def __init__(self, n: int, r: int, rows: Sequence[bytes]):
-        """Build from n rows of n colour bytes each (bytes-like, e.g. the
-        rows of an n x n uint8 array).  The table must be symmetric with
+    def __init__(self, n: int, r: int, rows: Sequence[Sequence[int]] | np.ndarray):
+        """Build from n rows of n colours each: bytes-like rows, lists or
+        tuples of integers (not bools), or an n x n numpy array of any
+        integer dtype, read by value.  The table must be symmetric with
         colours below r off the diagonal; the diagonal is stored as 0."""
         _check_size(n, r)
-        try:
-            rows = [bytes(row) for row in rows]
-        except (TypeError, ValueError) as exc:
-            raise (_row_entry_error(rows) or exc) from None
-        if len(rows) != n or any(len(row) != n for row in rows):
+        if isinstance(rows, np.ndarray):
+            if rows.dtype.kind not in "iu":
+                raise ValueError(f"colour table must have an integer dtype, got {rows.dtype}")
+            table = rows.copy()
+        else:
+            rows = list(rows)
+            try:
+                data = [bytes(row) for row in rows]
+                if any(isinstance(row, (list, tuple)) and bool in map(type, row) for row in rows):
+                    raise TypeError("a bool is not a colour")
+            except (TypeError, ValueError) as exc:
+                raise (_row_entry_error(rows) or exc) from None
+            if any(len(row) != n for row in data):
+                raise ValueError("colour table must be n x n")
+            table = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(-1, n).copy()
+        if table.shape != (n, n):
             raise ValueError("colour table must be n x n")
-        table = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(n, n).copy()
         np.fill_diagonal(table, 0)
-        # symmetric, so its first entry in row-major order is the first bad pair u < v
+        # symmetric, so its first entry in row-major order is the first bad pair u < v;
+        # a wider table is range-checked before its cast, so that 256 is not read as 0
         bad = (table >= r) | (table != table.T)
+        if table.dtype.kind == "i":
+            bad |= table < 0
         if bad.any():
             u, v = divmod(int(bad.argmax()), n)
             c = table[u, v]
-            if c >= r:
+            if not 0 <= c < r:
                 raise ValueError(f"colour {c} out of range at edge ({u},{v})")
             raise ValueError(f"colour table not symmetric at ({u},{v})")
+        table = table.astype(np.uint8, copy=False)
         self.n = n
         self.r = r
         data = table.tobytes()

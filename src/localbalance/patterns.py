@@ -24,7 +24,6 @@ them is homogeneous: part clique colours are unconstrained.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 from typing import Mapping, Sequence
@@ -152,14 +151,6 @@ class BlowupWitness:
     t: int
     homogeneous: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "parts": [list(p) for p in self.parts],
-            "t": self.t,
-            "homogeneous": self.homogeneous,
-            "pattern": self.pattern.name or self.pattern.to_dict(),
-        }
-
 
 def _library() -> dict[str, TotallyColouredPattern]:
     p1 = TotallyColouredPattern.from_parts(2, (RED, RED), {(0, 1): BLUE}, name="P1")
@@ -279,6 +270,56 @@ def verify_witness(G: ColouredCompleteGraph, w: BlowupWitness) -> bool:
 EXHAUSTIVE_SEARCH_BUDGET = 10**12
 
 
+def _blowup_search(
+    G: ColouredCompleteGraph,
+    starts: Sequence[int],
+    cliques: Sequence[int | None],
+    cross: Sequence[Sequence[int]],
+    t: int,
+) -> tuple[tuple[int, ...], ...] | None:
+    """The lexicographically least t-blow-up in G (parts in order, each
+    sorted), or None: part i is a t-clique inside the vertex mask starts[i]
+    in colour cliques[i] (None: in any one colour, fixed at its second
+    vertex), and each pair between parts i < j has colour cross[i][j].
+
+    Parts are filled in order, one vertex at a time, smallest first; each
+    chosen vertex narrows its own part's candidates to its clique colour
+    and every later part's to its cross colour.  A prefix is cut when a
+    part has fewer candidates than it still needs.  Candidates only shrink,
+    so a cut prefix has no witness and the first witness reached is least.
+    """
+    l = len(starts)
+    bits = [G.colour_bits(c) for c in range(G.r)]
+    chosen: list[int] = []
+
+    def grow(masks: tuple[int, ...], colour: int | None) -> bool:
+        i, size = divmod(len(chosen), t)
+        if i == l:
+            return True
+        if size == 0:
+            colour = cliques[i]
+        if masks[i].bit_count() < t - size:
+            return False
+        for v in _bits(masks[i]):
+            own = masks[i] & -(2 << v)  # the candidates above v
+            if size == 1 and cliques[i] is None:
+                colour = G.colour(chosen[-1], v)
+                own &= bits[colour][chosen[-1]]
+            if colour is not None:
+                own &= bits[colour][v]
+            later = [m & bits[cross[i][j]][v] for j, m in enumerate(masks[i + 1:], i + 1)]
+            if all(m.bit_count() >= t for m in later):
+                chosen.append(v)
+                if grow((*masks[:i], own, *later), colour):
+                    return True
+                chosen.pop()
+        return False
+
+    if not grow(tuple(starts), None):
+        return None
+    return tuple(tuple(chosen[k:k + t]) for k in range(0, l * t, t))
+
+
 def find_pattern_blowup_exhaustive(
     G: ColouredCompleteGraph,
     H: TotallyColouredPattern,
@@ -290,7 +331,7 @@ def find_pattern_blowup_exhaustive(
     Returns the lexicographically least witness (parts in pattern order,
     each part sorted) or None.  A nominal search space C(n,t)^l over
     EXHAUSTIVE_SEARCH_BUDGET raises SearchBudgetExceeded before starting;
-    the actual search prunes via per-part candidate bitmasks.
+    the search itself is _blowup_search.
     """
     l = H.num_vertices
     if l > 8:
@@ -301,50 +342,11 @@ def find_pattern_blowup_exhaustive(
         raise SearchBudgetExceeded(
             f"C({G.n},{t})^{l} = {comb(G.n, t) ** l} exceeds budget {EXHAUSTIVE_SEARCH_BUDGET}"
         )
-    used_colours = {H.edge_colour(i, j) for i in range(l) for j in range(i + 1, l)}
-    if not (homogeneous or H.vertex_colours_ignored):
-        used_colours.update(H.vertex_colour(i) for i in range(l))
-    if used_colours and max(used_colours) >= G.r:
+    fixed = not (homogeneous or H.vertex_colours_ignored)
+    cross = H.graph.table()  # its diagonal is 0, so its largest entry is the largest edge colour
+    if max([cross.max(), *(H.vertex_colours if fixed else ())]) >= G.r:
         return None
-    n = G.n
-    full = (1 << n) - 1
     # t = 1 parts are vacuously monochromatic in any colour
-    match_part_colours = not (homogeneous or H.vertex_colours_ignored) and t > 1
-    bits = [G.colour_bits(c) for c in range(G.r)]
-
-    parts: list[tuple[int, ...]] = []
-
-    def search(i: int, allowed: tuple[int, ...], used: int) -> BlowupWitness | None:
-        if i == l:
-            return BlowupWitness(H, tuple(parts), t, homogeneous)
-        cand_mask = allowed[i] & ~used
-        cands = list(_bits(cand_mask))
-        if len(cands) < t:
-            return None
-        for verts in itertools.combinations(cands, t):
-            cc = clique_colour(G, verts)
-            if cc is None or match_part_colours and cc != H.vertex_colour(i):
-                continue
-            new_allowed = list(allowed)
-            ok = True
-            for j in range(i + 1, l):
-                m = new_allowed[j]
-                want = H.edge_colour(i, j)
-                for u in verts:
-                    m &= bits[want][u]
-                    if not m:
-                        ok = False
-                        break
-                new_allowed[j] = m
-                if not ok:
-                    break
-            if not ok:
-                continue
-            parts.append(verts)
-            found = search(i + 1, tuple(new_allowed), used | sum(1 << v for v in verts))
-            if found is not None:
-                return found
-            parts.pop()
-        return None
-
-    return search(0, tuple(full for _ in range(l)), 0)
+    cliques = H.vertex_colours if fixed and t > 1 else (None,) * l
+    parts = _blowup_search(G, ((1 << G.n) - 1,) * l, cliques, cross.tolist(), t)
+    return None if parts is None else BlowupWitness(H, parts, t, homogeneous)

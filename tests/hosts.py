@@ -4,8 +4,9 @@ graph JSON writer, the per-pair random streams of make_random and
 make_split, the per-pair split violations and split cost, the 2^n split
 cost table, the set-based smallest-unibalanced search, the O(n^4) K4
 census and the brute-force M1 count, with the class tables and exhaustive
-isomorphism checks they use, the pair-colouring Ramsey step, and the
-dict-of-masks canonical hypergraph (copy DFS, cleanup and shadow)."""
+isomorphism checks they use, the combination-loop blow-up search, the
+pair-colouring Ramsey step, and the dict-of-masks canonical hypergraph
+(copy DFS, cleanup and shadow)."""
 
 import itertools
 import random
@@ -17,6 +18,7 @@ import numpy as np
 
 from localbalance import (
     BipartiteColouring,
+    BlowupWitness,
     CanonicalHypergraph,
     ColouredCompleteGraph,
     PatternCensus,
@@ -36,6 +38,7 @@ from localbalance.census import (
     _code_tuple,
     _require_two_colours,
 )
+from localbalance.patterns import clique_colour
 
 RED, BLUE = 0, 1
 
@@ -391,6 +394,53 @@ def patterns_isomorphic(H1: TotallyColouredPattern, H2: TotallyColouredPattern) 
         ):
             return True
     return False
+
+
+# --- the exact blow-up search by combinations --------------------------------
+
+def find_pattern_blowup_reference(
+    G: ColouredCompleteGraph, H: TotallyColouredPattern, t: int, homogeneous: bool = False
+) -> BlowupWitness | None:
+    """The lexicographically least t-blow-up of H in G (parts in pattern
+    order, each part sorted), or None, by the combination loop the
+    vertex-by-vertex search replaced: each part tries every t-subset of its
+    candidates in itertools.combinations order, checks it with
+    clique_colour, and narrows the later parts' candidate masks."""
+    l = H.num_vertices
+    used_colours = {H.edge_colour(i, j) for i in range(l) for j in range(i + 1, l)}
+    if not (homogeneous or H.vertex_colours_ignored):
+        used_colours.update(H.vertex_colours)
+    if used_colours and max(used_colours) >= G.r:
+        return None
+    # t = 1 parts are vacuously monochromatic in any colour
+    match_part_colours = not (homogeneous or H.vertex_colours_ignored) and t > 1
+    bits = [G.colour_bits(c) for c in range(G.r)]
+    parts: list[tuple[int, ...]] = []
+
+    def search(i: int, allowed: tuple[int, ...], used: int) -> BlowupWitness | None:
+        if i == l:
+            return BlowupWitness(H, tuple(parts), t, homogeneous)
+        cands = list(_bits(allowed[i] & ~used))
+        if len(cands) < t:
+            return None
+        for verts in itertools.combinations(cands, t):
+            cc = clique_colour(G, verts)
+            if cc is None or match_part_colours and cc != H.vertex_colour(i):
+                continue
+            new_allowed = list(allowed)
+            for j in range(i + 1, l):
+                for u in verts:
+                    new_allowed[j] &= bits[H.edge_colour(i, j)][u]
+            if not all(new_allowed[i + 1:]):
+                continue
+            parts.append(verts)
+            found = search(i + 1, tuple(new_allowed), used | sum(1 << v for v in verts))
+            if found is not None:
+                return found
+            parts.pop()
+        return None
+
+    return search(0, ((1 << G.n) - 1,) * l, 0)
 
 
 # --- the Ramsey step on a pair colouring phi ----------------------------------

@@ -39,9 +39,9 @@ from hosts import (
 )
 from localbalance.blowup_finder import (
     STAR_SEARCH_BUDGET,
-    _exact_mono_clique,
     _random_equitable_partition,
 )
+from localbalance.patterns import _blowup_search
 
 RED, BLUE = 0, 1
 
@@ -578,6 +578,9 @@ class TestRamseyClique:
                     assert ramsey_clique(verts, G) == ramsey_clique_reference(verts, G.colour, r)
 
     def test_exact_search_matches_reference(self):
+        # the fallback's search, one colour at a time: colour c alone is the
+        # reference's colour 0 under the recolouring "c or not c", and the
+        # smallest colour with a clique gives the reference's answer
         rng = random.Random(5)
         for r in (2, 3, 4):
             for seed in range(6):
@@ -586,8 +589,15 @@ class TestRamseyClique:
                 verts = sorted(rng.sample(range(n), rng.randrange(1, n + 1)))
                 mask = sum(1 << v for v in verts)
                 for k in range(1, 5):
-                    assert _exact_mono_clique(mask, G, k) == \
-                        exact_mono_clique_reference(verts, G.colour, r, k)
+                    first = None
+                    for c in range(r):
+                        got = _blowup_search(G, (mask,), (c,), ((0,),), k)
+                        only_c = exact_mono_clique_reference(
+                            verts, lambda u, v: int(G.colour(u, v) != c), 1, k)
+                        assert got == (None if only_c is None else (only_c[0],))
+                        if first is None and got is not None:
+                            first = got[0], c
+                    assert first == exact_mono_clique_reference(verts, G.colour, r, k)
 
     def test_exact_fallback_fires_on_a_forced_chain(self, monkeypatch):
         # r = 5, n = 1000, so the bound is floor(log_10 1000) = 3.  Each chain
@@ -610,10 +620,10 @@ class TestRamseyClique:
         calls = []
 
         def spy(*args):
-            calls.append(args[2])
-            return _exact_mono_clique(*args)
+            calls.append(args[4])
+            return _blowup_search(*args)
 
-        monkeypatch.setattr("localbalance.blowup_finder._exact_mono_clique", spy)
+        monkeypatch.setattr("localbalance.blowup_finder._blowup_search", spy)
         got = ramsey_clique(range(n), G)
         assert calls == [3]
         assert got == ((0, 202, 214), 0)

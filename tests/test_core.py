@@ -180,6 +180,39 @@ class TestConstruction:
         with pytest.raises(ValueError, match=re.escape(message)):
             ColouredCompleteGraph(6, 3, rows)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int64, np.uint16, np.uint64, np.intp])
+    def test_numpy_tables_are_read_by_value(self, dtype):
+        # bytes() of a wide row gave 8 bytes per int64 entry, a shape error
+        rows = random_rows(random.Random(3), 6, 3)
+        table = np.array([list(row) for row in rows], dtype=dtype)
+        assert ColouredCompleteGraph(6, 3, table) == ColouredCompleteGraph(6, 3, rows)
+        assert ColouredCompleteGraph(2, 2, np.array([[0, 1], [1, 0]])).colour(0, 1) == 1
+
+    @pytest.mark.parametrize("dtype", [bool, np.float64, np.float32, object])
+    def test_refuses_non_integer_numpy_tables(self, dtype):
+        # a bool table used to build colour(0, 1) == 1, a float one to
+        # report a shape error
+        table = np.array([[0, 1], [1, 0]], dtype=dtype)
+        message = f"^colour table must have an integer dtype, got {np.dtype(dtype)}$"
+        with pytest.raises(ValueError, match=message):
+            ColouredCompleteGraph(2, 2, table)
+
+    @pytest.mark.parametrize("bad, dtype", [(256, np.int64), (-1, np.int8), (2**40, np.uint64)])
+    def test_numpy_range_is_checked_before_the_cast(self, bad, dtype):
+        # a cast to uint8 first would read 256 and 2**40 as 0 and -1 as 255
+        table = np.zeros((3, 3), dtype=dtype)
+        table[1, 2] = table[2, 1] = bad
+        with pytest.raises(ValueError, match=rf"^colour {bad} out of range at edge \(1,2\)$"):
+            ColouredCompleteGraph(3, 2, table)
+
+    @pytest.mark.parametrize("rows", [[[0, True], [True, 0]], ((0, 1), (False, 0))])
+    def test_refuses_bool_entries_in_python_rows(self, rows):
+        # bytes([True]) is b"\x01": the graph had colour(0, 1) == 1
+        u, v = (0, 1) if rows[0][1] is True else (1, 0)
+        message = rf"^colour {rows[u][v]!r} out of range at edge \({u},{v}\)$"
+        with pytest.raises(ValueError, match=message):
+            ColouredCompleteGraph(2, 2, rows)
+
     def test_rejects_ragged_table(self):
         with pytest.raises(ValueError, match="n x n"):
             ColouredCompleteGraph(3, 2, [bytes(3), bytes(2), bytes(3)])

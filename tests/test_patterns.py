@@ -25,7 +25,7 @@ from localbalance import (
     verify_witness,
 )
 from localbalance.patterns import clique_colour
-from hosts import graph_from, is_unibalanced, patterns_isomorphic
+from hosts import find_pattern_blowup_reference, graph_from, is_unibalanced, patterns_isomorphic
 
 RED, BLUE = 0, 1
 
@@ -97,9 +97,10 @@ class TestLibrary:
         with pytest.raises(KeyError, match="unknown pattern 'M1'"):
             get_pattern("M1")
 
-    @pytest.mark.parametrize("bad", [300, -1, 1.5])
+    @pytest.mark.parametrize("bad", [300, -1, 1.5, True])
     def test_from_parts_names_the_bad_edge(self, bad):
-        # bytes(row) raised "bytes must be in range(0, 256)" or a TypeError
+        # bytes(row) raised "bytes must be in range(0, 256)" or a TypeError,
+        # and read True as colour 1
         message = rf"^colour {re.escape(repr(bad))} out of range at edge \(0,1\)$"
         with pytest.raises(ValueError, match=message):
             TotallyColouredPattern.from_parts(2, (0, 0), {(0, 1): bad})
@@ -316,6 +317,30 @@ class TestExhaustiveFinder:
         G = make_random(46, 2, 0)
         with pytest.raises(SearchBudgetExceeded):
             find_pattern_blowup_exhaustive(G, get_pattern("P3"), 2)
+
+    def test_matches_the_combination_loop(self):
+        # the vertex-by-vertex search against the combination loop it
+        # replaced: the same least witness, or None, on small random hosts
+        rng = random.Random(24)
+        found = searches = 0
+        for seed in range(24):
+            n, r = rng.randrange(1, 14), rng.choice((2, 3))
+            G = make_random(n, r, seed)
+            patterns = list(pattern_library().values())
+            for _ in range(4):
+                l = rng.randrange(1, 5)
+                edges = [(i, j, rng.randrange(r)) for i in range(l) for j in range(i + 1, l)]
+                patterns.append(TotallyColouredPattern.from_parts(
+                    r, [rng.randrange(r) for _ in range(l)], edges,
+                    vertex_colours_ignored=rng.random() < 0.5))
+            for H in patterns:
+                for t in (1, 2, 3):
+                    for homogeneous in (False, True):
+                        w = find_pattern_blowup_exhaustive(G, H, t, homogeneous)
+                        assert w == find_pattern_blowup_reference(G, H, t, homogeneous)
+                        searches += 1
+                        found += w is not None
+        assert 0 < found < searches
 
     def test_found_witnesses_always_verify(self):
         rng = random.Random(6)

@@ -74,7 +74,8 @@ def test_duplicate_host_routines_stay_deleted():
     for name in ("_check_random_args", "_graph_from_pair_colours", "_split_cost",
                  "_flipped_edges_for", "EXACT_MAX_N"):
         assert not hasattr(constructions, name)
-    assert not hasattr(blowup_finder, "_host_masks")
+    for name in ("_host_masks", "_exact_mono_clique"):
+        assert not hasattr(blowup_finder, name)
     tree = ast.parse((SOURCES / "verify.py").read_text())
     assert [alias.name for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module == "constructions"

@@ -54,15 +54,16 @@ def _code_tuple(packed: int) -> tuple[int, ...]:
     return tuple((packed >> k) & 1 for k in range(6))
 
 
+# the 24 relabellings of K4 as pair-index maps: relabelling p sends pair k
+# to pair m[k], so the relabelled code reads code[m[k]] at bit k
+_RELABELLINGS = tuple(
+    tuple(_PAIR_INDEX[tuple(sorted((p[a], p[b])))] for a, b in _PAIRS)
+    for p in itertools.permutations(range(4))
+)
+
+
 def _canonical(code: Sequence[int]) -> tuple[int, ...]:
-    best = None
-    for perm in itertools.permutations(range(4)):
-        t = tuple(
-            code[_PAIR_INDEX[tuple(sorted((perm[a], perm[b])))]] for (a, b) in _PAIRS
-        )
-        if best is None or t < best:
-            best = t
-    return best
+    return min(tuple(code[k] for k in m) for m in _RELABELLINGS)
 
 
 # --- class table, built once at import ------------------------------------
@@ -155,47 +156,41 @@ def _class_stat_row(code: Sequence[int]) -> list[int]:
     return [st.get(sid, 0) for sid in STAT_IDS]
 
 
-_COEFF: tuple[tuple[int, ...], ...] = tuple(
-    tuple(_class_stat_row(rep)[i] for rep in CLASS_REPS) for i in range(len(STAT_IDS))
-)
+# one statistic row per class; _COEFF[i][j] is statistic i of class j
+_CLASS_ROWS = tuple(_class_stat_row(rep) for rep in CLASS_REPS)
+_COEFF: tuple[tuple[int, ...], ...] = tuple(zip(*_CLASS_ROWS))
 
 
 def _pivot_rows_and_inverse() -> tuple[tuple[int, ...], tuple[tuple[Fraction, ...], ...]]:
-    """Pick 11 independent statistic rows and invert them exactly."""
-    nrows = len(_COEFF)
+    """Pick the first 11 independent statistic rows and invert them exactly.
+
+    One Gauss-Jordan pass over [_COEFF^T | I], column by column in STAT_IDS
+    order: the pivot columns are the first statistics independent of those
+    before them, and the right block ends as the inverse of their rows,
+    transposed.
+    """
+    width = len(STAT_IDS)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(NUM_CLASSES)]
+         for i, row in enumerate(_CLASS_ROWS)]
     chosen: list[int] = []
-    basis: list[list[Fraction]] = []
-    for i in range(nrows):
-        cand = [Fraction(x) for x in _COEFF[i]]
-        work = cand[:]
-        for row in basis:
-            lead = next(k for k, x in enumerate(row) if x != 0)
-            if work[lead] != 0:
-                f = work[lead] / row[lead]
-                work = [a - f * b for a, b in zip(work, row)]
-        if any(x != 0 for x in work):
-            basis.append(work)
-            chosen.append(i)
+    for col in range(width):
+        rank = len(chosen)
+        piv = next((rr for rr in range(rank, NUM_CLASSES) if m[rr][col]), None)
+        if piv is None:
+            continue
+        m[rank], m[piv] = m[piv], m[rank]
+        pv = m[rank][col]
+        m[rank] = [x / pv if x else x for x in m[rank]]  # most entries are 0
+        for rr in range(NUM_CLASSES):
+            f = m[rr][col]
+            if rr != rank and f:
+                m[rr] = [a - f * b if b else a for a, b in zip(m[rr], m[rank])]
+        chosen.append(col)
         if len(chosen) == NUM_CLASSES:
             break
-    if len(chosen) != NUM_CLASSES:
+    else:
         raise AssertionError("census statistic system is rank-deficient")
-    # invert the 11x11 matrix of chosen rows by Gauss-Jordan over Fraction
-    m = [[Fraction(_COEFF[i][j]) for j in range(NUM_CLASSES)] for i in chosen]
-    inv = [[Fraction(int(i == j)) for j in range(NUM_CLASSES)] for i in range(NUM_CLASSES)]
-    for col in range(NUM_CLASSES):
-        piv = next(rr for rr in range(col, NUM_CLASSES) if m[rr][col] != 0)
-        m[col], m[piv] = m[piv], m[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pv = m[col][col]
-        m[col] = [x / pv for x in m[col]]
-        inv[col] = [x / pv for x in inv[col]]
-        for rr in range(NUM_CLASSES):
-            if rr != col and m[rr][col] != 0:
-                f = m[rr][col]
-                m[rr] = [a - f * b for a, b in zip(m[rr], m[col])]
-                inv[rr] = [a - f * b for a, b in zip(inv[rr], inv[col])]
-    return tuple(chosen), tuple(tuple(row) for row in inv)
+    return tuple(chosen), tuple(zip(*(row[width:] for row in m)))
 
 
 _PIVOT_ROWS, _PIVOT_INV = _pivot_rows_and_inverse()

@@ -150,19 +150,27 @@ def _colour(c: object, r: int) -> int:
     return int(c)
 
 
-def _row_entry_error(rows: Sequence) -> ValueError | None:
-    """The error naming the first entry of the list or tuple rows that is
-    a bool or not a byte, as a colour at its edge; None when there is none."""
+def _row_bytes(rows: list) -> list[bytes]:
+    """The rows as bytes.  bytes() reads the common case at C speed; only
+    when it fails, or a list or tuple row holds a bool, are the entries read
+    one by one: then an integer diagonal entry of any value reads as 0 (the
+    diagonal is stored as 0), and a bool anywhere, or an off-diagonal entry
+    that is not a byte, raises a ValueError naming it as a colour at its edge."""
+    try:
+        if not any(isinstance(row, (list, tuple)) and bool in map(type, row) for row in rows):
+            return [bytes(row) for row in rows]
+    except (TypeError, ValueError):
+        pass
+    out = []
     for u, row in enumerate(rows):
         if isinstance(row, (list, tuple)):
             for v, c in enumerate(row):
-                try:
-                    if isinstance(c, bool):
-                        raise TypeError
-                    bytes((c,))
-                except (TypeError, ValueError):
-                    return ValueError(f"colour {c!r} out of range at edge ({u},{v})")
-    return None
+                if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or (
+                        v != u and not 0 <= c < 256):
+                    raise ValueError(f"colour {c!r} out of range at edge ({u},{v})")
+            row = [0 if v == u else c for v, c in enumerate(row)]
+        out.append(bytes(row))
+    return out
 
 
 def _vertex_set(verts: Iterable[object], limit: int) -> tuple[int, ...]:
@@ -214,20 +222,15 @@ class ColouredCompleteGraph:
         """Build from n rows of n colours each: bytes-like rows, lists or
         tuples of integers (not bools), or an n x n numpy array of any
         integer dtype, read by value.  The table must be symmetric with
-        colours below r off the diagonal; the diagonal is stored as 0."""
+        colours below r off the diagonal; the diagonal is stored as 0,
+        whatever integer either form held there."""
         _check_size(n, r)
         if isinstance(rows, np.ndarray):
             if rows.dtype.kind not in "iu":
                 raise ValueError(f"colour table must have an integer dtype, got {rows.dtype}")
             table = rows.copy()
         else:
-            rows = list(rows)
-            try:
-                data = [bytes(row) for row in rows]
-                if any(isinstance(row, (list, tuple)) and bool in map(type, row) for row in rows):
-                    raise TypeError("a bool is not a colour")
-            except (TypeError, ValueError) as exc:
-                raise (_row_entry_error(rows) or exc) from None
+            data = _row_bytes(list(rows))
             if any(len(row) != n for row in data):
                 raise ValueError("colour table must be n x n")
             table = np.frombuffer(b"".join(data), dtype=np.uint8).reshape(-1, n).copy()

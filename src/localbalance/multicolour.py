@@ -78,8 +78,11 @@ def sample_unibalanced_subset(
 
     Warns when the host is not locally eps-balanced, where the per-draw
     success guarantee has no backing.  zeta/n is clamped to 1 for small
-    hosts (the formulas target large n).
+    hosts (the formulas target large n).  ValueError, before any draw,
+    unless config.r is the host's r: zeta and size_cap depend on r.
     """
+    if config.r != G.r:
+        raise ValueError(f"sampler config is for r={config.r}, the host has r={G.r}")
     if not is_locally_balanced(G, config.eps):
         warnings.warn(
             f"host is not locally {config.eps}-balanced; sampling is best-effort",

@@ -3,15 +3,17 @@ fast code must reproduce: the per-entry edge-list loader and the per-pair
 graph JSON writer, the per-pair random streams of make_random and
 make_split, the per-pair split violations and split cost, the 2^n split
 cost table, the set-based smallest-unibalanced search, the O(n^4) K4
-census and the brute-force M1 count, with the class tables and exhaustive
-isomorphism checks they use, the combination-loop blow-up search, the
+census and the brute-force M1 count, with the two-phase build of the
+census class system, the class tables and the exhaustive isomorphism
+checks they use, the combination-loop blow-up search, the
 pair-colouring Ramsey step, and the dict-of-masks canonical hypergraph
 (copy DFS, cleanup and shadow)."""
 
 import itertools
 import random
 from dataclasses import dataclass
-from math import comb
+from fractions import Fraction
+from math import comb, lcm
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,8 +35,11 @@ from localbalance.census import (
     CLASS_KEYS,
     CLASS_REPS,
     NUM_CLASSES,
+    STAT_IDS,
     _PAIR_INDEX,
+    _PAIRS,
     _canonical,
+    _class_stat_row,
     _code_tuple,
     _require_two_colours,
 )
@@ -260,6 +265,75 @@ def relabelled(G: ColouredCompleteGraph, perm: Sequence[int]) -> ColouredComplet
 
 
 # --- the K4 class tables and the enumeration census -------------------------
+
+def census_tables_reference() -> dict:
+    """The census class system, built apart from census.py's one-pass build:
+    canonical codes by re-sorting the pair keys under each of the 24
+    permutations, one _class_stat_row call per coefficient, a greedy
+    elimination that picks the first 11 independent statistic rows and a
+    second Gauss-Jordan pass that inverts them.  Returns the census module's
+    tables by name, plus "canonical", the canonical form of each 6-bit code."""
+
+    def canonical(code):
+        best = None
+        for perm in itertools.permutations(range(4)):
+            t = tuple(code[_PAIR_INDEX[tuple(sorted((perm[a], perm[b])))]] for (a, b) in _PAIRS)
+            if best is None or t < best:
+                best = t
+        return best
+
+    reps = tuple(sorted({canonical(_code_tuple(p)) for p in range(64)}))
+    k = len(reps)
+    coeff = tuple(tuple(_class_stat_row(rep)[i] for rep in reps) for i in range(len(STAT_IDS)))
+    chosen, basis = [], []
+    for i in range(len(coeff)):
+        work = [Fraction(x) for x in coeff[i]]
+        for row in basis:
+            lead = next(j for j, x in enumerate(row) if x != 0)
+            if work[lead] != 0:
+                f = work[lead] / row[lead]
+                work = [a - f * b for a, b in zip(work, row)]
+        if any(x != 0 for x in work):
+            basis.append(work)
+            chosen.append(i)
+        if len(chosen) == k:
+            break
+    if len(chosen) != k:
+        raise AssertionError("census statistic system is rank-deficient")
+    m = [[Fraction(coeff[i][j]) for j in range(k)] for i in chosen]
+    inv = [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
+    for col in range(k):
+        piv = next(rr for rr in range(col, k) if m[rr][col] != 0)
+        m[col], m[piv] = m[piv], m[col]
+        inv[col], inv[piv] = inv[piv], inv[col]
+        pv = m[col][col]
+        m[col] = [x / pv for x in m[col]]
+        inv[col] = [x / pv for x in inv[col]]
+        for rr in range(k):
+            if rr != col and m[rr][col] != 0:
+                f = m[rr][col]
+                m[rr] = [a - f * b for a, b in zip(m[rr], m[col])]
+                inv[rr] = [a - f * b for a, b in zip(inv[rr], inv[col])]
+    inv = tuple(tuple(row) for row in inv)
+    den = lcm(*(x.denominator for row in inv for x in row))
+
+    def key(code):
+        return "".join(map(str, canonical(code)))
+
+    return {
+        "canonical": tuple(canonical(_code_tuple(p)) for p in range(64)),
+        "CLASS_REPS": reps,
+        "CLASS_KEYS": tuple("".join(map(str, rep)) for rep in reps),
+        "C4_KEY": key((0, 1, 0, 0, 1, 0)),
+        "C4BAR_KEY": key((1, 0, 1, 1, 0, 1)),
+        "P3O_KEY": key((1, 0, 0, 1, 0, 1)),
+        "_COEFF": coeff,
+        "_PIVOT_ROWS": tuple(chosen),
+        "_PIVOT_INV": inv,
+        "_PIVOT_DEN": den,
+        "_PIVOT_NUM": tuple(tuple(int(x * den) for x in row) for row in inv),
+    }
+
 
 _CLASS_INDEX = {rep: i for i, rep in enumerate(CLASS_REPS)}
 

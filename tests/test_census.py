@@ -1,4 +1,5 @@
 import itertools
+import pickle
 import random
 from math import comb
 
@@ -28,6 +29,7 @@ from hosts import (
     CLASS_SWAP,
     bipartite_from,
     census_k4_reference,
+    census_tables_reference,
     count_m1_reference,
     graph_from,
     m1_copies_in_quadruples,
@@ -99,6 +101,20 @@ class TestClassTable:
         idx = {k: i for i, k in enumerate(CLASS_KEYS)}
         assert CLASS_SWAP[idx[P3O_KEY]] == idx[P3O_KEY]
         assert CLASS_SWAP[idx[C4_KEY]] == idx[C4BAR_KEY]
+
+    def test_tables_match_the_two_phase_reference(self):
+        # pickled, so that a list for a tuple or an int for a Fraction shows
+        want = census_tables_reference()
+        canonical = tuple(census_module._canonical(census_module._code_tuple(p)) for p in range(64))
+        assert canonical == want.pop("canonical")
+        for name, value in want.items():
+            assert pickle.dumps(getattr(census_module, name)) == pickle.dumps(value), name
+
+    def test_rank_deficient_system_is_refused(self, monkeypatch):
+        rows = census_module._CLASS_ROWS
+        monkeypatch.setattr(census_module, "_CLASS_ROWS", rows[:-1] + rows[:1])
+        with pytest.raises(AssertionError, match="rank-deficient"):
+            census_module._pivot_rows_and_inverse()
 
 
 class TestCensus:

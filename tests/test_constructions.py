@@ -236,8 +236,9 @@ class TestCloseness:
             assert c.red_side == tuple(v for v in range(G.n) if (mask >> v) & 1)
 
     def test_matches_table_reference(self):
-        # every default optimize host and 400 random ones: the same cost,
-        # the same lowest red side and the same pairs as the 2^n table
+        # every default optimize host and 400 random ones: the same cost
+        # (also as the number of listed pairs) and the same lowest red side
+        # as the 2^n table
         hosts = optimize_instances()
         assert len(hosts) == 679
         rng = random.Random(16)
@@ -247,7 +248,7 @@ class TestCloseness:
             c = closeness_to_split(G)
             assert (c.flips, mask_of(c.red_side)) == (flips, mask)
             assert c.blue_side == tuple(v for v in range(G.n) if not (mask >> v) & 1)
-            assert c.flipped_edges == flipped_edges_reference(G, mask)
+            assert c.flips == len(flipped_edges_reference(G, mask))
             assert c.delta == Fraction(flips, G.n ** 2)
 
     def test_memory_is_linear(self):
@@ -295,7 +296,7 @@ class TestCloseness:
                         expect.append((u, v))
                     if u in blue_set and v in blue_set and G.colour(u, v) == RED:
                         expect.append((u, v))
-            assert sorted(c.flipped_edges) == expect
+            assert c.flips == len(expect)
 
     def test_planted_split_above_24(self):
         # past the table's range: no worse than the planted split or the
@@ -329,9 +330,9 @@ class TestSplitViolations:
                      make_split(n // 2, n - n // 2, seed=n, flips=n // 2))
             for G in hosts:
                 for mask in [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(6)]:
-                    pairs = _split_violations(G, mask)
-                    assert pairs == flipped_edges_reference(G, mask)
-                    assert len(pairs) == split_cost_reference(G, mask)
+                    count = _split_violations(G, mask)
+                    assert count == split_cost_reference(G, mask)
+                    assert count == len(flipped_edges_reference(G, mask))
 
     @pytest.mark.parametrize("n, reference", [(9, "exact"), (20, "exact"),
                                               (25, "local-search"), (30, "local-search")])
@@ -343,7 +344,7 @@ class TestSplitViolations:
             c = closeness_to_split(G)
             mask = mask_of(c.red_side)
             assert c.mode == "exact"
-            assert c.flipped_edges == flipped_edges_reference(G, mask)
+            assert c.flips == len(flipped_edges_reference(G, mask))
             if reference == "exact":
                 assert closeness_table_reference(G) == (c.flips, mask)
             else:

@@ -213,6 +213,24 @@ class TestConstruction:
         with pytest.raises(ValueError, match=message):
             ColouredCompleteGraph(2, 2, rows)
 
+    @pytest.mark.parametrize("diagonal", [300, -1])
+    def test_integer_diagonal_of_any_value_is_ignored(self, diagonal):
+        # Python rows raised "colour 300 out of range at edge (0,0)" while
+        # the same numpy table built a graph
+        want = ColouredCompleteGraph(3, 2, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        rows = [[diagonal, 1, 0], [1, 0, 1], [0, 1, diagonal]]
+        for table in (rows, tuple(map(tuple, rows)), np.array(rows)):
+            G = ColouredCompleteGraph(3, 2, table)
+            assert G == want and G.table()[0, 0] == G.table()[2, 2] == 0
+
+    @pytest.mark.parametrize("bad, dtype", [(True, bool), (1.5, np.float64)])
+    def test_refuses_bool_and_non_integer_diagonal_entries(self, bad, dtype):
+        rows = [[0, 1], [1, bad]]
+        with pytest.raises(ValueError, match=rf"^colour {bad!r} out of range at edge \(1,1\)$"):
+            ColouredCompleteGraph(2, 2, rows)
+        with pytest.raises(ValueError, match="integer dtype"):
+            ColouredCompleteGraph(2, 2, np.array(rows, dtype=dtype))
+
     def test_rejects_ragged_table(self):
         with pytest.raises(ValueError, match="n x n"):
             ColouredCompleteGraph(3, 2, [bytes(3), bytes(2), bytes(3)])

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import warnings
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -106,6 +107,16 @@ class TestSampler:
         G = make_multicolour_cycle(6, 10)
         cfg = SamplerConfig(eps=Fraction(1, 6), r=3, max_draws=16, seed=9)
         assert sample_unibalanced_subset(G, cfg) == sample_unibalanced_subset(G, cfg)
+
+    def test_refuses_a_config_for_another_r(self):
+        # SamplerConfig(eps=1/2, r=3) is refused (zeta > size_cap/2), yet
+        # the r=2 config used to sample this 3-coloured host
+        G = make_random(40, 3, 0)
+        cfg = SamplerConfig(eps=Fraction(1, 2), r=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^sampler config is for r=2, the host has r=3$"):
+                sample_unibalanced_subset(G, cfg)
 
     def test_per_draw_success_rate(self):
         # desk-scale analogue of the half-probability guarantee, loosened

@@ -23,6 +23,7 @@ MOVED = (
     "m1_copies_in_quadruples", "ALTERNATING_SPLITS_PER_CLASS", "_alternating_splits",
     "CLASS_SWAP", "_swap_code", "coloured_graphs_isomorphic", "patterns_isomorphic",
     "is_unibalanced", "relabelled", "MONO_RED_KEY", "MONO_BLUE_KEY",
+    "census_tables_reference",
 )
 
 

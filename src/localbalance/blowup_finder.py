@@ -33,7 +33,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    ColouredCompleteGraph, Rational, _as_fraction, _bits, _checked_parts, _vertex, _vertex_set,
+    ColouredCompleteGraph, Rational, _as_fraction, _bits, _checked_parts, _pack, _row_masks,
+    _unpack, _vertex, _vertex_set,
 )
 from .patterns import (
     BlowupWitness, TotallyColouredPattern, _blowup_search, clique_colour, verify_witness,
@@ -41,19 +42,6 @@ from .patterns import (
 
 # prefixes are stored as int32 host vertices
 _VERTEX_LIMIT = 2**31
-
-
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Boolean rows as uint64 words: bit k of a row's words is its column k."""
-    rows, width = bits.shape
-    padded = np.zeros((rows, -(-width // 64) * 64), dtype=bool)
-    padded[:, :width] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view(np.uint64)
-
-
-def _unpack(masks: np.ndarray, width: int) -> np.ndarray:
-    """The first width bits of each row of uint64 words, as 0/1 uint8."""
-    return np.unpackbits(masks.view(np.uint8), axis=-1, count=width, bitorder="little")
 
 
 def _grouped(heads: np.ndarray, last: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -237,11 +225,8 @@ _BUILD_CHUNK = 1 << 16
 
 
 def _empty(parts: tuple[tuple[int, ...], ...]) -> CanonicalHypergraph:
-    words = -(-len(parts[-1]) // 64)
-    return CanonicalHypergraph(
-        parts, np.zeros((0, len(parts) - 1), dtype=np.int32),
-        np.zeros((0, words), dtype=np.uint64), 0,
-    )
+    masks = _pack(np.zeros((0, len(parts[-1])), dtype=bool))
+    return CanonicalHypergraph(parts, np.zeros((0, len(parts) - 1), dtype=np.int32), masks, 0)
 
 
 def _expand(
@@ -475,11 +460,12 @@ def hypergraph_cover(
     whose parts hold vertices of the host G (ValueError otherwise).
 
     The split size s is chosen by sweeping the greedy star trajectory and
-    maximising min(s, clique found in the common neighbourhood); kst_star
-    then refines the star at that s, exactly when C(|A|, s) is at most
-    STAR_SEARCH_BUDGET.  The star incidence is over positions in the last
-    part, whose order is the vertex order, so popcounts and ties are those
-    of host-vertex masks; the Ramsey steps run on G's colour bitmasks.
+    maximising min(s, clique found in the common neighbourhood); when
+    C(|A|, s) is at most STAR_SEARCH_BUDGET, kst_star's exact search then
+    refines the star at that s.  The star incidence is over positions in
+    the last part, whose order is the vertex order, so popcounts and ties
+    are those of host-vertex masks; the Ramsey steps run on G's colour
+    bitmasks.
     """
     if Hg.is_empty:
         raise ValueError("hypergraph_cover needs a nonempty hypergraph")
@@ -500,7 +486,7 @@ def hypergraph_cover(
     last = L.parts[-1]
     F = BipartiteIncidence(
         a_items=A,
-        nbrs=tuple(int.from_bytes(L.masks[_row_of(L.prefixes, R)].tobytes(), "little") for R in A),
+        nbrs=_row_masks(L.masks[[_row_of(L.prefixes, R) for R in A]]),
         b_mask=(1 << len(last)) - 1,
     )
 
@@ -518,11 +504,11 @@ def hypergraph_cover(
             best_state = (tuple(F.a_items[j] for j in chosen), clique, colour, "greedy")
     assert best_state is not None, "a nonempty cleaned hypergraph yields s = 1"
 
-    # the star at the chosen size; over the limit kst_star's greedy branch
-    # recomputes the sweep's first best_s steps, which best_state already holds
-    star = kst_star(F, best_s)
-    assert star is not None, "the sweep found a nonempty common neighbourhood at best_s"
-    if star.mode == "exact":
+    # the exact star at the chosen size, within the budget; over it kst_star
+    # would return the sweep's first best_s steps, which best_state holds
+    if comb(len(A), best_s) <= STAR_SEARCH_BUDGET:
+        star = kst_star(F, best_s)
+        assert star is not None, "the sweep found a nonempty common neighbourhood at best_s"
         clique, colour = ramsey_clique([last[k] for k in _bits(star.common)], G)
         if min(best_s, len(clique)) >= best_score:
             best_state = (star.members, clique, colour, "exact")

@@ -207,10 +207,6 @@ class PatternCensus:
     counts: dict[str, int]  # class key -> number of 4-subsets
 
     @property
-    def total_quadruples(self) -> int:
-        return comb(self.n, 4)
-
-    @property
     def count_c4(self) -> int:
         return self.counts[C4_KEY]
 

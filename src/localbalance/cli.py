@@ -79,25 +79,15 @@ def _fraction_list(text: str) -> list[Fraction]:
 
 
 def _manifest(args: argparse.Namespace, t0: float) -> dict:
-    """The run manifest, read off the parsed arguments.  The seeds are
-    --seeds, else [--seed], else [].  The inputs are the host file's bytes
-    and any --pattern-file's JSON without its own "manifest", so that the
-    wall time of the step that wrote it does not change this output."""
+    """The run manifest, read off the parsed arguments and the loaders'
+    input hashes.  The seeds are --seeds, else [--seed], else []."""
     opts = vars(args)
     seeds = list(opts["seeds"]) if "seeds" in opts else [opts["seed"]] if "seed" in opts else []
-    inputs = {}
-    if opts.get("graph"):
-        inputs[args.graph] = Path(args.graph).read_bytes()
-    if opts.get("pattern_file"):
-        data = json.loads(Path(args.pattern_file).read_bytes())
-        if isinstance(data, dict):
-            data.pop("manifest", None)
-        inputs[args.pattern_file] = json.dumps(data, sort_keys=True).encode()
     return {
         "command": args.command,
         "argv": args.argv,
         "seeds": seeds,
-        "inputHashes": {p: hashlib.sha256(b).hexdigest() for p, b in inputs.items()},
+        "inputHashes": args.input_hashes,
         "version": __version__,
         "wallTimeMs": round(1000 * (time.perf_counter() - t0), 1),
     }
@@ -122,23 +112,21 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-# generate family -> (the options its builder reads, (n, r) of the host it
-# builds, builder).  --seed and --out are shared; any other option given for
-# a family that does not read it is refused.  The builders here and the
-# runners below look their functions up when called, so a test or tracer
-# that rebinds a module global reaches them.
+# generate family -> (the options its builder reads, builder).  --seed and
+# --out are shared; any other option given for a family that does not read it
+# is refused.  Each builder checks its own arguments and host size before it
+# allocates.  The builders here and the runners below look their functions up
+# when called, so a test or tracer that rebinds a module global reaches them.
 _FAMILIES = {
-    "pk": (("k", "compact"), lambda a: (4 * a.k, 2), lambda a: make_Pk(a.k)),
-    "split": (("a", "b", "flips", "compact"), lambda a: (a.a + a.b, 2),
+    "pk": (("k", "compact"), lambda a: make_Pk(a.k)),
+    "split": (("a", "b", "flips", "compact"),
               lambda a: make_split(a.a, a.b, seed=a.seed, flips=a.flips)),
-    "mcycle": (("parts", "part_size", "compact"), lambda a: (a.parts * a.part_size, 3),
+    "mcycle": (("parts", "part_size", "compact"),
                lambda a: make_multicolour_cycle(a.parts, a.part_size)),
-    "random": (("n", "r", "compact"), lambda a: (a.n, a.r),
-               lambda a: make_random(a.n, a.r, a.seed)),
-    "balanced": (("n", "r", "eps", "compact"), lambda a: (a.n, a.r),
+    "random": (("n", "r", "compact"), lambda a: make_random(a.n, a.r, a.seed)),
+    "balanced": (("n", "r", "eps", "compact"),
                  lambda a: sample_locally_balanced(a.n, a.r, a.eps, random.Random(a.seed))),
-    "bipartite": (("n_side", "eps"), lambda a: (2 * a.n_side, 2),
-                  lambda a: make_bipartite_mindeg(a.n_side, a.eps, a.seed)),
+    "bipartite": (("n_side", "eps"), lambda a: make_bipartite_mindeg(a.n_side, a.eps, a.seed)),
 }
 
 # the family options' defaults; the parser leaves out the options not given
@@ -156,23 +144,36 @@ _SUITES = {
 }
 
 
-def _load_graph(path: str) -> ColouredCompleteGraph:
-    return graph_from_json(_read_graph_json(Path(path).read_bytes()))
+def _load_graph(args) -> ColouredCompleteGraph:
+    """The host in the file args.graph; the manifest hashes its bytes."""
+    raw = Path(args.graph).read_bytes()
+    args.input_hashes[args.graph] = hashlib.sha256(raw).hexdigest()
+    return graph_from_json(_read_graph_json(raw))
+
+
+def _load_pattern(args) -> TotallyColouredPattern:
+    """The pattern in the file args.pattern_file, or under its "pattern" key;
+    the manifest hashes its JSON without the wall time of its own "manifest"."""
+    data = json.loads(Path(args.pattern_file).read_bytes())
+    if isinstance(data, dict):
+        data.pop("manifest", None)
+    canonical = json.dumps(data, sort_keys=True).encode()
+    args.input_hashes[args.pattern_file] = hashlib.sha256(canonical).hexdigest()
+    if isinstance(data, dict):
+        data = data.get("pattern", data)
+    return TotallyColouredPattern.from_dict(data)
 
 
 # --- subcommand handlers: each returns (payload, exit code) --------------
 
 def _cmd_generate(args) -> tuple[dict, int]:
-    reads, host_size, build = _FAMILIES[args.family]
+    reads, build = _FAMILIES[args.family]
     stray = [f"--{k.replace('_', '-')}" for k in _GENERATE_DEFAULTS
              if k in vars(args) and k not in reads]
     if stray:
         raise ValueError(f"--family {args.family} does not read {', '.join(stray)}")
     for k in reads:
         vars(args).setdefault(k, _GENERATE_DEFAULTS[k])
-    n, r = host_size(args)
-    if n >= 1:  # else the builder names its own bad argument (--k, --n-side, ...)
-        _check_size(n, r)
     host = build(args)
     if host is None:  # balanced rejection sampling ran out of draws
         raise ResamplingBudgetExceeded(f"could not sample a locally {args.eps}-balanced colouring")
@@ -182,7 +183,7 @@ def _cmd_generate(args) -> tuple[dict, int]:
 
 
 def _cmd_census(args) -> tuple[dict, int]:
-    G = _load_graph(args.graph)
+    G = _load_graph(args)
     if G.n > args.max_n:
         raise ValueError(f"census limited to n <= {args.max_n} (got n={G.n})")
     result = census_k4(G).to_dict()
@@ -191,14 +192,8 @@ def _cmd_census(args) -> tuple[dict, int]:
 
 
 def _cmd_find_blowup(args) -> tuple[dict, int]:
-    G = _load_graph(args.graph)
-    if args.pattern_file:
-        data = json.loads(Path(args.pattern_file).read_bytes())
-        if isinstance(data, dict):
-            data = data.get("pattern", data)
-        pattern = TotallyColouredPattern.from_dict(data)
-    else:
-        pattern = get_pattern(args.pattern)
+    G = _load_graph(args)
+    pattern = _load_pattern(args) if args.pattern_file else get_pattern(args.pattern)
     config = FinderConfig(c=args.c, seed=args.seed, max_partition_retries=args.retries)
     res = find_homogeneous_blowup(G, pattern, config, target_t=args.target_t)
     payload = res.to_dict()
@@ -208,7 +203,7 @@ def _cmd_find_blowup(args) -> tuple[dict, int]:
 
 
 def _cmd_sample_unibalanced(args) -> tuple[dict, int]:
-    G = _load_graph(args.graph)
+    G = _load_graph(args)
     config = SamplerConfig(eps=args.eps, r=G.r, max_draws=args.max_draws, seed=args.seed)
     got = sample_unibalanced_subset(G, config)
     payload = {
@@ -228,7 +223,7 @@ def _cmd_sample_unibalanced(args) -> tuple[dict, int]:
 
 
 def _cmd_min_unibalanced(args) -> tuple[dict, int]:
-    G = _load_graph(args.graph)
+    G = _load_graph(args)
     witness = min_unibalanced_subgraph(G, cap=args.cap)
     payload = {
         "minSize": None if witness is None else len(witness),
@@ -244,6 +239,8 @@ def _cmd_min_unibalanced(args) -> tuple[dict, int]:
 
 
 def _cmd_verify(args) -> tuple[dict, int]:
+    if args.strict and args.suite != "anybalanced":
+        raise ValueError(f"--strict applies to --suite anybalanced only, not {args.suite}")
     report = _SUITES[args.suite](args)
     print(
         f"suite {report.suite}: {report.instances} instances, "
@@ -254,6 +251,8 @@ def _cmd_verify(args) -> tuple[dict, int]:
 
 
 def _cmd_experiment(args) -> tuple[dict, int]:
+    if args.csv and args.out:
+        raise ValueError("give one of --csv and --json: experiment writes one output")
     pattern = get_pattern(args.pattern)
     config = FinderConfig(max_partition_retries=args.retries)
     for n in args.n_list:
@@ -387,6 +386,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
     args.argv = argv  # recorded in every output manifest
+    args.input_hashes = {}  # input path -> SHA-256, filled in by the loaders
     t0 = time.perf_counter()
     try:
         with warnings.catch_warnings():

@@ -48,6 +48,7 @@ def make_split(a: int, b: int, seed: int = 0, flips: int = 0) -> ColouredComplet
         raise ValueError(f"need a, b >= 0 and a + b >= 2, got ({a},{b})")
     if flips < 0 or flips > comb(n, 2):
         raise ValueError(f"flips must lie in [0, C(n,2)], got {flips}")
+    _check_size(n, 2)
     rng = random.Random(seed)
     table = np.full((n, n), BLUE, dtype=np.uint8)
     table[:a, :a] = RED
@@ -130,6 +131,7 @@ def make_bipartite_mindeg(
         raise ValueError(f"need 0 < eps <= 1/2, got {eps}")
     if n_side < 1:
         raise ValueError(f"need n_side >= 1, got {n_side}")
+    _check_size(2 * n_side, 2)  # the host on X u Y whose cross pairs it colours
     need = ceil(eps * n_side)
     rng = random.Random(seed)
     side = range(n_side)

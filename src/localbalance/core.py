@@ -2,8 +2,9 @@
 
 Vertices are the integers 0..n-1 and colours the integers 0..r-1
 (red = 0, blue = 1, green = 2 by convention).  The colour table is dense
-and symmetric; per-colour neighbourhoods are additionally kept as int
-bitmasks so that codegree intersections cost one AND plus a popcount.
+and symmetric, one row-major byte buffer; per-colour neighbourhoods are
+additionally kept as int bitmasks so that codegree intersections cost one
+AND plus a popcount; every bit packing of vertex sets in the package is here.
 Hosts given as row-major pair colours (random, split, compact JSON) are
 built by from_pair_colours; degrees and class sizes come from balance_profile.
 
@@ -112,10 +113,10 @@ def _raise_edge_list_error(edges: Sequence[object], n: int, r: int) -> NoReturn:
     raise AssertionError("the bulk edge-list checks rejected a valid list")
 
 
-# the largest host a constructor builds: n vertices, and the (r, n, n) one-hot
-# array of its colour masks in bytes, sized by the declared r
+# the largest host a constructor builds: n vertices, and r * n^2 bits in the
+# per-colour neighbourhood masks, sized by the declared r
 MAX_HOST_N = 4096
-MAX_ONEHOT_BYTES = 2**30
+MAX_MASK_BITS = 2**30
 
 
 def _check_size(n: int, r: int) -> None:
@@ -125,9 +126,9 @@ def _check_size(n: int, r: int) -> None:
         raise ValueError(f"need n >= 1, got {n}")
     if not 2 <= r <= 255:
         raise ValueError(f"need 2 <= r <= 255, got r={r}")
-    if n > MAX_HOST_N or r * n * n > MAX_ONEHOT_BYTES:
+    if n > MAX_HOST_N or r * n * n > MAX_MASK_BITS:
         raise ValueError(f"host too large: n={n}, r={r} "
-                         f"(limits: n <= {MAX_HOST_N}, r*n^2 <= {MAX_ONEHOT_BYTES})")
+                         f"(limits: n <= {MAX_HOST_N}, r*n^2 <= {MAX_MASK_BITS})")
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +210,25 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Boolean rows as uint64 words: bit k of a row's words is its column k."""
+    rows, width = bits.shape
+    words = np.zeros((rows, -(-width // 64)), dtype=np.uint64)
+    words.view(np.uint8)[:, :-(-width // 8)] = np.packbits(bits, axis=1, bitorder="little")
+    return words
+
+
+def _unpack(masks: np.ndarray, width: int) -> np.ndarray:
+    """The first width bits of each row of uint64 words, as 0/1 uint8."""
+    return np.unpackbits(masks.view(np.uint8), axis=-1, count=width, bitorder="little")
+
+
+def _row_masks(words: np.ndarray) -> tuple[int, ...]:
+    """Rows of uint64 words as Python int masks: bit k of a mask is column k."""
+    data, w = words.tobytes(), 8 * words.shape[1]
+    return tuple(int.from_bytes(data[i:i + w], "little") for i in range(0, len(data), w))
+
+
 class ColouredCompleteGraph:
     """An n-vertex complete graph with an r-colouring of its edges.
 
@@ -216,7 +236,7 @@ class ColouredCompleteGraph:
     operation on it in this package is a pure function.
     """
 
-    __slots__ = ("n", "r", "_rows", "_bits")
+    __slots__ = ("n", "r", "_table", "_bits")
 
     def __init__(self, n: int, r: int, rows: Sequence[Sequence[int]] | np.ndarray):
         """Build from n rows of n colours each: bytes-like rows, lists or
@@ -248,19 +268,13 @@ class ColouredCompleteGraph:
             if not 0 <= c < r:
                 raise ValueError(f"colour {c} out of range at edge ({u},{v})")
             raise ValueError(f"colour table not symmetric at ({u},{v})")
+        del bad  # freed before the masks are packed, to bound the peak
         table = table.astype(np.uint8, copy=False)
         self.n = n
         self.r = r
-        data = table.tobytes()
-        self._rows = tuple(data[u * n:(u + 1) * n] for u in range(n))
-        # bit v of the colour-c mask of u is set iff colour(u, v) == c, v != u
-        onehot = table == np.arange(r, dtype=np.uint8)[:, None, None]
-        onehot[:, range(n), range(n)] = False
-        packed = np.packbits(onehot, axis=2, bitorder="little")
-        w = packed.shape[2]
-        data = packed.tobytes()
-        masks = [int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(r * n)]
-        self._bits = tuple(tuple(masks[c * n:(c + 1) * n]) for c in range(r))
+        self._table = table.tobytes()
+        np.fill_diagonal(table, r)  # no colour: no vertex is in its own masks
+        self._bits = tuple(_row_masks(_pack(table == c)) for c in range(r))
 
     @classmethod
     def from_edges(cls, n: int, r: int, edges: Iterable[Sequence[int]]) -> "ColouredCompleteGraph":
@@ -296,11 +310,11 @@ class ColouredCompleteGraph:
             u, v = _vertex(u, n), _vertex(v, n)
         if u == v:
             raise ValueError("no self-loops in a complete graph")
-        return self._rows[u][v]
+        return self._table[u * n + v]
 
     def table(self) -> np.ndarray:
-        """The n x n colour table as a read-only uint8 array, diagonal 0."""
-        return np.frombuffer(b"".join(self._rows), dtype=np.uint8).reshape(self.n, self.n)
+        """The n x n colour table as a read-only uint8 view, diagonal 0."""
+        return np.frombuffer(self._table, dtype=np.uint8).reshape(self.n, self.n)
 
     def colour_bits(self, c: int) -> tuple[int, ...]:
         """Per-vertex neighbourhood bitmasks of colour class c; ValueError
@@ -317,10 +331,10 @@ class ColouredCompleteGraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColouredCompleteGraph):
             return NotImplemented
-        return self.n == other.n and self.r == other.r and self._rows == other._rows
+        return self.n == other.n and self.r == other.r and self._table == other._table
 
     def __hash__(self) -> int:
-        return hash((self.n, self.r, self._rows))
+        return hash((self.n, self.r, self._table))
 
     def __repr__(self) -> str:
         return f"ColouredCompleteGraph(n={self.n}, r={self.r})"

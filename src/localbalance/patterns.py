@@ -31,8 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    ColouredCompleteGraph, GraphFormatError, _bits, _checked_parts, _vertex_set, colour_swap,
-    graph_to_json,
+    ColouredCompleteGraph, GraphFormatError, _bits, _check_size, _checked_parts, _vertex_set,
+    colour_swap, graph_to_json,
 )
 
 RED, BLUE = 0, 1
@@ -207,6 +207,7 @@ def blow_up(H: TotallyColouredPattern, t: int) -> ColouredCompleteGraph:
     """
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
+    _check_size(H.num_vertices * t, H.r)
     quotient = H.graph.table().copy()
     np.fill_diagonal(quotient, H.vertex_colours)
     part = np.arange(H.num_vertices * t) // t

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -63,6 +64,9 @@ class TestGenerate:
         (("--family", "balanced", "--eps=-1/5"), "eps"),
         (("--family", "balanced", "--r", "300"), "r=300"),
         (("--family", "bipartite", "--n-side", "0"), "n_side"),
+        # the builder checks its own arguments before the size of the host
+        (("--family", "mcycle", "--parts", "3", "--part-size", "2000"), "even l >= 4, got 3"),
+        (("--family", "bipartite", "--n-side", "2049", "--eps", "3/4"), "eps <= 1/2"),
     ])
     def test_bad_family_arguments_exit_2_before_drawing(self, capsys, argv, names):
         code, out, err = run_cli(capsys, "generate", *argv)
@@ -112,14 +116,21 @@ class TestGenerate:
         (("--family", "bipartite", "--n-side", "2049"), "make_bipartite_mindeg"),
     ])
     def test_oversized_host_exits_2_before_building(self, capsys, monkeypatch, argv, builder):
-        # n > 4096 for every family but balanced, which passes n and fails r * n^2 <= 2^30
-        def no_build(*args, **kwargs):
-            raise AssertionError(f"{builder} called for an oversized host")
-
-        monkeypatch.setattr(f"localbalance.cli.{builder}", no_build)
-        code, out, err = run_cli(capsys, "generate", *argv)
+        # n > 4096 for every family but balanced, which passes n and fails
+        # r * n^2 <= 2^30; each host has n^2 >= 9e6 pairs, and its builder
+        # refuses it before it allocates a table
+        real, calls = getattr(cli, builder), []
+        monkeypatch.setattr(cli, builder, lambda *a, **k: calls.append(a) or real(*a, **k))
+        cli.build_parser()  # built once per process, so not counted below
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "generate", *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and err.startswith("error: host too large")
+        assert len(calls) == 1 and peak < 2**20
 
     def test_size_limits_are_inclusive(self):
         _check_size(4096, 64)  # 64 * 4096^2 == 2^30
@@ -197,12 +208,12 @@ class TestCensusCommand:
         assert err.startswith("error: ") and "Traceback" not in err
 
     def test_declared_r_sizes_the_host(self, tmp_path, capsys, monkeypatch):
-        # the constructor's one-hot is (r, n, n) for the declared r, whatever
-        # colours the rows hold; the limit is lowered to just fit r = 2
+        # the constructor's colour masks hold r * n^2 bits for the declared r,
+        # whatever colours the rows hold; the limit is lowered to just fit r = 2
         host = graph_to_json(make_random(300, 2, 0), compact=True)
         path = tmp_path / "r255.json"
         path.write_text(json.dumps({**host, "r": 255}))
-        monkeypatch.setattr("localbalance.core.MAX_ONEHOT_BYTES", 2 * 300 * 300)
+        monkeypatch.setattr("localbalance.core.MAX_MASK_BITS", 2 * 300 * 300)
         assert graph_from_json(host).r == 2
         with pytest.raises(ValueError, match=r"^host too large: n=300, r=255 "):
             graph_from_json({**host, "r": 255})
@@ -226,6 +237,32 @@ class TestCensusCommand:
         path.write_text(json.dumps(graph_to_json(make_random(12, 2, 0))))
         code, _, _ = run_cli(capsys, "census", str(path), "--json", str(tmp_path / "out.json"))
         assert code == 0 and len(calls) == 1
+
+
+class ReadLog(list):
+    """The paths opened for reading inside a with block, seen through the
+    "open" audit event.  An audit hook cannot be removed, so one hook,
+    added on first use, feeds the log of the current block."""
+
+    current = None
+    hooked = False
+
+    @staticmethod
+    def _hook(event, args):
+        log = ReadLog.current
+        if event == "open" and log is not None and isinstance(args[0], (str, os.PathLike)) \
+                and (args[1] is None or "r" in args[1]):
+            log.append(os.fspath(args[0]))
+
+    def __enter__(self):
+        if not ReadLog.hooked:
+            sys.addaudithook(ReadLog._hook)
+            ReadLog.hooked = True
+        ReadLog.current = self
+        return self
+
+    def __exit__(self, *exc):
+        ReadLog.current = None
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -419,6 +456,21 @@ class TestUnibalancedCommands:
 
 
 class TestVerifyCommand:
+    @pytest.mark.parametrize("suite", ["cute", "p3c4", "optimize", "m1bound", "3colourfail"])
+    def test_strict_outside_anybalanced_exits_2_before_running(self, capsys, monkeypatch, suite):
+        # only anybalanced reads --strict; the others ignored it and passed
+        def no_run(args):
+            raise AssertionError(f"ran suite {suite} despite --strict")
+
+        monkeypatch.setitem(cli._SUITES, suite, no_run)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--strict")
+        assert code == 2 and out == ""
+        assert err == f"error: --strict applies to --suite anybalanced only, not {suite}\n"
+
+    def test_strict_anybalanced_runs(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "anybalanced", "--strict")
+        assert code in (0, 1) and json.loads(out)["suite"] == "anybalanced"
+
     def test_cute_passes(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "cute")
         assert code == 0
@@ -503,6 +555,19 @@ class TestExperiment:
         code, out, err = run_cli(capsys, "experiment", *(f"{k}={v}" for k, v in base.items()))
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and names in err
+
+    def test_csv_and_json_together_exit_2_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        # the CSV was written and the JSON dropped without a word
+        def no_cell(*args):
+            raise AssertionError("sampled a host despite two outputs")
+
+        monkeypatch.setattr("localbalance.cli.sample_locally_balanced", no_cell)
+        csv_path, json_path = tmp_path / "a.csv", tmp_path / "b.json"
+        code, out, err = run_cli(capsys, "experiment", "--eps-list", "1/4", "--n-list", "8",
+                                 "--csv", str(csv_path), "--json", str(json_path))
+        assert code == 2 and out == ""
+        assert err == "error: give one of --csv and --json: experiment writes one output\n"
+        assert not csv_path.exists() and not json_path.exists()
 
     def test_cell_errors_stay_recorded(self, capsys):
         # n = 3 < l = 4 fails inside its cell, after the n = 8 cell ran
@@ -590,6 +655,29 @@ class TestRunner:
         assert outputs[0] == outputs[1]
         assert outputs[1]["manifest"]["inputHashes"][str(pat)] != \
             outputs[2]["manifest"]["inputHashes"][str(pat)]
+
+    @pytest.mark.parametrize("argv", [
+        ("census", "HOST"),
+        ("find-blowup", "HOST", "--retries", "2"),
+        ("find-blowup", "HOST", "--pattern-file", "PATTERN", "--retries", "2"),
+        ("sample-unibalanced", "HOST", "--eps", "1/4"),
+        ("min-unibalanced", "HOST", "--cap", "4"),
+    ], ids=["census", "find-blowup", "find-blowup-pattern-file", "sample-unibalanced",
+            "min-unibalanced"])
+    def test_each_input_file_is_read_once(self, tmp_path, capsys, argv):
+        # the manifest read the host again to hash it, and the pattern file
+        # was parsed twice
+        files = {"HOST": tmp_path / "r12.json", "PATTERN": tmp_path / "pattern.json"}
+        files["HOST"].write_text(json.dumps(graph_to_json(make_random(12, 2, 0))))
+        files["PATTERN"].write_text(json.dumps({"pattern": TestFindBlowup.GOOD_PATTERN,
+                                                "manifest": {"wallTimeMs": 1.0}}))
+        argv = [str(files.get(a, a)) for a in argv]
+        with ReadLog() as reads:
+            code, out, _ = run_cli(capsys, *argv)
+        assert code in (0, 1)
+        inputs = sorted(str(files[a]) for a in ("HOST", "PATTERN") if str(files[a]) in argv)
+        assert sorted(p for p in reads if p in map(str, files.values())) == inputs
+        assert sorted(json.loads(out)["manifest"]["inputHashes"]) == inputs
 
     def test_only_main_builds_manifests_and_writes_outputs(self):
         # callee name -> the top-level functions (or "<module>") that call it

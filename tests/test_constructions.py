@@ -217,6 +217,26 @@ class TestMakeBipartiteMindeg:
             make_bipartite_mindeg(4, Fraction(1, 2), seed=0, max_retries=0)
 
 
+class TestHostSizeCheck:
+    @pytest.mark.parametrize("build, n", [
+        (lambda: make_split(4097, 0), 4097),
+        (lambda: make_Pk(1025), 4100),
+        (lambda: make_multicolour_cycle(6, 683), 4098),
+        (lambda: blow_up(get_pattern("C4"), 1025), 4100),
+        (lambda: make_bipartite_mindeg(2049, Fraction(1, 4), 0), 4098),
+    ], ids=["split", "pk", "mcycle", "blow_up", "bipartite"])
+    def test_refused_before_allocating(self, build, n):
+        # the builder checks the host size before it allocates an n x n table
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^host too large: n={n}, "):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
 class TestCloseness:
     def test_exact_matches_naive_oracle(self):
         rng = random.Random(0)

@@ -132,7 +132,7 @@ class TestConstruction:
         rng = random.Random(1000 * n + r)
         rows = random_rows(rng, n, r)
         G = ColouredCompleteGraph(n, r, rows)
-        assert G._rows == tuple(bytes(row) for row in rows)
+        assert G.table().tobytes() == b"".join(bytes(row) for row in rows)
         assert G._bits == naive_bits(rows, n, r)
         assert G.table().tolist() == [list(row) for row in rows]
         perm = list(range(n))
@@ -142,13 +142,13 @@ class TestConstruction:
         for u in range(n):
             for v in range(u + 1, n):
                 want[perm[u]][perm[v]] = want[perm[v]][perm[u]] = rows[u][v]
-        assert H._rows == tuple(bytes(row) for row in want)
+        assert H.table().tobytes() == b"".join(bytes(row) for row in want)
         assert H._bits == naive_bits(want, n, r)
         if r == 2:
             S = colour_swap(G)
             want = [bytes(0 if v == u else 1 - row[v] for v in range(n))
                     for u, row in enumerate(rows)]
-            assert S._rows == tuple(want)
+            assert S.table().tobytes() == b"".join(want)
             assert S._bits == naive_bits(want, n, 2)
 
     def test_diagonal_is_stored_as_zero(self):
@@ -165,6 +165,27 @@ class TestConstruction:
         assert T.shape == (5, 5) and T.dtype == "uint8"
         with pytest.raises(ValueError):
             T[0, 1] = 2
+
+    def test_table_is_a_view_of_the_one_buffer(self):
+        # the graph kept its rows as n bytes objects, and table() joined them per call
+        G = make_random(5, 3, seed=1)
+        assert np.shares_memory(G.table(), G.table())
+        assert type(G.colour(0, 1)) is int
+        assert not hasattr(G, "_rows")
+
+    def test_masks_are_packed_one_colour_at_a_time(self):
+        # an (r, n, n) one-hot of the masks alone is r * n^2 bytes
+        n, r = 512, 16
+        table = make_random(n, r, 0).table().copy()
+        tracemalloc.start()
+        try:
+            G = ColouredCompleteGraph(n, r, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert G.colour_bits(r - 1) == tuple(
+            sum(1 << v for v in range(n) if v != u and table[u, v] == r - 1) for u in range(n))
+        assert peak < r * n * n // 2
 
     @pytest.mark.parametrize("bad, message", [
         # the first bad pair u < v in row-major order is the one reported

@@ -115,6 +115,23 @@ def test_vertex_checks_live_only_in_core():
     assert [name for name in index_imports if name != "core.py"] == []
 
 
+def test_bit_packing_lives_only_in_core():
+    # one layout of a vertex set in bits: core defines the packing helpers,
+    # and no other module packs, unpacks or reads an int from bytes
+    defined, calls = [], []
+    for path in sorted(SOURCES.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.FunctionDef) and node.name in ("_pack", "_unpack", "_row_masks"):
+                defined.append((node.name, path.name))
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and \
+                    node.func.attr in ("packbits", "unpackbits", "from_bytes"):
+                calls.append((node.func.attr, path.name))
+    assert sorted(defined) == [("_pack", "core.py"), ("_row_masks", "core.py"),
+                               ("_unpack", "core.py")]
+    assert sorted(set(calls)) == [("from_bytes", "core.py"), ("packbits", "core.py"),
+                                  ("unpackbits", "core.py")]
+
+
 def test_patterns_hold_their_edge_colouring_as_a_host():
     # one record of an edge-coloured complete graph: patterns keep a
     # ColouredCompleteGraph, and its constructor is the one edge check

@@ -8,15 +8,19 @@ colourings modulo S4, so no hand-maintained table exists anywhere.
 
 census_k4 computes 27 aggregate statistics (pair/codegree, vertex,
 triangle, edge and monochromatic-K4 counts) and solves an exact integer
-linear system for the 11 class counts.  The system has rank 11; the 16
-redundant equations are verified on every call, so a disagreement anywhere
-surfaces as an error rather than a wrong count.  The tests check it against
-an enumeration of all C(n,4) quadruples.
+linear system for the 11 class counts.  One kernel, _statistics, defines
+every statistic.  A host on 4 vertices is a single K4, and there every
+scale factor (n - 3, C(n - 2, 2), C(n, 4)) is 1, so the kernel run on a
+class representative's 4 x 4 red table is that class's row of the system.
+The system has rank 11; the 16 redundant equations are verified on every
+call, so a disagreement anywhere surfaces as an error rather than a wrong
+count.  The tests check it against an enumeration of all C(n,4) quadruples
+and the class rows against a hand derivation.
 
-Kernel cost: four codegree products red@red, blue@blue, red@blue and
-blue@red (blocks of rows against the upper triangle, which lack the
-transposes of their own red@blue entries; O(n^omega) BLAS work in all) and, for
-the two monochromatic-K4 counts, one triangle count per vertex u inside its
+Kernel cost: one codegree product red@red, a block of rows at a time
+against the upper triangle (O(n^omega) BLAS work); a pair's other three
+codegrees follow from it and the red degrees.  Then, for the two
+monochromatic-K4 counts, one triangle count per vertex u inside its
 forward neighbourhood N+(u) = {v > u : uv of that colour}, which is
 sum_u |N+(u)|^3 BLAS flops.  The adjacency is kept as one bool table per
 colour and every product runs on 0/1 float32 matrices, exactly: a codegree
@@ -47,7 +51,6 @@ RED, BLUE = 0, 1
 # K4 pair order used for 6-bit colouring codes: bit k = colour of _PAIRS[k].
 _PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 _PAIR_INDEX = {p: i for i, p in enumerate(_PAIRS)}
-_COMPLEMENT = {p: tuple(x for x in range(4) if x not in p) for p in _PAIRS}
 
 
 def _code_tuple(packed: int) -> tuple[int, ...]:
@@ -86,7 +89,7 @@ P3O_KEY = "".join(map(str, _canonical((1, 0, 0, 1, 0, 1))))     # each colour a 
 CENSUS_MAX_N = 3000
 
 
-# --- the 27-statistic linear system ----------------------------------------
+# --- the 27 statistics -----------------------------------------------------
 #
 # Statistics, each a sum over local configurations of the host:
 #   ("p", pc, cat)  centre pair of colour pc with apex-pair category cat
@@ -100,19 +103,6 @@ CENSUS_MAX_N = 3000
 #   "total"         C(n, 4)
 # Every statistic is a known integer combination of the 11 class counts.
 
-_APEX_CAT = {
-    frozenset(("rr",)): 0,
-    frozenset(("bb",)): 1,
-    frozenset(("rr", "bb")): 2,
-    frozenset(("rr", "m1")): 3,
-    frozenset(("rr", "m2")): 3,
-    frozenset(("bb", "m1")): 4,
-    frozenset(("bb", "m2")): 4,
-    frozenset(("m1", "m2")): 5,
-    frozenset(("m1",)): 6,
-    frozenset(("m2",)): 6,
-}
-
 STAT_IDS: tuple = tuple(
     [("p", pc, cat) for pc in (RED, BLUE) for cat in range(7)]
     + [("v", k) for k in range(4)]
@@ -122,42 +112,133 @@ STAT_IDS: tuple = tuple(
 )
 
 
-def _apex_type(code: Sequence[int], u: int, v: int, w: int) -> str:
-    cu = code[_PAIR_INDEX[tuple(sorted((u, w)))]]
-    cv = code[_PAIR_INDEX[tuple(sorted((v, w)))]]
-    if cu == RED and cv == RED:
-        return "rr"
-    if cu == BLUE and cv == BLUE:
-        return "bb"
-    return "m1" if cu == RED else "m2"
+def _exact_int64(x: np.ndarray) -> np.ndarray:
+    """Cast a float32 array of integer sums to int64, checking exactness."""
+    out = x.astype(np.int64)
+    if not np.array_equal(out, x):
+        raise AssertionError("float32 codegree product is not an exact integer")
+    return out
 
 
-def _class_stat_row(code: Sequence[int]) -> list[int]:
-    st: dict = {}
-    for (u, v) in _PAIRS:
-        w, x = _COMPLEMENT[(u, v)]
-        pc = code[_PAIR_INDEX[(u, v)]]
-        cat = _APEX_CAT[frozenset((_apex_type(code, u, v, w), _apex_type(code, u, v, x)))]
-        st[("p", pc, cat)] = st.get(("p", pc, cat), 0) + 1
-    for v in range(4):
-        red = sum(code[_PAIR_INDEX[tuple(sorted((v, w)))]] == RED for w in range(4) if w != v)
-        blue = 3 - red
-        for k, val in enumerate((comb(red, 3), comb(red, 2) * blue, red * comb(blue, 2), comb(blue, 3))):
-            st[("v", k)] = st.get(("v", k), 0) + val
-    for tri in itertools.combinations(range(4), 3):
-        red = sum(code[_PAIR_INDEX[tuple(sorted(p))]] == RED for p in itertools.combinations(tri, 2))
-        st[("t", red)] = st.get(("t", red), 0) + 1
-    reds = sum(1 for c in code if c == RED)
-    st[("e", RED)] = reds
-    st[("e", BLUE)] = 6 - reds
-    st[("k4", RED)] = 1 if reds == 6 else 0
-    st[("k4", BLUE)] = 1 if reds == 0 else 0
-    st["total"] = 1
-    return [st.get(sid, 0) for sid in STAT_IDS]
+def _mono_k4_count(adj: np.ndarray) -> int:
+    """Number of 4-cliques of a bool adjacency table with a False diagonal.
+
+    Each K4 is counted once, at its smallest vertex u, as a triangle of the
+    forward neighbourhood N+(u) = {v > u : uv an edge}.  The m x m block B
+    of N+(u) is gathered from the table's tail adj[u+1:, u+1:] and cast to
+    float32; then sum((B @ B) * B) counts each such triangle 6 times.  The
+    entries of B @ B are integers at most m, and each row of (B @ B) * B
+    sums to at most m^2 < 2^24, so the float32 row sums (np.vecdot) are
+    exact.  They are added in float64, where every partial sum is an
+    integer below 6 C(n, 4) < 2^53 under CENSUS_MAX_N, so the total is exact.
+    """
+    total = 0.0
+    for u in range(adj.shape[0] - 3):
+        fwd = adj[u, u + 1:].nonzero()[0]
+        if len(fwd) >= 3:
+            B = adj[u + 1:, u + 1:].take(fwd, 0).take(fwd, 1).astype(np.float32)
+            total += np.vecdot(B @ B, B).sum(dtype=np.float64)
+    total = int(total)
+    if total % 6:
+        raise AssertionError("forward-neighbourhood triangle tally is not a multiple of 6")
+    return total // 6
+
+
+# rows per block of codegree products: bounds every temporary to O(64 n) entries
+_ROW_BLOCK = 64
+
+
+def _c2(x: np.ndarray) -> np.ndarray:
+    return x * (x - 1) // 2
+
+
+def _statistics(red: np.ndarray) -> list[int]:
+    """The 27 statistics of the host whose red pairs are the True entries of
+    red, an n x n bool table with a False diagonal, as exact ints."""
+    n = red.shape[0]
+    red32 = red.astype(np.float32)
+    rdeg = red.sum(axis=1)
+    bdeg = n - 1 - rdeg
+
+    # Codegrees of the pairs u < v, for one block of rows u at a time.  Of
+    # the n - 2 other vertices w, a are red to both (one float32 product,
+    # exact: each entry sums at most n 0/1 terms), a + m1 red to u and
+    # a + m2 red to v, so the red degrees fix m1, m2 and b.  Per pair the
+    # columns of x are (a, b, m1, m2); every statistic below is a sum over
+    # pairs of one of them or of a product of two, so it is read from the
+    # int64 sums s and Gram matrices g = sum x^T x, over all pairs and over
+    # the red pairs.
+    g_all = np.zeros((4, 4), dtype=np.int64)
+    g_red = np.zeros((4, 4), dtype=np.int64)
+    s_all = np.zeros(4, dtype=np.int64)
+    s_red = np.zeros(4, dtype=np.int64)
+    for lo in range(0, n, _ROW_BLOCK):
+        hi = min(lo + _ROW_BLOCK, n)
+        upper = np.arange(lo, n) > np.arange(lo, hi)[:, None]  # v > u, v >= lo
+        uv = red[lo:hi, lo:]
+        a = _exact_int64((red32[lo:hi] @ red32[:, lo:])[upper])   # #{w : uw, wv red}
+        m1 = (rdeg[lo:hi, None] - uv)[upper] - a                   # #{w : uw red, wv blue}
+        m2 = (rdeg[lo:] - uv)[upper] - a                           # #{w : uw blue, wv red}
+        x = np.stack((a, n - 2 - a - m1 - m2, m1, m2), axis=1)
+        x_red = x[uv[upper]]   # the rows of the red pairs
+        g_all += x.T @ x
+        g_red += x_red.T @ x_red
+        s_all += x.sum(axis=0)
+        s_red += x_red.sum(axis=0)
+    A, B, M1, M2 = range(4)
+    stats: dict = {}
+    for pc, g, s in ((RED, g_red, s_red), (BLUE, g_all - g_red, s_all - s_red)):
+        choose2 = (np.diag(g) - s) // 2   # sum of C(x, 2) for each codegree x
+        stats[("p", pc, 0)] = int(choose2[A])
+        stats[("p", pc, 1)] = int(choose2[B])
+        stats[("p", pc, 2)] = int(g[A, B])
+        stats[("p", pc, 3)] = int(g[A, M1] + g[A, M2])
+        stats[("p", pc, 4)] = int(g[B, M1] + g[B, M2])
+        stats[("p", pc, 5)] = int(g[M1, M2])
+        stats[("p", pc, 6)] = int(choose2[M1] + choose2[M2])
+
+    for k, per_vertex in enumerate((
+        _c2(rdeg) * (rdeg - 2) // 3,   # C(rdeg, 3)
+        _c2(rdeg) * bdeg,
+        rdeg * _c2(bdeg),
+        _c2(bdeg) * (bdeg - 2) // 3,   # C(bdeg, 3)
+    )):
+        stats[("v", k)] = int(per_vertex.sum())
+
+    # triangles by red-edge multiplicity, from codegrees along edges
+    n3, n2, n1 = int(s_red[A]), int(s_red[M1] + s_red[M2]), int(s_red[B])
+    n0 = int(s_all[B] - s_red[B])
+    if n3 % 3 or n2 % 2 or n0 % 3:
+        raise AssertionError("triangle tallies are inconsistent")
+    stats[("t", 3)] = (n - 3) * (n3 // 3)
+    stats[("t", 2)] = (n - 3) * (n2 // 2)
+    stats[("t", 1)] = (n - 3) * n1
+    stats[("t", 0)] = (n - 3) * (n0 // 3)
+
+    e_red = int(rdeg.sum()) // 2
+    stats[("e", RED)] = comb(n - 2, 2) * e_red
+    stats[("e", BLUE)] = comb(n - 2, 2) * (comb(n, 2) - e_red)
+
+    blue = ~red
+    np.fill_diagonal(blue, False)
+    stats[("k4", RED)] = _mono_k4_count(red)
+    stats[("k4", BLUE)] = _mono_k4_count(blue)
+    stats["total"] = comb(n, 4)
+    return [stats[sid] for sid in STAT_IDS]
+
+
+# --- the class rows and their inverse, built once at import ---------------
+
+def _red_table(code: Sequence[int]) -> np.ndarray:
+    """The 4 x 4 red table of a 6-bit colouring code."""
+    red = np.zeros((4, 4), dtype=bool)
+    for (u, v), c in zip(_PAIRS, code):
+        red[u, v] = red[v, u] = c == RED
+    return red
 
 
 # one statistic row per class; _COEFF[i][j] is statistic i of class j
-_CLASS_ROWS = tuple(_class_stat_row(rep) for rep in CLASS_REPS)
+_CLASS_ROWS = tuple(_statistics(_red_table(rep)) for rep in CLASS_REPS)
 _COEFF: tuple[tuple[int, ...], ...] = tuple(zip(*_CLASS_ROWS))
 
 
@@ -233,124 +314,6 @@ def _require_two_colours(G: ColouredCompleteGraph) -> None:
         raise ValueError(f"the K4 census is defined for r=2, got r={G.r}")
 
 
-def _exact_int64(x: np.ndarray) -> np.ndarray:
-    """Cast a float32 array of integer sums to int64, checking exactness."""
-    out = x.astype(np.int64)
-    if not np.array_equal(out, x):
-        raise AssertionError("float32 codegree product is not an exact integer")
-    return out
-
-
-def _mono_k4_count(adj: np.ndarray) -> int:
-    """Number of 4-cliques of a bool adjacency table with a False diagonal.
-
-    Each K4 is counted once, at its smallest vertex u, as a triangle of the
-    forward neighbourhood N+(u) = {v > u : uv an edge}.  The m x m block B
-    of N+(u) is gathered from the table's tail adj[u+1:, u+1:] and cast to
-    float32; then sum((B @ B) * B) counts each such triangle 6 times.  The
-    entries of B @ B are integers at most m, and each row of (B @ B) * B
-    sums to at most m^2 < 2^24, so the float32 row sums (np.vecdot) are
-    exact.  They are added in float64, where every partial sum is an
-    integer below 6 C(n, 4) < 2^53 under CENSUS_MAX_N, so the total is exact.
-    """
-    total = 0.0
-    for u in range(adj.shape[0] - 3):
-        fwd = adj[u, u + 1:].nonzero()[0]
-        if len(fwd) >= 3:
-            B = adj[u + 1:, u + 1:].take(fwd, 0).take(fwd, 1).astype(np.float32)
-            total += np.vecdot(B @ B, B).sum(dtype=np.float64)
-    total = int(total)
-    if total % 6:
-        raise AssertionError("forward-neighbourhood triangle tally is not a multiple of 6")
-    return total // 6
-
-
-# rows per block of codegree products: bounds every temporary to O(64 n) entries
-_ROW_BLOCK = 64
-
-
-def _c2(x: np.ndarray) -> np.ndarray:
-    return x * (x - 1) // 2
-
-
-def _host_statistics(G: ColouredCompleteGraph) -> list[int]:
-    """The 27 aggregate statistics of the host, exact ints."""
-    n = G.n
-    if n > CENSUS_MAX_N:
-        raise ValueError(f"census statistics support n <= {CENSUS_MAX_N}, got {n}")
-    red = G.table() == RED
-    np.fill_diagonal(red, False)
-    blue = ~red
-    np.fill_diagonal(blue, False)
-    red32, blue32 = red.astype(np.float32), blue.astype(np.float32)
-
-    # Codegrees of the pairs u < v, for one block of rows u at a time.  Each
-    # product entry sums at most n 0/1 terms, so every float32 partial sum is
-    # an exact integer.  Per pair the columns of x are the codegrees
-    # (a, b, m1, m2); every statistic below is a sum over pairs of one of
-    # them or of a product of two, so it is read from the int64 sums s and
-    # Gram matrices g = sum x^T x, over all pairs and over the red pairs.
-    g_all = np.zeros((4, 4), dtype=np.int64)
-    g_red = np.zeros((4, 4), dtype=np.int64)
-    s_all = np.zeros(4, dtype=np.int64)
-    s_red = np.zeros(4, dtype=np.int64)
-    for lo in range(0, n, _ROW_BLOCK):
-        hi = min(lo + _ROW_BLOCK, n)
-        upper = np.arange(lo, n) > np.arange(lo, hi)[:, None]  # v > u, v >= lo
-        r_rows, b_rows, r_cols, b_cols = red32[lo:hi], blue32[lo:hi], red32[:, lo:], blue32[:, lo:]
-        x = np.stack((
-            _exact_int64((r_rows @ r_cols)[upper]),   # a:  #{w : uw, wv red}
-            _exact_int64((b_rows @ b_cols)[upper]),   # b:  #{w : uw, wv blue}
-            _exact_int64((r_rows @ b_cols)[upper]),   # m1: #{w : uw red, wv blue}
-            _exact_int64((b_rows @ r_cols)[upper]),   # m2: #{w : uw blue, wv red}
-        ), axis=1)
-        x_red = x * red[lo:hi, lo:][upper][:, None]   # the rows of the red pairs, others 0
-        g_all += x.T @ x
-        g_red += x_red.T @ x
-        s_all += x.sum(axis=0)
-        s_red += x_red.sum(axis=0)
-    A, B, M1, M2 = range(4)
-    stats: dict = {}
-    for pc, g, s in ((RED, g_red, s_red), (BLUE, g_all - g_red, s_all - s_red)):
-        choose2 = (np.diag(g) - s) // 2   # sum of C(x, 2) for each codegree x
-        stats[("p", pc, 0)] = int(choose2[A])
-        stats[("p", pc, 1)] = int(choose2[B])
-        stats[("p", pc, 2)] = int(g[A, B])
-        stats[("p", pc, 3)] = int(g[A, M1] + g[A, M2])
-        stats[("p", pc, 4)] = int(g[B, M1] + g[B, M2])
-        stats[("p", pc, 5)] = int(g[M1, M2])
-        stats[("p", pc, 6)] = int(choose2[M1] + choose2[M2])
-
-    rdeg = red.sum(axis=1)
-    bdeg = n - 1 - rdeg
-    for k, per_vertex in enumerate((
-        _c2(rdeg) * (rdeg - 2) // 3,   # C(rdeg, 3)
-        _c2(rdeg) * bdeg,
-        rdeg * _c2(bdeg),
-        _c2(bdeg) * (bdeg - 2) // 3,   # C(bdeg, 3)
-    )):
-        stats[("v", k)] = int(per_vertex.sum())
-
-    # triangles by red-edge multiplicity, from codegrees along edges
-    n3, n2, n1 = int(s_red[A]), int(s_red[M1] + s_red[M2]), int(s_red[B])
-    n0 = int(s_all[B] - s_red[B])
-    if n3 % 3 or n2 % 2 or n0 % 3:
-        raise AssertionError("triangle tallies are inconsistent")
-    stats[("t", 3)] = (n - 3) * (n3 // 3)
-    stats[("t", 2)] = (n - 3) * (n2 // 2)
-    stats[("t", 1)] = (n - 3) * n1
-    stats[("t", 0)] = (n - 3) * (n0 // 3)
-
-    e_red = int(rdeg.sum()) // 2
-    stats[("e", RED)] = comb(n - 2, 2) * e_red
-    stats[("e", BLUE)] = comb(n - 2, 2) * (comb(n, 2) - e_red)
-
-    stats[("k4", RED)] = _mono_k4_count(red)
-    stats[("k4", BLUE)] = _mono_k4_count(blue)
-    stats["total"] = comb(n, 4)
-    return [stats[sid] for sid in STAT_IDS]
-
-
 def census_k4(G: ColouredCompleteGraph) -> PatternCensus:
     """Exact K4 census of a 2-coloured host with n <= CENSUS_MAX_N, from
     the statistic system (BLAS kernels, see the module docstring), with all
@@ -360,7 +323,11 @@ def census_k4(G: ColouredCompleteGraph) -> PatternCensus:
     n = G.n
     if n < 4:
         return PatternCensus(n, dict.fromkeys(CLASS_KEYS, 0))
-    svec = _host_statistics(G)
+    if n > CENSUS_MAX_N:
+        raise ValueError(f"census statistics support n <= {CENSUS_MAX_N}, got {n}")
+    red = G.table() == RED
+    np.fill_diagonal(red, False)
+    svec = _statistics(red)
     pivots = [svec[i] for i in _PIVOT_ROWS]
     counts = []
     for row in _PIVOT_NUM:

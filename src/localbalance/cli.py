@@ -204,10 +204,10 @@ def _cmd_find_blowup(args) -> tuple[dict, int]:
 
 def _cmd_sample_unibalanced(args) -> tuple[dict, int]:
     G = _load_graph(args)
-    config = SamplerConfig(eps=args.eps, r=G.r, max_draws=args.max_draws, seed=args.seed)
+    config = SamplerConfig(eps=args.eps, max_draws=args.max_draws, seed=args.seed)
     got = sample_unibalanced_subset(G, config)
     payload = {
-        "zeta": config.zeta,
+        "zeta": config.zeta(G.r),
         "C": config.size_cap,
         "S": list(got[0]) if got else None,
         "draws": got[1] if got else args.max_draws,

@@ -22,16 +22,16 @@ from .core import ColouredCompleteGraph, _as_fraction, _vertex_set, is_locally_b
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Sampling parameters derived from the balance level eps and r.
+    """Sampling parameters: the balance level eps, the draw budget, the seed.
 
-    zeta = (20/eps) (ln r + ln 1/eps) is the expected sample size and
-    size_cap = (80/eps) ln 1/eps the acceptance cap; natural logarithms.
-    The derivation needs zeta <= size_cap / 2, which holds exactly when
-    r <= 1/eps (always true for a locally eps-balanced r-colouring).
+    On an r-coloured host, zeta(r) = (20/eps) (ln r + ln 1/eps) is the
+    expected sample size and size_cap = (80/eps) ln 1/eps the acceptance
+    cap; natural logarithms.  The derivation needs zeta(r) <= size_cap / 2,
+    which holds exactly when r <= 1/eps (always true for a locally
+    eps-balanced r-colouring); sample_unibalanced_subset refuses other hosts.
     """
 
     eps: Fraction
-    r: int
     max_draws: int = 64
     seed: int = 0
 
@@ -39,20 +39,12 @@ class SamplerConfig:
         object.__setattr__(self, "eps", _as_fraction(self.eps))
         if not 0 < self.eps < 1:
             raise ValueError(f"need 0 < eps < 1, got {self.eps}")
-        if self.r < 2:
-            raise ValueError(f"need r >= 2, got {self.r}")
         if self.max_draws < 1:
             raise ValueError("max_draws must be >= 1")
-        if self.zeta > self.size_cap / 2:
-            raise ValueError(
-                f"zeta = {self.zeta:.2f} exceeds size_cap/2 = {self.size_cap / 2:.2f}; "
-                f"this needs r <= 1/eps (r={self.r}, eps={self.eps})"
-            )
 
-    @property
-    def zeta(self) -> float:
+    def zeta(self, r: int) -> float:
         inv = 1.0 / float(self.eps)
-        return 20.0 * inv * (log(self.r) + log(inv))
+        return 20.0 * inv * (log(r) + log(inv))
 
     @property
     def size_cap(self) -> float:
@@ -78,17 +70,23 @@ def sample_unibalanced_subset(
 
     Warns when the host is not locally eps-balanced, where the per-draw
     success guarantee has no backing.  zeta/n is clamped to 1 for small
-    hosts (the formulas target large n).  ValueError, before any draw,
-    unless config.r is the host's r: zeta and size_cap depend on r.
+    hosts (the formulas target large n).  ValueError, before any draw or
+    warning, unless the host's r <= 1/eps (see SamplerConfig).
     """
-    if config.r != G.r:
-        raise ValueError(f"sampler config is for r={config.r}, the host has r={G.r}")
+    zeta = config.zeta(G.r)
+    # zeta > size_cap / 2 exactly when r > 1/eps; in floats the two sides
+    # of r = 1/eps can compare either way
+    if G.r * config.eps > 1:
+        raise ValueError(
+            f"zeta = {zeta:.2f} exceeds size_cap/2 = {config.size_cap / 2:.2f}; "
+            f"this needs r <= 1/eps (r={G.r}, eps={config.eps})"
+        )
     if not is_locally_balanced(G, config.eps):
         warnings.warn(
             f"host is not locally {config.eps}-balanced; sampling is best-effort",
             stacklevel=2,
         )
-    p = min(1.0, config.zeta / G.n)
+    p = min(1.0, zeta / G.n)
     rng = random.Random(config.seed)
     for draw in range(1, config.max_draws + 1):
         S = tuple(v for v in range(G.n) if rng.random() < p)

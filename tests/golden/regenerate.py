@@ -41,6 +41,7 @@ CASES = {
                            "--seed", "1"],
     "census-random": ["census", "random24.json"],
     "census-pk-compact": ["census", "pk6.json"],
+    "census-random130": ["census", "random130.json"],
     "find-blowup-C4": ["find-blowup", "random24.json", "--pattern", "C4", "--retries", "8"],
     "find-blowup-P3o": ["find-blowup", "random24.json", "--pattern", "P3o", "--seed", "1",
                         "--retries", "8", "--target-t", "2"],
@@ -54,6 +55,8 @@ CASES = {
     "sample-unibalanced-warning": ["sample-unibalanced", "pk6.json", "--eps", "1/3"],
     **{f"verify-{suite}": ["verify", "--suite", suite, "--seed", "0"]
        for suite in ("cute", "p3c4", "optimize", "anybalanced", "m1bound", "3colourfail")},
+    **{f"verify-{suite}-seed1": ["verify", "--suite", suite, "--seed", "1"]
+       for suite in ("p3c4", "anybalanced")},
     "experiment-json": ["experiment", "--eps-list", "1/4", "--n-list", "12", "--seeds", "0",
                         "--retries", "4", "--json", "exp.json"],
     "experiment-csv": ["experiment", "--eps-list", "1/4", "--n-list", "12", "--seeds", "0",
@@ -72,6 +75,7 @@ CASES = {
     "refused-experiment-csv-and-json": ["experiment", "--eps-list", "1/4", "--n-list", "12",
                                         "--csv", "exp2.csv", "--json", "exp2.json"],
     "refused-verify-strict-cute": ["verify", "--suite", "cute", "--strict"],
+    "refused-sample-r-above-inverse-eps": ["sample-unibalanced", "mcycle.json", "--eps", "1/2"],
 }
 
 _OUTPUT_OPTIONS = ("--json", "--csv", "--out")
@@ -81,6 +85,7 @@ def write_inputs(workdir: Path) -> None:
     """The hosts and pattern files the cases read, built by the library."""
     hosts = {
         "random24.json": graph_to_json(make_random(24, 2, 0)),
+        "random130.json": graph_to_json(make_random(130, 2, 0)),  # three census row blocks
         "pk6.json": graph_to_json(make_Pk(6), compact=True),
         "pk48.json": graph_to_json(make_Pk(48), compact=True),
         "mcycle.json": graph_to_json(make_multicolour_cycle(6, 4)),

@@ -4,10 +4,10 @@ graph JSON writer, the per-pair random streams of make_random and
 make_split, the per-pair split violations and split cost, the 2^n split
 cost table, the set-based smallest-unibalanced search, the O(n^4) K4
 census and the brute-force M1 count, with the two-phase build of the
-census class system, the class tables and the exhaustive isomorphism
-checks they use, the combination-loop blow-up search, the
-pair-colouring Ramsey step, and the dict-of-masks canonical hypergraph
-(copy DFS, cleanup and shadow)."""
+census class system from hand-derived statistic rows, the class tables
+and the exhaustive isomorphism checks they use, the combination-loop
+blow-up search, the pair-colouring Ramsey step, and the dict-of-masks
+canonical hypergraph (copy DFS, cleanup and shadow)."""
 
 import itertools
 import random
@@ -39,7 +39,6 @@ from localbalance.census import (
     _PAIR_INDEX,
     _PAIRS,
     _canonical,
-    _class_stat_row,
     _code_tuple,
     _require_two_colours,
 )
@@ -266,10 +265,63 @@ def relabelled(G: ColouredCompleteGraph, perm: Sequence[int]) -> ColouredComplet
 
 # --- the K4 class tables and the enumeration census -------------------------
 
+# the statistic rows of census.STAT_IDS derived by hand on one K4, the
+# oracle for the rows census.py computes with its kernel
+_COMPLEMENT = {p: tuple(x for x in range(4) if x not in p) for p in _PAIRS}
+
+_APEX_CAT = {
+    frozenset(("rr",)): 0,
+    frozenset(("bb",)): 1,
+    frozenset(("rr", "bb")): 2,
+    frozenset(("rr", "m1")): 3,
+    frozenset(("rr", "m2")): 3,
+    frozenset(("bb", "m1")): 4,
+    frozenset(("bb", "m2")): 4,
+    frozenset(("m1", "m2")): 5,
+    frozenset(("m1",)): 6,
+    frozenset(("m2",)): 6,
+}
+
+
+def _apex_type(code: Sequence[int], u: int, v: int, w: int) -> str:
+    cu = code[_PAIR_INDEX[tuple(sorted((u, w)))]]
+    cv = code[_PAIR_INDEX[tuple(sorted((v, w)))]]
+    if cu == RED and cv == RED:
+        return "rr"
+    if cu == BLUE and cv == BLUE:
+        return "bb"
+    return "m1" if cu == RED else "m2"
+
+
+def _class_stat_row(code: Sequence[int]) -> list[int]:
+    st: dict = {}
+    for (u, v) in _PAIRS:
+        w, x = _COMPLEMENT[(u, v)]
+        pc = code[_PAIR_INDEX[(u, v)]]
+        cat = _APEX_CAT[frozenset((_apex_type(code, u, v, w), _apex_type(code, u, v, x)))]
+        st[("p", pc, cat)] = st.get(("p", pc, cat), 0) + 1
+    for v in range(4):
+        red = sum(code[_PAIR_INDEX[tuple(sorted((v, w)))]] == RED for w in range(4) if w != v)
+        blue = 3 - red
+        for k, val in enumerate((comb(red, 3), comb(red, 2) * blue, red * comb(blue, 2), comb(blue, 3))):
+            st[("v", k)] = st.get(("v", k), 0) + val
+    for tri in itertools.combinations(range(4), 3):
+        red = sum(code[_PAIR_INDEX[tuple(sorted(p))]] == RED for p in itertools.combinations(tri, 2))
+        st[("t", red)] = st.get(("t", red), 0) + 1
+    reds = sum(1 for c in code if c == RED)
+    st[("e", RED)] = reds
+    st[("e", BLUE)] = 6 - reds
+    st[("k4", RED)] = 1 if reds == 6 else 0
+    st[("k4", BLUE)] = 1 if reds == 0 else 0
+    st["total"] = 1
+    return [st.get(sid, 0) for sid in STAT_IDS]
+
+
 def census_tables_reference() -> dict:
     """The census class system, built apart from census.py's one-pass build:
     canonical codes by re-sorting the pair keys under each of the 24
-    permutations, one _class_stat_row call per coefficient, a greedy
+    permutations, one hand-derived _class_stat_row call per coefficient
+    (census.py runs its kernel on each class's K4 instead), a greedy
     elimination that picks the first 11 independent statistic rows and a
     second Gauss-Jordan pass that inverts them.  Returns the census module's
     tables by name, plus "canonical", the canonical form of each 6-bit code."""

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import re
 from math import comb
 
 import numpy as np
@@ -235,6 +236,56 @@ class TestCensusKernels:
 
         with pytest.raises(ValueError, match="n <= 3000"):
             census_k4(Huge())
+
+    def test_mono_k4_rows_are_summed_in_float64(self, monkeypatch):
+        # row sums 2^24, 1, 1: a float32 total loses both ones, a float64
+        # total is exact; faked, since a real block this large takes seconds
+        def row_sums(x1, x2):
+            assert x1.shape == x2.shape == (3, 3)
+            return np.array([2**24, 1, 1], dtype=np.float32)
+
+        monkeypatch.setattr(np, "vecdot", row_sums)
+        k4 = ~np.eye(4, dtype=bool)
+        assert census_module._mono_k4_count(k4) == (2**24 + 2) // 6
+
+
+class TestRedundantEquations:
+    """A statistic off by one on a host past n = 4 is refused; the class
+    rows, which the kernel computes at n = 4, are unaffected."""
+
+    @staticmethod
+    def off_by_one(monkeypatch, index):
+        exact = census_module._statistics
+
+        def faulty(red):
+            stats = exact(red)
+            if red.shape[0] > 4:
+                stats[index] += 1
+            return stats
+
+        monkeypatch.setattr(census_module, "_statistics", faulty)
+
+    @pytest.mark.parametrize("sid", census_module.STAT_IDS, ids=str)
+    def test_every_statistic_is_checked(self, monkeypatch, sid):
+        # a non-pivot statistic fails its own equation; a pivot one makes
+        # the solve a non-count or fails one of the others
+        index = census_module.STAT_IDS.index(sid)
+        self.off_by_one(monkeypatch, index)
+        if index in census_module._PIVOT_ROWS:
+            match = r"^census s(olve|tatistic)"
+        else:
+            match = re.escape(f"census statistic {sid} inconsistent")
+        with pytest.raises(AssertionError, match=match):
+            census_k4(make_random(24, 2, 0))
+
+    def test_pivot_fault_with_a_whole_solve_fails_a_redundant_equation(self, monkeypatch):
+        # one more red K4 still solves to counts; a non-pivot equation
+        # (the blue K4 count) refuses them
+        index = census_module.STAT_IDS.index(("k4", 0))
+        assert index in census_module._PIVOT_ROWS
+        self.off_by_one(monkeypatch, index)
+        with pytest.raises(AssertionError, match=re.escape("census statistic ('k4', 1) inconsistent")):
+            census_k4(make_random(24, 2, 0))
 
 
 class TestCountM1:

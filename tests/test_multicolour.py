@@ -60,29 +60,37 @@ class TestInducedUnibalanced:
 
 class TestSamplerConfig:
     def test_formulas(self):
-        cfg = SamplerConfig(eps=Fraction(1, 6), r=3)
+        cfg = SamplerConfig(eps=Fraction(1, 6))
         import math
 
-        assert cfg.zeta == pytest.approx(120 * (math.log(3) + math.log(6)))
+        assert cfg.zeta(3) == pytest.approx(120 * (math.log(3) + math.log(6)))
         assert cfg.size_cap == pytest.approx(480 * math.log(6))
-        assert cfg.zeta <= cfg.size_cap / 2
+        assert cfg.zeta(3) <= cfg.size_cap / 2
 
     def test_rejects_r_above_inverse_eps(self):
         with pytest.raises(ValueError, match="r <= 1/eps"):
-            SamplerConfig(eps=Fraction(1, 2), r=3)
+            sample_unibalanced_subset(make_random(12, 3, 0), SamplerConfig(eps=Fraction(1, 2)))
+
+    @pytest.mark.parametrize("r", [93, 186])
+    def test_accepts_r_equal_to_inverse_eps(self, r):
+        # zeta(r) = size_cap / 2 exactly here; in floats it reads larger
+        G = make_random(4, r, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sample_unibalanced_subset(G, SamplerConfig(eps=Fraction(1, r), max_draws=1))
 
     def test_rejects_bad_eps(self):
         with pytest.raises(ValueError):
-            SamplerConfig(eps=Fraction(0), r=2)
+            SamplerConfig(eps=Fraction(0))
         with pytest.raises(ValueError):
-            SamplerConfig(eps=Fraction(3, 2), r=2)
+            SamplerConfig(eps=Fraction(3, 2))
 
 
 class TestSampler:
     def test_cycle_construction_found_quickly(self):
         G = make_multicolour_cycle(6, 40)
         for seed in range(5):
-            cfg = SamplerConfig(eps=Fraction(1, 6), r=3, max_draws=64, seed=seed)
+            cfg = SamplerConfig(eps=Fraction(1, 6), max_draws=64, seed=seed)
             got = sample_unibalanced_subset(G, cfg)
             assert got is not None
             S, draws = got
@@ -92,30 +100,37 @@ class TestSampler:
 
     def test_mono_host_none(self):
         mono = graph_from(12, 2, lambda u, v: 0)
-        cfg = SamplerConfig(eps=Fraction(1, 4), r=2, max_draws=8, seed=0)
+        cfg = SamplerConfig(eps=Fraction(1, 4), max_draws=8, seed=0)
         with pytest.warns(UserWarning):
             assert sample_unibalanced_subset(mono, cfg) is None
 
     def test_p3_blowup_found_within_cap(self):
         G = blow_up(get_pattern("P3"), 30)
-        cfg = SamplerConfig(eps=Fraction(1, 4), r=2, max_draws=64, seed=3)
+        cfg = SamplerConfig(eps=Fraction(1, 4), max_draws=64, seed=3)
         got = sample_unibalanced_subset(G, cfg)
         assert got is not None
         assert len(got[0]) <= cfg.size_cap
 
     def test_deterministic(self):
         G = make_multicolour_cycle(6, 10)
-        cfg = SamplerConfig(eps=Fraction(1, 6), r=3, max_draws=16, seed=9)
+        cfg = SamplerConfig(eps=Fraction(1, 6), max_draws=16, seed=9)
         assert sample_unibalanced_subset(G, cfg) == sample_unibalanced_subset(G, cfg)
 
     def test_refuses_a_config_for_another_r(self):
-        # SamplerConfig(eps=1/2, r=3) is refused (zeta > size_cap/2), yet
-        # the r=2 config used to sample this 3-coloured host
+        # eps = 1/2 admits r = 2 only (r <= 1/eps): the config samples a
+        # 2-coloured host, and a 3-coloured one is refused before the
+        # local-balance warning and any draw
+        cfg = SamplerConfig(eps=Fraction(1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            sample_unibalanced_subset(make_random(40, 2, 0), cfg)
         G = make_random(40, 3, 0)
-        cfg = SamplerConfig(eps=Fraction(1, 2), r=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"^sampler config is for r=2, the host has r=3$"):
+            with pytest.raises(ValueError, match=(
+                r"^zeta = 71\.67 exceeds size_cap/2 = 55\.45; "
+                r"this needs r <= 1/eps \(r=3, eps=1/2\)$"
+            )):
                 sample_unibalanced_subset(G, cfg)
 
     def test_per_draw_success_rate(self):
@@ -126,7 +141,7 @@ class TestSampler:
         successes = 0
         draws = 1000
         for seed in range(draws):
-            cfg = SamplerConfig(eps=eps, r=3, max_draws=1, seed=seed)
+            cfg = SamplerConfig(eps=eps, max_draws=1, seed=seed)
             if sample_unibalanced_subset(G, cfg) is not None:
                 successes += 1
         assert successes / draws >= 0.25

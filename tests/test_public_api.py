@@ -23,7 +23,7 @@ MOVED = (
     "m1_copies_in_quadruples", "ALTERNATING_SPLITS_PER_CLASS", "_alternating_splits",
     "CLASS_SWAP", "_swap_code", "coloured_graphs_isomorphic", "patterns_isomorphic",
     "is_unibalanced", "relabelled", "MONO_RED_KEY", "MONO_BLUE_KEY",
-    "census_tables_reference",
+    "census_tables_reference", "_class_stat_row", "_apex_type", "_APEX_CAT", "_COMPLEMENT",
 )
 
 
@@ -93,6 +93,8 @@ def test_deleted_parameters_stay_deleted():
         "G", "H", "t", "homogeneous"]
     assert [f.name for f in dataclasses.fields(localbalance.FinderConfig)] == [
         "c", "seed", "max_partition_retries"]
+    assert [f.name for f in dataclasses.fields(localbalance.SamplerConfig)] == [
+        "eps", "max_draws", "seed"]
 
 
 def test_vertex_checks_live_only_in_core():

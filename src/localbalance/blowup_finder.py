@@ -17,7 +17,7 @@ The pipeline mirrors the inductive extraction argument it implements:
 5. extract a monochromatic clique S_l inside T greedily.
 
 Sizes are whatever the run achieves; callers compare against their target
-and retry with fresh partitions.  All randomness flows from the config
+and retry with fresh partitions.  All randomness flows from the finder's
 seed; every tie in the deterministic steps breaks lexicographically.
 """
 
@@ -33,8 +33,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
-    ColouredCompleteGraph, Rational, _as_fraction, _bits, _checked_parts, _pack, _row_masks,
-    _unpack, _vertex, _vertex_set,
+    ColouredCompleteGraph, Rational, _as_fraction, _bits, _checked_parts, _integer, _pack,
+    _row_masks, _unpack, _vertex, _vertex_set,
 )
 from .patterns import (
     BlowupWitness, TotallyColouredPattern, _blowup_search, clique_colour, verify_witness,
@@ -169,33 +169,10 @@ def min_degree_cleanup(
     )
 
 
-# ---------------------------------------------------------------------------
-# Configuration
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FinderConfig:
-    """Knobs of the extraction pipeline.
-
-    c caps the per-level cleanup threshold, which never exceeds
-    edges/(l * prod |V_i|) either, so cleanup keeps a positive fraction of
-    the edges; c also sets the reported paperTargetT.  The star step's
-    exact-or-greedy limit is the module constant STAR_SEARCH_BUDGET.
-    """
-
-    c: Fraction = Fraction(1, 8)
-    seed: int = 0
-    max_partition_retries: int = 64
-
-    def __post_init__(self):
-        object.__setattr__(self, "c", _as_fraction(self.c))
-        if not 0 < self.c <= 1:
-            raise ValueError(f"need 0 < c <= 1, got {self.c}")
-        retries = self.max_partition_retries
-        if isinstance(retries, bool) or not isinstance(retries, int):
-            raise ValueError(f"max_partition_retries must be an int, got {retries!r}")
-        if retries < 1:
-            raise ValueError("budgets must be >= 1")
+# the paper's constant c: it caps each level's cleanup threshold, which never
+# exceeds edges / (l * prod |V_i|) either, so cleanup keeps a positive
+# fraction of the edges; it also sets the reported paperTargetT
+CLEANUP_CAP = Fraction(1, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +185,9 @@ def _random_equitable_partition(
     verts = list(range(n))
     rng.shuffle(verts)
     base, extra = divmod(n, l)
-    parts = []
-    at = 0
-    for i in range(l):
-        size = base + (1 if i < extra else 0)
-        parts.append(tuple(sorted(verts[at : at + size])))
-        at += size
-    return tuple(parts)
+    # the first extra parts get one vertex more
+    ends = [i * base + min(i, extra) for i in range(l + 1)]
+    return tuple(tuple(sorted(verts[a:b])) for a, b in zip(ends, ends[1:]))
 
 
 # the largest level, in bytes of prefixes and candidate masks, that the
@@ -453,9 +426,7 @@ class CoverResult:
         return min(len(s) for s in self.sets)
 
 
-def hypergraph_cover(
-    Hg: CanonicalHypergraph, G: ColouredCompleteGraph, config: FinderConfig
-) -> CoverResult:
+def hypergraph_cover(Hg: CanonicalHypergraph, G: ColouredCompleteGraph) -> CoverResult:
     """Run the inductive covering extraction on a nonempty hypergraph
     whose parts hold vertices of the host G (ValueError otherwise).
 
@@ -477,11 +448,11 @@ def hypergraph_cover(
         return CoverResult((s1,), (colour,), tuple((v,) for v in s1), ("base",))
 
     adaptive = Fraction(Hg.edge_count, l * prod(map(len, Hg.parts)))
-    threshold = min(config.c, adaptive)
+    threshold = min(CLEANUP_CAP, adaptive)
     L = min_degree_cleanup(Hg, threshold)
     assert not L.is_empty, "cleanup below the adaptive threshold cannot empty"
 
-    sub = hypergraph_cover(L.shadow(), G, config)
+    sub = hypergraph_cover(L.shadow(), G)
     A = sub.matching
     last = L.parts[-1]
     F = BipartiteIncidence(
@@ -557,44 +528,57 @@ class BlowupFinderResult:
         }
 
 
-def asymptotic_target_size(n: int, l: int, r: int, c: Fraction) -> float:
-    """The asymptotic blow-up size min{c/2l, 1/(2r log r)}^l * log n.
+def asymptotic_target_size(n: int, l: int, r: int) -> float:
+    """The asymptotic blow-up size min{c/2l, 1/(2r log r)}^l * log n, with
+    c = CLEANUP_CAP.
 
     Natural logarithms; at desk scale this is usually far below 1 and is
     reported for context only (the CLI surfaces it as paperTargetT).
     """
-    return min(float(c) / (2 * l), 1.0 / (2 * r * log(r))) ** l * log(n) if n > 1 else 0.0
+    return min(float(CLEANUP_CAP) / (2 * l), 1 / (2 * r * log(r))) ** l * log(n) if n > 1 else 0.0
+
+
+def _check_retries(retries: object) -> int:
+    """The partition budget as an int >= 1 (ValueError otherwise)."""
+    retries = _integer(retries, "retries")
+    if retries < 1:
+        raise ValueError("budgets must be >= 1")
+    return retries
 
 
 def find_homogeneous_blowup(
     G: ColouredCompleteGraph,
     pattern: TotallyColouredPattern,
-    config: FinderConfig,
+    *,
+    seed: int = 0,
+    retries: int = 64,
     target_t: int | None = None,
 ) -> BlowupFinderResult:
     """Extract a homogeneous blow-up of the pattern's edge colouring.
 
-    Each attempt draws one fresh equitable partition, builds the canonical
-    hypergraph and runs the covering recursion on G;
-    attempts stop early once target_t is reached (retrying partitions is
-    the pipeline's observable success criterion).  Every returned witness
-    passes verify_witness(..., homogeneous=True); parts are truncated to
-    the common achieved size t.
+    Each of at most retries attempts draws one fresh equitable partition
+    from seed, builds the canonical hypergraph and runs the covering
+    recursion on G; attempts stop early once target_t is reached (retrying
+    partitions is the pipeline's observable success criterion).  Every
+    returned witness passes verify_witness(..., homogeneous=True); parts
+    are truncated to the common achieved size t.
     """
+    rng = random.Random(_integer(seed, "seed"))
+    retries = _check_retries(retries)
+    target_t = None if target_t is None else _integer(target_t, "target_t")
     l = pattern.num_vertices
     if l > 8:
         raise ValueError("blow-up extraction supports patterns with l <= 8")
     if G.n < l:
         raise ValueError(f"host has {G.n} < l = {l} vertices")
-    asymptotic_t = asymptotic_target_size(G.n, l, G.r, config.c)
-    rng = random.Random(config.seed)
+    asymptotic_t = asymptotic_target_size(G.n, l, G.r)
     best: BlowupFinderResult | None = None
-    for attempt in range(1, config.max_partition_retries + 1):
+    for attempt in range(1, retries + 1):
         Hg = canonical_hypergraph(G, pattern, _random_equitable_partition(rng, G.n, l))
         if Hg.is_empty:
             w, t, colours, mode = None, 0, None, "no-copies"
         else:
-            cover = hypergraph_cover(Hg, G, config)
+            cover = hypergraph_cover(Hg, G)
             t = cover.min_size
             w = BlowupWitness(
                 pattern,

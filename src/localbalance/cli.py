@@ -23,12 +23,11 @@ import sys
 import time
 import warnings
 from contextlib import nullcontext
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .blowup_finder import FinderConfig, find_homogeneous_blowup
+from .blowup_finder import _check_retries, find_homogeneous_blowup
 from .census import CENSUS_MAX_N, BipartiteColouring, census_k4
 from .constructions import (
     ResamplingBudgetExceeded,
@@ -194,8 +193,8 @@ def _cmd_census(args) -> tuple[dict, int]:
 def _cmd_find_blowup(args) -> tuple[dict, int]:
     G = _load_graph(args)
     pattern = _load_pattern(args) if args.pattern_file else get_pattern(args.pattern)
-    config = FinderConfig(c=args.c, seed=args.seed, max_partition_retries=args.retries)
-    res = find_homogeneous_blowup(G, pattern, config, target_t=args.target_t)
+    res = find_homogeneous_blowup(G, pattern, seed=args.seed, retries=args.retries,
+                                  target_t=args.target_t)
     payload = res.to_dict()
     payload["pattern"] = pattern.name or pattern.to_dict()
     missed = args.target_t is not None and res.achieved_t < args.target_t
@@ -254,7 +253,7 @@ def _cmd_experiment(args) -> tuple[dict, int]:
     if args.csv and args.out:
         raise ValueError("give one of --csv and --json: experiment writes one output")
     pattern = get_pattern(args.pattern)
-    config = FinderConfig(max_partition_retries=args.retries)
+    _check_retries(args.retries)
     for n in args.n_list:
         _check_size(n, 2)
         if CENSUS_MAX_N < n <= args.census_limit:
@@ -283,7 +282,7 @@ def _cmd_experiment(args) -> tuple[dict, int]:
                         row["C4"] = c.count_c4
                         row["C4bar"] = c.count_c4bar
                         row["P3o"] = c.count_p3o
-                    res = find_homogeneous_blowup(G, pattern, replace(config, seed=seed),
+                    res = find_homogeneous_blowup(G, pattern, seed=seed, retries=args.retries,
                                                   target_t=args.target_t)
                     row["achievedT"] = res.achieved_t
                     row["paperTargetT"] = round(res.asymptotic_target_t, 6)
@@ -338,8 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--target-t", type=int, default=None,
                    help="stop retrying partitions once t reaches this; exit 1 below it")
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--c", type=_fraction, default=Fraction(1, 8),
-                   help="cap on the per-level cleanup threshold (also sets paperTargetT)")
     f.add_argument("--retries", type=int, default=64,
                    help="at most this many random equitable partitions")
     f.add_argument("--json", dest="out", default=None)

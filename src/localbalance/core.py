@@ -3,8 +3,8 @@
 Vertices are the integers 0..n-1 and colours the integers 0..r-1
 (red = 0, blue = 1, green = 2 by convention).  The colour table is dense
 and symmetric, one row-major byte buffer; per-colour neighbourhoods are
-additionally kept as int bitmasks so that codegree intersections cost one
-AND plus a popcount; every bit packing of vertex sets in the package is here.
+also int bitmasks, which the searches AND and balance_profile popcounts
+(census codegrees come from BLAS); all vertex-set bit packing is here.
 Hosts given as row-major pair colours (random, split, compact JSON) are
 built by from_pair_colours; degrees and class sizes come from balance_profile.
 
@@ -141,6 +141,14 @@ def _vertex(v: object, limit: int) -> int:
     if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < limit:
         raise ValueError(f"vertex {v!r} is not an integer in range({limit})")
     return int(v)
+
+
+def _integer(x: object, name: str) -> int:
+    """The argument name as a count: a Python or numpy integer, not a bool,
+    returned as a Python int; each caller checks its own range."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    return int(x)
 
 
 def _colour(c: object, r: int) -> int:

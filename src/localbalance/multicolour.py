@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import log
 from typing import Sequence
 
-from .core import ColouredCompleteGraph, _as_fraction, _vertex_set, is_locally_balanced
+from .core import ColouredCompleteGraph, _as_fraction, _integer, _vertex_set, is_locally_balanced
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,7 @@ class SamplerConfig:
         object.__setattr__(self, "eps", _as_fraction(self.eps))
         if not 0 < self.eps < 1:
             raise ValueError(f"need 0 < eps < 1, got {self.eps}")
+        object.__setattr__(self, "max_draws", _integer(self.max_draws, "max_draws"))
         if self.max_draws < 1:
             raise ValueError("max_draws must be >= 1")
 
@@ -122,7 +123,7 @@ def min_unibalanced_subgraph(
     sees all r colours in S.  Children go in increasing order: the first
     hit is the least.
     """
-    if not 1 <= cap <= 12:
+    if not 1 <= _integer(cap, "cap") <= 12:
         raise ValueError(f"cap must lie in 1..12, got {cap}")
     n, r = G.n, G.r
     nbrs = list(zip(*map(G.colour_bits, range(r))))

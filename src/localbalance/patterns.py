@@ -31,8 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    ColouredCompleteGraph, GraphFormatError, _bits, _check_size, _checked_parts, _vertex_set,
-    colour_swap, graph_to_json,
+    ColouredCompleteGraph, GraphFormatError, _bits, _check_size, _checked_parts, _colour,
+    _integer, _vertex_set, colour_swap, graph_to_json,
 )
 
 RED, BLUE = 0, 1
@@ -59,9 +59,11 @@ class TotallyColouredPattern:
     def __post_init__(self):
         if len(self.vertex_colours) != self.graph.n:
             raise ValueError(f"need {self.graph.n} vertex colours, got {len(self.vertex_colours)}")
-        for i, c in enumerate(self.vertex_colours):
-            if not 0 <= c < self.r:
-                raise ValueError(f"vertex colour out of range at {i}")
+        try:
+            colours = tuple(_colour(c, self.r) for c in self.vertex_colours)
+        except ValueError as exc:
+            raise ValueError(f"vertex {exc}") from None
+        object.__setattr__(self, "vertex_colours", colours)
 
     @property
     def r(self) -> int:
@@ -205,6 +207,7 @@ def blow_up(H: TotallyColouredPattern, t: int) -> ColouredCompleteGraph:
 
     Part i occupies the contiguous vertex block [i*t, (i+1)*t).
     """
+    t = _integer(t, "t")
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     _check_size(H.num_vertices * t, H.r)
@@ -288,37 +291,40 @@ def _blowup_search(
     and every later part's to its cross colour.  A prefix is cut when a
     part has fewer candidates than it still needs.  Candidates only shrink,
     so a cut prefix has no witness and the first witness reached is least.
+    The walk keeps its own stack, so its depth l * t is not bounded by
+    Python's recursion limit.
     """
     l = len(starts)
     bits = [G.colour_bits(c) for c in range(G.r)]
     chosen: list[int] = []
-
-    def grow(masks: tuple[int, ...], colour: int | None) -> bool:
+    # frames[k]: the masks and clique colour after k choices, and the
+    # candidates for choice k not yet tried
+    frames = [(tuple(starts), None, _bits(starts[0]))]
+    while frames:
+        masks, colour, todo = frames[-1]
+        v = next(todo, None)
+        if v is None:
+            frames.pop()
+            if chosen:
+                chosen.pop()
+            continue
         i, size = divmod(len(chosen), t)
-        if i == l:
-            return True
+        own = masks[i] & -(2 << v)  # the candidates above v
         if size == 0:
             colour = cliques[i]
-        if masks[i].bit_count() < t - size:
-            return False
-        for v in _bits(masks[i]):
-            own = masks[i] & -(2 << v)  # the candidates above v
-            if size == 1 and cliques[i] is None:
-                colour = G.colour(chosen[-1], v)
-                own &= bits[colour][chosen[-1]]
-            if colour is not None:
-                own &= bits[colour][v]
-            later = [m & bits[cross[i][j]][v] for j, m in enumerate(masks[i + 1:], i + 1)]
-            if all(m.bit_count() >= t for m in later):
-                chosen.append(v)
-                if grow((*masks[:i], own, *later), colour):
-                    return True
-                chosen.pop()
-        return False
-
-    if not grow(tuple(starts), None):
-        return None
-    return tuple(tuple(chosen[k:k + t]) for k in range(0, l * t, t))
+        elif size == 1 and cliques[i] is None:
+            colour = G.colour(chosen[-1], v)
+            own &= bits[colour][chosen[-1]]
+        if colour is not None:
+            own &= bits[colour][v]
+        later = [m & bits[cross[i][j]][v] for j, m in enumerate(masks[i + 1:], i + 1)]
+        if own.bit_count() >= t - size - 1 and all(m.bit_count() >= t for m in later):
+            chosen.append(v)
+            if len(chosen) == l * t:
+                return tuple(tuple(chosen[k:k + t]) for k in range(0, l * t, t))
+            masks = (*masks[:i], own, *later)
+            frames.append((masks, colour, _bits(masks[len(chosen) // t])))
+    return None
 
 
 def find_pattern_blowup_exhaustive(
@@ -337,6 +343,7 @@ def find_pattern_blowup_exhaustive(
     l = H.num_vertices
     if l > 8:
         raise ValueError("exhaustive blow-up search supports patterns with l <= 8")
+    t = _integer(t, "t")
     if t < 1:
         raise ValueError(f"need t >= 1, got {t}")
     if comb(G.n, t) ** l > EXHAUSTIVE_SEARCH_BUDGET:

@@ -56,7 +56,7 @@ CASES = {
     **{f"verify-{suite}": ["verify", "--suite", suite, "--seed", "0"]
        for suite in ("cute", "p3c4", "optimize", "anybalanced", "m1bound", "3colourfail")},
     **{f"verify-{suite}-seed1": ["verify", "--suite", suite, "--seed", "1"]
-       for suite in ("p3c4", "anybalanced")},
+       for suite in ("p3c4", "optimize", "anybalanced", "m1bound")},
     "experiment-json": ["experiment", "--eps-list", "1/4", "--n-list", "12", "--seeds", "0",
                         "--retries", "4", "--json", "exp.json"],
     "experiment-csv": ["experiment", "--eps-list", "1/4", "--n-list", "12", "--seeds", "0",

@@ -15,7 +15,6 @@ import pytest
 
 from localbalance import (
     CanonicalHypergraph,
-    FinderConfig,
     balance_profile,
     blow_up,
     census_k4,
@@ -189,8 +188,7 @@ def test_criterion_8_pipeline_soundness_and_recovery():
             host = blow_up(pat, t)
             hits = 0
             for seed in range(10):
-                cfg = FinderConfig(seed=seed, max_partition_retries=256)
-                res = find_homogeneous_blowup(host, pat, cfg, target_t=2)
+                res = find_homogeneous_blowup(host, pat, seed=seed, retries=256, target_t=2)
                 if res.witness is not None:
                     assert verify_witness(host, res.witness)  # structural, exact
                 if res.achieved_t >= 2:

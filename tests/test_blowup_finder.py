@@ -13,7 +13,6 @@ from localbalance import (
     BipartiteIncidence,
     CanonicalHypergraph,
     ColouredCompleteGraph,
-    FinderConfig,
     TotallyColouredPattern,
     blow_up,
     canonical_hypergraph,
@@ -38,6 +37,7 @@ from hosts import (
     ramsey_clique_reference,
 )
 from localbalance.blowup_finder import (
+    CLEANUP_CAP,
     STAR_SEARCH_BUDGET,
     _random_equitable_partition,
 )
@@ -314,7 +314,7 @@ class TestCanonicalHypergraphBuilder:
         with pytest.raises(ValueError, match=f"{75**4} candidate prefixes"):
             canonical_hypergraph(G, H, parts)
         with pytest.raises(ValueError, match="LEVEL_BYTES_LIMIT"):
-            find_homogeneous_blowup(G, H, FinderConfig())
+            find_homogeneous_blowup(G, H)
         assert time.perf_counter() - start < 5
 
     def test_pattern_colour_beyond_host_gives_empty(self):
@@ -404,14 +404,44 @@ class TestDictReference:
 
 
 class TestFinderConfig:
-    def test_float_c_parses_as_decimal(self):
-        assert FinderConfig(c=0.3).c == Fraction(3, 10)
-        assert FinderConfig(c=0.1) == FinderConfig(c=Fraction(1, 10))
+    """The finder's settings: the seed, retries and target_t arguments, and
+    the paper's constant c as CLEANUP_CAP."""
+
+    def test_cleanup_cap_is_the_threshold_of_every_p1_cleanup_on_pk8(self, monkeypatch):
+        thresholds = []
+
+        def spy(Hg, threshold):
+            thresholds.append(threshold)
+            return min_degree_cleanup(Hg, threshold)
+
+        monkeypatch.setattr("localbalance.blowup_finder.min_degree_cleanup", spy)
+        find_homogeneous_blowup(make_Pk(8), get_pattern("P1"), retries=4)
+        assert CLEANUP_CAP == Fraction(1, 8)
+        assert thresholds == [CLEANUP_CAP] * 4
 
     @pytest.mark.parametrize("retries", [2.5, True, "4", None])
     def test_retry_count_must_be_an_int(self, retries):
-        with pytest.raises(ValueError, match="max_partition_retries"):
-            FinderConfig(max_partition_retries=retries)
+        with pytest.raises(ValueError, match=f"^retries must be an integer, got {retries!r}$"):
+            find_homogeneous_blowup(make_Pk(2), get_pattern("P3o"), retries=retries)
+
+    @pytest.mark.parametrize("retries", [0, -1])
+    def test_retry_count_must_be_positive(self, retries):
+        with pytest.raises(ValueError, match="^budgets must be >= 1$"):
+            find_homogeneous_blowup(make_Pk(2), get_pattern("P3o"), retries=retries)
+
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("seed", True), ("seed", "1"), ("target_t", 2.0), ("target_t", False),
+    ])
+    def test_seed_and_target_must_be_ints(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            find_homogeneous_blowup(make_Pk(2), get_pattern("P3o"), **{name: value})
+
+    def test_numpy_integers_are_read_as_ints(self):
+        G, H = make_Pk(4), get_pattern("P3o")
+        want = find_homogeneous_blowup(G, H, seed=5, retries=16, target_t=2)
+        got = find_homogeneous_blowup(G, H, seed=np.int64(5), retries=np.uint8(16),
+                                      target_t=np.int32(2))
+        assert got == want
 
 
 class TestKstStar:
@@ -664,7 +694,7 @@ def cover_contract_holds(Hg, cover, G):
 class TestHypergraphCover:
     def test_base_case_all_singletons_mono(self):
         Hg = CanonicalHypergraph.from_edges([(0, 1, 2, 3)], [(v,) for v in range(4)])
-        cover = hypergraph_cover(Hg, graph_from(4, 2, lambda u, v: RED), FinderConfig())
+        cover = hypergraph_cover(Hg, graph_from(4, 2, lambda u, v: RED))
         assert cover.sets == ((0, 1, 2, 3),)
         assert cover.colours == (RED,)
         assert len(cover.matching) == 4
@@ -675,14 +705,14 @@ class TestHypergraphCover:
         G = blow_up(pat, t)
         parts = [tuple(range(i * t, (i + 1) * t)) for i in range(4)]
         Hg = CanonicalHypergraph.from_edges(parts, canonical_copies_oracle(G, pat, parts))
-        cover = hypergraph_cover(Hg, G, FinderConfig())
+        cover = hypergraph_cover(Hg, G)
         assert cover.sets == tuple(parts)
         assert cover_contract_holds(Hg, cover, G)
 
     def test_single_edge(self):
         parts = [(0, 1), (2, 3), (4, 5)]
         Hg = CanonicalHypergraph.from_edges(parts, [(1, 2, 5)])
-        cover = hypergraph_cover(Hg, graph_from(6, 2, lambda u, v: RED), FinderConfig())
+        cover = hypergraph_cover(Hg, graph_from(6, 2, lambda u, v: RED))
         assert cover.sets == ((1,), (2,), (5,))
         assert cover.matching == ((1, 2, 5),)
 
@@ -695,20 +725,20 @@ class TestHypergraphCover:
             if Hg.is_empty:
                 continue
             G = graph_from(l * part_size, 2, lambda u, v: rng.randrange(2))
-            cover = hypergraph_cover(Hg, G, FinderConfig())
+            cover = hypergraph_cover(Hg, G)
             assert cover.min_size >= 1
             assert cover_contract_holds(Hg, cover, G)
 
     def test_empty_rejected(self):
         Hg = CanonicalHypergraph.from_edges([(0, 1)], [])
         with pytest.raises(ValueError):
-            hypergraph_cover(Hg, graph_from(2, 2, lambda u, v: RED), FinderConfig())
+            hypergraph_cover(Hg, graph_from(2, 2, lambda u, v: RED))
 
     def test_parts_outside_the_host_rejected(self):
         # from_edges cannot know the host's n
         Hg = CanonicalHypergraph.from_edges([(0, 1), (2, 7)], [(0, 2), (1, 7)])
         with pytest.raises(ValueError, match=r"range\(6\)"):
-            hypergraph_cover(Hg, make_random(6, 2, 0), FinderConfig())
+            hypergraph_cover(Hg, make_random(6, 2, 0))
 
 
 # find_homogeneous_blowup(...).to_dict() pinned per case, apart from the float
@@ -746,7 +776,7 @@ class TestFindHomogeneousBlowup:
         name, host, seed, retries, target_t = case
         G = make_random(64, 2, seed) if host == "random64" else make_Pk(8)
         res = find_homogeneous_blowup(
-            G, get_pattern(name), FinderConfig(seed=seed, max_partition_retries=retries), target_t
+            G, get_pattern(name), seed=seed, retries=retries, target_t=target_t
         ).to_dict()
         paper_t = 2.478887488460345e-07 if host == "random64" else 2.0657395737169543e-07
         assert res.pop("paperTargetT") == pytest.approx(paper_t, rel=1e-12)
@@ -756,52 +786,44 @@ class TestFindHomogeneousBlowup:
         pat = get_pattern("P3o")
         G = blow_up(pat, 5)
         for seed in range(5):
-            res = find_homogeneous_blowup(G, pat, FinderConfig(seed=seed), target_t=1)
+            res = find_homogeneous_blowup(G, pat, seed=seed, target_t=1)
             assert res.canonical_copies >= 1 and res.met_target
 
     def test_planted_hosts_reach_two(self):
         for name in ("C4", "P3o"):
             pat = get_pattern(name)
             G = blow_up(pat, 6)
-            res = find_homogeneous_blowup(G, pat, FinderConfig(seed=0), target_t=2)
+            res = find_homogeneous_blowup(G, pat, seed=0, target_t=2)
             assert res.achieved_t >= 2
             assert res.witness is not None
             assert verify_witness(G, res.witness)
 
     def test_mono_host_no_copies(self):
         mono = graph_from(10, 2, lambda u, v: RED)
-        res = find_homogeneous_blowup(
-            mono, get_pattern("P3o"), FinderConfig(seed=0, max_partition_retries=4)
-        )
+        res = find_homogeneous_blowup(mono, get_pattern("P3o"), seed=0, retries=4)
         assert res.achieved_t == 0
         assert res.witness is None
 
     def test_pk8_p3o(self):
         G = make_Pk(8)
-        res = find_homogeneous_blowup(
-            G, get_pattern("P3o"), FinderConfig(seed=2, max_partition_retries=128),
-            target_t=2,
-        )
+        res = find_homogeneous_blowup(G, get_pattern("P3o"), seed=2, retries=128, target_t=2)
         assert res.achieved_t >= 2
         assert verify_witness(G, res.witness)
 
     def test_deterministic_per_seed(self):
         G = make_Pk(4)
-        cfg = FinderConfig(seed=5, max_partition_retries=16)
-        a = find_homogeneous_blowup(G, get_pattern("P3o"), cfg, target_t=2)
-        b = find_homogeneous_blowup(G, get_pattern("P3o"), cfg, target_t=2)
+        a = find_homogeneous_blowup(G, get_pattern("P3o"), seed=5, retries=16, target_t=2)
+        b = find_homogeneous_blowup(G, get_pattern("P3o"), seed=5, retries=16, target_t=2)
         assert a == b
 
     def test_witnesses_always_verify_on_random_hosts(self):
         for seed in range(6):
             G = make_random(16, 2, seed)
-            res = find_homogeneous_blowup(
-                G, get_pattern("C4"), FinderConfig(seed=seed, max_partition_retries=8)
-            )
+            res = find_homogeneous_blowup(G, get_pattern("C4"), seed=seed, retries=8)
             if res.witness is not None:
                 assert verify_witness(G, res.witness)
 
     def test_asymptotic_target_reported(self):
         G = make_Pk(4)
-        res = find_homogeneous_blowup(G, get_pattern("P3o"), FinderConfig(seed=1))
+        res = find_homogeneous_blowup(G, get_pattern("P3o"), seed=1)
         assert res.asymptotic_target_t >= 0.0

@@ -308,13 +308,15 @@ class TestFindBlowup:
     @pytest.mark.parametrize("argv", [
         ("find-blowup", "g.json", "--budget", "100"),
         ("experiment", "--eps-list", "0", "--n-list", "8", "--budget", "100"),
+        ("find-blowup", "g.json", "--c", "1/8"),
     ])
     def test_budget_option_is_gone(self, capsys, argv):
-        # the star step's exact-or-greedy limit is STAR_SEARCH_BUDGET
+        # the star step's exact-or-greedy limit is STAR_SEARCH_BUDGET, and
+        # the cleanup cap is the paper's constant CLEANUP_CAP
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == 2
-        assert "unrecognized arguments: --budget 100" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
     def test_planted_host(self, tmp_path, capsys):
         path = tmp_path / "pk8.json"

@@ -1,11 +1,13 @@
 import itertools
 import json
 import random
+import re
 import warnings
 from fractions import Fraction
 from math import comb
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from localbalance import (
@@ -84,6 +86,18 @@ class TestSamplerConfig:
             SamplerConfig(eps=Fraction(0))
         with pytest.raises(ValueError):
             SamplerConfig(eps=Fraction(3, 2))
+
+    @pytest.mark.parametrize("draws", [2.5, True, "4", None])
+    def test_max_draws_must_be_an_int(self, draws):
+        # 2.5 raised TypeError at the first sample, and True meant one draw
+        message = f"^max_draws must be an integer, got {re.escape(repr(draws))}$"
+        with pytest.raises(ValueError, match=message):
+            SamplerConfig(eps=Fraction(1, 4), max_draws=draws)
+
+    def test_max_draws_range(self):
+        with pytest.raises(ValueError, match="^max_draws must be >= 1$"):
+            SamplerConfig(eps=Fraction(1, 4), max_draws=0)
+        assert SamplerConfig(eps=Fraction(1, 4), max_draws=np.int64(3)).max_draws == 3
 
 
 class TestSampler:
@@ -233,6 +247,16 @@ class TestMinUnibalanced:
     def test_rejects_big_cap(self):
         with pytest.raises(ValueError):
             min_unibalanced_subgraph_size(make_random(6, 2, 0), cap=13)
+
+    @pytest.mark.parametrize("cap", [8.0, True, "8", None])
+    def test_cap_must_be_an_int(self, cap):
+        # 8.0 raised TypeError inside the search, and True searched size 1
+        with pytest.raises(ValueError, match=f"^cap must be an integer, got {re.escape(repr(cap))}$"):
+            min_unibalanced_subgraph(make_random(6, 2, 0), cap=cap)
+
+    def test_cap_range_message_is_unchanged(self):
+        with pytest.raises(ValueError, match=r"^cap must lie in 1\.\.12, got 0$"):
+            min_unibalanced_subgraph(make_random(6, 2, 0), cap=0)
 
     def test_witness_subset(self):
         G = make_multicolour_cycle(6, 2)

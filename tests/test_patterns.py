@@ -105,6 +105,20 @@ class TestLibrary:
         with pytest.raises(ValueError, match=message):
             TotallyColouredPattern.from_parts(2, (0, 0), {(0, 1): bad})
 
+    @pytest.mark.parametrize("bad", [0.5, True, 2, -1, "1"])
+    def test_vertex_colours_follow_the_colour_rule(self, bad):
+        # 0.5 was kept: blow_up read it as colour 0 and to_dict wrote a
+        # pattern that from_dict refused
+        message = rf"^vertex colour {re.escape(repr(bad))} is not an integer in range\(2\)$"
+        with pytest.raises(ValueError, match=message):
+            TotallyColouredPattern.from_parts(2, (0, bad), {(0, 1): 1})
+
+    def test_numpy_vertex_colours_are_stored_as_ints(self):
+        H = TotallyColouredPattern.from_parts(2, (np.uint8(1), np.int64(0)), {(0, 1): 1})
+        assert H.vertex_colours == (1, 0)
+        assert all(type(c) is int for c in H.vertex_colours)
+        assert TotallyColouredPattern.from_dict(H.to_dict()) == H
+
 
 class TestBlowUp:
     def test_p1_blowup_is_blue_ktt(self):
@@ -153,6 +167,15 @@ class TestBlowUp:
     def test_rejects_bad_t(self):
         with pytest.raises(ValueError):
             blow_up(get_pattern("P1"), 0)
+
+    @pytest.mark.parametrize("t", [2.0, True, "2", None])
+    def test_t_must_be_an_int(self, t):
+        # 2.0 raised IndexError and True built the 1-blow-up
+        with pytest.raises(ValueError, match=f"^t must be an integer, got {re.escape(repr(t))}$"):
+            blow_up(get_pattern("P1"), t)
+
+    def test_numpy_t_is_read_as_an_int(self):
+        assert blow_up(get_pattern("P3"), np.int64(2)) == blow_up(get_pattern("P3"), 2)
 
 
 class TestUnibalanced:
@@ -311,6 +334,18 @@ class TestExhaustiveFinder:
         assert find_pattern_blowup_exhaustive(G, get_pattern("P1"), 2) is None
         w = find_pattern_blowup_exhaustive(G, get_pattern("P1"), 2, homogeneous=True)
         assert w is not None and verify_witness(G, w)
+
+    def test_t_must_be_an_int(self):
+        with pytest.raises(ValueError, match="^t must be an integer, got 2.0$"):
+            find_pattern_blowup_exhaustive(make_Pk(2), get_pattern("P1"), 2.0)
+
+    def test_deep_search_within_budget_runs(self):
+        # l * t = 1199 choices deep; a recursive walk raised RecursionError
+        G = ColouredCompleteGraph(1200, 2, np.zeros((1200, 1200), dtype=np.uint8))
+        H = TotallyColouredPattern.from_parts(2, (RED,), {})
+        w = find_pattern_blowup_exhaustive(G, H, 1199)
+        assert w.parts == (tuple(range(1199)),)
+        assert find_pattern_blowup_exhaustive(G, H.swap(), 1199) is None
 
     def test_budget_guard(self):
         # C(46, 2)^4 is about 1.15e12, over the 1e12 budget; C(45, 2)^4 is under it

@@ -84,15 +84,24 @@ def test_duplicate_host_routines_stay_deleted():
 
 
 def test_deleted_parameters_stay_deleted():
+    from localbalance import blowup_finder
+    from localbalance.blowup_finder import asymptotic_target_size
+
     assert list(inspect.signature(localbalance.census_k4).parameters) == ["G"]
     assert list(inspect.signature(localbalance.closeness_to_split).parameters) == ["G"]
     assert list(inspect.signature(localbalance.ramsey_clique).parameters) == ["vertices", "G"]
-    assert list(inspect.signature(localbalance.hypergraph_cover).parameters) == ["Hg", "G", "config"]
+    assert list(inspect.signature(localbalance.hypergraph_cover).parameters) == ["Hg", "G"]
+    finder = inspect.signature(localbalance.find_homogeneous_blowup).parameters
+    assert [(name, p.kind.name, p.default) for name, p in finder.items()] == [
+        ("G", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("pattern", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("seed", "KEYWORD_ONLY", 0), ("retries", "KEYWORD_ONLY", 64),
+        ("target_t", "KEYWORD_ONLY", None)]
+    assert list(inspect.signature(asymptotic_target_size).parameters) == ["n", "l", "r"]
+    assert not hasattr(localbalance, "FinderConfig") and not hasattr(blowup_finder, "FinderConfig")
     assert list(inspect.signature(localbalance.kst_star).parameters) == ["F", "s"]
     assert list(inspect.signature(localbalance.find_pattern_blowup_exhaustive).parameters) == [
         "G", "H", "t", "homogeneous"]
-    assert [f.name for f in dataclasses.fields(localbalance.FinderConfig)] == [
-        "c", "seed", "max_partition_retries"]
     assert [f.name for f in dataclasses.fields(localbalance.SamplerConfig)] == [
         "eps", "max_draws", "seed"]
 

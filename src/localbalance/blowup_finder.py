@@ -538,12 +538,18 @@ def asymptotic_target_size(n: int, l: int, r: int) -> float:
     return min(float(CLEANUP_CAP) / (2 * l), 1 / (2 * r * log(r))) ** l * log(n) if n > 1 else 0.0
 
 
-def _check_retries(retries: object) -> int:
-    """The partition budget as an int >= 1 (ValueError otherwise)."""
+def _check_budgets(retries: object, target_t: object) -> tuple[int, int | None]:
+    """The partition budget as an int >= 1 and the target as None or an
+    int >= 1 (ValueError otherwise)."""
     retries = _integer(retries, "retries")
     if retries < 1:
         raise ValueError("budgets must be >= 1")
-    return retries
+    if target_t is None:
+        return retries, None
+    target_t = _integer(target_t, "target_t")
+    if target_t < 1:
+        raise ValueError(f"target_t must be >= 1, got {target_t}")
+    return retries, target_t
 
 
 def find_homogeneous_blowup(
@@ -558,14 +564,14 @@ def find_homogeneous_blowup(
 
     Each of at most retries attempts draws one fresh equitable partition
     from seed, builds the canonical hypergraph and runs the covering
-    recursion on G; attempts stop early once target_t is reached (retrying
-    partitions is the pipeline's observable success criterion).  Every
-    returned witness passes verify_witness(..., homogeneous=True); parts
-    are truncated to the common achieved size t.
+    recursion on G; attempts stop early once target_t (an int >= 1, if
+    given) is reached (retrying partitions is the pipeline's observable
+    success criterion).  Every returned witness passes
+    verify_witness(..., homogeneous=True); parts are truncated to the
+    common achieved size t.
     """
     rng = random.Random(_integer(seed, "seed"))
-    retries = _check_retries(retries)
-    target_t = None if target_t is None else _integer(target_t, "target_t")
+    retries, target_t = _check_budgets(retries, target_t)
     l = pattern.num_vertices
     if l > 8:
         raise ValueError("blow-up extraction supports patterns with l <= 8")

@@ -27,7 +27,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .blowup_finder import _check_retries, find_homogeneous_blowup
+from .blowup_finder import _check_budgets, find_homogeneous_blowup
 from .census import CENSUS_MAX_N, BipartiteColouring, census_k4
 from .constructions import (
     ResamplingBudgetExceeded,
@@ -253,7 +253,7 @@ def _cmd_experiment(args) -> tuple[dict, int]:
     if args.csv and args.out:
         raise ValueError("give one of --csv and --json: experiment writes one output")
     pattern = get_pattern(args.pattern)
-    _check_retries(args.retries)
+    _check_budgets(args.retries, args.target_t)
     for n in args.n_list:
         _check_size(n, 2)
         if CENSUS_MAX_N < n <= args.census_limit:

@@ -42,6 +42,7 @@ class SamplerConfig:
         object.__setattr__(self, "max_draws", _integer(self.max_draws, "max_draws"))
         if self.max_draws < 1:
             raise ValueError("max_draws must be >= 1")
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
 
     def zeta(self, r: int) -> float:
         inv = 1.0 / float(self.eps)
@@ -98,6 +99,30 @@ def sample_unibalanced_subset(
     return None
 
 
+def _previous_twins(G: ColouredCompleteGraph) -> list[int]:
+    """For each vertex v, the largest u < v that is v's twin (the same
+    colour as v to every third vertex), or -1 if there is none.
+
+    Twinhood is an equivalence, and a class of two or more twins is a
+    clique of one colour c.  With the table's diagonal set to c, two
+    vertices are twins in colour c exactly when their rows are equal, so
+    one pass per colour over the byte rows finds every class.
+    """
+    n = G.n
+    table = bytearray(G.table().tobytes())
+    prev = [-1] * n
+    for c in range(G.r):
+        table[::n + 1] = bytes([c]) * n
+        rows = bytes(table)
+        last: dict[bytes, int] = {}
+        for v in range(n):
+            row = rows[v * n:(v + 1) * n]
+            if row in last:
+                prev[v] = last[row]
+            last[row] = v
+    return prev
+
+
 def min_unibalanced_subgraph(
     G: ColouredCompleteGraph, cap: int = 12
 ) -> tuple[int, ...] | None:
@@ -122,12 +147,23 @@ def min_unibalanced_subgraph(
     the pool vertices in every missing colour class, one accepted when it
     sees all r colours in S.  Children go in increasing order: the first
     hit is the least.
+
+    Twins (see _previous_twins) are chosen in order: a vertex is allowed
+    only when it has no earlier twin or its previous twin is in S, in
+    the loop and in the one-slot candidates alike.  The least unibalanced
+    k-set has this form, since swapping a chosen vertex for a missing
+    earlier twin is an automorphism of the host that gives a smaller
+    sorted tuple; the pool cuts above stay over all vertices, so the
+    restricted search still reaches it first.  On an m-blow-up each part
+    contributes only its first vertices, so a size k is refuted once
+    instead of up to m^k times.
     """
     if not 1 <= _integer(cap, "cap") <= 12:
         raise ValueError(f"cap must lie in 1..12, got {cap}")
     n, r = G.n, G.r
     nbrs = list(zip(*map(G.colour_bits, range(r))))
     full = (1 << n) - 1
+    prev = _previous_twins(G)
     chosen: list[int] = []
 
     def dfs(start: int, S: int, slots: int) -> bool:
@@ -143,16 +179,19 @@ def min_unibalanced_subgraph(
         if slots == 1:
             while cand:
                 v = (cand & -cand).bit_length() - 1
-                if all(m & S for m in nbrs[v]):
+                t = prev[v]
+                if (t < 0 or S >> t & 1) and all(m & S for m in nbrs[v]):
                     chosen.append(v)
                     return True
                 cand &= cand - 1
             return False
         for v in range(start, n - slots + 1):
-            chosen.append(v)
-            if dfs(v + 1, S | 1 << v, slots - 1):
-                return True
-            chosen.pop()
+            t = prev[v]
+            if t < 0 or S >> t & 1:
+                chosen.append(v)
+                if dfs(v + 1, S | 1 << v, slots - 1):
+                    return True
+                chosen.pop()
         return False
 
     for k in range(r + 1 + (r % 2 == 0), min(cap, n) + 1):

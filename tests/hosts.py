@@ -2,12 +2,12 @@
 fast code must reproduce: the per-entry edge-list loader and the per-pair
 graph JSON writer, the per-pair random streams of make_random and
 make_split, the per-pair split violations and split cost, the 2^n split
-cost table, the set-based smallest-unibalanced search, the O(n^4) K4
-census and the brute-force M1 count, with the two-phase build of the
-census class system from hand-derived statistic rows, the class tables
-and the exhaustive isomorphism checks they use, the combination-loop
-blow-up search, the pair-colouring Ramsey step, and the dict-of-masks
-canonical hypergraph (copy DFS, cleanup and shadow)."""
+cost table, the set-based smallest-unibalanced search, the pairwise twin
+test, the O(n^4) K4 census and the brute-force M1 count, with the
+two-phase build of the census class system from hand-derived statistic
+rows, the class tables and the exhaustive isomorphism checks they use,
+the combination-loop blow-up search, the pair-colouring Ramsey step, and
+the dict-of-masks canonical hypergraph (copy DFS, cleanup and shadow)."""
 
 import itertools
 import random
@@ -253,6 +253,26 @@ def naive_min_unibalanced(G: ColouredCompleteGraph, cap: int):
             if induced_unibalanced(G, S):
                 return S
     return None
+
+
+def previous_twins_reference(G: ColouredCompleteGraph) -> list[int]:
+    """For each vertex v, the largest u < v with the same colour as v to
+    every third vertex, or -1: the definition of a twin, pair by pair."""
+    return [
+        max((u for u in range(v) if all(
+            G.colour(u, w) == G.colour(v, w) for w in range(G.n) if w not in (u, v)
+        )), default=-1)
+        for v in range(G.n)
+    ]
+
+
+def with_twins(G: ColouredCompleteGraph, sizes: Sequence[int], colours: Sequence[int]) -> ColouredCompleteGraph:
+    """G with vertex v replaced by a clique of sizes[v] consecutive vertices
+    in colour colours[v]: a blow-up of G with unequal parts."""
+    part = np.repeat(np.arange(G.n), sizes)
+    quotient = G.table().copy()
+    np.fill_diagonal(quotient, colours)
+    return ColouredCompleteGraph(len(part), G.r, quotient[np.ix_(part, part)])
 
 
 def relabelled(G: ColouredCompleteGraph, perm: Sequence[int]) -> ColouredCompleteGraph:

@@ -429,6 +429,18 @@ class TestFinderConfig:
         with pytest.raises(ValueError, match="^budgets must be >= 1$"):
             find_homogeneous_blowup(make_Pk(2), get_pattern("P3o"), retries=retries)
 
+    @pytest.mark.parametrize("target_t", [0, -3])
+    def test_target_below_one_is_refused_before_any_partition(self, monkeypatch, target_t):
+        # -3 returned t = 0 with metTarget = True after one partition
+        def no_partition(*args):
+            raise AssertionError("drew a partition before checking target_t")
+
+        monkeypatch.setattr("localbalance.blowup_finder._random_equitable_partition",
+                            no_partition)
+        with pytest.raises(ValueError, match=f"^target_t must be >= 1, got {target_t}$"):
+            find_homogeneous_blowup(make_random(8, 2, 0), get_pattern("C4"), retries=4,
+                                    target_t=target_t)
+
     @pytest.mark.parametrize("name, value", [
         ("seed", 1.5), ("seed", True), ("seed", "1"), ("target_t", 2.0), ("target_t", False),
     ])

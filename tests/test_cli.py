@@ -338,6 +338,16 @@ class TestFindBlowup:
         assert code == 1
         assert json.loads(out)["t"] < 2
 
+    @pytest.mark.parametrize("target", ["0", "-3"])
+    def test_target_below_one_exits_2(self, tmp_path, capsys, target):
+        # 0 stopped after the first partition and exited 0 with metTarget true
+        path = tmp_path / "g.json"
+        run_cli(capsys, "generate", "--family", "random", "--n", "8", "--out", str(path))
+        code, out, err = run_cli(capsys, "find-blowup", "--pattern", "C4",
+                                 f"--target-t={target}", "--retries", "4", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: target_t must be >= 1, got {target}\n"
+
     GOOD_PATTERN = {"l": 3, "r": 2, "vertexColours": [0, 0, 0],
                     "edges": [[0, 1, 1], [0, 2, 0], [1, 2, 1]], "vertexColoursIgnored": True}
 
@@ -546,6 +556,7 @@ class TestExperiment:
         (("--n-list", "8,5000"), "n=5000"),
         (("--eps-list", "1/4,3/2"), "eps <= 1, got 3/2"),
         (("--n-list", "8,3100", "--census-limit", "4096"), "n <= 3000, got n=3100"),
+        (("--target-t", "0"), "target_t must be >= 1, got 0"),
     ])
     def test_bad_arguments_exit_2_before_any_cell(self, capsys, monkeypatch, argv, names):
         def no_cell(*args):

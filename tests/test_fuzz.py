@@ -3,11 +3,12 @@ or is rejected with a ValueError (GraphFormatError included), never with
 another exception.  The numeric arguments of generate, min-unibalanced,
 find-blowup and experiment get the CLI version of the rule: exit 0, 1 or 2
 with at most one stderr line, never a traceback.  The smallest-unibalanced
-search is checked against plain enumeration on small hosts, and split
-closeness against single-vertex moves and random sides up to n = 64.  Every
-function that takes host vertices returns a result or raises ValueError for
-any drawn vertex list, ValueError when an entry is no integer, and the same
-result for its Python and numpy spellings."""
+search is checked against plain enumeration on small hosts, with and
+without forced twins, and split closeness against single-vertex moves and
+random sides up to n = 64.  Every function that takes host vertices
+returns a result or raises ValueError for any drawn vertex list,
+ValueError when an entry is no integer, and the same result for its
+Python and numpy spellings."""
 
 import contextlib
 import io
@@ -40,13 +41,16 @@ from localbalance import (
     verify_witness,
 )
 from localbalance.cli import main
+from localbalance.multicolour import _previous_twins
 from localbalance.patterns import clique_colour
 from hosts import (
     from_edges_reference,
     graph_from,
     naive_min_unibalanced,
     outcome,
+    relabelled,
     split_cost_reference,
+    with_twins,
 )
 
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -293,9 +297,9 @@ def test_generate_balanced_arguments(n, r, eps, seed):
 
 
 @st.composite
-def small_hosts(draw):
-    """Any r-colouring of K_n, n <= 9, r = 2..4, pair colours drawn freely."""
-    n = draw(st.integers(1, 9))
+def small_hosts(draw, max_n=9):
+    """Any r-colouring of K_n, n <= max_n, r = 2..4, pair colours drawn freely."""
+    n = draw(st.integers(1, max_n))
     r = draw(st.integers(2, 4))
     colours = iter(draw(st.lists(st.integers(0, r - 1), min_size=n * (n - 1) // 2,
                                  max_size=n * (n - 1) // 2)))
@@ -305,6 +309,27 @@ def small_hosts(draw):
 @FUZZ
 @given(small_hosts(), st.integers(1, 12))
 def test_min_unibalanced_matches_enumeration(G, cap):
+    assert min_unibalanced_subgraph(G, cap) == naive_min_unibalanced(G, cap)
+
+
+@st.composite
+def hosts_with_twins(draw):
+    """A small host on 1..8 vertices with at least one vertex duplicated
+    into a clique of twins, n <= 9 in all, relabelled by a drawn
+    permutation."""
+    G = draw(small_hosts(max_n=8))
+    sizes = [1] * G.n
+    for v in draw(st.lists(st.integers(0, G.n - 1), min_size=1, max_size=9 - G.n)):
+        sizes[v] += 1
+    colours = draw(st.lists(st.integers(0, G.r - 1), min_size=G.n, max_size=G.n))
+    H = with_twins(G, sizes, colours)
+    return relabelled(H, draw(st.permutations(range(H.n))))
+
+
+@FUZZ
+@given(hosts_with_twins(), st.integers(1, 12))
+def test_min_unibalanced_with_twins_matches_enumeration(G, cap):
+    assert any(u >= 0 for u in _previous_twins(G))
     assert min_unibalanced_subgraph(G, cap) == naive_min_unibalanced(G, cap)
 
 
@@ -418,6 +443,9 @@ def test_min_unibalanced_cap_argument(cli_hosts, cap):
 def test_find_blowup_target_t_argument(cli_hosts, target_t):
     code, out, _ = run_cli("find-blowup", cli_hosts[0], "--pattern=P3o", "--retries=2",
                            f"--target-t={target_t}")
+    if target_t < 1:
+        assert code == 2 and out == ""
+        return
     payload = json.loads(out)
     assert payload["metTarget"] == (payload["t"] >= target_t)
     assert code == (1 if payload["t"] < target_t else 0)

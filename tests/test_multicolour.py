@@ -12,6 +12,7 @@ import pytest
 
 from localbalance import (
     SamplerConfig,
+    TotallyColouredPattern,
     balance_profile,
     blow_up,
     get_pattern,
@@ -24,7 +25,15 @@ from localbalance import (
     min_unibalanced_subgraph_size,
     sample_unibalanced_subset,
 )
-from hosts import graph_from, min_unibalanced_reference, naive_min_unibalanced
+from localbalance.multicolour import _previous_twins
+from hosts import (
+    graph_from,
+    min_unibalanced_reference,
+    naive_min_unibalanced,
+    previous_twins_reference,
+    relabelled,
+    with_twins,
+)
 
 EXPECTED_SEED0 = Path(__file__).resolve().parent.parent / "perfbench" / "expected_seed0.json"
 
@@ -93,6 +102,16 @@ class TestSamplerConfig:
         message = f"^max_draws must be an integer, got {re.escape(repr(draws))}$"
         with pytest.raises(ValueError, match=message):
             SamplerConfig(eps=Fraction(1, 4), max_draws=draws)
+
+    @pytest.mark.parametrize("seed", [2.5, True, "4", None])
+    def test_seed_must_be_an_int(self, seed):
+        # True ran seed 1, and 2.5 ran seed hash(2.5)
+        message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            SamplerConfig(eps=Fraction(1, 6), seed=seed)
+
+    def test_numpy_seed_is_read_as_an_int(self):
+        assert type(SamplerConfig(eps=Fraction(1, 6), seed=np.int64(9)).seed) is int
 
     def test_max_draws_range(self):
         with pytest.raises(ValueError, match="^max_draws must be >= 1$"):
@@ -283,6 +302,73 @@ class TestMinUnibalanced:
             assert S == least
 
 
+def unibalanced_pattern(rng: random.Random, r: int, l: int) -> TotallyColouredPattern:
+    """A random l-vertex pattern whose 2-blow-up is unibalanced as a whole:
+    uniform edge colours, redrawn until each vertex's edges miss at most
+    one colour, and each vertex coloured with the colour its edges miss
+    (a uniform one if none)."""
+    while True:
+        edges = {(i, j): rng.randrange(r) for i in range(l) for j in range(i + 1, l)}
+        colours = []
+        for i in range(l):
+            missing = set(range(r)).difference(c for e, c in edges.items() if i in e)
+            if len(missing) > 1:
+                break
+            colours.append(missing.pop() if missing else rng.randrange(r))
+        else:
+            return TotallyColouredPattern.from_parts(r, colours, edges)
+
+
+def hosts_with_twins(seed: int, count: int):
+    """Random hosts on 4..10 vertices with a few vertices duplicated into
+    cliques of 2 or 3 twins, relabelled at random so that twins need not
+    be consecutive."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        r, n = rng.randint(2, 5), rng.randint(4, 10)
+        sizes = [rng.choice((1, 1, 1, 2, 3)) for _ in range(n)]
+        G = with_twins(make_random(n, r, rng.randrange(10**6)), sizes,
+                       [rng.randrange(r) for _ in range(n)])
+        perm = list(range(G.n))
+        rng.shuffle(perm)
+        yield relabelled(G, perm)
+
+
+class TestTwinClasses:
+    """_previous_twins against the definition: u and v are twins when they
+    have the same colour to every third vertex."""
+
+    def test_hosts_with_duplicated_vertices(self):
+        twins = 0
+        for G in hosts_with_twins(0, 30):
+            prev = _previous_twins(G)
+            assert prev == previous_twins_reference(G)
+            twins += sum(u >= 0 for u in prev)
+        assert twins >= 30
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_random_hosts(self, r):
+        # small two-coloured hosts have twins by chance
+        rng = random.Random(r)
+        for n in range(1, 10):
+            G = make_random(n, r, rng.randrange(10**6))
+            assert _previous_twins(G) == previous_twins_reference(G)
+
+    def test_twins_of_every_colour(self):
+        # a class in colour c is found only with the diagonal set to c
+        G = with_twins(make_random(5, 4, 1), [2, 1, 3, 2, 1], [3, 0, 1, 2, 0])
+        assert previous_twins_reference(G) == [-1, 0, -1, -1, 3, 4, -1, 6, -1]
+        assert _previous_twins(G) == previous_twins_reference(G)
+
+    def test_cycle_parts_are_the_classes(self):
+        G = make_multicolour_cycle(8, 3)
+        assert _previous_twins(G) == [-1 if v % 3 == 0 else v - 1 for v in range(24)]
+
+    def test_one_colour_host_is_one_class(self):
+        G = graph_from(5, 3, lambda u, v: 2)
+        assert _previous_twins(G) == [-1, 0, 1, 2, 3]
+
+
 class TestBitmaskSearchMatchesReference:
     """Identical witnesses, not only sizes, against the set-based DFS."""
 
@@ -307,9 +393,38 @@ class TestBitmaskSearchMatchesReference:
             for cap in (1, 4, 12):
                 assert min_unibalanced_subgraph(G, cap) == min_unibalanced_reference(G, cap)
 
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_random_pattern_blowups(self, r):
+        # parts of 1 to 4 twins, n <= 20; with parts of 2 or more the whole
+        # host is unibalanced, so cap 12 >= 2l finds a witness
+        rng = random.Random(r)
+        found = 0
+        for _ in range(8):
+            H = unibalanced_pattern(rng, r, rng.randint(r, 6))
+            G = blow_up(H, rng.randint(1, min(4, 20 // H.num_vertices)))
+            S = min_unibalanced_subgraph(G, cap=12)
+            assert S == min_unibalanced_reference(G, cap=12)
+            found += S is not None
+        assert found >= 4
+
+    def test_hosts_with_duplicated_vertices(self):
+        found = 0
+        for G in hosts_with_twins(1, 30):
+            S = min_unibalanced_subgraph(G, cap=8)
+            assert S == min_unibalanced_reference(G, cap=8)
+            found += S is not None
+        assert found >= 10
+
     def test_eight_by_four_cycle_pinned(self):
         G = make_multicolour_cycle(8, 4)
         assert min_unibalanced_subgraph(G, cap=8) == tuple(range(0, 32, 4))
+
+    def test_large_cycles_pinned(self):
+        # blow-ups with 3 and 2 twins per part: fast only because twins are
+        # chosen in order
+        G = make_multicolour_cycle(12, 3)
+        assert min_unibalanced_subgraph(G, cap=12) == tuple(range(0, 36, 3))
+        assert min_unibalanced_subgraph(make_multicolour_cycle(12, 2), cap=11) is None
 
 
 class TestBenchmarkFingerprints:

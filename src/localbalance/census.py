@@ -20,17 +20,20 @@ and the class rows against a hand derivation.
 Kernel cost: one codegree product red@red, a block of rows at a time
 against the upper triangle (O(n^omega) BLAS work); a pair's other three
 codegrees follow from it and the red degrees.  Then, for the two
-monochromatic-K4 counts, one triangle count per vertex u inside its
+monochromatic-K4 counts, the vertices are relabelled by ascending degree
+in that colour, and one triangle count per vertex u runs inside its
 forward neighbourhood N+(u) = {v > u : uv of that colour}, which is
-sum_u |N+(u)|^3 BLAS flops.  The adjacency is kept as one bool table per
-colour and every product runs on 0/1 float32 matrices, exactly: a codegree
-entry, and an entry of a forward block's square, is an integer at most
-n < 2^24, so every float32 partial sum is an exact integer.  A forward
-block's triangle tally is reduced row by row in float32 (each row sum is
-at most |N+(u)|^2 < 2^24) and the rows are summed in float64, where a
-per-vertex total stays below n^3 < 2^53 while n <= CENSUS_MAX_N = 3000
-(the size guard).  Products are cast back to int64 under an exactness
-check, and the statistics and class counts are Python ints.
+sum_u |N+(u)|^3 BLAS flops; the neighbourhoods of at most _STACK_MAX
+vertices share one batched product.  The adjacency is kept as one bool
+table per colour and every product runs on 0/1 float32 matrices,
+exactly: a codegree entry, and an entry of a forward block's square, is
+an integer at most n < 2^24, so every float32 partial sum is an exact
+integer.  A forward block's triangle tally is reduced row by row in
+float32 (each row sum is at most |N+(u)|^2 < 2^24) and the rows are
+summed in float64, where every partial sum stays below 6 C(n, 4) < 2^53
+while n <= CENSUS_MAX_N = 3000 (the size guard).  Products are cast back
+to int64 under an exactness check, and the statistics and class counts
+are Python ints.
 """
 
 from __future__ import annotations
@@ -123,21 +126,43 @@ def _exact_int64(x: np.ndarray) -> np.ndarray:
 def _mono_k4_count(adj: np.ndarray) -> int:
     """Number of 4-cliques of a bool adjacency table with a False diagonal.
 
-    Each K4 is counted once, at its smallest vertex u, as a triangle of the
-    forward neighbourhood N+(u) = {v > u : uv an edge}.  The m x m block B
-    of N+(u) is gathered from the table's tail adj[u+1:, u+1:] and cast to
-    float32; then sum((B @ B) * B) counts each such triangle 6 times.  The
+    The vertices are first relabelled in ascending degree order (a stable
+    argsort; an isomorphism, so the count is unchanged), which puts the
+    high-degree vertices last and keeps the forward neighbourhoods below
+    small (Chiba and Nishizeki 1985).  Each K4 is then counted once, at its
+    smallest vertex u, as a triangle of the forward neighbourhood
+    N+(u) = {v > u : uv an edge}.  With B the m x m block of N+(u) cast to
+    float32, sum((B @ B) * B) counts each such triangle 6 times.  A block
+    of more than _STACK_MAX vertices is gathered and multiplied on its own.
+    The blocks of 3 to _STACK_MAX vertices are gathered into one (c, k, k)
+    stack, k their largest size, zero-padded through a False row and
+    column appended to the table, and multiplied as one batch: at most
+    n _STACK_MAX^2 float32 entries, and only the stack is cast.  The
     entries of B @ B are integers at most m, and each row of (B @ B) * B
     sums to at most m^2 < 2^24, so the float32 row sums (np.vecdot) are
     exact.  They are added in float64, where every partial sum is an
     integer below 6 C(n, 4) < 2^53 under CENSUS_MAX_N, so the total is exact.
     """
+    n = adj.shape[0]
+    order = np.argsort(adj.sum(axis=1), kind="stable")
+    padded = np.zeros((n + 1, n + 1), dtype=bool)   # row and column n are False
+    padded[:n, :n] = adj[np.ix_(order, order)]
+    upper = np.triu(padded, 1)
+    sizes = upper.sum(axis=1)
     total = 0.0
-    for u in range(adj.shape[0] - 3):
-        fwd = adj[u, u + 1:].nonzero()[0]
-        if len(fwd) >= 3:
-            B = adj[u + 1:, u + 1:].take(fwd, 0).take(fwd, 1).astype(np.float32)
-            total += np.vecdot(B @ B, B).sum(dtype=np.float64)
+    for u in np.flatnonzero(sizes > _STACK_MAX):
+        fwd = upper[u].nonzero()[0]
+        B = padded.take(fwd, 0).take(fwd, 1).astype(np.float32)
+        total += np.vecdot(B @ B, B).sum(dtype=np.float64)
+    small = np.flatnonzero((sizes >= 3) & (sizes <= _STACK_MAX))
+    if len(small):
+        # row i of idx lists N+(small[i]), then n up to the stack's width
+        rows, cols = upper[small].nonzero()
+        m = sizes[small]
+        idx = np.full((len(small), m.max()), n)
+        idx[rows, np.arange(len(cols)) - (np.cumsum(m) - m)[rows]] = cols
+        S = padded[idx[:, :, None], idx[:, None, :]].astype(np.float32)
+        total += np.vecdot(S @ S, S).sum(dtype=np.float64)
     total = int(total)
     if total % 6:
         raise AssertionError("forward-neighbourhood triangle tally is not a multiple of 6")
@@ -146,6 +171,8 @@ def _mono_k4_count(adj: np.ndarray) -> int:
 
 # rows per block of codegree products: bounds every temporary to O(64 n) entries
 _ROW_BLOCK = 64
+# forward blocks of at most this many vertices share one batched product
+_STACK_MAX = 32
 
 
 def _c2(x: np.ndarray) -> np.ndarray:

@@ -3,11 +3,12 @@ fast code must reproduce: the per-entry edge-list loader and the per-pair
 graph JSON writer, the per-pair random streams of make_random and
 make_split, the per-pair split violations and split cost, the 2^n split
 cost table, the set-based smallest-unibalanced search, the pairwise twin
-test, the O(n^4) K4 census and the brute-force M1 count, with the
-two-phase build of the census class system from hand-derived statistic
-rows, the class tables and the exhaustive isomorphism checks they use,
-the combination-loop blow-up search, the pair-colouring Ramsey step, and
-the dict-of-masks canonical hypergraph (copy DFS, cleanup and shadow)."""
+test, the O(n^4) K4 census, the triangle-by-triangle 4-clique count
+and the brute-force M1 count, with the two-phase build of the census
+class system from hand-derived statistic rows, the class tables and the
+exhaustive isomorphism checks they use, the combination-loop blow-up
+search, the pair-colouring Ramsey step, and the dict-of-masks canonical
+hypergraph (copy DFS, cleanup and shadow)."""
 
 import itertools
 import random
@@ -456,6 +457,17 @@ def census_k4_reference(G: ColouredCompleteGraph) -> PatternCensus:
                 for d in range(c + 1, n):
                     counts[lookup[base | ra[d] << 2 | rb[d] << 4 | rc[d] << 5]] += 1
     return PatternCensus(n, dict(zip(CLASS_KEYS, counts)))
+
+
+def mono_k4_reference(adj: np.ndarray) -> int:
+    """4-cliques of a bool table, counted at their largest vertex: each
+    triangle u < v < w, times the later vertices joined to all three."""
+    n = adj.shape[0]
+    tri = np.array([t for t in itertools.combinations(range(n), 3)
+                    if adj[t[0], t[1]] and adj[t[0], t[2]] and adj[t[1], t[2]]],
+                   dtype=np.intp).reshape(-1, 3)
+    common = adj[tri[:, 0]] & adj[tri[:, 1]] & adj[tri[:, 2]]
+    return int((common & (np.arange(n) > tri[:, 2:])).sum())
 
 
 def m1_copies_in_quadruples(census: PatternCensus) -> int:

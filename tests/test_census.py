@@ -34,6 +34,7 @@ from hosts import (
     count_m1_reference,
     graph_from,
     m1_copies_in_quadruples,
+    mono_k4_reference,
 )
 import localbalance.census as census_module
 
@@ -237,16 +238,113 @@ class TestCensusKernels:
         with pytest.raises(ValueError, match="n <= 3000"):
             census_k4(Huge())
 
-    def test_mono_k4_rows_are_summed_in_float64(self, monkeypatch):
+    @staticmethod
+    def fake_row_sums(monkeypatch, shape):
         # row sums 2^24, 1, 1: a float32 total loses both ones, a float64
         # total is exact; faked, since a real block this large takes seconds
         def row_sums(x1, x2):
-            assert x1.shape == x2.shape == (3, 3)
-            return np.array([2**24, 1, 1], dtype=np.float32)
+            assert x1.shape == x2.shape == shape
+            return np.array([2**24, 1, 1], dtype=np.float32).reshape(shape[:-1])
 
         monkeypatch.setattr(np, "vecdot", row_sums)
+
+    def test_mono_k4_rows_are_summed_in_float64(self, monkeypatch):
+        # the K4's one forward block goes to the stack, a batch of one
+        self.fake_row_sums(monkeypatch, (1, 3, 3))
         k4 = ~np.eye(4, dtype=bool)
         assert census_module._mono_k4_count(k4) == (2**24 + 2) // 6
+
+    def test_large_block_rows_are_summed_in_float64(self, monkeypatch):
+        # below the stacking bound the same block is multiplied on its own
+        monkeypatch.setattr(census_module, "_STACK_MAX", 2)
+        self.fake_row_sums(monkeypatch, (3, 3))
+        k4 = ~np.eye(4, dtype=bool)
+        assert census_module._mono_k4_count(k4) == (2**24 + 2) // 6
+
+
+def colour_tables(G):
+    """The red and blue bool tables of a 2-coloured host, False diagonals."""
+    red = G.table() == 0
+    np.fill_diagonal(red, False)
+    blue = ~red
+    np.fill_diagonal(blue, False)
+    return red, blue
+
+
+class TestMonoK4Count:
+    """_mono_k4_count against the triangle-by-triangle 4-clique count,
+    including hosts whose forward blocks, after the degree relabelling,
+    fall on both sides of the stacking bound, so that one count runs both
+    paths."""
+
+    @staticmethod
+    def spy_paths(monkeypatch):
+        # records the rank of every vecdot operand: 2 for a block multiplied
+        # on its own, 3 for the stack of small blocks
+        ranks = set()
+        vecdot = np.vecdot
+
+        def spy(x1, x2):
+            ranks.add(x1.ndim)
+            return vecdot(x1, x2)
+
+        monkeypatch.setattr(np, "vecdot", spy)
+        return ranks
+
+    # ranks: the paths the two counts must run.  After the relabelling a
+    # random host's largest forward block is small (31 vertices at n = 76,
+    # 34 at n = 80), so the random hosts up to n = 64 stack every block
+    @pytest.mark.parametrize("G, ranks", [
+        pytest.param(make_random(n, 2, seed), ranks, id=f"random{n}-{seed}")
+        for n, seed, ranks in ((33, 0, {3}), (48, 2, {3}), (64, 4, {3}),
+                               (80, 5, {2, 3}), (88, 6, {2, 3}))
+    ] + [
+        pytest.param(make_split(a, b, seed=1, flips=flips), {2, 3}, id=f"split{a}+{b}")
+        for a, b, flips in ((45, 15, 0), (50, 20, 40), (12, 60, 25))
+    ] + [
+        pytest.param(make_Pk(k), ranks, id=f"pk{k}")
+        for k, ranks in ((9, {3}), (17, {2, 3}), (20, {2, 3}))
+    ] + [
+        pytest.param(graph_from(40, 2, lambda u, v: 0), {2, 3}, id="red40"),
+        pytest.param(graph_from(36, 2, lambda u, v: 1), {2, 3}, id="blue36"),
+    ])
+    def test_hosts_match_reference(self, monkeypatch, G, ranks):
+        seen = self.spy_paths(monkeypatch)
+        for adj in colour_tables(G):
+            assert census_module._mono_k4_count(adj) == mono_k4_reference(adj)
+        assert seen == ranks
+
+    def test_every_table_up_to_five_vertices(self):
+        # no forward block, or stacked blocks only
+        for n in (4, 5):
+            pairs = list(itertools.combinations(range(n), 2))
+            for code in range(2 ** len(pairs)):
+                adj = np.zeros((n, n), dtype=bool)
+                for k, (u, v) in enumerate(pairs):
+                    adj[u, v] = adj[v, u] = code >> k & 1
+                assert census_module._mono_k4_count(adj) == mono_k4_reference(adj)
+
+    def test_random_tables_at_six_and_seven_vertices(self, monkeypatch):
+        ranks = self.spy_paths(monkeypatch)
+        rng = np.random.default_rng(0)
+        for n in (6, 7):
+            for _ in range(200):
+                adj = np.triu(rng.random((n, n)) < rng.random(), 1)
+                adj |= adj.T
+                assert census_module._mono_k4_count(adj) == mono_k4_reference(adj)
+        assert ranks == {3}
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(4, 70).flatmap(lambda n: st.tuples(
+        st.integers(0, 2**32 - 1), st.floats(0.2, 0.95), st.permutations(range(n)))))
+    def test_count_is_invariant_under_relabelling(self, args):
+        seed, density, perm = args
+        n = len(perm)
+        adj = np.triu(np.random.default_rng(seed).random((n, n)) < density, 1)
+        adj |= adj.T
+        perm = np.array(perm)
+        assert (census_module._mono_k4_count(adj)
+                == census_module._mono_k4_count(adj[np.ix_(perm, perm)]))
 
 
 class TestRedundantEquations:

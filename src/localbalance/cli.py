@@ -141,6 +141,9 @@ _SUITES = {
     "m1bound": lambda a: verify_lemma_m1_bound(seed=a.seed),
     "3colourfail": lambda a: verify_prop_3colourfail(),
 }
+# the suites that draw nothing: a --seed other than the default would be
+# recorded in the manifest and change nothing else
+_UNSEEDED_SUITES = ("cute", "3colourfail")
 
 
 def _load_graph(args) -> ColouredCompleteGraph:
@@ -240,6 +243,9 @@ def _cmd_min_unibalanced(args) -> tuple[dict, int]:
 def _cmd_verify(args) -> tuple[dict, int]:
     if args.strict and args.suite != "anybalanced":
         raise ValueError(f"--strict applies to --suite anybalanced only, not {args.suite}")
+    if args.seed != 0 and args.suite in _UNSEEDED_SUITES:
+        seeded = ", ".join(s for s in _SUITES if s not in _UNSEEDED_SUITES)
+        raise ValueError(f"--seed applies to --suite {seeded} only, not {args.suite}")
     report = _SUITES[args.suite](args)
     print(
         f"suite {report.suite}: {report.instances} instances, "

@@ -75,31 +75,46 @@ def make_multicolour_cycle(l: int, part_size: int) -> ColouredCompleteGraph:
     return blow_up(quotient, part_size)
 
 
+# draw_below's bulk rounds stop once at most this many values are missing:
+# a round's fixed cost (one big getrandbits, a buffer, a mask) then exceeds
+# a scalar getrandbits per value
+_SCALAR_TAIL = 32
+
+
 def draw_below(rng: random.Random, r: int, count: int) -> np.ndarray:
     """The next ``count`` values of ``rng.randrange(r)``, drawn in bulk.
 
     CPython's randrange(r) keeps the top k = r.bit_length() bits of one
     32-bit Mersenne Twister word and redraws while the value is >= r, and
-    getrandbits(32 * m) returns the next m words little-endian.  Each
+    getrandbits(32 * m) returns the next m words little-endian.  Each bulk
     round therefore asks for one word per value still missing and keeps
     the accepted ones in order; a value never takes fewer than one word,
-    so no word is drawn that the per-call loop would not have drawn.  The
-    result and the state left in ``rng`` equal those of
-    ``[rng.randrange(r) for _ in range(count)]``, in about log2(count)
-    rounds.  ``rng`` must draw through getrandbits (random.Random does).
+    so no word is drawn that the per-call loop would not have drawn.  Once
+    at most _SCALAR_TAIL values are missing, each is drawn as the loop
+    draws it, by getrandbits(k) until below r: for k <= 32 that call takes
+    exactly one word and returns its top k bits, so the tail is the loop
+    itself.  The result and the state left in ``rng`` equal those of
+    ``[rng.randrange(r) for _ in range(count)]``.  ``rng`` must draw
+    through getrandbits (random.Random does).
     """
     if not 1 <= r <= 256:
         raise ValueError(f"need 1 <= r <= 256 for a uint8 draw, got {r}")
     out = np.empty(count, dtype=np.uint8)
-    shift = 32 - r.bit_length()
+    k = r.bit_length()
     filled = 0
-    while filled < count:
+    while count - filled > _SCALAR_TAIL:
         need = count - filled
         words = rng.getrandbits(32 * need).to_bytes(4 * need, "little")
-        values = np.frombuffer(words, dtype="<u4") >> shift
+        values = np.frombuffer(words, dtype="<u4") >> (32 - k)
         kept = values[values < r]
         out[filled:filled + len(kept)] = kept
         filled += len(kept)
+    getrandbits = rng.getrandbits
+    for i in range(filled, count):
+        value = getrandbits(k)
+        while value >= r:
+            value = getrandbits(k)
+        out[i] = value
     return out
 
 

@@ -11,6 +11,7 @@ strict mode is requested.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,6 +67,16 @@ class VerificationReport:
         return {**vars(self), "passed": self.passed}
 
 
+@functools.lru_cache(maxsize=1)  # the callers sample every host of one size in a row
+def _pair_cells(n: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (vertex, colour) cells vertex * r of the two ends of each pair
+    u < v, in row-major order; read-only, since later calls share them."""
+    us, vs = np.triu_indices(n, 1)
+    us, vs = us * r, vs * r
+    us.flags.writeable = vs.flags.writeable = False
+    return us, vs
+
+
 def sample_locally_balanced(
     n: int, r: int, eps: Rational, rng: random.Random, max_attempts: int = 10_000
 ) -> ColouredCompleteGraph | None:
@@ -82,8 +93,7 @@ def sample_locally_balanced(
     _check_size(n, r)
     if r * need > n - 1:
         return None
-    us, vs = np.triu_indices(n, 1)
-    us, vs = us * r, vs * r  # (vertex, colour) cell = vertex * r + colour
+    us, vs = _pair_cells(n, r)
     for _ in range(max_attempts):
         colours = draw_below(random.Random(rng.randrange(2**31)), r, len(us))
         degrees = np.bincount(us + colours, minlength=n * r) + np.bincount(vs + colours, minlength=n * r)

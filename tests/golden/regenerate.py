@@ -75,6 +75,7 @@ CASES = {
     "refused-experiment-csv-and-json": ["experiment", "--eps-list", "1/4", "--n-list", "12",
                                         "--csv", "exp2.csv", "--json", "exp2.json"],
     "refused-verify-strict-cute": ["verify", "--suite", "cute", "--strict"],
+    "refused-verify-seed-cute": ["verify", "--suite", "cute", "--seed", "5"],
     "refused-sample-r-above-inverse-eps": ["sample-unibalanced", "mcycle.json", "--eps", "1/2"],
 }
 

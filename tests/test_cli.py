@@ -479,6 +479,19 @@ class TestVerifyCommand:
         assert code == 2 and out == ""
         assert err == f"error: --strict applies to --suite anybalanced only, not {suite}\n"
 
+    @pytest.mark.parametrize("suite", ["cute", "3colourfail"])
+    def test_seed_for_a_suite_that_draws_nothing_exits_2_before_running(self, capsys,
+                                                                       monkeypatch, suite):
+        # these suites ignored --seed while the manifest recorded it
+        def no_run(args):
+            raise AssertionError(f"ran suite {suite} despite --seed")
+
+        monkeypatch.setitem(cli._SUITES, suite, no_run)
+        code, out, err = run_cli(capsys, "verify", "--suite", suite, "--seed", "5")
+        assert code == 2 and out == ""
+        assert err == ("error: --seed applies to --suite p3c4, optimize, anybalanced, m1bound "
+                       f"only, not {suite}\n")
+
     def test_strict_anybalanced_runs(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--suite", "anybalanced", "--strict")
         assert code in (0, 1) and json.loads(out)["suite"] == "anybalanced"
@@ -630,7 +643,7 @@ class TestRunner:
          [2], ["HOST", "PATTERN"]),
         (("sample-unibalanced", "HOST", "--eps", "1/4", "--seed", "3"), [3], ["HOST"]),
         (("min-unibalanced", "HOST", "--cap", "4"), [], ["HOST"]),
-        (("verify", "--suite", "cute", "--seed", "5"), [5], []),
+        (("verify", "--suite", "anybalanced", "--seed", "5"), [5], []),
         (("experiment", "--eps-list", "0", "--n-list", "8", "--seeds", "3,4"), [3, 4], []),
     ], ids=["generate", "census", "find-blowup", "find-blowup-pattern-file",
             "sample-unibalanced", "min-unibalanced", "verify", "experiment"])

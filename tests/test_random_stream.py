@@ -20,6 +20,8 @@ from localbalance import (
     make_split,
     sample_locally_balanced,
 )
+from localbalance.constructions import _SCALAR_TAIL
+from localbalance.verify import _pair_cells
 from hosts import bipartite_from, make_random_reference, make_split_reference, outcome
 
 RED, BLUE = 0, 1
@@ -69,12 +71,39 @@ class TestDrawBelow:
         assert got.dtype == np.uint8 and got.tolist() == want
         assert bulk.getstate() == loop.getstate()
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 128, 129, 255, 256])
+    @pytest.mark.parametrize("count", [_SCALAR_TAIL - 1, _SCALAR_TAIL, _SCALAR_TAIL + 1,
+                                       2 * _SCALAR_TAIL])
+    def test_matches_randrange_loop_across_the_scalar_tail(self, r, count):
+        for seed in range(8):
+            loop, bulk = random.Random(seed), random.Random(seed)
+            want = [loop.randrange(r) for _ in range(count)]
+            assert draw_below(bulk, r, count).tolist() == want
+            assert bulk.getstate() == loop.getstate()
+
     def test_continues_a_used_stream(self):
         loop, bulk = random.Random(5), random.Random(5)
         loop.random(), bulk.random()
         want = [loop.randrange(3) for _ in range(500)] + [loop.randrange(7) for _ in range(9)]
         got = draw_below(bulk, 3, 500).tolist() + draw_below(bulk, 7, 9).tolist()
         assert got == want and bulk.getstate() == loop.getstate()
+
+    def test_continues_a_stream_across_two_scalar_tails(self):
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                bits.append(k)
+                return super().getrandbits(k)
+
+        bits = []
+        loop, bulk = random.Random(11), Recording(11)
+        draws = [(3, 2 * _SCALAR_TAIL + 5), (129, _SCALAR_TAIL + 3)]
+        for r, count in draws:
+            want = [loop.randrange(r) for _ in range(count)] + [loop.random()]
+            start = len(bits)
+            assert draw_below(bulk, r, count).tolist() + [bulk.random()] == want
+            # bulk rounds ask for 32 bits per missing value, the tail for k bits per value
+            assert bits[start] > 32 * _SCALAR_TAIL and bits[-1] == r.bit_length()
+        assert bulk.getstate() == loop.getstate()
 
     @pytest.mark.parametrize("r, count", [(0, 1), (257, 1), (2, -1)])
     def test_rejects_bad_arguments(self, r, count):
@@ -134,6 +163,8 @@ class TestSamplerStream:
         (12, 2, Fraction(1, 4)),
         (9, 3, Fraction(1, 5)),
         (10, 2, 0),
+        (32, 2, Fraction(3, 10)),  # the largest cell of the p3c4 suite
+        (20, 5, Fraction(1, 20)),  # k = 3 bits per value, 3 of the 8 redrawn
     ])
     def test_equals_build_and_test_loop(self, n, r, eps):
         for seed in range(4):
@@ -141,6 +172,17 @@ class TestSamplerStream:
             G = sample_locally_balanced(n, r, eps, a)
             assert G is not None and G == sample_reference(n, r, eps, b)
             assert a.getstate() == b.getstate()
+
+    def test_shared_pair_cells_are_read_only(self):
+        # the sampler keeps one cell index per size for every later call;
+        # a caller that reaches it cannot change what later calls draw
+        sample_locally_balanced(12, 2, Fraction(1, 4), random.Random(0))
+        for cells in _pair_cells(12, 2):
+            with pytest.raises(ValueError, match="read-only"):
+                cells[0] = 5
+        a, b = random.Random(1), random.Random(1)
+        assert sample_locally_balanced(12, 2, Fraction(1, 4), a) == \
+            sample_reference(12, 2, Fraction(1, 4), b)
 
     def test_exhausted_leaves_same_state(self):
         # 2 * 3 <= 6 edges per vertex, but balance needs a 3-regular red graph

@@ -34,7 +34,7 @@ import numpy as np
 
 from .core import (
     ColouredCompleteGraph, Rational, _as_fraction, _bits, _checked_parts, _integer, _pack,
-    _row_masks, _unpack, _vertex, _vertex_set,
+    _row_masks, _unpack, _vertex_set,
 )
 from .patterns import (
     BlowupWitness, TotallyColouredPattern, _blowup_search, clique_colour, verify_witness,
@@ -92,7 +92,7 @@ class CanonicalHypergraph:
         rows = []
         for e in edges:
             try:
-                e = tuple(_vertex(v, _VERTEX_LIMIT) for v in e)
+                e = tuple(_integer(v, "vertex", _VERTEX_LIMIT) for v in e)
             except TypeError:
                 raise ValueError(f"edge {e!r} is not a sequence of vertices") from None
             if len(e) != l:
@@ -352,9 +352,10 @@ def kst_star(F: BipartiteIncidence, s: int) -> StarResult | None:
 # ---------------------------------------------------------------------------
 
 def ramsey_bound(n: int, r: int) -> int:
-    """floor(log_{2r} n): the clique size the contract promises."""
-    if n < 1:
-        return 0
+    """floor(log_{2r} n), or 0 for n < 1, for integers n and r >= 2 (_integer)."""
+    n, r = _integer(n, "n"), _integer(r, "r")
+    if r < 2:
+        raise ValueError(f"need r >= 2, got r={r}")
     k = 0
     while (2 * r) ** (k + 1) <= n:
         k += 1
@@ -530,11 +531,14 @@ class BlowupFinderResult:
 
 def asymptotic_target_size(n: int, l: int, r: int) -> float:
     """The asymptotic blow-up size min{c/2l, 1/(2r log r)}^l * log n, with
-    c = CLEANUP_CAP.
+    c = CLEANUP_CAP, for integers n, l >= 1 and r >= 2 (_integer).
 
     Natural logarithms; at desk scale this is usually far below 1 and is
     reported for context only (the CLI surfaces it as paperTargetT).
     """
+    n, l, r = _integer(n, "n"), _integer(l, "l"), _integer(r, "r")
+    if l < 1 or r < 2:
+        raise ValueError(f"need l >= 1 and r >= 2, got l={l}, r={r}")
     return min(float(CLEANUP_CAP) / (2 * l), 1 / (2 * r * log(r))) ** l * log(n) if n > 1 else 0.0
 
 

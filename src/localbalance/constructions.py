@@ -15,7 +15,10 @@ from math import ceil, comb
 import numpy as np
 
 from .census import BipartiteColouring
-from .core import ColouredCompleteGraph, Rational, _as_fraction, _bits, _check_size, balance_profile
+from .core import (
+    ColouredCompleteGraph, Rational, _as_fraction, _bits, _check_size, _integer,
+    balance_profile,
+)
 from .patterns import TotallyColouredPattern, blow_up, get_pattern
 
 RED, BLUE, GREEN = 0, 1, 2
@@ -32,7 +35,7 @@ def make_Pk(k: int) -> ColouredCompleteGraph:
     V1 u V4 are red, edges inside V2 u V3 are blue, V1-V3 and V2-V4 are
     red, V1-V2 and V3-V4 are blue: the blow-up P3[k], vertex for vertex.
     """
-    if k < 1:
+    if _integer(k, "k") < 1:
         raise ValueError(f"need k >= 1, got {k}")
     return blow_up(get_pattern("P3"), k)
 
@@ -43,13 +46,14 @@ def make_split(a: int, b: int, seed: int = 0, flips: int = 0) -> ColouredComplet
     The cross pairs u < a <= v are the a x b block in row-major order, so
     one draw_below draws the coins a per-pair randrange(2) loop would.
     """
+    a, b, flips = _integer(a, "a"), _integer(b, "b"), _integer(flips, "flips")
     n = a + b
     if a < 0 or b < 0 or n < 2:
         raise ValueError(f"need a, b >= 0 and a + b >= 2, got ({a},{b})")
     if flips < 0 or flips > comb(n, 2):
         raise ValueError(f"flips must lie in [0, C(n,2)], got {flips}")
     _check_size(n, 2)
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "seed"))
     table = np.full((n, n), BLUE, dtype=np.uint8)
     table[:a, :a] = RED
     table[:a, a:] = draw_below(rng, 2, a * b).reshape(a, b)
@@ -66,6 +70,7 @@ def make_multicolour_cycle(l: int, part_size: int) -> ColouredCompleteGraph:
     i and blue for odd i; all remaining edges, including those inside
     parts, are green.  With equal part sizes it is locally (1/l)-balanced.
     """
+    l, part_size = _integer(l, "l"), _integer(part_size, "part_size")
     if l % 2 != 0 or l < 4:
         raise ValueError(f"need an even l >= 4, got {l}")
     if part_size < 1:
@@ -97,6 +102,7 @@ def draw_below(rng: random.Random, r: int, count: int) -> np.ndarray:
     ``[rng.randrange(r) for _ in range(count)]``.  ``rng`` must draw
     through getrandbits (random.Random does).
     """
+    r, count = _integer(r, "r"), _integer(count, "count")
     if not 1 <= r <= 256:
         raise ValueError(f"need 1 <= r <= 256 for a uint8 draw, got {r}")
     out = np.empty(count, dtype=np.uint8)
@@ -124,8 +130,8 @@ def make_random(n: int, r: int, seed: int) -> ColouredCompleteGraph:
     The colour of pair u < v is the next ``random.Random(seed).randrange(r)``
     in row-major order, drawn in bulk by draw_below.
     """
-    _check_size(n, r)
-    colours = draw_below(random.Random(seed), r, comb(n, 2))
+    n, r = _check_size(n, r)
+    colours = draw_below(random.Random(_integer(seed, "seed")), r, comb(n, 2))
     return ColouredCompleteGraph.from_pair_colours(n, r, colours)
 
 
@@ -142,13 +148,14 @@ def make_bipartite_mindeg(
     pair (RED = 0), then the forced sets with rng.sample.
     """
     eps = _as_fraction(eps)
+    n_side, max_retries = _integer(n_side, "n_side"), _integer(max_retries, "max_retries")
     if not 0 < eps <= Fraction(1, 2):
         raise ValueError(f"need 0 < eps <= 1/2, got {eps}")
     if n_side < 1:
         raise ValueError(f"need n_side >= 1, got {n_side}")
     _check_size(2 * n_side, 2)  # the host on X u Y whose cross pairs it colours
     need = ceil(eps * n_side)
-    rng = random.Random(seed)
+    rng = random.Random(_integer(seed, "seed"))
     side = range(n_side)
     col = np.arange(n_side)[:, None]
     for _ in range(max_retries):

@@ -119,9 +119,10 @@ MAX_HOST_N = 4096
 MAX_MASK_BITS = 2**30
 
 
-def _check_size(n: int, r: int) -> None:
-    """The one host-size rule, the constructor's first step: n >= 1,
-    2 <= r <= 255, and n and r * n^2 within the limits above."""
+def _check_size(n: object, r: object) -> tuple[int, int]:
+    """The one host-size rule, the constructor's first step: n and r as Python
+    ints (_integer), with n >= 1, 2 <= r <= 255 and n, r * n^2 within the limits above."""
+    n, r = _integer(n, "n"), _integer(r, "r")
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if not 2 <= r <= 255:
@@ -129,35 +130,24 @@ def _check_size(n: int, r: int) -> None:
     if n > MAX_HOST_N or r * n * n > MAX_MASK_BITS:
         raise ValueError(f"host too large: n={n}, r={r} "
                          f"(limits: n <= {MAX_HOST_N}, r*n^2 <= {MAX_MASK_BITS})")
+    return n, r
+
+
+def _integer(x: object, name: str, limit: int | None = None) -> int:
+    """The one integer rule: the argument x, a Python or numpy integer but not a
+    bool, as a Python int (1 << np.int64(70) overflows).  With a limit, x must
+    lie in range(limit), and name is the kind of number ("vertex", "colour")."""
+    integer = isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    if limit is None and not integer:
+        raise ValueError(f"{name} must be an integer, got {x!r}")
+    if limit is not None and not (integer and 0 <= x < limit):
+        raise ValueError(f"{name} {x!r} is not an integer in range({limit})")
+    return int(x)
 
 
 # ---------------------------------------------------------------------------
 # Host vertex sets: every public function that takes a vertex set reads it here
 # ---------------------------------------------------------------------------
-
-def _vertex(v: object, limit: int) -> int:
-    """v as a vertex number: a Python or numpy integer, not a bool, in
-    range(limit), returned as a Python int (1 << np.int64(70) overflows)."""
-    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not 0 <= v < limit:
-        raise ValueError(f"vertex {v!r} is not an integer in range({limit})")
-    return int(v)
-
-
-def _integer(x: object, name: str) -> int:
-    """The argument name as a count: a Python or numpy integer, not a bool,
-    returned as a Python int; each caller checks its own range."""
-    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {x!r}")
-    return int(x)
-
-
-def _colour(c: object, r: int) -> int:
-    """c as a colour number: a Python or numpy integer, not a bool, in
-    range(r), returned as a Python int."""
-    if isinstance(c, bool) or not isinstance(c, (int, np.integer)) or not 0 <= c < r:
-        raise ValueError(f"colour {c!r} is not an integer in range({r})")
-    return int(c)
-
 
 def _row_bytes(rows: list) -> list[bytes]:
     """The rows as bytes.  bytes() reads the common case at C speed; only
@@ -187,11 +177,11 @@ def _vertex_set(verts: Iterable[object], limit: int) -> tuple[int, ...]:
     ValueError for a non-iterable input, a bad vertex or a repeat.  Python
     ints, the common case, are range-checked after the sort, at the ends."""
     try:
-        out = sorted(v if type(v) is int else _vertex(v, limit) for v in verts)
+        out = sorted(v if type(v) is int else _integer(v, "vertex", limit) for v in verts)
     except TypeError:
         raise ValueError(f"{verts!r} is not a collection of vertices") from None
     for v in out[:1] + out[-1:]:  # sorted Python ints: the ends bound the rest
-        _vertex(v, limit)
+        _integer(v, "vertex", limit)
     if len(set(out)) != len(out):
         v = next(a for a, b in zip(out, out[1:]) if a == b)
         raise ValueError(f"vertex {v} repeats; vertices must be distinct and parts disjoint")
@@ -252,7 +242,7 @@ class ColouredCompleteGraph:
         integer dtype, read by value.  The table must be symmetric with
         colours below r off the diagonal; the diagonal is stored as 0,
         whatever integer either form held there."""
-        _check_size(n, r)
+        n, r = _check_size(n, r)
         if isinstance(rows, np.ndarray):
             if rows.dtype.kind not in "iu":
                 raise ValueError(f"colour table must have an integer dtype, got {rows.dtype}")
@@ -312,10 +302,10 @@ class ColouredCompleteGraph:
 
     def colour(self, u: int, v: int) -> int:
         """The colour of the edge u v; ValueError unless u and v are two
-        distinct vertices (the vertex rule of _vertex)."""
+        distinct vertices (_integer)."""
         n = self.n
         if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
-            u, v = _vertex(u, n), _vertex(v, n)
+            u, v = _integer(u, "vertex", n), _integer(v, "vertex", n)
         if u == v:
             raise ValueError("no self-loops in a complete graph")
         return self._table[u * n + v]
@@ -326,15 +316,13 @@ class ColouredCompleteGraph:
 
     def colour_bits(self, c: int) -> tuple[int, ...]:
         """Per-vertex neighbourhood bitmasks of colour class c; ValueError
-        unless c is a colour (_colour)."""
-        return self._bits[_colour(c, self.r)]
+        unless c is a colour (_integer)."""
+        return self._bits[_integer(c, "colour", self.r)]
 
     def neighbours(self, c: int, u: int) -> int:
         """Bitmask of the colour-c neighbourhood of u; ValueError unless c
-        is a colour (_colour) and u a vertex (the vertex rule of _vertex)."""
-        if not (type(u) is int and 0 <= u < self.n):
-            u = _vertex(u, self.n)
-        return self._bits[_colour(c, self.r)][u]
+        is a colour and u a vertex (_integer)."""
+        return self.colour_bits(c)[_integer(u, "vertex", self.n)]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColouredCompleteGraph):

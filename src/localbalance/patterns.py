@@ -31,8 +31,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import (
-    ColouredCompleteGraph, GraphFormatError, _bits, _check_size, _checked_parts, _colour,
-    _integer, _vertex_set, colour_swap, graph_to_json,
+    ColouredCompleteGraph, GraphFormatError, _bits, _check_size, _checked_parts, _integer,
+    _vertex_set, colour_swap, graph_to_json,
 )
 
 RED, BLUE = 0, 1
@@ -59,10 +59,7 @@ class TotallyColouredPattern:
     def __post_init__(self):
         if len(self.vertex_colours) != self.graph.n:
             raise ValueError(f"need {self.graph.n} vertex colours, got {len(self.vertex_colours)}")
-        try:
-            colours = tuple(_colour(c, self.r) for c in self.vertex_colours)
-        except ValueError as exc:
-            raise ValueError(f"vertex {exc}") from None
+        colours = tuple(_integer(c, "vertex colour", self.r) for c in self.vertex_colours)
         object.__setattr__(self, "vertex_colours", colours)
 
     @property

@@ -34,6 +34,7 @@ from .core import (
     Rational,
     _as_fraction,
     _check_size,
+    _integer,
     balance_profile,
     graph_to_json,
     least_balanced_degree,
@@ -89,8 +90,9 @@ def sample_locally_balanced(
     colours), returns None without drawing; every other eps draws the same
     stream, and leaves rng in the same state, as the per-attempt loop.
     """
+    n, r = _check_size(n, r)
+    max_attempts = _integer(max_attempts, "max_attempts")
     need = least_balanced_degree(eps, n)
-    _check_size(n, r)
     if r * need > n - 1:
         return None
     us, vs = _pair_cells(n, r)

@@ -39,9 +39,16 @@ CASES = {
     "generate-random-r3": ["generate", "--family", "random", "--n", "6", "--r", "3", "--seed", "2"],
     "generate-bipartite": ["generate", "--family", "bipartite", "--n-side", "4", "--eps", "1/4",
                            "--seed", "1"],
+    # rejection sampling: its draws end in draw_below's scalar tail
+    "generate-balanced": ["generate", "--family", "balanced", "--n", "32", "--r", "2", "--eps",
+                          "0.3", "--seed", "1"],
+    "generate-mcycle": ["generate", "--family", "mcycle", "--parts", "8", "--part-size", "3"],
     "census-random": ["census", "random24.json"],
     "census-pk-compact": ["census", "pk6.json"],
     "census-random130": ["census", "random130.json"],
+    # P_24 (n = 96): the degree order leaves monochromatic-K4 forward blocks
+    # on both sides of the stacking bound
+    "census-pk24": ["census", "pk24.json"],
     "find-blowup-C4": ["find-blowup", "random24.json", "--pattern", "C4", "--retries", "8"],
     "find-blowup-P3o": ["find-blowup", "random24.json", "--pattern", "P3o", "--seed", "1",
                         "--retries", "8", "--target-t", "2"],
@@ -88,6 +95,7 @@ def write_inputs(workdir: Path) -> None:
         "random24.json": graph_to_json(make_random(24, 2, 0)),
         "random130.json": graph_to_json(make_random(130, 2, 0)),  # three census row blocks
         "pk6.json": graph_to_json(make_Pk(6), compact=True),
+        "pk24.json": graph_to_json(make_Pk(24), compact=True),
         "pk48.json": graph_to_json(make_Pk(48), compact=True),
         "mcycle.json": graph_to_json(make_multicolour_cycle(6, 4)),
     }

@@ -40,6 +40,7 @@ from localbalance.blowup_finder import (
     CLEANUP_CAP,
     STAR_SEARCH_BUDGET,
     _random_equitable_partition,
+    asymptotic_target_size,
 )
 from localbalance.patterns import _blowup_search
 
@@ -584,6 +585,22 @@ class TestRamseyClique:
         assert ramsey_bound(1, 2) == 0
         assert ramsey_bound(216, 3) == 3
 
+    def test_bound_of_no_vertices_is_zero(self):
+        assert ramsey_bound(0, 2) == ramsey_bound(-5, 3) == 0
+
+    @pytest.mark.parametrize("r", [1, 0, -2])
+    def test_bound_refuses_fewer_than_two_colours(self, r):
+        # (2r)^k stayed <= n for every k, so the loop never ended
+        with pytest.raises(ValueError, match=f"^need r >= 2, got r={r}$"):
+            ramsey_bound(10, r)
+
+    def test_bound_refuses_an_infinite_n(self):
+        with pytest.raises(ValueError, match="^n must be an integer, got inf$"):
+            ramsey_bound(float("inf"), 2)
+
+    def test_bound_reads_numpy_integers(self):
+        assert ramsey_bound(np.int64(64), np.uint8(2)) == ramsey_bound(64, 2) == 3
+
     def test_single_vertex(self):
         clique, colour = ramsey_clique([7], graph_from(8, 2, lambda u, v: RED))
         assert clique == (7,)
@@ -839,3 +856,14 @@ class TestFindHomogeneousBlowup:
         G = make_Pk(4)
         res = find_homogeneous_blowup(G, get_pattern("P3o"), seed=1)
         assert res.asymptotic_target_t >= 0.0
+
+    @pytest.mark.parametrize("l, r", [(2, 1), (0, 2), (2, 0)])
+    def test_asymptotic_target_refuses_degenerate_sizes(self, l, r):
+        # r = 1 divided by log(1) = 0, and l = 0 by 2l
+        with pytest.raises(ValueError, match=f"^need l >= 1 and r >= 2, got l={l}, r={r}$"):
+            asymptotic_target_size(10, l, r)
+
+    def test_asymptotic_target_reads_numpy_integers(self):
+        got = asymptotic_target_size(np.int64(100), np.int32(4), np.uint8(2))
+        assert type(got) is float and got == asymptotic_target_size(100, 4, 2) > 0.0
+        assert asymptotic_target_size(1, 4, 2) == asymptotic_target_size(0, 4, 2) == 0.0

@@ -1,8 +1,10 @@
 import json
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from localbalance import (
@@ -18,9 +20,13 @@ from localbalance import (
     make_Pk,
     make_random,
     make_split,
+    ramsey_bound,
+    sample_locally_balanced,
     verify_prop_optimize,
 )
-from localbalance.constructions import _split_violations
+from localbalance.blowup_finder import asymptotic_target_size
+from localbalance.constructions import _split_violations, draw_below
+from localbalance.core import _check_size
 from hosts import closeness_table_reference, flipped_edges_reference, split_cost_reference
 
 RED, BLUE, GREEN = 0, 1, 2
@@ -224,7 +230,10 @@ class TestHostSizeCheck:
         (lambda: make_multicolour_cycle(6, 683), 4098),
         (lambda: blow_up(get_pattern("C4"), 1025), 4100),
         (lambda: make_bipartite_mindeg(2049, Fraction(1, 4), 0), 4098),
-    ], ids=["split", "pk", "mcycle", "blow_up", "bipartite"])
+        # r * n^2 wraps in int32, so the guard compares Python ints
+        (lambda: _check_size(np.int32(4096), 255), 4096),
+        (lambda: make_random(np.int32(4096), 255, 0), 4096),
+    ], ids=["split", "pk", "mcycle", "blow_up", "bipartite", "int32-size", "int32-random"])
     def test_refused_before_allocating(self, build, n):
         # the builder checks the host size before it allocates an n x n table
         tracemalloc.start()
@@ -235,6 +244,65 @@ class TestHostSizeCheck:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+# every public count argument: its function, its name, and a call that passes x for it
+COUNT_ARGUMENTS = [
+    ("make_random", "n", lambda x: make_random(x, 2, 0)),
+    ("make_random", "r", lambda x: make_random(6, x, 0)),
+    ("make_random", "seed", lambda x: make_random(6, 2, x)),
+    ("make_split", "a", lambda x: make_split(x, 3)),
+    ("make_split", "b", lambda x: make_split(3, x)),
+    ("make_split", "flips", lambda x: make_split(3, 3, flips=x)),
+    ("make_split", "seed", lambda x: make_split(3, 3, seed=x)),
+    ("make_Pk", "k", lambda x: make_Pk(x)),
+    ("make_multicolour_cycle", "l", lambda x: make_multicolour_cycle(x, 2)),
+    ("make_multicolour_cycle", "part_size", lambda x: make_multicolour_cycle(4, x)),
+    ("make_bipartite_mindeg", "n_side", lambda x: make_bipartite_mindeg(x, Fraction(1, 4), 0)),
+    ("make_bipartite_mindeg", "seed", lambda x: make_bipartite_mindeg(4, Fraction(1, 4), x)),
+    ("make_bipartite_mindeg", "max_retries",
+     lambda x: make_bipartite_mindeg(4, Fraction(1, 4), 0, max_retries=x)),
+    ("draw_below", "r", lambda x: draw_below(random.Random(0), x, 5)),
+    ("draw_below", "count", lambda x: draw_below(random.Random(0), 2, x)),
+    ("sample_locally_balanced", "n",
+     lambda x: sample_locally_balanced(x, 2, Fraction(1, 4), random.Random(0))),
+    ("sample_locally_balanced", "r",
+     lambda x: sample_locally_balanced(12, x, Fraction(1, 4), random.Random(0))),
+    ("sample_locally_balanced", "max_attempts",
+     lambda x: sample_locally_balanced(12, 2, Fraction(1, 4), random.Random(0), max_attempts=x)),
+    ("ramsey_bound", "n", lambda x: ramsey_bound(x, 2)),
+    ("ramsey_bound", "r", lambda x: ramsey_bound(16, x)),
+    ("asymptotic_target_size", "n", lambda x: asymptotic_target_size(x, 4, 2)),
+    ("asymptotic_target_size", "l", lambda x: asymptotic_target_size(16, x, 2)),
+    ("asymptotic_target_size", "r", lambda x: asymptotic_target_size(16, 4, x)),
+]
+
+
+class TestCountArguments:
+    @pytest.mark.parametrize("bad", [1.5, True, "3", np.float64(3)], ids=repr)
+    @pytest.mark.parametrize("name, call", [(name, call) for _, name, call in COUNT_ARGUMENTS],
+                             ids=[f"{function}-{name}" for function, name, _ in COUNT_ARGUMENTS])
+    def test_non_integers_are_refused_by_name(self, name, call, bad):
+        # a float seed used to seed random.Random silently, and a float
+        # part_size was reported as t
+        message = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=message):
+            call(bad)
+
+    def test_numpy_integers_read_as_ints(self):
+        G = make_random(np.int64(24), np.int64(2), np.int64(3))
+        assert G == make_random(24, 2, 3)
+        assert type(G.n) is int and type(G.r) is int
+        assert make_split(np.int64(3), np.int64(4), seed=np.int64(1), flips=np.int64(2)) == \
+            make_split(3, 4, seed=1, flips=2)
+        B = make_bipartite_mindeg(np.int64(6), Fraction(1, 4), np.int64(2), np.int64(5))
+        assert B.to_dict() == make_bipartite_mindeg(6, Fraction(1, 4), 2, 5).to_dict()
+
+    def test_draw_below_reads_numpy_integers(self):
+        rng, ref = random.Random(4), random.Random(4)
+        got = draw_below(rng, np.uint8(3), np.int64(100))
+        assert got.tolist() == draw_below(ref, 3, 100).tolist()
+        assert rng.getstate() == ref.getstate()
 
 
 class TestCloseness:

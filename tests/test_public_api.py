@@ -107,14 +107,19 @@ def test_deleted_parameters_stay_deleted():
 
 
 def test_vertex_checks_live_only_in_core():
-    # one reading of "a set of host vertices": the routines are defined in
-    # core, and no other module reads vertices through operator.index
-    defined, index_imports = [], []
+    # one integer rule and one reading of "a set of host vertices": the
+    # routines are defined in core, and no other module reads integers
+    # through operator.index or tests for np.integer
+    defined, index_imports, integer_tests = [], [], []
     for path in sorted(SOURCES.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.FunctionDef) and node.name in (
-                    "_vertex", "_vertex_set", "_checked_parts", "_check_in_host", "_bits"):
+                    "_integer", "_vertex", "_colour", "_vertex_set", "_checked_parts",
+                    "_check_in_host", "_bits"):
                 defined.append((node.name, path.name))
+            elif isinstance(node, ast.Attribute) and node.attr == "integer" and \
+                    isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                integer_tests.append(path.name)
             elif isinstance(node, ast.ImportFrom) and node.module == "operator" and any(
                     alias.name == "index" for alias in node.names):
                 index_imports.append(path.name)
@@ -122,8 +127,10 @@ def test_vertex_checks_live_only_in_core():
                     isinstance(node.value, ast.Name) and node.value.id == "operator":
                 index_imports.append(path.name)
     assert sorted(defined) == [("_bits", "core.py"), ("_checked_parts", "core.py"),
-                               ("_vertex", "core.py"), ("_vertex_set", "core.py")]
+                               ("_integer", "core.py"), ("_vertex_set", "core.py")]
     assert [name for name in index_imports if name != "core.py"] == []
+    assert "core.py" in integer_tests
+    assert [name for name in integer_tests if name != "core.py"] == []
 
 
 def test_bit_packing_lives_only_in_core():

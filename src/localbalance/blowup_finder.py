@@ -4,16 +4,20 @@ The pipeline mirrors the inductive extraction argument it implements:
 
 1. draw a uniformly random equitable partition V1..Vl of the host; the
    canonical pattern copies (vertex i of the pattern embedded in Vi) form
-   an l-partite l-uniform hypergraph, built level by level as numpy arrays:
-   the sorted (l-1)-prefixes and the packed uint64 masks of their last
-   coordinates;
+   an l-partite l-uniform hypergraph, built level by level as numpy arrays
+   up to its (l-2)-prefixes, with the packed uint64 candidate masks of the
+   later parts; its top level is never built, only a degree grid: per
+   (l-2)-prefix and vertex x of V_{l-1}, the number of copies through both;
 2. clean the hypergraph so that every (l-1)-prefix has degree 0 or at
-   least threshold * |Vl|;
+   least threshold * |Vl|: the grid's cells at or past the cut, packed per
+   (l-2)-prefix, are already the shadow of the cleaned hypergraph;
 3. recurse on the shadow (the prefixes), obtaining sets U1..U_{l-1} on
    which the pair colouring is constant per part, together with an
    explicit matching A of disjoint prefixes;
 4. in the bipartite incidence between A and Vl (R adjacent to v whenever
-   R+v survives cleaning), grow a complete bipartite subgraph A' x T;
+   R+v survives cleaning), grow a complete bipartite subgraph A' x T; the
+   rows of A are rebuilt from the level below, each as its head's
+   candidates in Vl AND one row of a pair table;
 5. extract a monochromatic clique S_l inside T greedily.
 
 Sizes are whatever the run achieves; callers compare against their target
@@ -73,8 +77,8 @@ class CanonicalHypergraph:
     nonempty; prefixes are sorted lexicographically with none twice; mask
     rows are nonzero with no bit past |V_l|; edge_count is the masks'
     popcount.  The entry points that take outside data, from_edges and
-    canonical_hypergraph, check them; min_degree_cleanup and shadow keep
-    them by construction.
+    canonical_hypergraph, check them; min_degree_cleanup, shadow and the
+    degree grid's cleaned shadow keep them by construction.
     """
 
     parts: tuple[tuple[int, ...], ...]
@@ -147,6 +151,16 @@ def _row_of(prefixes: np.ndarray, prefix: Sequence[int]) -> int:
     return lo
 
 
+def _degree_cut(threshold: Rational, width: int) -> int:
+    """The least positive degree k with k >= threshold * width, for a
+    threshold >= 0 (ValueError otherwise); a prefix of degree 0 has no edge."""
+    thr = _as_fraction(threshold)
+    if thr < 0:
+        raise ValueError(f"threshold must be >= 0, got {thr}")
+    # k >= thr * width exactly when k >= its ceiling
+    return max(1, -(-thr.numerator * width // thr.denominator))
+
+
 def min_degree_cleanup(
     Hg: CanonicalHypergraph, threshold: Rational
 ) -> CanonicalHypergraph:
@@ -157,22 +171,22 @@ def min_degree_cleanup(
     unique maximal subhypergraph in which every present prefix has degree
     at least threshold * |V_l|.
     """
-    thr = _as_fraction(threshold)
-    if thr < 0:
-        raise ValueError(f"threshold must be >= 0, got {thr}")
-    # a degree k satisfies k >= thr * |V_l| exactly when k >= its ceiling
-    cut = -(-thr.numerator * len(Hg.parts[-1]) // thr.denominator)
     degrees = np.bitwise_count(Hg.masks).sum(axis=1, dtype=np.int64)
-    keep = degrees >= cut
+    keep = degrees >= _degree_cut(threshold, len(Hg.parts[-1]))
     return CanonicalHypergraph(
         Hg.parts, Hg.prefixes[keep], Hg.masks[keep], int(degrees[keep].sum())
     )
 
 
-# the paper's constant c: it caps each level's cleanup threshold, which never
-# exceeds edges / (l * prod |V_i|) either, so cleanup keeps a positive
-# fraction of the edges; it also sets the reported paperTargetT
+# the paper's constant c: it caps each level's cleanup threshold
+# (_cover_threshold); it also sets the reported paperTargetT
 CLEANUP_CAP = Fraction(1, 8)
+
+
+def _cover_threshold(edge_count: int, parts: tuple[tuple[int, ...], ...]) -> Fraction:
+    """The cover's cleanup threshold: CLEANUP_CAP, or edges / (l * prod |V_i|)
+    when that is lower, so that cleanup keeps a positive fraction of the edges."""
+    return min(CLEANUP_CAP, Fraction(edge_count, len(parts) * prod(map(len, parts))))
 
 
 # ---------------------------------------------------------------------------
@@ -190,16 +204,20 @@ def _random_equitable_partition(
     return tuple(tuple(sorted(verts[a:b])) for a, b in zip(ends, ends[1:]))
 
 
-# the largest level, in bytes of prefixes and candidate masks, that the
-# copy build allocates
+# the largest level, in bytes of prefixes and candidate masks (or of the
+# top level's degree grid), that the copy build allocates
 LEVEL_BYTES_LIMIT = 1 << 30
 # expanded rows per build step, which bounds one level's temporaries
 _BUILD_CHUNK = 1 << 16
 
 
-def _empty(parts: tuple[tuple[int, ...], ...]) -> CanonicalHypergraph:
-    masks = _pack(np.zeros((0, len(parts[-1])), dtype=bool))
-    return CanonicalHypergraph(parts, np.zeros((0, len(parts) - 1), dtype=np.int32), masks, 0)
+def _check_level(level: int, rows: int, need: int) -> None:
+    """Refuse a level of need bytes past LEVEL_BYTES_LIMIT, before it is allocated."""
+    if need > LEVEL_BYTES_LIMIT:
+        raise ValueError(
+            f"level {level} of the canonical hypergraph has {rows} candidate "
+            f"prefixes ({need} bytes), over LEVEL_BYTES_LIMIT = {LEVEL_BYTES_LIMIT}"
+        )
 
 
 def _expand(
@@ -215,6 +233,50 @@ def _expand(
     return grown, [m[keep] for m in nxt]
 
 
+def _copy_levels(
+    G: ColouredCompleteGraph, H: TotallyColouredPattern, parts: Sequence[Sequence[int]],
+    depth: int,
+) -> tuple[tuple[tuple[int, ...], ...], dict, np.ndarray, list[np.ndarray]]:
+    """The copy build's level loop, run to the depth-prefixes: the checked
+    parts, the pattern's pair tables, the sorted depth-prefixes of copies
+    and, per prefix, the packed candidates of each part from depth on.
+
+    Level i extends every i-prefix by each vertex of part i still joined
+    to it in the pattern's colours and drops the prefixes that empty a
+    later part.  Before a level is allocated its rows are counted; a level
+    past LEVEL_BYTES_LIMIT raises ValueError.
+    """
+    l = H.num_vertices
+    parts = _checked_parts(parts, G.n)
+    if len(parts) != l:
+        raise ValueError(f"need one part per pattern vertex ({l}), got {len(parts)}")
+    verts = [np.array(p, dtype=np.int32) for p in parts]
+    table = G.table()
+    # bit k of row u of pair (i, j): the k-th vertex of part j has the
+    # pattern's colour to the u-th vertex of part i (none for a colour >= r)
+    pair = {
+        (i, j): _pack(table[np.ix_(verts[i], verts[j])] == H.edge_colour(i, j))
+        for i, j in itertools.combinations(range(l), 2)
+    }
+    prefixes = np.zeros((1, 0), dtype=np.int32)
+    # cands[j - i]: per prefix, the candidates of part j >= i
+    cands = [_pack(np.ones((1, len(p)), dtype=bool)) for p in parts]
+    for i in range(depth):
+        rows = int(np.bitwise_count(cands[0]).sum())
+        _check_level(i + 1, rows, rows * (4 * (i + 1) + 8 * sum(c.shape[1] for c in cands[1:])))
+        tables = [pair[i, j] for j in range(i + 1, l)]
+        step = max(1, _BUILD_CHUNK // len(parts[i]))
+        # one chunk at least, so that a level after an emptied one keeps its shapes
+        pieces = [
+            _expand(prefixes[a:a + step], [c[a:a + step] for c in cands], verts[i], tables)
+            for a in range(0, max(1, len(prefixes)), step)
+        ]
+        prefixes = np.concatenate([grown for grown, _ in pieces])
+        cands = [np.concatenate(ms) for ms in zip(*(nxt for _, nxt in pieces))]
+        del pieces
+    return parts, pair, prefixes, cands
+
+
 def canonical_hypergraph(
     G: ColouredCompleteGraph,
     H: TotallyColouredPattern,
@@ -223,50 +285,77 @@ def canonical_hypergraph(
     """All embeddings of H's edge colouring with vertex i inside parts[i].
 
     parts must be l nonempty, disjoint sets of host vertices (ValueError
-    otherwise).  Level i extends every i-prefix by each vertex of part i
-    still joined to it in the pattern's colours, keeping one packed
-    candidate mask per later part and dropping the prefixes that empty one.
-    Before a level is allocated its rows are counted; a level past
-    LEVEL_BYTES_LIMIT raises ValueError.
+    otherwise).  The level loop of _copy_levels, run to the (l-1)-prefixes:
+    the candidates left in the last part are the masks.  A level past
+    LEVEL_BYTES_LIMIT raises ValueError before it is allocated.
     """
-    l = H.num_vertices
-    parts = _checked_parts(parts, G.n)
-    if len(parts) != l:
-        raise ValueError(f"need one part per pattern vertex ({l}), got {len(parts)}")
-    if any(H.edge_colour(i, j) >= G.r for i in range(l) for j in range(i + 1, l)):
-        return _empty(parts)
-    verts = [np.array(p, dtype=np.int32) for p in parts]
-    table = G.table()
-    # bit k of row u of pair (i, j): the k-th vertex of part j has the
-    # pattern's colour to the u-th vertex of part i
-    pair = {
-        (i, j): _pack(table[np.ix_(verts[i], verts[j])] == H.edge_colour(i, j))
-        for i, j in itertools.combinations(range(l), 2)
-    }
-    prefixes = np.zeros((1, 0), dtype=np.int32)
-    # cands[j - i]: per prefix, the candidates of part j >= i
-    cands = [_pack(np.ones((1, len(p)), dtype=bool)) for p in parts]
-    for i in range(l - 1):
-        if not len(prefixes):
-            return _empty(parts)
-        rows = int(np.bitwise_count(cands[0]).sum())
-        need = rows * (4 * (i + 1) + 8 * sum(c.shape[1] for c in cands[1:]))
-        if need > LEVEL_BYTES_LIMIT:
-            raise ValueError(
-                f"level {i + 1} of the canonical hypergraph has {rows} candidate "
-                f"prefixes ({need} bytes), over LEVEL_BYTES_LIMIT = {LEVEL_BYTES_LIMIT}"
-            )
-        tables = [pair[i, j] for j in range(i + 1, l)]
-        step = max(1, _BUILD_CHUNK // len(parts[i]))
-        pieces = [
-            _expand(prefixes[a:a + step], [c[a:a + step] for c in cands], verts[i], tables)
-            for a in range(0, len(prefixes), step)
-        ]
-        prefixes = np.concatenate([grown for grown, _ in pieces])
-        cands = [np.concatenate(ms) for ms in zip(*(nxt for _, nxt in pieces))]
-        del pieces
+    parts, _, prefixes, cands = _copy_levels(G, H, parts, H.num_vertices - 1)
     masks = cands[0]
     return CanonicalHypergraph(parts, prefixes, masks, int(np.bitwise_count(masks).sum()))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class _TopLevel:
+    """The canonical hypergraph of an l >= 2 pattern without its top level.
+
+    heads (P x (l-2), int32) are the sorted (l-2)-prefixes of the copies,
+    last (P x ceil(|V_l|/64), uint64) their packed candidates in the last
+    part, and pair the packed pair table of parts l-2 and l-1 (row k: the
+    k-th vertex of parts[-2]).  degrees[h, k] (uint16: at most |V_l| <= 2048)
+    counts the copies through heads[h] and that vertex: the popcount of
+    last[h] & pair[k] where the vertex is a candidate of heads[h], else 0.
+    A top-level row, the mask of one (l-1)-prefix, is rebuilt on demand.
+    """
+
+    parts: tuple[tuple[int, ...], ...]
+    heads: np.ndarray
+    last: np.ndarray
+    pair: np.ndarray
+    degrees: np.ndarray
+
+    @property
+    def copies(self) -> int:
+        return int(self.degrees.sum(dtype=np.int64))
+
+    def cleaned_shadow(self, threshold: Rational) -> CanonicalHypergraph:
+        """min_degree_cleanup(canonical_hypergraph(...), threshold).shadow()
+        in one step: the cells at or past the cut, packed per head, with
+        the heads left empty dropped."""
+        kept = _pack(self.degrees >= _degree_cut(threshold, len(self.parts[-1])))
+        rows = kept.any(axis=1)
+        return CanonicalHypergraph(
+            self.parts[:-1], self.heads[rows], kept[rows], int(np.bitwise_count(kept).sum())
+        )
+
+    def rows(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        """The top-level masks of the given (l-1)-prefixes of copies: each
+        its head's last-part candidates AND the pair-table row of its last
+        vertex (KeyError for a head that is not a prefix of a copy)."""
+        heads = [_row_of(self.heads, R[:-1]) for R in prefixes]
+        xs = np.searchsorted(np.array(self.parts[-2]), [R[-1] for R in prefixes])
+        return self.last[heads] & self.pair[xs]
+
+
+def _top_level(
+    G: ColouredCompleteGraph, H: TotallyColouredPattern, parts: Sequence[Sequence[int]]
+) -> _TopLevel:
+    """The level loop to the (l-2)-prefixes, then the degree grid, filled
+    chunk by chunk; it is sized against LEVEL_BYTES_LIMIT, as level l-1,
+    before it is allocated.  parts as for canonical_hypergraph, l >= 2."""
+    l = H.num_vertices
+    parts, pair, heads, (cands, last) = _copy_levels(G, H, parts, l - 2)
+    table, width = pair[l - 2, l - 1], len(parts[-2])
+    rows = int(np.bitwise_count(cands).sum())
+    _check_level(l - 1, rows, 2 * len(heads) * width)
+    degrees = np.zeros((len(heads), width), dtype=np.uint16)
+    step = max(1, _BUILD_CHUNK // width)
+    for a in range(0, len(heads), step):
+        block = degrees[a:a + step]
+        # one word at a time: each step is a (rows x width) popcount
+        for w in range(last.shape[1]):
+            block += np.bitwise_count(last[a:a + step, w, None] & table[:, w])
+        block *= _unpack(cands[a:a + step], width)
+    return _TopLevel(parts, heads, last, table, degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +520,30 @@ def hypergraph_cover(Hg: CanonicalHypergraph, G: ColouredCompleteGraph) -> Cover
     """Run the inductive covering extraction on a nonempty hypergraph
     whose parts hold vertices of the host G (ValueError otherwise).
 
+    Cleanup at _cover_threshold, the cover of the cleaned shadow, then
+    _star_step on the cleaned rows of its matching.
+    """
+    if Hg.is_empty:
+        raise ValueError("hypergraph_cover needs a nonempty hypergraph")
+    # from_edges cannot know G.n; each part is the last at one level of the recursion
+    _vertex_set(Hg.parts[-1], G.n)
+    if Hg.ell == 1:
+        s1, colour = ramsey_clique([v for v, in Hg.edges()], G)
+        return CoverResult((s1,), (colour,), tuple((v,) for v in s1), ("base",))
+
+    L = min_degree_cleanup(Hg, _cover_threshold(Hg.edge_count, Hg.parts))
+    assert not L.is_empty, "cleanup below the adaptive threshold cannot empty"
+    sub = hypergraph_cover(L.shadow(), G)
+    rows = L.masks[[_row_of(L.prefixes, R) for R in sub.matching]]
+    return _star_step(sub, rows, L.parts[-1], G)
+
+
+def _star_step(
+    sub: CoverResult, rows: np.ndarray, last: tuple[int, ...], G: ColouredCompleteGraph
+) -> CoverResult:
+    """The cover's last level, given the cover sub of the cleaned shadow and
+    rows, the cleaned masks of its matching's prefixes over the last part.
+
     The split size s is chosen by sweeping the greedy star trajectory and
     maximising min(s, clique found in the common neighbourhood); when
     C(|A|, s) is at most STAR_SEARCH_BUDGET, kst_star's exact search then
@@ -439,28 +552,8 @@ def hypergraph_cover(Hg: CanonicalHypergraph, G: ColouredCompleteGraph) -> Cover
     are those of host-vertex masks; the Ramsey steps run on G's colour
     bitmasks.
     """
-    if Hg.is_empty:
-        raise ValueError("hypergraph_cover needs a nonempty hypergraph")
-    # from_edges cannot know G.n; each part is the last at one level of the recursion
-    _vertex_set(Hg.parts[-1], G.n)
-    l = Hg.ell
-    if l == 1:
-        s1, colour = ramsey_clique([v for v, in Hg.edges()], G)
-        return CoverResult((s1,), (colour,), tuple((v,) for v in s1), ("base",))
-
-    adaptive = Fraction(Hg.edge_count, l * prod(map(len, Hg.parts)))
-    threshold = min(CLEANUP_CAP, adaptive)
-    L = min_degree_cleanup(Hg, threshold)
-    assert not L.is_empty, "cleanup below the adaptive threshold cannot empty"
-
-    sub = hypergraph_cover(L.shadow(), G)
     A = sub.matching
-    last = L.parts[-1]
-    F = BipartiteIncidence(
-        a_items=A,
-        nbrs=_row_masks(L.masks[[_row_of(L.prefixes, R) for R in A]]),
-        b_mask=(1 << len(last)) - 1,
-    )
+    F = BipartiteIncidence(a_items=A, nbrs=_row_masks(rows), b_mask=(1 << len(last)) - 1)
 
     best_s, best_score, best_state = 0, -1, None
     chosen: list[int] = []
@@ -490,7 +583,7 @@ def hypergraph_cover(Hg: CanonicalHypergraph, G: ColouredCompleteGraph) -> Cover
     chosen_prefixes = chosen_prefixes[:s_final]
 
     sets = tuple(
-        tuple(sorted(R[i] for R in chosen_prefixes)) for i in range(l - 1)
+        tuple(sorted(R[i] for R in chosen_prefixes)) for i in range(len(sub.sets))
     ) + (s_last,)
     colours = tuple(clique_colour(G, S) for S in sets[:-1]) + (colour_last,)
     if None in colours:
@@ -499,6 +592,26 @@ def hypergraph_cover(Hg: CanonicalHypergraph, G: ColouredCompleteGraph) -> Cover
         R + (v,) for R, v in zip(chosen_prefixes, s_last[:s_final])
     )
     return CoverResult(sets, colours, matching, sub.notes + (mode,))
+
+
+def _cover_partition(
+    G: ColouredCompleteGraph, H: TotallyColouredPattern, parts: Sequence[Sequence[int]]
+) -> tuple[int, CoverResult | None]:
+    """The number of canonical copies under parts, and the cover of their
+    hypergraph (None without copies).  For l >= 2 this is hypergraph_cover
+    with its top level read from the degree grid: the cleaned shadow comes
+    from the grid's cells, and the star step reads rebuilt rows."""
+    if H.num_vertices == 1:
+        Hg = canonical_hypergraph(G, H, parts)
+        return Hg.edge_count, None if Hg.is_empty else hypergraph_cover(Hg, G)
+    top = _top_level(G, H, parts)
+    copies = top.copies
+    if not copies:
+        return 0, None
+    shadow = top.cleaned_shadow(_cover_threshold(copies, top.parts))
+    assert not shadow.is_empty, "cleanup below the adaptive threshold cannot empty"
+    sub = hypergraph_cover(shadow, G)
+    return copies, _star_step(sub, top.rows(sub.matching), top.parts[-1], G)
 
 
 # ---------------------------------------------------------------------------
@@ -567,10 +680,10 @@ def find_homogeneous_blowup(
     """Extract a homogeneous blow-up of the pattern's edge colouring.
 
     Each of at most retries attempts draws one fresh equitable partition
-    from seed, builds the canonical hypergraph and runs the covering
-    recursion on G; attempts stop early once target_t (an int >= 1, if
-    given) is reached (retrying partitions is the pipeline's observable
-    success criterion).  Every returned witness passes
+    from seed, builds the canonical hypergraph (for l >= 2 up to its degree
+    grid, _top_level) and runs the covering recursion on G; attempts stop
+    early once target_t (an int >= 1, if given) is reached (retrying
+    partitions is the pipeline's observable success criterion).  Every returned witness passes
     verify_witness(..., homogeneous=True); parts are truncated to the
     common achieved size t.
     """
@@ -584,11 +697,10 @@ def find_homogeneous_blowup(
     asymptotic_t = asymptotic_target_size(G.n, l, G.r)
     best: BlowupFinderResult | None = None
     for attempt in range(1, retries + 1):
-        Hg = canonical_hypergraph(G, pattern, _random_equitable_partition(rng, G.n, l))
-        if Hg.is_empty:
+        copies, cover = _cover_partition(G, pattern, _random_equitable_partition(rng, G.n, l))
+        if cover is None:
             w, t, colours, mode = None, 0, None, "no-copies"
         else:
-            cover = hypergraph_cover(Hg, G)
             t = cover.min_size
             w = BlowupWitness(
                 pattern,
@@ -600,7 +712,7 @@ def find_homogeneous_blowup(
                 raise AssertionError("extraction produced an invalid witness")
             colours, mode = cover.colours, "+".join(cover.notes)
         candidate = BlowupFinderResult(
-            w, t, asymptotic_t, attempt, Hg.edge_count,
+            w, t, asymptotic_t, attempt, copies,
             None if target_t is None else t >= target_t, colours, mode,
         )
         if best is None or candidate.achieved_t > best.achieved_t:

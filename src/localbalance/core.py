@@ -107,7 +107,7 @@ def _raise_edge_list_error(edges: Sequence[object], n: int, r: int) -> NoReturn:
         if pair in seen:
             raise GraphFormatError(f"duplicate edge ({u},{v})")
         seen.add(pair)
-    if len(edges) != comb(n, 2):
+    if n >= 1 and len(edges) != comb(n, 2):
         raise GraphFormatError(f"expected {comb(n, 2)} edges, got {len(edges)}")
     _check_size(n, r)
     raise AssertionError("the bulk edge-list checks rejected a valid list")
@@ -278,13 +278,15 @@ class ColouredCompleteGraph:
     def from_edges(cls, n: int, r: int, edges: Iterable[Sequence[int]]) -> "ColouredCompleteGraph":
         """Build from an explicit [u, v, c] list covering all C(n,2) pairs.
 
-        Rejects malformed entries, self-loops, out-of-range vertices or
-        colours, duplicate pairs and missing pairs, naming the first bad
-        entry in list order.  A valid list is checked in bulk: the entry
-        and field types at C speed, then the values as one integer array
-        (_edge_table).  Only a bad list is scanned entry by entry, to name
-        its first error.
+        Rejects a non-integer n or r first (_integer), then malformed
+        entries, self-loops, out-of-range vertices or colours, duplicate
+        pairs and missing pairs, naming the first bad entry in list order,
+        and last a host that fails the size rule.  A valid list is checked
+        in bulk: the entry and field types at C speed, then the values as
+        one integer array (_edge_table).  Only a bad list is scanned entry
+        by entry, to name its first error.
         """
+        n, r = _integer(n, "n"), _integer(r, "r")
         if not isinstance(edges, (list, tuple)):
             edges = list(edges)
         triples = _valid_triples(edges)
@@ -295,7 +297,12 @@ class ColouredCompleteGraph:
 
     @classmethod
     def from_pair_colours(cls, n: int, r: int, colours: np.ndarray) -> "ColouredCompleteGraph":
-        """The graph whose pairs u < v, in row-major order, take ``colours``."""
+        """The graph whose pairs u < v, in row-major order, take ``colours``;
+        n and r pass the size rule, and there are C(n, 2) colours, before
+        the table is allocated."""
+        n, r = _check_size(n, r)
+        if len(colours) != comb(n, 2):
+            raise ValueError(f"expected {comb(n, 2)} pair colours, got {len(colours)}")
         table = np.zeros((n, n), dtype=np.uint8)
         table[~np.tri(n, dtype=bool)] = colours  # boolean masks fill in row-major order
         return cls(n, r, table | table.T)
@@ -428,6 +435,7 @@ def _plain_edge_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
     # after the array only whitespace and commas, which the caller's walk checks
     if not skeleton.startswith(want) or skeleton[len(want):].strip(b","):
         return None
+    del skeleton, want
     digit = (np.frombuffer(chunk, dtype=np.uint8) - ord("0")) < 10
     if np.count_nonzero(digit[1:] > digit[:-1]) != 3 * m:  # the runs; chunk[0] is "["
         return None
@@ -439,28 +447,38 @@ def _plain_edge_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
     # whitespace split none
     solid = np.frombuffer(solid, dtype=np.uint8)
     digit = (solid - ord("0")) < 10
-    ends = (np.flatnonzero(digit[:-1] > digit[1:]) + 1).astype(np.int32)
+    closes = digit[:-1] > digit[1:]
     del digit
+    ends = np.flatnonzero(closes).astype(np.int32)
+    del closes
+    ends += 1
     if len(ends) != 3 * m:
         return None
     values = np.zeros(3 * m, dtype=np.int64)
     lengths = np.zeros(3 * m, dtype=np.uint8)
     alive = np.ones(3 * m, dtype=bool)
     for j in range(19):  # Horner from each run's end, while the run lasts
-        d = solid[ends - (1 + j)] - ord("0")
+        ends -= 1  # walks back one digit a step, and is restored below
+        d = solid[ends] - ord("0")
         alive &= d < 10
         if not alive.any():
             break
-        values += d * alive * np.int64(10**j)
+        # the digits times 10**j in the least signed type that holds 9 * 10**j,
+        # not an int64 temporary (an unsigned one would make the sum float64)
+        values += d * alive * np.min_scalar_type(-9 * 10**j).type(10**j)
         lengths += alive
     else:
         return None  # a run of 19 digits
-    if ((solid[ends - lengths] == ord("0")) & (lengths > 1)).any():
+    ends += j + 1 - lengths  # each run's first digit: no leading zero
+    if ((solid[ends] == ord("0")) & (lengths > 1)).any():
         return None
+    ends += lengths
+    del solid, alive
     # run r must close slot r % 3 of entry r // 3: mark 2 + 5 (r // 3) + r % 3
     # of solid, which has the digits of runs 0..r before it
+    digits = lengths.astype(np.int32)
     marks = ends.reshape(m, 3)
-    marks -= np.cumsum(lengths, dtype=np.int32).reshape(m, 3)
+    marks -= np.cumsum(digits, out=digits).reshape(m, 3)
     marks -= 5 * np.arange(m, dtype=np.int32)[:, None]
     if not (marks == (2, 3, 4)).all():
         return None

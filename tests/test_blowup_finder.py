@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -40,6 +41,8 @@ from localbalance.blowup_finder import (
     CLEANUP_CAP,
     STAR_SEARCH_BUDGET,
     _random_equitable_partition,
+    _TopLevel,
+    _top_level,
     asymptotic_target_size,
 )
 from localbalance.patterns import _blowup_search
@@ -318,6 +321,28 @@ class TestCanonicalHypergraphBuilder:
             find_homogeneous_blowup(G, H)
         assert time.perf_counter() - start < 5
 
+    def test_degree_grid_past_the_byte_limit_refused_before_allocation(self, monkeypatch):
+        # an all-red 4-vertex pattern in an all-red host, on parts of 32, 32,
+        # 2048 and 1 vertices: levels 1 and 2 (1024 prefixes) fit under 1 MiB,
+        # the grid of 1024 x 2048 uint16 cells does not
+        monkeypatch.setattr("localbalance.blowup_finder.LEVEL_BYTES_LIMIT", 1 << 20)
+        G = ColouredCompleteGraph(2113, 2, np.zeros((2113, 2113), dtype=np.uint8))
+        H = TotallyColouredPattern.from_parts(2, (0,) * 4, {})
+        parts = [range(32), range(32, 64), range(64, 2112), (2112,)]
+        message = f"^level 3 of the canonical hypergraph has {1024 * 2048} candidate prefixes "
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message + rf"\({4 << 20} bytes\)"):
+                _top_level(G, H, parts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # the finder's partitions of a random host: levels 1 and 2 fit, the grid not
+        monkeypatch.setattr("localbalance.blowup_finder.LEVEL_BYTES_LIMIT", 100_000)
+        with pytest.raises(ValueError, match="^level 3 of the canonical hypergraph"):
+            find_homogeneous_blowup(make_random(256, 2, 0), get_pattern("C4"), retries=1)
+
     def test_pattern_colour_beyond_host_gives_empty(self):
         G = make_random(12, 2, 3)
         H = TotallyColouredPattern.from_parts(3, (0, 0, 0), {(0, 1): 2, (0, 2): 1})
@@ -404,18 +429,80 @@ class TestDictReference:
                 ref = min_degree_cleanup_reference(ref, thr).shadow()
 
 
+class TestDegreeGrid:
+    """The finder's top level, read from the degree grid, against the built
+    top level: the fused cleanup and shadow, the copy count, the rebuilt
+    rows and whole finder runs."""
+
+    @staticmethod
+    def cases():
+        yield from TestCanonicalHypergraphBuilder.cases()
+        rng = random.Random(23)
+        for r in (2, 3):
+            for _ in range(10):
+                n = rng.randrange(2, 17)
+                G = make_random(n, r, rng.randrange(10**6))
+                yield G, get_pattern("P1"), _random_equitable_partition(rng, n, 2)
+
+    def test_cleaned_shadow_is_the_cleaned_hypergraphs_shadow(self):
+        for G, H, parts in self.cases():
+            Hg = canonical_hypergraph(G, H, parts)
+            top = _top_level(G, H, parts)
+            assert top.copies == Hg.edge_count
+            width = len(Hg.parts[-1])
+            # the cover's threshold, and cuts on each degree and just beside one
+            thresholds = {min(CLEANUP_CAP, Fraction(Hg.edge_count, Hg.ell * math.prod(
+                map(len, Hg.parts))))} | {Fraction(k, 2 * width) for k in range(2 * width + 1)}
+            for thr in sorted(thresholds):
+                want = min_degree_cleanup(Hg, thr).shadow()
+                got = top.cleaned_shadow(thr)
+                assert got.parts == want.parts
+                assert np.array_equal(got.prefixes, want.prefixes)
+                assert np.array_equal(got.masks, want.masks)
+                assert got.edge_count == want.edge_count
+                assert_record_invariants(got)
+
+    def test_rebuilt_rows_are_the_masks(self):
+        for G, H, parts in self.cases():
+            Hg = canonical_hypergraph(G, H, parts)
+            rows = _top_level(G, H, parts).rows(Hg.prefixes.tolist())
+            assert rows.dtype == np.uint64 and np.array_equal(rows, Hg.masks)
+
+    def test_finder_matches_the_built_top_level(self, monkeypatch):
+        # the reference attempt: the whole hypergraph built, then hypergraph_cover
+        def cover_partition_reference(G, H, parts):
+            Hg = canonical_hypergraph(G, H, parts)
+            return Hg.edge_count, None if Hg.is_empty else hypergraph_cover(Hg, G)
+
+        rng = random.Random(24)
+        runs = []
+        for r in (2, 3):
+            for _ in range(16):
+                G = make_random(rng.randrange(4, 49), r, rng.randrange(10**6))
+                H = get_pattern(rng.choice(("C4", "P3o", "P3", "P1")))
+                runs.append((G, H, rng.randrange(100)))
+        got = [find_homogeneous_blowup(G, H, seed=seed, retries=4) for G, H, seed in runs]
+        monkeypatch.setattr("localbalance.blowup_finder._cover_partition",
+                            cover_partition_reference)
+        want = [find_homogeneous_blowup(G, H, seed=seed, retries=4) for G, H, seed in runs]
+        assert got == want
+        assert sum(res.achieved_t >= 1 for res in got) > len(runs) // 2
+
+
 class TestFinderConfig:
     """The finder's settings: the seed, retries and target_t arguments, and
     the paper's constant c as CLEANUP_CAP."""
 
     def test_cleanup_cap_is_the_threshold_of_every_p1_cleanup_on_pk8(self, monkeypatch):
+        # P1 has two vertices, so its one cleanup is the degree grid's
         thresholds = []
+        cleaned_shadow = _TopLevel.cleaned_shadow
 
-        def spy(Hg, threshold):
+        def spy(top, threshold):
             thresholds.append(threshold)
-            return min_degree_cleanup(Hg, threshold)
+            return cleaned_shadow(top, threshold)
 
-        monkeypatch.setattr("localbalance.blowup_finder.min_degree_cleanup", spy)
+        monkeypatch.setattr(_TopLevel, "cleaned_shadow", spy)
         find_homogeneous_blowup(make_Pk(8), get_pattern("P1"), retries=4)
         assert CLEANUP_CAP == Fraction(1, 8)
         assert thresholds == [CLEANUP_CAP] * 4

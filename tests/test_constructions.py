@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from localbalance import (
+    ColouredCompleteGraph,
     ResamplingBudgetExceeded,
     balance_profile,
     blow_up,
@@ -233,7 +234,10 @@ class TestHostSizeCheck:
         # r * n^2 wraps in int32, so the guard compares Python ints
         (lambda: _check_size(np.int32(4096), 255), 4096),
         (lambda: make_random(np.int32(4096), 255, 0), 4096),
-    ], ids=["split", "pk", "mcycle", "blow_up", "bipartite", "int32-size", "int32-random"])
+        # np.tri(5000) and a 25 MB table came before the size rule
+        (lambda: ColouredCompleteGraph.from_pair_colours(5000, 2, np.zeros(0, np.uint8)), 5000),
+    ], ids=["split", "pk", "mcycle", "blow_up", "bipartite", "int32-size", "int32-random",
+            "pair-colours"])
     def test_refused_before_allocating(self, build, n):
         # the builder checks the host size before it allocates an n x n table
         tracemalloc.start()
@@ -244,6 +248,24 @@ class TestHostSizeCheck:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("build", [
+        lambda n: ColouredCompleteGraph.from_edges(n, 2, []),
+        lambda n: ColouredCompleteGraph.from_pair_colours(n, 2, np.zeros(0, np.uint8)),
+    ], ids=["edges", "pair-colours"])
+    def test_constructors_read_n_by_the_size_rule(self, build):
+        # 1.5 raised a TypeError from math.comb or np.tri, -1 math.comb's error
+        with pytest.raises(ValueError, match="^n must be an integer, got 1.5$"):
+            build(1.5)
+        with pytest.raises(ValueError, match="^need n >= 1, got -1$"):
+            build(-1)
+
+    def test_pair_colours_of_the_wrong_length_refused(self):
+        # numpy's boolean-assignment error before
+        colours = np.zeros(2, np.uint8)
+        with pytest.raises(ValueError, match="^expected 3 pair colours, got 2$"):
+            ColouredCompleteGraph.from_pair_colours(3, 2, colours)
+        assert ColouredCompleteGraph.from_pair_colours(3, 2, np.zeros(3, np.uint8)).n == 3
 
 
 # every public count argument: its function, its name, and a call that passes x for it

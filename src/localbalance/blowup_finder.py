@@ -1,6 +1,7 @@
 """From many pattern copies to a homogeneous blow-up, constructively.
 
-The pipeline mirrors the inductive extraction argument it implements:
+The pipeline mirrors the inductive extraction argument it implements;
+hypergraph_cover runs steps 2-5 on any level with cleaned_shadow and rows:
 
 1. draw a uniformly random equitable partition V1..Vl of the host; the
    canonical pattern copies (vertex i of the pattern embedded in Vi) form
@@ -9,15 +10,15 @@ The pipeline mirrors the inductive extraction argument it implements:
    later parts; its top level is never built, only a degree grid: per
    (l-2)-prefix and vertex x of V_{l-1}, the number of copies through both;
 2. clean the hypergraph so that every (l-1)-prefix has degree 0 or at
-   least threshold * |Vl|: the grid's cells at or past the cut, packed per
-   (l-2)-prefix, are already the shadow of the cleaned hypergraph;
+   least threshold * |Vl| and take its shadow (cleaned_shadow; at the top,
+   the grid's cells at or past the cut, packed per (l-2)-prefix);
 3. recurse on the shadow (the prefixes), obtaining sets U1..U_{l-1} on
    which the pair colouring is constant per part, together with an
    explicit matching A of disjoint prefixes;
 4. in the bipartite incidence between A and Vl (R adjacent to v whenever
-   R+v survives cleaning), grow a complete bipartite subgraph A' x T; the
-   rows of A are rebuilt from the level below, each as its head's
-   candidates in Vl AND one row of a pair table;
+   R+v survives cleaning), grow a complete bipartite subgraph A' x T; at
+   the top the rows of A are rebuilt from the level below, each as its
+   head's candidates in Vl AND one row of a pair table;
 5. extract a monochromatic clique S_l inside T greedily.
 
 Sizes are whatever the run achieves; callers compare against their target
@@ -137,6 +138,15 @@ class CanonicalHypergraph:
         last = np.searchsorted(np.array(prev), self.prefixes[:, -1])
         heads, masks = _grouped(self.prefixes[:, :-1], last, len(prev))
         return CanonicalHypergraph(self.parts[:-1], heads, masks, len(self.prefixes))
+
+    def cleaned_shadow(self, threshold: Rational) -> "CanonicalHypergraph":
+        """The level the cover recurses on: min_degree_cleanup, then shadow."""
+        return min_degree_cleanup(self, threshold).shadow()
+
+    def rows(self, prefixes: Sequence[Sequence[int]]) -> np.ndarray:
+        """The masks of the given (l-1)-prefixes (KeyError for one without
+        edges), which cleanup keeps or drops whole."""
+        return self.masks[[_row_of(self.prefixes, R) for R in prefixes]]
 
 
 def _row_of(prefixes: np.ndarray, prefix: Sequence[int]) -> int:
@@ -303,8 +313,9 @@ class _TopLevel:
     part, and pair the packed pair table of parts l-2 and l-1 (row k: the
     k-th vertex of parts[-2]).  degrees[h, k] (uint16: at most |V_l| <= 2048)
     counts the copies through heads[h] and that vertex: the popcount of
-    last[h] & pair[k] where the vertex is a candidate of heads[h], else 0.
-    A top-level row, the mask of one (l-1)-prefix, is rebuilt on demand.
+    last[h] & pair[k] where the vertex is a candidate of heads[h], else 0;
+    edge_count is their sum.  A top-level row, the mask of one
+    (l-1)-prefix, is rebuilt on demand.
     """
 
     parts: tuple[tuple[int, ...], ...]
@@ -312,16 +323,17 @@ class _TopLevel:
     last: np.ndarray
     pair: np.ndarray
     degrees: np.ndarray
-
-    @property
-    def copies(self) -> int:
-        return int(self.degrees.sum(dtype=np.int64))
+    edge_count: int
 
     def cleaned_shadow(self, threshold: Rational) -> CanonicalHypergraph:
         """min_degree_cleanup(canonical_hypergraph(...), threshold).shadow()
-        in one step: the cells at or past the cut, packed per head, with
-        the heads left empty dropped."""
-        kept = _pack(self.degrees >= _degree_cut(threshold, len(self.parts[-1])))
+        in one step: the cells at or past the cut, packed per head in
+        _BUILD_CHUNK-cell steps, with the heads left empty dropped."""
+        cut, width = _degree_cut(threshold, len(self.parts[-1])), self.degrees.shape[1]
+        kept = np.empty((len(self.heads), -(-width // 64)), dtype=np.uint64)
+        step = max(1, _BUILD_CHUNK // width)
+        for a in range(0, len(kept), step):
+            kept[a:a + step] = _pack(self.degrees[a:a + step] >= cut)
         rows = kept.any(axis=1)
         return CanonicalHypergraph(
             self.parts[:-1], self.heads[rows], kept[rows], int(np.bitwise_count(kept).sum())
@@ -355,7 +367,7 @@ def _top_level(
         for w in range(last.shape[1]):
             block += np.bitwise_count(last[a:a + step, w, None] & table[:, w])
         block *= _unpack(cands[a:a + step], width)
-    return _TopLevel(parts, heads, last, table, degrees)
+    return _TopLevel(parts, heads, last, table, degrees, int(degrees.sum(dtype=np.int64)))
 
 
 # ---------------------------------------------------------------------------
@@ -516,33 +528,33 @@ class CoverResult:
         return min(len(s) for s in self.sets)
 
 
-def hypergraph_cover(Hg: CanonicalHypergraph, G: ColouredCompleteGraph) -> CoverResult:
+def hypergraph_cover(Hg: CanonicalHypergraph | _TopLevel, G: ColouredCompleteGraph) -> CoverResult:
     """Run the inductive covering extraction on a nonempty hypergraph
-    whose parts hold vertices of the host G (ValueError otherwise).
+    whose parts hold vertices of the host G (ValueError otherwise): a
+    CanonicalHypergraph or the finder's degree grid (_TopLevel).
 
-    Cleanup at _cover_threshold, the cover of the cleaned shadow, then
-    _star_step on the cleaned rows of its matching.
+    The cover of the level's cleaned shadow at _cover_threshold, then
+    _star_step on the level's rows of its matching.
     """
-    if Hg.is_empty:
+    if not Hg.edge_count:
         raise ValueError("hypergraph_cover needs a nonempty hypergraph")
     # from_edges cannot know G.n; each part is the last at one level of the recursion
     _vertex_set(Hg.parts[-1], G.n)
-    if Hg.ell == 1:
+    if len(Hg.parts) == 1:
         s1, colour = ramsey_clique([v for v, in Hg.edges()], G)
         return CoverResult((s1,), (colour,), tuple((v,) for v in s1), ("base",))
 
-    L = min_degree_cleanup(Hg, _cover_threshold(Hg.edge_count, Hg.parts))
-    assert not L.is_empty, "cleanup below the adaptive threshold cannot empty"
-    sub = hypergraph_cover(L.shadow(), G)
-    rows = L.masks[[_row_of(L.prefixes, R) for R in sub.matching]]
-    return _star_step(sub, rows, L.parts[-1], G)
+    shadow = Hg.cleaned_shadow(_cover_threshold(Hg.edge_count, Hg.parts))
+    assert not shadow.is_empty, "cleanup below the adaptive threshold cannot empty"
+    sub = hypergraph_cover(shadow, G)
+    return _star_step(sub, Hg.rows(sub.matching), Hg.parts[-1], G)
 
 
 def _star_step(
     sub: CoverResult, rows: np.ndarray, last: tuple[int, ...], G: ColouredCompleteGraph
 ) -> CoverResult:
     """The cover's last level, given the cover sub of the cleaned shadow and
-    rows, the cleaned masks of its matching's prefixes over the last part.
+    rows, the (cleaned) masks of its matching's prefixes over the last part.
 
     The split size s is chosen by sweeping the greedy star trajectory and
     maximising min(s, clique found in the common neighbourhood); when
@@ -592,26 +604,6 @@ def _star_step(
         R + (v,) for R, v in zip(chosen_prefixes, s_last[:s_final])
     )
     return CoverResult(sets, colours, matching, sub.notes + (mode,))
-
-
-def _cover_partition(
-    G: ColouredCompleteGraph, H: TotallyColouredPattern, parts: Sequence[Sequence[int]]
-) -> tuple[int, CoverResult | None]:
-    """The number of canonical copies under parts, and the cover of their
-    hypergraph (None without copies).  For l >= 2 this is hypergraph_cover
-    with its top level read from the degree grid: the cleaned shadow comes
-    from the grid's cells, and the star step reads rebuilt rows."""
-    if H.num_vertices == 1:
-        Hg = canonical_hypergraph(G, H, parts)
-        return Hg.edge_count, None if Hg.is_empty else hypergraph_cover(Hg, G)
-    top = _top_level(G, H, parts)
-    copies = top.copies
-    if not copies:
-        return 0, None
-    shadow = top.cleaned_shadow(_cover_threshold(copies, top.parts))
-    assert not shadow.is_empty, "cleanup below the adaptive threshold cannot empty"
-    sub = hypergraph_cover(shadow, G)
-    return copies, _star_step(sub, top.rows(sub.matching), top.parts[-1], G)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +673,7 @@ def find_homogeneous_blowup(
 
     Each of at most retries attempts draws one fresh equitable partition
     from seed, builds the canonical hypergraph (for l >= 2 up to its degree
-    grid, _top_level) and runs the covering recursion on G; attempts stop
+    grid, _top_level) and runs hypergraph_cover on it; attempts stop
     early once target_t (an int >= 1, if given) is reached (retrying
     partitions is the pipeline's observable success criterion).  Every returned witness passes
     verify_witness(..., homogeneous=True); parts are truncated to the
@@ -695,9 +687,12 @@ def find_homogeneous_blowup(
     if G.n < l:
         raise ValueError(f"host has {G.n} < l = {l} vertices")
     asymptotic_t = asymptotic_target_size(G.n, l, G.r)
+    build = canonical_hypergraph if l == 1 else _top_level
     best: BlowupFinderResult | None = None
     for attempt in range(1, retries + 1):
-        copies, cover = _cover_partition(G, pattern, _random_equitable_partition(rng, G.n, l))
+        Hg = build(G, pattern, _random_equitable_partition(rng, G.n, l))
+        copies, cover = Hg.edge_count, hypergraph_cover(Hg, G) if Hg.edge_count else None
+        del Hg  # before the next attempt builds its level
         if cover is None:
             w, t, colours, mode = None, 0, None, "no-copies"
         else:

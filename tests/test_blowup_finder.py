@@ -40,6 +40,8 @@ from hosts import (
 from localbalance.blowup_finder import (
     CLEANUP_CAP,
     STAR_SEARCH_BUDGET,
+    _BUILD_CHUNK,
+    _cover_threshold,
     _random_equitable_partition,
     _TopLevel,
     _top_level,
@@ -432,7 +434,8 @@ class TestDictReference:
 class TestDegreeGrid:
     """The finder's top level, read from the degree grid, against the built
     top level: the fused cleanup and shadow, the copy count, the rebuilt
-    rows and whole finder runs."""
+    rows, the cover and whole finder runs.  Both levels give hypergraph_cover
+    cleaned_shadow and rows, so the built record's own are checked too."""
 
     @staticmethod
     def cases():
@@ -444,36 +447,68 @@ class TestDegreeGrid:
                 G = make_random(n, r, rng.randrange(10**6))
                 yield G, get_pattern("P1"), _random_equitable_partition(rng, n, 2)
 
-    def test_cleaned_shadow_is_the_cleaned_hypergraphs_shadow(self):
-        for G, H, parts in self.cases():
-            Hg = canonical_hypergraph(G, H, parts)
-            top = _top_level(G, H, parts)
-            assert top.copies == Hg.edge_count
-            width = len(Hg.parts[-1])
-            # the cover's threshold, and cuts on each degree and just beside one
-            thresholds = {min(CLEANUP_CAP, Fraction(Hg.edge_count, Hg.ell * math.prod(
-                map(len, Hg.parts))))} | {Fraction(k, 2 * width) for k in range(2 * width + 1)}
-            for thr in sorted(thresholds):
-                want = min_degree_cleanup(Hg, thr).shadow()
-                got = top.cleaned_shadow(thr)
-                assert got.parts == want.parts
-                assert np.array_equal(got.prefixes, want.prefixes)
-                assert np.array_equal(got.masks, want.masks)
-                assert got.edge_count == want.edge_count
-                assert_record_invariants(got)
+    def test_cleaned_shadow_is_the_cleaned_hypergraphs_shadow(self, monkeypatch):
+        # a chunk of 7 cells packs a few grid rows at a time, with a ragged last chunk
+        for chunk in (_BUILD_CHUNK, 7):
+            monkeypatch.setattr("localbalance.blowup_finder._BUILD_CHUNK", chunk)
+            for G, H, parts in self.cases():
+                Hg = canonical_hypergraph(G, H, parts)
+                top = _top_level(G, H, parts)
+                assert top.edge_count == Hg.edge_count
+                assert type(top.edge_count) is int
+                width = len(Hg.parts[-1])
+                # the cover's threshold, and cuts on each degree and just beside one
+                thresholds = {min(CLEANUP_CAP, Fraction(Hg.edge_count, Hg.ell * math.prod(
+                    map(len, Hg.parts))))} | {Fraction(k, 2 * width) for k in range(2 * width + 1)}
+                for thr in sorted(thresholds):
+                    want = min_degree_cleanup(Hg, thr).shadow()
+                    for got in (top.cleaned_shadow(thr), Hg.cleaned_shadow(thr)):
+                        assert got.parts == want.parts
+                        assert np.array_equal(got.prefixes, want.prefixes)
+                        assert np.array_equal(got.masks, want.masks)
+                        assert got.edge_count == want.edge_count
+                        assert_record_invariants(got)
+
+    def test_cleaned_shadow_packs_the_grid_chunk_by_chunk(self):
+        # the whole grid compared at once held a bool array of half its bytes
+        rng = random.Random(25)
+        parts = _random_equitable_partition(rng, 768, 4)
+        top = _top_level(make_random(768, 2, 0), get_pattern("C4"), parts)
+        width = top.degrees.shape[1]
+        assert len(top.heads) >= 4 * (_BUILD_CHUNK // width)
+        thr = _cover_threshold(top.edge_count, top.parts)
+        tracemalloc.start()
+        try:
+            shadow = top.cleaned_shadow(thr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not shadow.is_empty
+        assert peak < top.degrees.nbytes // 4
 
     def test_rebuilt_rows_are_the_masks(self):
         for G, H, parts in self.cases():
             Hg = canonical_hypergraph(G, H, parts)
-            rows = _top_level(G, H, parts).rows(Hg.prefixes.tolist())
-            assert rows.dtype == np.uint64 and np.array_equal(rows, Hg.masks)
+            for rows in (_top_level(G, H, parts).rows(Hg.prefixes.tolist()),
+                         Hg.rows(Hg.prefixes.tolist())):
+                assert rows.dtype == np.uint64 and np.array_equal(rows, Hg.masks)
+
+    def test_cover_of_the_grid_is_the_cover_of_the_built_record(self):
+        covered = 0
+        for G, H, parts in self.cases():
+            Hg = canonical_hypergraph(G, H, parts)
+            top = _top_level(G, H, parts)
+            if Hg.is_empty:
+                for level in (Hg, top):
+                    with pytest.raises(ValueError, match="needs a nonempty hypergraph"):
+                        hypergraph_cover(level, G)
+                continue
+            assert hypergraph_cover(top, G) == hypergraph_cover(Hg, G)
+            covered += 1
+        assert covered > 50
 
     def test_finder_matches_the_built_top_level(self, monkeypatch):
-        # the reference attempt: the whole hypergraph built, then hypergraph_cover
-        def cover_partition_reference(G, H, parts):
-            Hg = canonical_hypergraph(G, H, parts)
-            return Hg.edge_count, None if Hg.is_empty else hypergraph_cover(Hg, G)
-
+        # the reference attempts build the whole hypergraph for hypergraph_cover
         rng = random.Random(24)
         runs = []
         for r in (2, 3):
@@ -482,8 +517,7 @@ class TestDegreeGrid:
                 H = get_pattern(rng.choice(("C4", "P3o", "P3", "P1")))
                 runs.append((G, H, rng.randrange(100)))
         got = [find_homogeneous_blowup(G, H, seed=seed, retries=4) for G, H, seed in runs]
-        monkeypatch.setattr("localbalance.blowup_finder._cover_partition",
-                            cover_partition_reference)
+        monkeypatch.setattr("localbalance.blowup_finder._top_level", canonical_hypergraph)
         want = [find_homogeneous_blowup(G, H, seed=seed, retries=4) for G, H, seed in runs]
         assert got == want
         assert sum(res.achieved_t >= 1 for res in got) > len(runs) // 2

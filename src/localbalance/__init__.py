@@ -55,10 +55,8 @@ from .core import (
     least_balanced_degree,
 )
 from .multicolour import (
-    SamplerConfig,
     induced_unibalanced,
     min_unibalanced_subgraph,
-    min_unibalanced_subgraph_size,
     sample_unibalanced_subset,
 )
 from .patterns import (

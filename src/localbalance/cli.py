@@ -45,11 +45,7 @@ from .core import (
     graph_from_json,
     graph_to_json,
 )
-from .multicolour import (
-    SamplerConfig,
-    min_unibalanced_subgraph,
-    sample_unibalanced_subset,
-)
+from .multicolour import min_unibalanced_subgraph, sample_unibalanced_subset, size_cap, zeta
 from .patterns import TotallyColouredPattern, get_pattern, induced_edge_pattern, pattern_library
 from .verify import (
     sample_locally_balanced,
@@ -206,11 +202,10 @@ def _cmd_find_blowup(args) -> tuple[dict, int]:
 
 def _cmd_sample_unibalanced(args) -> tuple[dict, int]:
     G = _load_graph(args)
-    config = SamplerConfig(eps=args.eps, max_draws=args.max_draws, seed=args.seed)
-    got = sample_unibalanced_subset(G, config)
+    got = sample_unibalanced_subset(G, args.eps, seed=args.seed, max_draws=args.max_draws)
     payload = {
-        "zeta": config.zeta(G.r),
-        "C": config.size_cap,
+        "zeta": zeta(args.eps, G.r),
+        "C": size_cap(args.eps),
         "S": list(got[0]) if got else None,
         "draws": got[1] if got else args.max_draws,
         "found": got is not None,

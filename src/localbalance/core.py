@@ -283,16 +283,19 @@ class ColouredCompleteGraph:
         pairs and missing pairs, naming the first bad entry in list order,
         and last a host that fails the size rule.  A valid list is checked
         in bulk: the entry and field types at C speed, then the values as
-        one integer array (_edge_table).  Only a bad list is scanned entry
-        by entry, to name its first error.
+        one integer array (_edge_table).  An (m, 3) integer array, as the
+        host file reader gives, goes to _edge_table as it is.  Only a bad
+        list is scanned entry by entry, to name its first error.
         """
         n, r = _integer(n, "n"), _integer(r, "r")
-        if not isinstance(edges, (list, tuple)):
+        array = (isinstance(edges, np.ndarray) and edges.dtype.kind in "iu"
+                 and edges.shape[1:] == (3,))
+        if not array and not isinstance(edges, (list, tuple)):
             edges = list(edges)
-        triples = _valid_triples(edges)
+        triples = edges if array else _valid_triples(edges)
         table = None if triples is None else _edge_table(triples, n, r)
         if table is None:
-            _raise_edge_list_error(edges, n, r)
+            _raise_edge_list_error(edges.tolist() if array else edges, n, r)
         return cls(n, r, table)
 
     @classmethod
@@ -304,8 +307,12 @@ class ColouredCompleteGraph:
         if len(colours) != comb(n, 2):
             raise ValueError(f"expected {comb(n, 2)} pair colours, got {len(colours)}")
         table = np.zeros((n, n), dtype=np.uint8)
-        table[~np.tri(n, dtype=bool)] = colours  # boolean masks fill in row-major order
-        return cls(n, r, table | table.T)
+        upper = np.tri(n, dtype=bool)
+        np.logical_not(upper, out=upper)
+        table[upper] = colours  # boolean masks fill in row-major order
+        table.T[upper] = colours
+        del upper  # freed before the constructor's checks, to bound the peak
+        return cls(n, r, table)
 
     def colour(self, u: int, v: int) -> int:
         """The colour of the edge u v; ValueError unless u and v are two
@@ -567,19 +574,15 @@ def graph_from_json(data: dict) -> ColouredCompleteGraph:
         # the rows, joined, are the pair colours in row-major order
         colours = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8) - ord("0")
         if (colours >= r).any():
-            bad = np.zeros((n, n), dtype=bool)
-            bad[~np.tri(n, dtype=bool)] = colours >= r
-            u, v = divmod(int(bad.argmax()), n)
-            raise GraphFormatError(f"colour {rows[u][v - u - 1]} out of range in edge ({u},{v})")
+            k, u = int((colours >= r).argmax()), 0  # the first bad pair, the k-th of row u
+            while k >= len(rows[u]):
+                k -= len(rows[u])
+                u += 1
+            raise GraphFormatError(f"colour {rows[u][k]} out of range in edge ({u},{u + 1 + k})")
         return ColouredCompleteGraph.from_pair_colours(n, r, colours)
     if "edges" in data:
-        edges = data["edges"]
-        if isinstance(edges, np.ndarray) and edges.dtype.kind in "iu" and edges.shape[1:] == (3,):
-            table = _edge_table(edges, n, r)
-            if table is None:
-                _raise_edge_list_error(edges.tolist(), n, r)
-            return ColouredCompleteGraph(n, r, table)
-        if not isinstance(edges, list):
+        edges = data["edges"]  # a list, or the (m, 3) array _read_graph_json gives
+        if not isinstance(edges, (list, np.ndarray)):
             raise GraphFormatError("'edges' must be a list of [u, v, c] triples")
         return ColouredCompleteGraph.from_edges(n, r, edges)
     raise GraphFormatError("graph JSON needs an 'edges' or 'rows' field")

@@ -12,46 +12,29 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from math import log
 from typing import Sequence
 
-from .core import ColouredCompleteGraph, _as_fraction, _integer, _vertex_set, is_locally_balanced
+from .core import (
+    ColouredCompleteGraph, Rational, _as_fraction, _integer, _vertex_set, is_locally_balanced,
+)
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    """Sampling parameters: the balance level eps, the draw budget, the seed.
+def zeta(eps: Fraction, r: int) -> float:
+    """The expected sample size (20/eps) (ln r + ln 1/eps) on an r-coloured
+    host; natural logarithms."""
+    inv = 1.0 / float(eps)
+    return 20.0 * inv * (log(r) + log(inv))
 
-    On an r-coloured host, zeta(r) = (20/eps) (ln r + ln 1/eps) is the
-    expected sample size and size_cap = (80/eps) ln 1/eps the acceptance
-    cap; natural logarithms.  The derivation needs zeta(r) <= size_cap / 2,
-    which holds exactly when r <= 1/eps (always true for a locally
-    eps-balanced r-colouring); sample_unibalanced_subset refuses other hosts.
-    """
 
-    eps: Fraction
-    max_draws: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "eps", _as_fraction(self.eps))
-        if not 0 < self.eps < 1:
-            raise ValueError(f"need 0 < eps < 1, got {self.eps}")
-        object.__setattr__(self, "max_draws", _integer(self.max_draws, "max_draws"))
-        if self.max_draws < 1:
-            raise ValueError("max_draws must be >= 1")
-        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
-
-    def zeta(self, r: int) -> float:
-        inv = 1.0 / float(self.eps)
-        return 20.0 * inv * (log(r) + log(inv))
-
-    @property
-    def size_cap(self) -> float:
-        inv = 1.0 / float(self.eps)
-        return 80.0 * inv * log(inv)
+def size_cap(eps: Fraction) -> float:
+    """The acceptance cap (80/eps) ln 1/eps on a sample's size.  The
+    derivation needs zeta(eps, r) <= size_cap(eps) / 2, which holds exactly
+    when r <= 1/eps (always true for a locally eps-balanced r-colouring);
+    sample_unibalanced_subset refuses other hosts."""
+    inv = 1.0 / float(eps)
+    return 80.0 * inv * log(inv)
 
 
 def induced_unibalanced(G: ColouredCompleteGraph, S: Sequence[int]) -> bool:
@@ -65,7 +48,7 @@ def induced_unibalanced(G: ColouredCompleteGraph, S: Sequence[int]) -> bool:
 
 
 def sample_unibalanced_subset(
-    G: ColouredCompleteGraph, config: SamplerConfig
+    G: ColouredCompleteGraph, eps: Rational, *, seed: int = 0, max_draws: int = 64
 ) -> tuple[tuple[int, ...], int] | None:
     """Bernoulli(zeta/n) vertex samples until one induces a unibalanced
     subgraph of size <= size_cap; returns (subset, draws used) or None.
@@ -73,26 +56,33 @@ def sample_unibalanced_subset(
     Warns when the host is not locally eps-balanced, where the per-draw
     success guarantee has no backing.  zeta/n is clamped to 1 for small
     hosts (the formulas target large n).  ValueError, before any draw or
-    warning, unless the host's r <= 1/eps (see SamplerConfig).
+    warning, unless 0 < eps < 1, max_draws >= 1 and the host's r <= 1/eps
+    (see size_cap).
     """
-    zeta = config.zeta(G.r)
+    eps = _as_fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError(f"need 0 < eps < 1, got {eps}")
+    max_draws = _integer(max_draws, "max_draws")
+    if max_draws < 1:
+        raise ValueError("max_draws must be >= 1")
+    rng = random.Random(_integer(seed, "seed"))
+    expected, cap = zeta(eps, G.r), size_cap(eps)
     # zeta > size_cap / 2 exactly when r > 1/eps; in floats the two sides
     # of r = 1/eps can compare either way
-    if G.r * config.eps > 1:
+    if G.r * eps > 1:
         raise ValueError(
-            f"zeta = {zeta:.2f} exceeds size_cap/2 = {config.size_cap / 2:.2f}; "
-            f"this needs r <= 1/eps (r={G.r}, eps={config.eps})"
+            f"zeta = {expected:.2f} exceeds size_cap/2 = {cap / 2:.2f}; "
+            f"this needs r <= 1/eps (r={G.r}, eps={eps})"
         )
-    if not is_locally_balanced(G, config.eps):
+    if not is_locally_balanced(G, eps):
         warnings.warn(
-            f"host is not locally {config.eps}-balanced; sampling is best-effort",
+            f"host is not locally {eps}-balanced; sampling is best-effort",
             stacklevel=2,
         )
-    p = min(1.0, zeta / G.n)
-    rng = random.Random(config.seed)
-    for draw in range(1, config.max_draws + 1):
+    p = min(1.0, expected / G.n)
+    for draw in range(1, max_draws + 1):
         S = tuple(v for v in range(G.n) if rng.random() < p)
-        if not S or len(S) > config.size_cap:
+        if not S or len(S) > cap:
             continue
         if induced_unibalanced(G, S):
             return S, draw
@@ -199,10 +189,3 @@ def min_unibalanced_subgraph(
             return tuple(chosen)
     return None
 
-
-def min_unibalanced_subgraph_size(
-    G: ColouredCompleteGraph, cap: int = 12
-) -> int | None:
-    """Smallest |S| inducing a unibalanced subgraph, or None past the cap."""
-    witness = min_unibalanced_subgraph(G, cap)
-    return None if witness is None else len(witness)

@@ -227,13 +227,23 @@ def clique_colour(G: ColouredCompleteGraph, verts: Sequence[int]) -> int | None:
     return c if all((adj[v] | 1 << v) & mask == mask for v in verts) else None
 
 
+def _part_colours(H: TotallyColouredPattern, t: int, homogeneous: bool) -> tuple[int | None, ...]:
+    """The colour each part's t-clique must have in a t-blow-up of H, or
+    None where any colour will do: in a homogeneous blow-up, for a pattern
+    that ignores vertex colours, and at t = 1, where a part has no pair."""
+    if homogeneous or H.vertex_colours_ignored or t == 1:
+        return (None,) * H.num_vertices
+    return H.vertex_colours
+
+
 def verify_witness(G: ColouredCompleteGraph, w: BlowupWitness) -> bool:
     """Check a blow-up witness against the host.
 
     Returns False on colour mismatches; raises InvalidWitnessError when the
     witness is structurally broken (wrong part count or sizes, parts that
-    are not disjoint host vertex sets).  Vertex-colour matching is skipped
-    when the witness is homogeneous or the pattern ignores vertex colours.
+    are not disjoint host vertex sets).  Each part must be a clique of its
+    vertex colour, unless the witness is homogeneous, the pattern ignores
+    vertex colours or t = 1 (_part_colours).
     """
     H = w.pattern
     if len(w.parts) != H.num_vertices:
@@ -250,11 +260,9 @@ def verify_witness(G: ColouredCompleteGraph, w: BlowupWitness) -> bool:
         if len(part) != w.t:
             raise InvalidWitnessError(f"part {part} does not have size t={w.t}")
 
-    # t = 1 parts are vacuously monochromatic in any colour
-    fixed_part_colours = not (w.homogeneous or H.vertex_colours_ignored) and w.t > 1
-    for i, part in enumerate(parts):
+    for part, want in zip(parts, _part_colours(H, w.t, w.homogeneous)):
         c = clique_colour(G, part)
-        if c is None or fixed_part_colours and c != H.vertex_colour(i):
+        if c is None or want is not None and c != want:
             return False
     masks = [sum(1 << v for v in part) for part in parts]
     for i in range(len(parts)):
@@ -347,11 +355,9 @@ def find_pattern_blowup_exhaustive(
         raise SearchBudgetExceeded(
             f"C({G.n},{t})^{l} = {comb(G.n, t) ** l} exceeds budget {EXHAUSTIVE_SEARCH_BUDGET}"
         )
-    fixed = not (homogeneous or H.vertex_colours_ignored)
+    cliques = _part_colours(H, t, homogeneous)
     cross = H.graph.table()  # its diagonal is 0, so its largest entry is the largest edge colour
-    if max([cross.max(), *(H.vertex_colours if fixed else ())]) >= G.r:
+    if max([cross.max(), *(c for c in cliques if c is not None)]) >= G.r:
         return None
-    # t = 1 parts are vacuously monochromatic in any colour
-    cliques = H.vertex_colours if fixed and t > 1 else (None,) * l
     parts = _blowup_search(G, ((1 << G.n) - 1,) * l, cliques, cross.tolist(), t)
     return None if parts is None else BlowupWitness(H, parts, t, homogeneous)

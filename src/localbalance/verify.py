@@ -39,7 +39,7 @@ from .core import (
     graph_to_json,
     least_balanced_degree,
 )
-from .multicolour import min_unibalanced_subgraph_size
+from .multicolour import min_unibalanced_subgraph
 from .patterns import find_pattern_blowup_exhaustive, get_pattern
 
 
@@ -243,7 +243,8 @@ def verify_prop_3colourfail(
     report = VerificationReport(suite="3colourfail")
     for l, m in product(ls, ms):
         G = make_multicolour_cycle(l, m)
-        got = min_unibalanced_subgraph_size(G, cap=min(12, G.n))
+        witness = min_unibalanced_subgraph(G, cap=min(12, G.n))
+        got = None if witness is None else len(witness)
         entry = {"l": l, "partSize": m, "expected": l, "minSize": got, "ok": got == l}
         report.record(entry, None if entry["ok"] else entry)
     return report

@@ -565,13 +565,13 @@ def find_pattern_blowup_reference(
     candidates in itertools.combinations order, checks it with
     clique_colour, and narrows the later parts' candidate masks."""
     l = H.num_vertices
+    # t = 1 parts are vacuously monochromatic in any colour
+    match_part_colours = not (homogeneous or H.vertex_colours_ignored) and t > 1
     used_colours = {H.edge_colour(i, j) for i in range(l) for j in range(i + 1, l)}
-    if not (homogeneous or H.vertex_colours_ignored):
+    if match_part_colours:
         used_colours.update(H.vertex_colours)
     if used_colours and max(used_colours) >= G.r:
         return None
-    # t = 1 parts are vacuously monochromatic in any colour
-    match_part_colours = not (homogeneous or H.vertex_colours_ignored) and t > 1
     bits = [G.colour_bits(c) for c in range(G.r)]
     parts: list[tuple[int, ...]] = []
 

@@ -29,7 +29,7 @@ from localbalance import (
     make_random,
     make_split,
     min_degree_cleanup,
-    min_unibalanced_subgraph_size,
+    min_unibalanced_subgraph,
     verify_prop_cute,
     verify_theorem_anybalanced_small,
     verify_witness,
@@ -149,8 +149,8 @@ def test_criterion_6_three_colour_minimum():
     """The alternating-cycle colouring needs all l parts to be unibalanced."""
     ok = True
     for l, m in itertools.product((4, 6), (1, 2)):
-        got = min_unibalanced_subgraph_size(make_multicolour_cycle(l, m), cap=12)
-        ok = ok and got == l
+        got = min_unibalanced_subgraph(make_multicolour_cycle(l, m), cap=12)
+        ok = ok and got is not None and len(got) == l
     report(6, ok, "min unibalanced size equals part count for l in {4,6}, m in {1,2}")
 
 

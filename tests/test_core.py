@@ -173,6 +173,22 @@ class TestConstruction:
         assert type(G.colour(0, 1)) is int
         assert not hasattr(G, "_rows")
 
+    def test_pair_colours_hold_one_mask(self):
+        # the table and its upper-triangle mask; ~np.tri and table | table.T
+        # were two more n x n temporaries, and the mask outlived the fill
+        n = 1024
+        colours = np.random.default_rng(0).integers(0, 2, n * (n - 1) // 2, dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            G = ColouredCompleteGraph.from_pair_colours(n, 2, colours)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        us, vs = np.triu_indices(n, 1)
+        assert np.array_equal(G.table()[us, vs], colours)
+        assert np.array_equal(G.table(), G.table().T)
+        assert peak < 4.75 * n * n
+
     def test_masks_are_packed_one_colour_at_a_time(self):
         # an (r, n, n) one-hot of the masks alone is r * n^2 bytes
         n, r = 512, 16
@@ -498,6 +514,24 @@ class TestJson:
             graph_from_json({"n": 4, "r": r, "rows": rows})
         assert str(exc.value) == message
 
+    def test_compact_colour_error_scans_the_rows_only(self):
+        # the first bad pair was found in n x n tables, three of them at once
+        n = 1000
+        rng = random.Random(5)
+        rows = ["".join(rng.choice("01") for _ in range(n - u - 1)) for u in range(n)]
+        for u in (0, 3, 498, 998):
+            k = rng.randrange(len(rows[u]))
+            bad = rows[:u] + [rows[u][:k] + "7" + rows[u][k + 1:]] + rows[u + 1:]
+            tracemalloc.start()
+            try:
+                with pytest.raises(GraphFormatError) as exc:
+                    graph_from_json({"n": n, "r": 2, "rows": bad})
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert str(exc.value) == f"colour 7 out of range in edge ({u},{u + 1 + k})"
+            assert peak < 2 * n * n
+
     @pytest.mark.parametrize("data", [
         {"n": 2, "r": 300, "edges": [[0, 1, 0]]},
         {"n": 3, "r": 1, "rows": ["00", "0", ""]},
@@ -574,6 +608,14 @@ EDGE_LISTS = [
 ]
 
 
+def plain_edges(edges) -> bool:
+    """Whether edges serialises as a plain array: [u, v, c] triples of ints
+    in [0, 10^18)."""
+    return isinstance(edges, list) and all(
+        isinstance(e, (list, tuple)) and len(e) == 3
+        and all(type(x) is int and 0 <= x < 10**18 for x in e) for e in edges)
+
+
 class TestBulkEdgeLoader:
     """from_edges checks a valid list in bulk and scans only a bad one; the
     result, or the error type and message, must be the per-entry reference's."""
@@ -610,6 +652,16 @@ class TestBulkEdgeLoader:
         with pytest.raises(GraphFormatError, match=re.escape(message) + "$"):
             ColouredCompleteGraph.from_edges(3, 2, edges)
 
+    @pytest.mark.parametrize("n, r, edges", [case for case in EDGE_LISTS if plain_edges(case[2])])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32])
+    def test_integer_arrays_match_lists(self, n, r, edges, dtype):
+        # the host file reader's (m, 3) arrays take the same path as lists
+        array = np.array(edges, dtype=dtype).reshape(-1, 3)
+        want = outcome(lambda: ColouredCompleteGraph.from_edges(n, r, edges))
+        assert outcome(lambda: ColouredCompleteGraph.from_edges(n, r, array)) == want
+        if n >= 1:
+            assert outcome(lambda: graph_from_json({"n": n, "r": r, "edges": array})) == want
+
     def test_generator_argument(self):
         G = make_random(9, 3, 4)
         edges = graph_to_json(G)["edges"]
@@ -639,14 +691,6 @@ def reader_matches_json(raw: bytes) -> object:
     want = outcome(lambda: graph_from_json(json.loads(raw)))
     assert outcome(lambda: graph_from_json(_read_graph_json(raw))) == want
     return outcome(lambda: _read_graph_json(raw))
-
-
-def plain_edges(edges) -> bool:
-    """Whether edges serialises as a plain array: [u, v, c] triples of ints
-    in [0, 10^18)."""
-    return isinstance(edges, list) and all(
-        isinstance(e, (list, tuple)) and len(e) == 3
-        and all(type(x) is int and 0 <= x < 10**18 for x in e) for e in edges)
 
 
 class TestGraphJsonReader:

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from localbalance import (
-    SamplerConfig,
     TotallyColouredPattern,
     balance_profile,
     blow_up,
@@ -22,10 +21,9 @@ from localbalance import (
     make_random,
     min_unibalanced_subgraph,
     pattern_library,
-    min_unibalanced_subgraph_size,
     sample_unibalanced_subset,
 )
-from localbalance.multicolour import _previous_twins
+from localbalance.multicolour import _previous_twins, size_cap, zeta
 from hosts import (
     graph_from,
     min_unibalanced_reference,
@@ -69,18 +67,18 @@ class TestInducedUnibalanced:
                     assert induced_unibalanced(G, T)
 
 
-class TestSamplerConfig:
+class TestSamplerArguments:
     def test_formulas(self):
-        cfg = SamplerConfig(eps=Fraction(1, 6))
         import math
 
-        assert cfg.zeta(3) == pytest.approx(120 * (math.log(3) + math.log(6)))
-        assert cfg.size_cap == pytest.approx(480 * math.log(6))
-        assert cfg.zeta(3) <= cfg.size_cap / 2
+        eps = Fraction(1, 6)
+        assert zeta(eps, 3) == pytest.approx(120 * (math.log(3) + math.log(6)))
+        assert size_cap(eps) == pytest.approx(480 * math.log(6))
+        assert zeta(eps, 3) <= size_cap(eps) / 2
 
     def test_rejects_r_above_inverse_eps(self):
         with pytest.raises(ValueError, match="r <= 1/eps"):
-            sample_unibalanced_subset(make_random(12, 3, 0), SamplerConfig(eps=Fraction(1, 2)))
+            sample_unibalanced_subset(make_random(12, 3, 0), Fraction(1, 2))
 
     @pytest.mark.parametrize("r", [93, 186])
     def test_accepts_r_equal_to_inverse_eps(self, r):
@@ -88,75 +86,98 @@ class TestSamplerConfig:
         G = make_random(4, r, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sample_unibalanced_subset(G, SamplerConfig(eps=Fraction(1, r), max_draws=1))
+            sample_unibalanced_subset(G, Fraction(1, r), max_draws=1)
 
     def test_rejects_bad_eps(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(eps=Fraction(0))
-        with pytest.raises(ValueError):
-            SamplerConfig(eps=Fraction(3, 2))
+        G = make_random(6, 2, 0)
+        with pytest.raises(ValueError, match="^need 0 < eps < 1, got 0$"):
+            sample_unibalanced_subset(G, Fraction(0))
+        with pytest.raises(ValueError, match="^need 0 < eps < 1, got 3/2$"):
+            sample_unibalanced_subset(G, Fraction(3, 2))
 
     @pytest.mark.parametrize("draws", [2.5, True, "4", None])
     def test_max_draws_must_be_an_int(self, draws):
         # 2.5 raised TypeError at the first sample, and True meant one draw
         message = f"^max_draws must be an integer, got {re.escape(repr(draws))}$"
         with pytest.raises(ValueError, match=message):
-            SamplerConfig(eps=Fraction(1, 4), max_draws=draws)
+            sample_unibalanced_subset(make_random(6, 2, 0), Fraction(1, 4), max_draws=draws)
 
     @pytest.mark.parametrize("seed", [2.5, True, "4", None])
     def test_seed_must_be_an_int(self, seed):
         # True ran seed 1, and 2.5 ran seed hash(2.5)
         message = f"^seed must be an integer, got {re.escape(repr(seed))}$"
         with pytest.raises(ValueError, match=message):
-            SamplerConfig(eps=Fraction(1, 6), seed=seed)
+            sample_unibalanced_subset(make_random(6, 2, 0), Fraction(1, 6), seed=seed)
 
-    def test_numpy_seed_is_read_as_an_int(self):
-        assert type(SamplerConfig(eps=Fraction(1, 6), seed=np.int64(9)).seed) is int
+    def test_numpy_seed_and_draws_are_read_as_ints(self):
+        G = make_multicolour_cycle(6, 10)
+        eps = Fraction(1, 6)
+        assert sample_unibalanced_subset(G, eps, seed=np.int64(9), max_draws=np.int64(3)) == \
+            sample_unibalanced_subset(G, eps, seed=9, max_draws=3)
 
     def test_max_draws_range(self):
         with pytest.raises(ValueError, match="^max_draws must be >= 1$"):
-            SamplerConfig(eps=Fraction(1, 4), max_draws=0)
-        assert SamplerConfig(eps=Fraction(1, 4), max_draws=np.int64(3)).max_draws == 3
+            sample_unibalanced_subset(make_random(6, 2, 0), Fraction(1, 4), max_draws=0)
+
+    def test_checks_run_in_order_before_any_warning(self):
+        # an unbalanced 3-coloured host with eps = 1/2 would warn and be
+        # refused for r > 1/eps; each bad argument is named first, in turn
+        G = make_random(12, 3, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^need 0 < eps"):
+                sample_unibalanced_subset(G, Fraction(0), seed=None, max_draws=0)
+            with pytest.raises(ValueError, match="^max_draws must be >= 1$"):
+                sample_unibalanced_subset(G, Fraction(1, 2), seed=None, max_draws=0)
+            with pytest.raises(ValueError, match="^seed must be an integer"):
+                sample_unibalanced_subset(G, Fraction(1, 2), seed=None)
+            with pytest.raises(ValueError, match="r <= 1/eps"):
+                sample_unibalanced_subset(G, Fraction(1, 2))
 
 
 class TestSampler:
     def test_cycle_construction_found_quickly(self):
         G = make_multicolour_cycle(6, 40)
+        eps = Fraction(1, 6)
         for seed in range(5):
-            cfg = SamplerConfig(eps=Fraction(1, 6), max_draws=64, seed=seed)
-            got = sample_unibalanced_subset(G, cfg)
+            got = sample_unibalanced_subset(G, eps, seed=seed, max_draws=64)
             assert got is not None
             S, draws = got
             assert induced_unibalanced(G, S)
-            assert len(S) <= cfg.size_cap
+            assert len(S) <= size_cap(eps)
             assert draws <= 64
 
     def test_mono_host_none(self):
         mono = graph_from(12, 2, lambda u, v: 0)
-        cfg = SamplerConfig(eps=Fraction(1, 4), max_draws=8, seed=0)
         with pytest.warns(UserWarning):
-            assert sample_unibalanced_subset(mono, cfg) is None
+            assert sample_unibalanced_subset(mono, Fraction(1, 4), seed=0, max_draws=8) is None
 
     def test_p3_blowup_found_within_cap(self):
         G = blow_up(get_pattern("P3"), 30)
-        cfg = SamplerConfig(eps=Fraction(1, 4), max_draws=64, seed=3)
-        got = sample_unibalanced_subset(G, cfg)
+        got = sample_unibalanced_subset(G, Fraction(1, 4), seed=3, max_draws=64)
         assert got is not None
-        assert len(got[0]) <= cfg.size_cap
+        assert len(got[0]) <= size_cap(Fraction(1, 4))
 
     def test_deterministic(self):
         G = make_multicolour_cycle(6, 10)
-        cfg = SamplerConfig(eps=Fraction(1, 6), max_draws=16, seed=9)
-        assert sample_unibalanced_subset(G, cfg) == sample_unibalanced_subset(G, cfg)
+        eps = Fraction(1, 6)
+        assert sample_unibalanced_subset(G, eps, seed=9, max_draws=16) == \
+            sample_unibalanced_subset(G, eps, seed=9, max_draws=16)
 
-    def test_refuses_a_config_for_another_r(self):
-        # eps = 1/2 admits r = 2 only (r <= 1/eps): the config samples a
-        # 2-coloured host, and a 3-coloured one is refused before the
-        # local-balance warning and any draw
-        cfg = SamplerConfig(eps=Fraction(1, 2))
+    def test_eps_is_read_exactly(self):
+        G = make_multicolour_cycle(6, 10)
+        got = sample_unibalanced_subset(G, Fraction(1, 6), seed=2)
+        assert got is not None
+        assert sample_unibalanced_subset(G, "1/6", seed=2) == got
+
+    def test_refuses_an_eps_for_another_r(self):
+        # eps = 1/2 admits r = 2 only (r <= 1/eps): it samples a 2-coloured
+        # host, and a 3-coloured one is refused before the local-balance
+        # warning and any draw
+        eps = Fraction(1, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            sample_unibalanced_subset(make_random(40, 2, 0), cfg)
+            sample_unibalanced_subset(make_random(40, 2, 0), eps)
         G = make_random(40, 3, 0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -164,7 +185,7 @@ class TestSampler:
                 r"^zeta = 71\.67 exceeds size_cap/2 = 55\.45; "
                 r"this needs r <= 1/eps \(r=3, eps=1/2\)$"
             )):
-                sample_unibalanced_subset(G, cfg)
+                sample_unibalanced_subset(G, eps)
 
     def test_per_draw_success_rate(self):
         # desk-scale analogue of the half-probability guarantee, loosened
@@ -174,26 +195,25 @@ class TestSampler:
         successes = 0
         draws = 1000
         for seed in range(draws):
-            cfg = SamplerConfig(eps=eps, max_draws=1, seed=seed)
-            if sample_unibalanced_subset(G, cfg) is not None:
+            if sample_unibalanced_subset(G, eps, seed=seed, max_draws=1) is not None:
                 successes += 1
         assert successes / draws >= 0.25
 
 
 class TestMinUnibalanced:
     def test_cycle_sizes_are_the_part_counts(self):
-        assert min_unibalanced_subgraph_size(make_multicolour_cycle(6, 2), cap=8) == 6
-        assert min_unibalanced_subgraph_size(make_multicolour_cycle(4, 2), cap=8) == 4
+        assert len(min_unibalanced_subgraph(make_multicolour_cycle(6, 2), cap=8)) == 6
+        assert len(min_unibalanced_subgraph(make_multicolour_cycle(4, 2), cap=8)) == 4
 
     def test_p1_blowup_needs_all_four(self):
         G = blow_up(get_pattern("P1"), 2)
-        assert min_unibalanced_subgraph_size(G, cap=4) == 4
+        assert len(min_unibalanced_subgraph(G, cap=4)) == 4
         assert len(naive_min_unibalanced(G, 4)) == 4
 
     def test_exceeds_cap(self):
         mono = graph_from(8, 2, lambda u, v: 0)
-        assert min_unibalanced_subgraph_size(mono, cap=6) is None
-        assert min_unibalanced_subgraph_size(make_multicolour_cycle(6, 2), cap=5) is None
+        assert min_unibalanced_subgraph(mono, cap=6) is None
+        assert min_unibalanced_subgraph(make_multicolour_cycle(6, 2), cap=5) is None
 
     def test_matches_naive_oracle_on_random_hosts(self):
         rng = random.Random(4)
@@ -206,9 +226,9 @@ class TestMinUnibalanced:
         rng = random.Random(7)
         for _ in range(10):
             G = make_random(8, 2, rng.randrange(10**6))
-            got = min_unibalanced_subgraph_size(G, cap=8)
+            got = min_unibalanced_subgraph(G, cap=8)
             if got is not None:
-                assert got >= 3
+                assert len(got) >= 3
 
     def test_no_unibalanced_triangle_for_two_colours(self):
         # an odd cycle has no proper 2-edge-colouring, so r = 2 starts at k = 4
@@ -265,7 +285,7 @@ class TestMinUnibalanced:
 
     def test_rejects_big_cap(self):
         with pytest.raises(ValueError):
-            min_unibalanced_subgraph_size(make_random(6, 2, 0), cap=13)
+            min_unibalanced_subgraph(make_random(6, 2, 0), cap=13)
 
     @pytest.mark.parametrize("cap", [8.0, True, "8", None])
     def test_cap_must_be_an_int(self, cap):

@@ -355,27 +355,41 @@ class TestExhaustiveFinder:
 
     def test_matches_the_combination_loop(self):
         # the vertex-by-vertex search against the combination loop it
-        # replaced: the same least witness, or None, on small random hosts
+        # replaced: the same least witness, or None, on small random hosts;
+        # r = 3 patterns on r = 2 hosts have vertex colours the host lacks,
+        # which bind only where a part has a pair
         rng = random.Random(24)
         found = searches = 0
         for seed in range(24):
             n, r = rng.randrange(1, 14), rng.choice((2, 3))
             G = make_random(n, r, seed)
             patterns = list(pattern_library().values())
-            for _ in range(4):
-                l = rng.randrange(1, 5)
-                edges = [(i, j, rng.randrange(r)) for i in range(l) for j in range(i + 1, l)]
-                patterns.append(TotallyColouredPattern.from_parts(
-                    r, [rng.randrange(r) for _ in range(l)], edges,
-                    vertex_colours_ignored=rng.random() < 0.5))
+            for pattern_r in (r, 3) if r == 2 else (r,):
+                for _ in range(4):
+                    l = rng.randrange(1, 5)
+                    edges = [(i, j, rng.randrange(r)) for i in range(l) for j in range(i + 1, l)]
+                    patterns.append(TotallyColouredPattern.from_parts(
+                        pattern_r, [rng.randrange(pattern_r) for _ in range(l)], edges,
+                        vertex_colours_ignored=rng.random() < 0.5))
             for H in patterns:
                 for t in (1, 2, 3):
                     for homogeneous in (False, True):
                         w = find_pattern_blowup_exhaustive(G, H, t, homogeneous)
                         assert w == find_pattern_blowup_reference(G, H, t, homogeneous)
+                        assert w is None or verify_witness(G, w)
                         searches += 1
                         found += w is not None
         assert 0 < found < searches
+
+    def test_part_colour_the_host_lacks_is_free_at_t1(self):
+        # a single vertex has no pair, so its part colour cannot bind, as
+        # verify_witness already read it
+        P = TotallyColouredPattern.from_parts(3, (2, 0), {(0, 1): 1})
+        G = make_random(6, 2, 0)
+        w = find_pattern_blowup_exhaustive(G, P, 1)
+        assert w is not None and verify_witness(G, w)
+        assert find_pattern_blowup_exhaustive(G, P, 2) is None
+        assert find_pattern_blowup_exhaustive(G, P, 2, homogeneous=True) is not None
 
     def test_found_witnesses_always_verify(self):
         rng = random.Random(6)

@@ -84,7 +84,7 @@ def test_duplicate_host_routines_stay_deleted():
 
 
 def test_deleted_parameters_stay_deleted():
-    from localbalance import blowup_finder
+    from localbalance import blowup_finder, multicolour
     from localbalance.blowup_finder import asymptotic_target_size
 
     assert list(inspect.signature(localbalance.census_k4).parameters) == ["G"]
@@ -102,8 +102,13 @@ def test_deleted_parameters_stay_deleted():
     assert list(inspect.signature(localbalance.kst_star).parameters) == ["F", "s"]
     assert list(inspect.signature(localbalance.find_pattern_blowup_exhaustive).parameters) == [
         "G", "H", "t", "homogeneous"]
-    assert [f.name for f in dataclasses.fields(localbalance.SamplerConfig)] == [
-        "eps", "max_draws", "seed"]
+    sampler = inspect.signature(localbalance.sample_unibalanced_subset).parameters
+    assert [(name, p.kind.name, p.default) for name, p in sampler.items()] == [
+        ("G", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("eps", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+        ("seed", "KEYWORD_ONLY", 0), ("max_draws", "KEYWORD_ONLY", 64)]
+    for name in ("SamplerConfig", "min_unibalanced_subgraph_size"):
+        assert not hasattr(localbalance, name) and not hasattr(multicolour, name)
 
 
 def test_vertex_checks_live_only_in_core():

@@ -160,7 +160,7 @@ class Test3ColourFail:
         assert all(e["minSize"] == e["l"] for e in report.bounds)
 
     def test_failure_record_is_the_entry(self, monkeypatch):
-        monkeypatch.setattr("localbalance.verify.min_unibalanced_subgraph_size",
+        monkeypatch.setattr("localbalance.verify.min_unibalanced_subgraph",
                             lambda G, cap: None)
         report = verify_prop_3colourfail(ls=(4,), ms=(1,))
         entry = {"l": 4, "partSize": 1, "expected": 4, "minSize": None, "ok": False}

@@ -24,7 +24,6 @@ from .blowup_finder import (
     BlowupFinderResult,
     CanonicalHypergraph,
     CoverResult,
-    canonical_hypergraph,
     find_homogeneous_blowup,
     hypergraph_cover,
     kst_star,

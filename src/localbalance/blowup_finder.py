@@ -8,7 +8,8 @@ hypergraph_cover runs steps 2-5 on any level with cleaned_shadow and rows:
    an l-partite l-uniform hypergraph, built level by level as numpy arrays
    up to its (l-2)-prefixes, with the packed uint64 candidate masks of the
    later parts; its top level is never built, only a degree grid: per
-   (l-2)-prefix and vertex x of V_{l-1}, the number of copies through both;
+   (l-2)-prefix and vertex x of V_{l-1}, the number of copies through both
+   (for l = 1, the one row of every vertex);
 2. clean the hypergraph so that every (l-1)-prefix has degree 0 or at
    least threshold * |Vl| and take its shadow (cleaned_shadow; at the top,
    the grid's cells at or past the cut, packed per (l-2)-prefix);
@@ -77,8 +78,8 @@ class CanonicalHypergraph:
     checks nothing.  The invariants: parts are sorted, disjoint and
     nonempty; prefixes are sorted lexicographically with none twice; mask
     rows are nonzero with no bit past |V_l|; edge_count is the masks'
-    popcount.  The entry points that take outside data, from_edges and
-    canonical_hypergraph, check them; min_degree_cleanup, shadow and the
+    popcount.  from_edges, the entry point that takes outside data, checks
+    them; the copy build (_top_level), min_degree_cleanup, shadow and the
     degree grid's cleaned shadow keep them by construction.
     """
 
@@ -243,67 +244,6 @@ def _expand(
     return grown, [m[keep] for m in nxt]
 
 
-def _copy_levels(
-    G: ColouredCompleteGraph, H: TotallyColouredPattern, parts: Sequence[Sequence[int]],
-    depth: int,
-) -> tuple[tuple[tuple[int, ...], ...], dict, np.ndarray, list[np.ndarray]]:
-    """The copy build's level loop, run to the depth-prefixes: the checked
-    parts, the pattern's pair tables, the sorted depth-prefixes of copies
-    and, per prefix, the packed candidates of each part from depth on.
-
-    Level i extends every i-prefix by each vertex of part i still joined
-    to it in the pattern's colours and drops the prefixes that empty a
-    later part.  Before a level is allocated its rows are counted; a level
-    past LEVEL_BYTES_LIMIT raises ValueError.
-    """
-    l = H.num_vertices
-    parts = _checked_parts(parts, G.n)
-    if len(parts) != l:
-        raise ValueError(f"need one part per pattern vertex ({l}), got {len(parts)}")
-    verts = [np.array(p, dtype=np.int32) for p in parts]
-    table = G.table()
-    # bit k of row u of pair (i, j): the k-th vertex of part j has the
-    # pattern's colour to the u-th vertex of part i (none for a colour >= r)
-    pair = {
-        (i, j): _pack(table[np.ix_(verts[i], verts[j])] == H.edge_colour(i, j))
-        for i, j in itertools.combinations(range(l), 2)
-    }
-    prefixes = np.zeros((1, 0), dtype=np.int32)
-    # cands[j - i]: per prefix, the candidates of part j >= i
-    cands = [_pack(np.ones((1, len(p)), dtype=bool)) for p in parts]
-    for i in range(depth):
-        rows = int(np.bitwise_count(cands[0]).sum())
-        _check_level(i + 1, rows, rows * (4 * (i + 1) + 8 * sum(c.shape[1] for c in cands[1:])))
-        tables = [pair[i, j] for j in range(i + 1, l)]
-        step = max(1, _BUILD_CHUNK // len(parts[i]))
-        # one chunk at least, so that a level after an emptied one keeps its shapes
-        pieces = [
-            _expand(prefixes[a:a + step], [c[a:a + step] for c in cands], verts[i], tables)
-            for a in range(0, max(1, len(prefixes)), step)
-        ]
-        prefixes = np.concatenate([grown for grown, _ in pieces])
-        cands = [np.concatenate(ms) for ms in zip(*(nxt for _, nxt in pieces))]
-        del pieces
-    return parts, pair, prefixes, cands
-
-
-def canonical_hypergraph(
-    G: ColouredCompleteGraph,
-    H: TotallyColouredPattern,
-    parts: Sequence[Sequence[int]],
-) -> CanonicalHypergraph:
-    """All embeddings of H's edge colouring with vertex i inside parts[i].
-
-    parts must be l nonempty, disjoint sets of host vertices (ValueError
-    otherwise).  The level loop of _copy_levels, run to the (l-1)-prefixes:
-    the candidates left in the last part are the masks.  A level past
-    LEVEL_BYTES_LIMIT raises ValueError before it is allocated.
-    """
-    parts, _, prefixes, cands = _copy_levels(G, H, parts, H.num_vertices - 1)
-    masks = cands[0]
-    return CanonicalHypergraph(parts, prefixes, masks, int(np.bitwise_count(masks).sum()))
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class _TopLevel:
     """The canonical hypergraph of an l >= 2 pattern without its top level.
@@ -326,8 +266,8 @@ class _TopLevel:
     edge_count: int
 
     def cleaned_shadow(self, threshold: Rational) -> CanonicalHypergraph:
-        """min_degree_cleanup(canonical_hypergraph(...), threshold).shadow()
-        in one step: the cells at or past the cut, packed per head in
+        """min_degree_cleanup of the whole hypergraph, then its shadow, in
+        one step: the cells at or past the cut, packed per head in
         _BUILD_CHUNK-cell steps, with the heads left empty dropped."""
         cut, width = _degree_cut(threshold, len(self.parts[-1])), self.degrees.shape[1]
         kept = np.empty((len(self.heads), -(-width // 64)), dtype=np.uint64)
@@ -350,12 +290,50 @@ class _TopLevel:
 
 def _top_level(
     G: ColouredCompleteGraph, H: TotallyColouredPattern, parts: Sequence[Sequence[int]]
-) -> _TopLevel:
-    """The level loop to the (l-2)-prefixes, then the degree grid, filled
-    chunk by chunk; it is sized against LEVEL_BYTES_LIMIT, as level l-1,
-    before it is allocated.  parts as for canonical_hypergraph, l >= 2."""
+) -> CanonicalHypergraph | _TopLevel:
+    """The copies of H's edge colouring with vertex i inside parts[i], l
+    nonempty, disjoint sets of host vertices (ValueError otherwise).
+
+    For l = 1 the one-row hypergraph: the empty prefix, every vertex a
+    candidate.  Otherwise level i extends every i-prefix by each vertex of
+    part i still joined to it in the pattern's colours and drops the
+    prefixes that empty a later part, up to the (l-2)-prefixes; then the
+    degree grid is filled chunk by chunk.  Before a level or the grid (as
+    level l-1) is allocated its rows are counted; one past
+    LEVEL_BYTES_LIMIT raises ValueError.
+    """
     l = H.num_vertices
-    parts, pair, heads, (cands, last) = _copy_levels(G, H, parts, l - 2)
+    parts = _checked_parts(parts, G.n)
+    if len(parts) != l:
+        raise ValueError(f"need one part per pattern vertex ({l}), got {len(parts)}")
+    prefixes = np.zeros((1, 0), dtype=np.int32)
+    # cands[j - i]: per prefix, the candidates of part j >= i
+    cands = [_pack(np.ones((1, len(p)), dtype=bool)) for p in parts]
+    if l == 1:
+        return CanonicalHypergraph(parts, prefixes, cands[0], len(parts[0]))
+    verts = [np.array(p, dtype=np.int32) for p in parts]
+    colours = G.table()
+    # bit k of row u of pair (i, j): the k-th vertex of part j has the
+    # pattern's colour to the u-th vertex of part i (none for a colour >= r)
+    pair = {
+        (i, j): _pack(colours[np.ix_(verts[i], verts[j])] == H.edge_colour(i, j))
+        for i, j in itertools.combinations(range(l), 2)
+    }
+    for i in range(l - 2):
+        rows = int(np.bitwise_count(cands[0]).sum())
+        _check_level(i + 1, rows, rows * (4 * (i + 1) + 8 * sum(c.shape[1] for c in cands[1:])))
+        tables = [pair[i, j] for j in range(i + 1, l)]
+        step = max(1, _BUILD_CHUNK // len(parts[i]))
+        # one chunk at least, so that a level after an emptied one keeps its shapes
+        pieces = [
+            _expand(prefixes[a:a + step], [c[a:a + step] for c in cands], verts[i], tables)
+            for a in range(0, max(1, len(prefixes)), step)
+        ]
+        prefixes = np.concatenate([grown for grown, _ in pieces])
+        cands = [np.concatenate(ms) for ms in zip(*(nxt for _, nxt in pieces))]
+        del pieces
+    # the (l-2)-prefixes are the grid's heads, with candidates in the last two parts
+    heads, (cands, last) = prefixes, cands
     table, width = pair[l - 2, l - 1], len(parts[-2])
     rows = int(np.bitwise_count(cands).sum())
     _check_level(l - 1, rows, 2 * len(heads) * width)
@@ -413,13 +391,15 @@ STAR_SEARCH_BUDGET = 200_000
 
 
 def kst_star(F: BipartiteIncidence, s: int) -> StarResult | None:
-    """A complete bipartite subgraph with |S| = s on the A side.
+    """A complete bipartite subgraph with |S| = s on the A side, for an
+    integer s >= 1 (_integer; ValueError otherwise).
 
     Exact maximisation of |T| over s-subsets when C(|A|, s) is at most
     STAR_SEARCH_BUDGET, otherwise the first s items of the greedy
     trajectory; None when every examined choice has an empty common
     neighbourhood.
     """
+    s = _integer(s, "s")
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
     m = len(F.a_items)
@@ -672,8 +652,8 @@ def find_homogeneous_blowup(
     """Extract a homogeneous blow-up of the pattern's edge colouring.
 
     Each of at most retries attempts draws one fresh equitable partition
-    from seed, builds the canonical hypergraph (for l >= 2 up to its degree
-    grid, _top_level) and runs hypergraph_cover on it; attempts stop
+    from seed, builds the canonical hypergraph with _top_level (for l >= 2
+    up to its degree grid) and runs hypergraph_cover on it; attempts stop
     early once target_t (an int >= 1, if given) is reached (retrying
     partitions is the pipeline's observable success criterion).  Every returned witness passes
     verify_witness(..., homogeneous=True); parts are truncated to the
@@ -687,10 +667,9 @@ def find_homogeneous_blowup(
     if G.n < l:
         raise ValueError(f"host has {G.n} < l = {l} vertices")
     asymptotic_t = asymptotic_target_size(G.n, l, G.r)
-    build = canonical_hypergraph if l == 1 else _top_level
     best: BlowupFinderResult | None = None
     for attempt in range(1, retries + 1):
-        Hg = build(G, pattern, _random_equitable_partition(rng, G.n, l))
+        Hg = _top_level(G, pattern, _random_equitable_partition(rng, G.n, l))
         copies, cover = Hg.edge_count, hypergraph_cover(Hg, G) if Hg.edge_count else None
         del Hg  # before the next attempt builds its level
         if cover is None:

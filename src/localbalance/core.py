@@ -333,11 +333,6 @@ class ColouredCompleteGraph:
         unless c is a colour (_integer)."""
         return self._bits[_integer(c, "colour", self.r)]
 
-    def neighbours(self, c: int, u: int) -> int:
-        """Bitmask of the colour-c neighbourhood of u; ValueError unless c
-        is a colour and u a vertex (_integer)."""
-        return self.colour_bits(c)[_integer(u, "vertex", self.n)]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ColouredCompleteGraph):
             return NotImplemented

@@ -30,6 +30,10 @@ from localbalance.cli import main
 GOLDEN = Path(__file__).resolve().parent
 
 BAD_PATTERN = {"l": 3, "r": 2, "vertexColours": [0, 0, 0], "edges": [[0, 1, 1], [1, 2, 1]]}
+# l = 1: the copy build's one row lists every vertex; l = 2: its top level
+# has zero-width heads
+ONE_VERTEX = {"l": 1, "r": 2, "vertexColours": [0], "edges": []}
+TWO_VERTEX = {"l": 2, "r": 2, "vertexColours": [0, 1], "edges": [[0, 1, 1]]}
 
 # name -> argv, run in this order
 CASES = {
@@ -58,6 +62,10 @@ CASES = {
     "min-unibalanced-random": ["min-unibalanced", "random24.json", "--cap", "5"],
     "find-blowup-pattern-file": ["find-blowup", "mcycle.json", "--pattern-file", "min.json",
                                  "--retries", "16"],
+    "find-blowup-one-vertex": ["find-blowup", "random24.json", "--pattern-file", "onevertex.json",
+                               "--retries", "3"],
+    "find-blowup-two-vertex": ["find-blowup", "random24.json", "--pattern-file", "twovertex.json",
+                               "--retries", "3"],
     "sample-unibalanced": ["sample-unibalanced", "mcycle.json", "--eps", "1/6", "--seed", "1"],
     "sample-unibalanced-warning": ["sample-unibalanced", "pk6.json", "--eps", "1/3"],
     **{f"verify-{suite}": ["verify", "--suite", suite, "--seed", "0"]
@@ -103,6 +111,8 @@ def write_inputs(workdir: Path) -> None:
         (workdir / name).write_text(json.dumps(data))
     (workdir / "bad.json").write_text('{"n": 3, "r": 2, "edges": [[0, 1, 0], [0, 0, 1]]}')
     (workdir / "badpat.json").write_text(json.dumps(BAD_PATTERN))
+    (workdir / "onevertex.json").write_text(json.dumps(ONE_VERTEX))
+    (workdir / "twovertex.json").write_text(json.dumps(TWO_VERTEX))
 
 
 def normalised(text: str) -> object:

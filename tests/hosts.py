@@ -167,9 +167,9 @@ def split_cost_reference(G: ColouredCompleteGraph, red_mask: int) -> int:
     cost = 0
     for u in range(G.n):
         if (red_mask >> u) & 1:
-            cost += (G.neighbours(BLUE, u) & red_mask).bit_count()
+            cost += (G.colour_bits(BLUE)[u] & red_mask).bit_count()
         else:
-            cost += (G.neighbours(RED, u) & blue_mask).bit_count()
+            cost += (G.colour_bits(RED)[u] & blue_mask).bit_count()
     return cost // 2
 
 
@@ -191,8 +191,8 @@ def closeness_table_reference(G: ColouredCompleteGraph) -> tuple[int, int]:
     for v in range(G.n):
         half = 1 << v
         masks = np.arange(half, dtype=np.int32)
-        blue_low = G.neighbours(BLUE, v) & (half - 1)
-        red_low = G.neighbours(RED, v) & (half - 1)
+        blue_low = G.colour_bits(BLUE)[v] & (half - 1)
+        red_low = G.colour_bits(RED)[v] & (half - 1)
         np.add(cost[:half], np.bitwise_count(masks & blue_low), out=cost[half:2 * half])
         cost[:half] -= np.bitwise_count(masks & red_low)
         cost[:half] += red_low.bit_count()
@@ -218,7 +218,7 @@ def min_unibalanced_reference(G: ColouredCompleteGraph, cap: int = 12):
                 if len(miss) > slots:
                     return False
                 for c in miss:
-                    if not G.neighbours(c, v) & pool:
+                    if not G.colour_bits(c)[v] & pool:
                         return False
             return True
 
@@ -793,3 +793,17 @@ def canonical_hypergraph_reference(
     rec(0, tuple(sum(1 << v for v in p) for p in parts))
     del rec  # break the rec <-> closure-cell cycle so the DFS state is freed by refcount
     return DictHypergraph(parts, by_prefix, sum(m.bit_count() for m in by_prefix.values()))
+
+
+def canonical_hypergraph_record(
+    G: ColouredCompleteGraph,
+    H: TotallyColouredPattern,
+    parts: Sequence[Sequence[int]],
+) -> CanonicalHypergraph:
+    """The whole copy hypergraph, top level included, as the array record:
+    from_edges on the edges of canonical_hypergraph_reference.  The finder
+    builds only the degree grid of its top level; this is what the grid
+    stands for."""
+    ref = canonical_hypergraph_reference(G, H, parts)
+    edges = [(*prefix, v) for prefix, mask in ref.by_prefix.items() for v in _bits(mask)]
+    return CanonicalHypergraph.from_edges(ref.parts, edges)

@@ -16,7 +16,6 @@ from localbalance import (
     ColouredCompleteGraph,
     TotallyColouredPattern,
     blow_up,
-    canonical_hypergraph,
     find_homogeneous_blowup,
     get_pattern,
     hypergraph_cover,
@@ -30,6 +29,7 @@ from localbalance import (
     verify_witness,
 )
 from hosts import (
+    canonical_hypergraph_record,
     canonical_hypergraph_reference,
     exact_mono_clique_reference,
     graph_from,
@@ -40,6 +40,7 @@ from hosts import (
 from localbalance.blowup_finder import (
     CLEANUP_CAP,
     STAR_SEARCH_BUDGET,
+    StarResult,
     _BUILD_CHUNK,
     _cover_threshold,
     _random_equitable_partition,
@@ -244,16 +245,34 @@ class TestCanonicalHypergraphBuilder:
                 yield G, induced_edge_pattern(G, picks), [parts[i] for i in order]
 
     def test_matches_product_oracle(self):
+        # the built top level, read through its shadow, rows and count, and
+        # the tests' whole record
         for G, H, parts in self.cases():
-            got = canonical_hypergraph(G, H, parts)
             want = CanonicalHypergraph.from_edges(parts, canonical_copies_oracle(G, H, parts))
+            top = _top_level(G, H, parts)
+            assert top.parts == want.parts and top.edge_count == want.edge_count
+            shadow = top.cleaned_shadow(0)
+            assert list(prefix_masks(shadow).items()) == list(prefix_masks(want.shadow()).items())
+            assert np.array_equal(top.rows(want.prefixes.tolist()), want.masks)
             # same prefixes, masks and lexicographic insertion order
+            got = canonical_hypergraph_record(G, H, parts)
             assert list(prefix_masks(got).items()) == list(prefix_masks(want).items())
             assert got.parts == want.parts
 
+    def test_one_vertex_build_is_one_row_of_every_vertex(self):
+        H = TotallyColouredPattern.from_parts(2, (1,), {})
+        for G, _, parts in self.cases():
+            Hg = _top_level(G, H, [parts[0]])
+            assert isinstance(Hg, CanonicalHypergraph)
+            want = CanonicalHypergraph.from_edges([parts[0]], [(v,) for v in parts[0]])
+            assert Hg.parts == want.parts and Hg.edge_count == len(parts[0])
+            assert np.array_equal(Hg.prefixes, want.prefixes)
+            assert np.array_equal(Hg.masks, want.masks)
+            assert_record_invariants(Hg)
+
     def test_shadow_matches_from_edges_shadow(self):
         for G, H, parts in self.cases():
-            Hg = canonical_hypergraph(G, H, parts)
+            Hg = canonical_hypergraph_record(G, H, parts)
             want = CanonicalHypergraph.from_edges(Hg.parts[:-1], sorted(prefix_masks(Hg)))
             got = Hg.shadow()
             assert list(prefix_masks(got).items()) == list(prefix_masks(want).items())
@@ -263,7 +282,7 @@ class TestCanonicalHypergraphBuilder:
         # every entry point and every derived record, down to l = 1; from_edges
         # gets its edges shuffled
         rng = random.Random(22)
-        records = [canonical_hypergraph(G, H, parts) for G, H, parts in self.cases()]
+        records = [canonical_hypergraph_record(G, H, parts) for G, H, parts in self.cases()]
         for _ in range(30):
             Hg = random_hypergraph(rng, rng.randrange(1, 5), rng.randrange(2, 6), rng.random())
             edges = list(Hg.edges())
@@ -291,25 +310,29 @@ class TestCanonicalHypergraphBuilder:
     def test_rejects_malformed_parts(self, parts, message):
         G = make_random(12, 2, 3)
         with pytest.raises(ValueError, match=message):
-            canonical_hypergraph(G, get_pattern("C4"), parts)
+            _top_level(G, get_pattern("C4"), parts)
 
     @pytest.mark.parametrize("bad", [(True,), (0, 1.5), ("x",)])
     def test_rejects_parts_that_are_not_vertices(self, bad):
         G = make_random(12, 2, 3)
         with pytest.raises(ValueError, match="not an integer"):
-            canonical_hypergraph(G, get_pattern("C4"), [bad, (2, 3), (4, 5), (6, 7)])
+            _top_level(G, get_pattern("C4"), [bad, (2, 3), (4, 5), (6, 7)])
+        with pytest.raises(ValueError, match="not an integer"):
+            _top_level(G, TotallyColouredPattern.from_parts(2, (0,), {}), [bad])
 
     def test_numpy_parts_give_the_tuple_record(self):
         # numpy int64 vertices, many past 63, read as Python integers
         G = make_random(200, 2, 3)
-        H = get_pattern("C4")
         parts = _random_equitable_partition(random.Random(0), 200, 4)
-        want = canonical_hypergraph(G, H, parts)
-        got = canonical_hypergraph(G, H, [np.array(p) for p in parts])
+        want = _top_level(G, get_pattern("C4"), parts)
+        got = _top_level(G, get_pattern("C4"), [np.array(p) for p in parts])
         assert got.parts == want.parts
-        assert np.array_equal(got.prefixes, want.prefixes)
-        assert np.array_equal(got.masks, want.masks)
+        for name in ("heads", "last", "pair", "degrees"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert got.edge_count == want.edge_count > 0
+        one = TotallyColouredPattern.from_parts(2, (0,), {})
+        want, got = _top_level(G, one, [range(200)]), _top_level(G, one, [np.arange(200)])
+        assert got.parts == want.parts and np.array_equal(got.masks, want.masks)
 
     def test_level_past_the_byte_limit_refused_before_allocation(self):
         # an all-red 8-vertex pattern in an all-red host: 75^7 prefixes
@@ -317,8 +340,9 @@ class TestCanonicalHypergraphBuilder:
         H = TotallyColouredPattern.from_parts(2, (0,) * 8, {})
         parts = [tuple(range(75 * i, 75 * (i + 1))) for i in range(8)]
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"{75**4} candidate prefixes"):
-            canonical_hypergraph(G, H, parts)
+        with pytest.raises(ValueError, match=f"^level 4 of the canonical hypergraph has {75**4} "
+                                             "candidate prefixes"):
+            _top_level(G, H, parts)
         with pytest.raises(ValueError, match="LEVEL_BYTES_LIMIT"):
             find_homogeneous_blowup(G, H)
         assert time.perf_counter() - start < 5
@@ -349,9 +373,12 @@ class TestCanonicalHypergraphBuilder:
         G = make_random(12, 2, 3)
         H = TotallyColouredPattern.from_parts(3, (0, 0, 0), {(0, 1): 2, (0, 2): 1})
         parts = _random_equitable_partition(random.Random(0), 12, 3)
-        Hg = canonical_hypergraph(G, H, parts)
-        assert Hg.is_empty and Hg.edge_count == 0
-        assert Hg.parts == tuple(parts)
+        top = _top_level(G, H, parts)
+        assert not len(top.heads) and top.edge_count == 0
+        assert top.parts == tuple(parts)
+        res = find_homogeneous_blowup(G, H, retries=2)
+        assert (res.mode, res.canonical_copies, res.achieved_t, res.attempts) == (
+            "no-copies", 0, 0, 2)
 
 
 class TestCanonicalPartition:
@@ -361,7 +388,7 @@ class TestCanonicalPartition:
             G = blow_up(pat, t)
             parts = [tuple(range(i * t, (i + 1) * t)) for i in range(4)]
             assert len(canonical_copies_oracle(G, pat, parts)) == t**4
-            assert canonical_hypergraph(G, pat, parts).edge_count == t**4
+            assert _top_level(G, pat, parts).edge_count == t**4
 
     def test_copies_freed_without_cycle_collector(self):
         # a reference cycle would keep each attempt's DFS state alive until
@@ -370,7 +397,7 @@ class TestCanonicalPartition:
         G = blow_up(pat, 3)
         parts = [tuple(range(i * 3, (i + 1) * 3)) for i in range(4)]
         gc.collect()
-        assert canonical_hypergraph(G, pat, parts).edge_count == 81
+        assert _top_level(G, pat, parts).edge_count == 81
         assert gc.collect() == 0
 
     def test_partition_equitable(self):
@@ -384,8 +411,10 @@ class TestCanonicalPartition:
 
 
 class TestDictReference:
-    """The array record against the dict-of-masks DFS, cleanup and shadow it
-    replaced, on seeded random hosts, down every level of the recursion."""
+    """The array records against the dict-of-masks DFS, cleanup and shadow
+    they replaced, on seeded random hosts, down every level of the
+    recursion: the built top level through its count, rows and cleaned
+    shadow, then the records below it."""
 
     @staticmethod
     def cases():
@@ -413,9 +442,28 @@ class TestDictReference:
 
     def test_build_cleanup_and_shadow_match_at_every_level(self):
         for G, H, parts in self.cases():
-            Hg = canonical_hypergraph(G, H, parts)
+            top = _top_level(G, H, parts)
             ref = canonical_hypergraph_reference(G, H, [tuple(map(int, p)) for p in parts])
-            assert not Hg.is_empty
+            assert top.parts == ref.parts and top.edge_count == ref.edge_count > 0
+            # every grid cell is the degree of its (l-1)-prefix
+            heads = {R: h for h, R in enumerate(map(tuple, top.heads.tolist()))}
+            xs = {x: k for k, x in enumerate(top.parts[-2])}
+            degrees = np.zeros_like(top.degrees)
+            for R, mask in ref.by_prefix.items():
+                degrees[heads[R[:-1]], xs[R[-1]]] = mask.bit_count()
+            assert np.array_equal(top.degrees, degrees)
+            # rows at a spread of the prefixes (all of them against the
+            # whole record in TestDegreeGrid)
+            sample = list(ref.by_prefix)[::-(-len(ref.by_prefix) // 64)]
+            prefixes = np.array(sample, dtype=np.int32)
+            got = CanonicalHypergraph(top.parts, prefixes, top.rows(sample), 0)
+            assert prefix_masks(got) == {R: ref.by_prefix[R] for R in sample}
+            thr = _cover_threshold(top.edge_count, top.parts)
+            for t in (thr, Fraction(1, 3)):
+                want = min_degree_cleanup_reference(ref, t).shadow()
+                self.assert_same(top.cleaned_shadow(t), want)
+            Hg = top.cleaned_shadow(thr)
+            ref = min_degree_cleanup_reference(ref, thr).shadow()
             while True:
                 self.assert_same(Hg, ref)
                 # the cover's threshold rule, and a fixed one
@@ -432,10 +480,11 @@ class TestDictReference:
 
 
 class TestDegreeGrid:
-    """The finder's top level, read from the degree grid, against the built
-    top level: the fused cleanup and shadow, the copy count, the rebuilt
-    rows, the cover and whole finder runs.  Both levels give hypergraph_cover
-    cleaned_shadow and rows, so the built record's own are checked too."""
+    """The finder's top level, read from the degree grid, against the whole
+    record (hosts.canonical_hypergraph_record): the fused cleanup and
+    shadow, the copy count, the rebuilt rows, the cover and whole finder
+    runs.  Both levels give hypergraph_cover cleaned_shadow and rows, so the
+    whole record's own are checked too."""
 
     @staticmethod
     def cases():
@@ -452,7 +501,7 @@ class TestDegreeGrid:
         for chunk in (_BUILD_CHUNK, 7):
             monkeypatch.setattr("localbalance.blowup_finder._BUILD_CHUNK", chunk)
             for G, H, parts in self.cases():
-                Hg = canonical_hypergraph(G, H, parts)
+                Hg = canonical_hypergraph_record(G, H, parts)
                 top = _top_level(G, H, parts)
                 assert top.edge_count == Hg.edge_count
                 assert type(top.edge_count) is int
@@ -488,7 +537,7 @@ class TestDegreeGrid:
 
     def test_rebuilt_rows_are_the_masks(self):
         for G, H, parts in self.cases():
-            Hg = canonical_hypergraph(G, H, parts)
+            Hg = canonical_hypergraph_record(G, H, parts)
             for rows in (_top_level(G, H, parts).rows(Hg.prefixes.tolist()),
                          Hg.rows(Hg.prefixes.tolist())):
                 assert rows.dtype == np.uint64 and np.array_equal(rows, Hg.masks)
@@ -496,7 +545,7 @@ class TestDegreeGrid:
     def test_cover_of_the_grid_is_the_cover_of_the_built_record(self):
         covered = 0
         for G, H, parts in self.cases():
-            Hg = canonical_hypergraph(G, H, parts)
+            Hg = canonical_hypergraph_record(G, H, parts)
             top = _top_level(G, H, parts)
             if Hg.is_empty:
                 for level in (Hg, top):
@@ -508,7 +557,7 @@ class TestDegreeGrid:
         assert covered > 50
 
     def test_finder_matches_the_built_top_level(self, monkeypatch):
-        # the reference attempts build the whole hypergraph for hypergraph_cover
+        # the reference attempts hand hypergraph_cover the whole hypergraph
         rng = random.Random(24)
         runs = []
         for r in (2, 3):
@@ -517,7 +566,7 @@ class TestDegreeGrid:
                 H = get_pattern(rng.choice(("C4", "P3o", "P3", "P1")))
                 runs.append((G, H, rng.randrange(100)))
         got = [find_homogeneous_blowup(G, H, seed=seed, retries=4) for G, H, seed in runs]
-        monkeypatch.setattr("localbalance.blowup_finder._top_level", canonical_hypergraph)
+        monkeypatch.setattr("localbalance.blowup_finder._top_level", canonical_hypergraph_record)
         want = [find_homogeneous_blowup(G, H, seed=seed, retries=4) for G, H, seed in runs]
         assert got == want
         assert sum(res.achieved_t >= 1 for res in got) > len(runs) // 2
@@ -579,6 +628,24 @@ class TestFinderConfig:
 
 
 class TestKstStar:
+    @pytest.mark.parametrize("s", [True, 2.0, "2", None])
+    def test_star_size_must_be_an_int(self, s):
+        # True gave a 1-star, 2.0 and "2" a TypeError from comb and <
+        F = BipartiteIncidence(("a", "b", "c"), (0b111,) * 3, 0b111)
+        with pytest.raises(ValueError, match=f"^s must be an integer, got {s!r}$"):
+            kst_star(F, s)
+
+    @pytest.mark.parametrize("s", [0, -1])
+    def test_star_size_must_be_positive(self, s):
+        F = BipartiteIncidence(("a", "b", "c"), (0b111,) * 3, 0b111)
+        with pytest.raises(ValueError, match=f"^need s >= 1, got {s}$"):
+            kst_star(F, s)
+
+    def test_numpy_star_size_is_read_as_an_int(self):
+        F = BipartiteIncidence(("a", "b", "c"), (0b111, 0b011, 0b110), 0b111)
+        for s in (np.int64(2), np.uint8(2)):
+            assert kst_star(F, s) == kst_star(F, 2) == StarResult(("a", "b"), 0b011, "exact")
+
     def test_complete_bipartite_gives_whole_b(self):
         F = BipartiteIncidence(("a", "b", "c"), (0b111,) * 3, 0b111)
         for s in (1, 2, 3):

@@ -120,7 +120,7 @@ class TestConstruction:
         for v in range(G.n):
             union = 0
             for c in range(G.r):
-                mask = G.neighbours(c, v)
+                mask = G.colour_bits(c)[v]
                 assert union & mask == 0
                 union |= mask
             assert union == ((1 << G.n) - 1) & ~(1 << v)
@@ -283,7 +283,7 @@ class TestConstruction:
         G = make_random(6, 2, 0)
         H = induced_edge_pattern(G, range(6))
         message = rf"^vertex {re.escape(repr(bad))} is not an integer in range\(6\)$"
-        readers = [lambda: G.colour(0, bad), lambda: G.colour(bad, 2), lambda: G.neighbours(0, bad),
+        readers = [lambda: G.colour(0, bad), lambda: G.colour(bad, 2),
                    lambda: H.edge_colour(0, bad), lambda: H.edge_colour(bad, 2)]
         for read in readers:
             with pytest.raises(ValueError, match=message):
@@ -294,15 +294,13 @@ class TestConstruction:
         # -1 used to read colour 2's masks and 3 raised a bare IndexError
         G = make_random(6, 3, 0)
         message = rf"^colour {re.escape(repr(bad))} is not an integer in range\(3\)$"
-        for read in (lambda: G.colour_bits(bad), lambda: G.neighbours(bad, 0)):
-            with pytest.raises(ValueError, match=message):
-                read()
+        with pytest.raises(ValueError, match=message):
+            G.colour_bits(bad)
 
     def test_vertex_readers_take_numpy_integers(self):
         G = make_random(6, 2, 0)
         assert G.colour(np.int64(0), np.uint8(5)) == G.colour(0, 5) == G.table()[0, 5]
-        assert G.neighbours(1, np.int32(4)) == G.colour_bits(1)[4]
-        assert G.neighbours(np.uint8(1), 4) == G.colour_bits(np.int64(1))[4]
+        assert G.colour_bits(np.uint8(1)) == G.colour_bits(np.int64(1)) == G.colour_bits(1)
         with pytest.raises(ValueError, match="self-loops"):
             G.colour(3, np.int64(3))
 

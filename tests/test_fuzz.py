@@ -26,7 +26,6 @@ from localbalance import (
     CanonicalHypergraph,
     ColouredCompleteGraph,
     TotallyColouredPattern,
-    canonical_hypergraph,
     closeness_to_split,
     count_alternating_c4,
     get_pattern,
@@ -381,7 +380,6 @@ VERTEX_FUNCTIONS = (
     lambda G, S: count_alternating_c4(G, *halves(S)),
     lambda G, S: verify_witness(
         G, BlowupWitness(get_pattern("P1"), halves(S), len(S) // 2, homogeneous=True)),
-    lambda G, S: canonical_hypergraph(G, get_pattern("P1"), halves(S)),
     lambda G, S: CanonicalHypergraph.from_edges(halves(S), [(S[0], S[-1])] if len(S) else []),
 )
 

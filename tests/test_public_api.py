@@ -109,6 +109,11 @@ def test_deleted_parameters_stay_deleted():
         ("seed", "KEYWORD_ONLY", 0), ("max_draws", "KEYWORD_ONLY", 64)]
     for name in ("SamplerConfig", "min_unibalanced_subgraph_size"):
         assert not hasattr(localbalance, name) and not hasattr(multicolour, name)
+    # one copy build, _top_level: the whole hypergraph is a test reference
+    for name in ("canonical_hypergraph", "_copy_levels"):
+        assert not hasattr(localbalance, name) and not hasattr(blowup_finder, name)
+    assert callable(blowup_finder._top_level)
+    assert not hasattr(localbalance.ColouredCompleteGraph, "neighbours")
 
 
 def test_vertex_checks_live_only_in_core():
